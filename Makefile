@@ -2,16 +2,17 @@ GO ?= go
 
 # SWEEP_BENCH selects the sweep/planner hot-path benchmarks (shared
 # calibration, uncached throughput, fabric binding, schedule campaigns,
-# strategy-labeled plan search) shared by bench and bench-smoke.
-SWEEP_BENCH = BenchmarkSweep_SharedCalibration$$|BenchmarkSweepThroughput$$|BenchmarkReplayEngine|BenchmarkSweep_FabricCampaign|BenchmarkSweep_ScheduleCampaign|BenchmarkSweep_DiskCacheWarmStart|BenchmarkPlan_BeamVsExhaustive|BenchmarkPlan_BranchAndBound
+# per-schedule synthesis, strategy-labeled plan search) shared by bench and
+# bench-diff.
+SWEEP_BENCH = BenchmarkSweep_SharedCalibration$$|BenchmarkSweepThroughput$$|BenchmarkReplayEngine|BenchmarkSweep_FabricCampaign|BenchmarkSweep_ScheduleCampaign|BenchmarkSweep_DiskCacheWarmStart|BenchmarkSynthesize|BenchmarkPlan_BeamVsExhaustive|BenchmarkPlan_BranchAndBound
 
-.PHONY: check fmt vet build test race alloc-guard bench bench-diff bench-smoke benchsmoke plan-smoke schedule-smoke serve-smoke obs-smoke
+.PHONY: check fmt vet build test race alloc-guard bench bench-diff benchsmoke plan-smoke schedule-smoke serve-smoke obs-smoke
 
 # check is the CI gate: formatting, static analysis, full build, tests,
 # the race detector on the concurrent service/cache/replay packages, the
-# compiled-engine allocation budget, a one-iteration benchmark smoke pass,
-# and the planner, schedule, planning-service and observability acceptance
-# smokes.
+# compiled-engine and synthesis allocation budgets, a one-iteration
+# benchmark smoke pass, and the planner, schedule, planning-service and
+# observability acceptance smokes.
 check: fmt vet build test race alloc-guard benchsmoke plan-smoke schedule-smoke serve-smoke obs-smoke
 
 fmt:
@@ -40,10 +41,13 @@ race:
 # ALLOC_GUARD_BUDGET mirrors the TestReplayAllocBudget constant and is
 # archived into BENCH_sweep.json so bench-diff fails if the budget is ever
 # raised (e.g. to absorb observability overhead) without regenerating the
-# committed archive.
+# committed archive. It also holds one fig7 synthesis under its byte budget
+# (TestSynthesizeAllocBudget), so per-rank program rebuilds cannot return
+# unnoticed.
 ALLOC_GUARD_BUDGET ?= 8
 alloc-guard:
 	$(GO) test -run TestReplayAllocBudget -count 1 ./internal/replay/
+	$(GO) test -run TestSynthesizeAllocBudget -count 1 ./internal/cluster/
 
 # benchsmoke runs every benchmark once as a regression canary.
 benchsmoke:
@@ -70,12 +74,6 @@ bench-diff:
 		-benchmem -benchtime 20x -count 1 . > BENCH_new.txt
 	$(GO) run ./cmd/benchjson -alloc-guard $(ALLOC_GUARD_BUDGET) < BENCH_new.txt > BENCH_new.json
 	$(GO) run ./cmd/benchjson diff -threshold $(BENCH_DIFF_THRESHOLD) BENCH_sweep.json BENCH_new.json
-
-# bench-smoke runs the sweep benchmarks exactly once: a fast CI gate so
-# fabric-binding or calibration regressions in the hot path fail the build
-# without paying for a full measurement run.
-bench-smoke:
-	$(GO) test -run xxx -bench '$(SWEEP_BENCH)' -benchtime 1x -count 1 .
 
 # plan-smoke is the deployment-planner acceptance gate: examples/autotune
 # exits non-zero unless beam search, successive halving, and exact

@@ -323,6 +323,35 @@ func BenchmarkGroundTruthSimulator(b *testing.B) {
 	b.ReportMetric(float64(events), "events")
 }
 
+// BenchmarkSynthesize measures the synthesis layer on the fig7 target
+// (GPT-3 15B, TP2×PP2×DP2, 8 microbatches) under each pipeline schedule:
+// program building (one build per stage, stamped across its replicas),
+// the discrete-event simulation and graph emission, as every deploy
+// prediction and plan point pays them. Sub-benchmarks carry a
+// schedule=<name> label that cmd/benchjson records in BENCH_sweep.json;
+// TestSynthesizeAllocBudget (internal/cluster) bounds the same call's bytes.
+func BenchmarkSynthesize(b *testing.B) {
+	for _, spec := range []string{"1f1b", "gpipe", "interleaved2", "zb-h1"} {
+		cfg, err := WithScheduleSpec(benchConfig(b, model.GPT3_15B(), 2, 2, 2, 8), spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		simCfg := cluster.DefaultSimConfig(cfg.Map.WorldSize(), 42)
+		b.Run("schedule="+spec, func(b *testing.B) {
+			b.ReportAllocs()
+			var tasks int
+			for i := 0; i < b.N; i++ {
+				g, err := cluster.Synthesize(cfg, simCfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				tasks = len(g.Tasks)
+			}
+			b.ReportMetric(float64(tasks), "tasks")
+		})
+	}
+}
+
 // BenchmarkGraphBuild measures execution-graph construction.
 func BenchmarkGraphBuild(b *testing.B) {
 	cfg := benchConfig(b, model.GPT3_15B(), 2, 2, 2, 4)

@@ -139,7 +139,8 @@ func TestPlanDeterminismAcrossWorkers(t *testing.T) {
 
 // TestEngineCountersSurface checks the observability contract: a compiled
 // campaign reports program lowerings and compiled runs (and no interpreted
-// runs), an interpreted one the inverse.
+// runs), an interpreted one the inverse — already after Prepare, whose base
+// replay runs on the campaign's engine before any scenario does.
 func TestEngineCountersSurface(t *testing.T) {
 	ctx := context.Background()
 	base := sweepBase(t)
@@ -148,6 +149,9 @@ func TestEngineCountersSurface(t *testing.T) {
 	st, err := tk.Prepare(ctx, base, 42)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if cs := st.CacheStats(); cs.CompiledRuns < 1 || cs.InterpretedRuns != 0 {
+		t.Fatalf("compiled campaign's base replay did not run compiled: %+v", cs)
 	}
 	if _, err := tk.EvaluateState(ctx, st, ClassScaleScenario(KCGEMM, 0.5), FusionScenario()); err != nil {
 		t.Fatal(err)
@@ -165,6 +169,9 @@ func TestEngineCountersSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if ics := ist.CacheStats(); ics.InterpretedRuns < 1 || ics.CompiledRuns != 0 {
+		t.Fatalf("interpreted campaign's base replay did not run interpreted: %+v", ics)
+	}
 	if _, err := itk.EvaluateState(ctx, ist, ClassScaleScenario(KCGEMM, 0.5)); err != nil {
 		t.Fatal(err)
 	}
@@ -174,5 +181,39 @@ func TestEngineCountersSurface(t *testing.T) {
 	}
 	if ics.CompiledRuns != 0 {
 		t.Fatalf("interpreted campaign ran the compiled engine: %+v", ics)
+	}
+}
+
+// TestPrepareBaseReplayMatchesReplay pins the campaign base point to the
+// reference path: PrepareTraces replays the base on the campaign's engine
+// and reads its breakdown off the replay columns, and must report exactly
+// the iteration time and breakdown Replay derives from the materialized
+// replayed trace, under every pipeline schedule and both engines.
+func TestPrepareBaseReplayMatchesReplay(t *testing.T) {
+	ctx := context.Background()
+	for _, spec := range []string{"1f1b", "gpipe", "interleaved2", "zb-h1"} {
+		cfg, err := WithScheduleSpec(scheduleBase(t, GPT3_15B()), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		traces, err := New().Profile(ctx, cfg, 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range []EngineKind{EngineCompiled, EngineInterpreted} {
+			tk := New(WithReplayEngine(k))
+			st, err := tk.PrepareTraces(ctx, cfg, traces)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := tk.Replay(ctx, st.Graph)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Iteration != rep.Iteration || st.Breakdown != rep.Breakdown {
+				t.Fatalf("%s/%s: prepared base %d %#v != replayed %d %#v",
+					spec, k, st.Iteration, st.Breakdown, rep.Iteration, rep.Breakdown)
+			}
+		}
 	}
 }

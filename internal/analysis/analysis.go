@@ -130,12 +130,13 @@ func MultiBreakdown(m *trace.Multi) Breakdown {
 // per-rank span (the slowest rank bounds the step).
 func IterationTime(m *trace.Multi) trace.Dur { return m.Duration() }
 
-// GraphBreakdown is MultiBreakdown computed directly from an execution
-// graph's recorded timestamps, so synthesized graphs (trace-free
-// predictions) decompose without materializing a trace. For a graph built
-// from (or equivalent to) a trace it returns exactly MultiBreakdown's
-// numbers: the same task spans feed the same interval algebra.
-func GraphBreakdown(g *execgraph.Graph) Breakdown {
+// ReplayBreakdown is MultiBreakdown computed straight from a replay's
+// Start/End columns (indexed by task ID, as in replay.Result), so a replayed
+// execution decomposes without materializing its trace. For the same task
+// spans it returns exactly MultiBreakdown's numbers over replay.ToTrace:
+// the same intervals feed the same interval algebra. Nil columns select
+// the graph's recorded times (GraphBreakdown).
+func ReplayBreakdown(g *execgraph.Graph, start, end []trace.Time) Breakdown {
 	type rankAcc struct {
 		compute, comm timeline.Set
 		start, end    trace.Time
@@ -146,6 +147,9 @@ func GraphBreakdown(g *execgraph.Graph) Breakdown {
 		t := &g.Tasks[i]
 		a := &accs[t.Rank]
 		s, e := t.Start, t.End()
+		if start != nil {
+			s, e = start[i], end[i]
+		}
 		if !a.seen {
 			a.start, a.end, a.seen = s, e, true
 		} else {
@@ -180,6 +184,11 @@ func GraphBreakdown(g *execgraph.Graph) Breakdown {
 	}
 	return averageBreakdowns(sum, n)
 }
+
+// GraphBreakdown is ReplayBreakdown applied to the graph's recorded times,
+// so synthesized graphs (trace-free predictions) decompose without
+// materializing a trace.
+func GraphBreakdown(g *execgraph.Graph) Breakdown { return ReplayBreakdown(g, nil, nil) }
 
 // SMUtilization computes the fraction of each window during which at least
 // one CUDA stream of the rank is executing a kernel (the paper's Figure 6

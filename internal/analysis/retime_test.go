@@ -86,9 +86,9 @@ func TestWhatIfFusionSimAgreesWithOneShot(t *testing.T) {
 	}
 }
 
-// TestGraphBreakdownMatchesTraceBreakdown checks the graph-side breakdown
-// agrees with the trace-side one on a replayed execution (same spans, same
-// interval algebra).
+// TestGraphBreakdownMatchesTraceBreakdown checks the graph-side and
+// replay-column breakdowns agree with the trace-side one on a replayed
+// execution (same spans, same interval algebra).
 func TestGraphBreakdownMatchesTraceBreakdown(t *testing.T) {
 	g := fusionGraph(t)
 	res, err := replay.Run(g, replay.DefaultOptions())
@@ -105,7 +105,11 @@ func TestGraphBreakdownMatchesTraceBreakdown(t *testing.T) {
 		replayed.Tasks[i].Start = res.Start[i]
 		replayed.Tasks[i].Dur = res.End[i] - res.Start[i]
 	}
-	if bg, bt := GraphBreakdown(&replayed), MultiBreakdown(tr); bg != bt {
+	bt := MultiBreakdown(tr)
+	if bg := GraphBreakdown(&replayed); bg != bt {
 		t.Fatalf("graph breakdown %+v != trace breakdown %+v", bg, bt)
+	}
+	if br := ReplayBreakdown(g, res.Start, res.End); br != bt {
+		t.Fatalf("replay-column breakdown %+v != trace breakdown %+v", br, bt)
 	}
 }

@@ -123,18 +123,15 @@ const (
 
 // entry is one stream-queue element.
 type entry struct {
-	kind     entryKind
-	op       model.Op
+	kind entryKind
+	// in is the launching instruction of an eKernel entry (its op and comm
+	// metadata); programs are immutable during a simulation, so entries
+	// point at it rather than copy it. Nil for other kinds.
+	in       *parallel.Instr
 	corr     int64
 	event    int64 // event handle for eRecord / eWaitEvent
 	enqueueT trace.Time
 	mb       int
-
-	// comm metadata copied from the instruction
-	commID    int64
-	commSeq   int64
-	commRanks []int
-	peerRank  int
 
 	resolved bool
 	// arrived guards against double-registration with a collective or an
@@ -398,52 +395,30 @@ func newSim(cfg parallel.Config, simCfg SimConfig, synthesize bool) (*sim, error
 		}
 	}
 
+	progs, err := parallel.BuildPrograms(cfg)
+	if err != nil {
+		return nil, err
+	}
+	// Preallocate the trace/graph and stream queues: repeated growth of the
+	// large event structs dominates runtime otherwise. A stage's replicas
+	// run the same instruction kinds on the same streams, so the sizes are
+	// counted once per stage.
+	sizes := make([]*queueSizes, cfg.Map.PP)
 	totalTasks := 0
 	s.threads = make([]*threadState, world*2)
-	for r := 0; r < world; r++ {
-		prog, err := parallel.BuildProgram(cfg, r)
-		if err != nil {
-			return nil, err
+	for r, prog := range progs {
+		qs := sizes[prog.Stage]
+		if qs == nil {
+			qs = countQueues(prog)
+			sizes[prog.Stage] = qs
 		}
-		// Preallocate the trace/graph and stream queues: repeated growth of
-		// the large event structs dominates runtime otherwise.
-		var nEvents, nTasks int
-		var perStream [model.NumStreamKinds]int
-		for tid := 0; tid < 2; tid++ {
-			for i := range prog.Threads[tid] {
-				in := &prog.Threads[tid][i]
-				switch in.Kind {
-				case parallel.ILaunch:
-					nEvents += 3
-					nTasks += 2 // launcher op (folded launch) + kernel
-					perStream[in.Op.Stream]++
-				case parallel.IEventRecord, parallel.IStreamWaitEvent:
-					nEvents++
-					nTasks++
-					perStream[in.Stream]++
-				case parallel.IStreamSync:
-					nEvents++
-					nTasks++
-					perStream[in.Stream]++
-				case parallel.IDeviceSync:
-					nEvents++
-					nTasks++
-					for k := range perStream {
-						perStream[k]++
-					}
-				case parallel.ICPUWork:
-					nEvents++
-					nTasks++
-				}
-			}
-		}
-		totalTasks += nTasks
+		totalTasks += qs.tasks
 		if s.traces != nil {
-			s.traces.Ranks[r].Events = make([]trace.Event, 0, nEvents+1)
+			s.traces.Ranks[r].Events = make([]trace.Event, 0, qs.events+1)
 		}
 		for k := 0; k < model.NumStreamKinds; k++ {
 			st := s.streams[s.streamIdx(r, model.StreamKind(k))]
-			st.entries = make([]entry, 0, perStream[k])
+			st.entries = make([]entry, 0, qs.perStream[k])
 		}
 		for tid := 0; tid < 2; tid++ {
 			s.threads[s.threadIdx(r, tid)] = &threadState{
@@ -456,6 +431,44 @@ func newSim(cfg parallel.Config, simCfg SimConfig, synthesize bool) (*sim, error
 		s.gb.grow(totalTasks)
 	}
 	return s, nil
+}
+
+// queueSizes is what one rank's program emits: trace events, graph tasks
+// and stream-queue entries per stream kind.
+type queueSizes struct {
+	events, tasks int
+	perStream     [model.NumStreamKinds]int
+}
+
+// countQueues sizes one rank's trace, graph tasks and stream queues from
+// its program.
+func countQueues(prog *parallel.Program) *queueSizes {
+	qs := &queueSizes{}
+	for _, instrs := range prog.Threads {
+		for i := range instrs {
+			in := &instrs[i]
+			switch in.Kind {
+			case parallel.ILaunch:
+				qs.events += 3
+				qs.tasks += 2 // launcher op (folded launch) + kernel
+				qs.perStream[in.Op.Stream]++
+			case parallel.IEventRecord, parallel.IStreamWaitEvent, parallel.IStreamSync:
+				qs.events++
+				qs.tasks++
+				qs.perStream[in.Stream]++
+			case parallel.IDeviceSync:
+				qs.events++
+				qs.tasks++
+				for k := range qs.perStream {
+					qs.perStream[k]++
+				}
+			case parallel.ICPUWork:
+				qs.events++
+				qs.tasks++
+			}
+		}
+	}
+	return qs
 }
 
 // simulate pumps the fixpoint loop until nothing can advance and checks for
@@ -705,14 +718,10 @@ func (s *sim) execLaunch(th *threadState, in *parallel.Instr, tr *trace.Trace) {
 	st := s.streams[sIdx]
 	st.entries = append(st.entries, entry{
 		kind:       eKernel,
-		op:         op,
+		in:         in,
 		corr:       corr,
 		enqueueT:   launchEnd + s.cfg.LaunchLatency,
 		mb:         in.Microbatch,
-		commID:     in.CommID,
-		commSeq:    in.CommSeq,
-		commRanks:  in.CommRanks,
-		peerRank:   in.PeerRank,
 		launchTask: launchTask,
 	})
 	s.pushStream(sIdx)
@@ -781,7 +790,7 @@ func (s *sim) advanceStream(idx int) {
 			if e.enqueueT > ready {
 				ready = e.enqueueT
 			}
-			if e.op.IsComm() {
+			if e.in.Op.IsComm() {
 				if e.arrived {
 					return // already registered; stalled until the group completes
 				}
@@ -894,7 +903,8 @@ func (s *sim) contentionFactor(rank int, kind model.StreamKind, isComm bool, sta
 
 // resolveComputeKernel prices and finalizes a non-collective kernel.
 func (s *sim) resolveComputeKernel(st *streamState, e *entry, ready trace.Time) {
-	base := s.oracle.Compute(e.op.Class, e.op.FLOPs, e.op.Bytes)
+	op := &e.in.Op
+	base := s.oracle.Compute(op.Class, op.FLOPs, op.Bytes)
 	f := s.rngs[st.rank].LogNormal(s.cfg.ComputeJitterSigma) * s.rankSkew[st.rank]
 	f *= s.contentionFactor(st.rank, st.kind, false, ready)
 	dur := trace.Dur(float64(base) * f)
@@ -915,10 +925,10 @@ func (s *sim) resolveComputeKernel(st *streamState, e *entry, ready trace.Time) 
 func (s *sim) arriveCollective(streamIdx, entryIdx int, ready trace.Time) bool {
 	st := s.streams[streamIdx]
 	e := &st.entries[entryIdx]
-	key := collKey{e.commID, e.commSeq}
+	key := collKey{e.in.CommID, e.in.CommSeq}
 	c := s.colls[key]
 	if c == nil {
-		c = &collState{expected: len(e.commRanks)}
+		c = &collState{expected: len(e.in.CommRanks)}
 		s.colls[key] = c
 	}
 	c.arrivals = append(c.arrivals, arrival{rank: st.rank, streamIdx: streamIdx, entryIdx: entryIdx, localReady: ready})
@@ -940,7 +950,7 @@ func (s *sim) completeCollective(key collKey, c *collState) {
 		}
 	}
 	first := &s.streams[c.arrivals[0].streamIdx].entries[c.arrivals[0].entryIdx]
-	base := s.oracle.Comm(first.op.Comm, first.op.CommBytes, first.commRanks)
+	base := s.oracle.Comm(first.in.Op.Comm, first.in.Op.CommBytes, first.in.CommRanks)
 
 	jit := s.collRNG.Fork(uint64(key.id)<<20 ^ uint64(key.seq)).LogNormal(s.cfg.CommJitterSigma)
 	f := jit
@@ -976,7 +986,7 @@ func (s *sim) completeCollective(key collKey, c *collState) {
 }
 
 // kernelName maps an op to a realistic device kernel symbol.
-func kernelName(op model.Op) string {
+func kernelName(op *model.Op) string {
 	switch op.Class {
 	case trace.KCGEMM:
 		return "sm90_xmma_gemm_bf16f32_tn_n"
@@ -1008,19 +1018,20 @@ func (s *sim) emitKernel(rank int, kind model.StreamKind, e *entry) {
 		s.gb.kernel(s.streamIdx(rank, kind), rank, kind, e)
 		return
 	}
+	op := &e.in.Op
 	ev := trace.Event{
-		Name: kernelName(e.op), Cat: trace.CatKernel,
+		Name: kernelName(op), Cat: trace.CatKernel,
 		Ts: e.start, Dur: e.end - e.start, PID: rank, TID: StreamIDs[kind],
 		Correlation: e.corr, Stream: StreamIDs[kind],
-		Class: e.op.Class, Layer: e.op.Layer, Microbatch: e.mb, Pass: e.op.Pass,
-		FLOPs: e.op.FLOPs, Bytes: e.op.Bytes, PeerRank: -1,
+		Class: op.Class, Layer: op.Layer, Microbatch: e.mb, Pass: op.Pass,
+		FLOPs: op.FLOPs, Bytes: op.Bytes, PeerRank: -1,
 	}
-	if e.op.IsComm() {
-		ev.Comm = e.op.Comm
-		ev.CommID = e.commID
-		ev.CommSeq = e.commSeq
-		ev.CommBytes = e.op.CommBytes
-		ev.PeerRank = e.peerRank
+	if op.IsComm() {
+		ev.Comm = op.Comm
+		ev.CommID = e.in.CommID
+		ev.CommSeq = e.in.CommSeq
+		ev.CommBytes = op.CommBytes
+		ev.PeerRank = e.in.PeerRank
 	}
 	s.traces.Ranks[rank].Add(ev)
 }

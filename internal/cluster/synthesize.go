@@ -111,7 +111,7 @@ func (gb *graphBuilder) cpu(thIdx, rank, tid int, t execgraph.Task) int32 {
 // kernel appends a resolved GPU task with its launch, intra-stream and
 // event-bridge dependencies, and registers collective group membership.
 func (gb *graphBuilder) kernel(sIdx, rank int, kind model.StreamKind, e *entry) {
-	op := e.op
+	op := &e.in.Op
 	t := execgraph.Task{
 		Kind:       execgraph.TaskGPU,
 		Rank:       int32(rank),
@@ -128,8 +128,8 @@ func (gb *graphBuilder) kernel(sIdx, rank int, kind model.StreamKind, e *entry) 
 	}
 	if op.IsComm() {
 		t.Comm = op.Comm
-		t.CommID = e.commID
-		t.CommSeq = e.commSeq
+		t.CommID = e.in.CommID
+		t.CommSeq = e.in.CommSeq
 		t.CommBytes = op.CommBytes
 	}
 	if gb.gpuProc[sIdx] < 0 {
@@ -149,8 +149,8 @@ func (gb *graphBuilder) kernel(sIdx, rank int, kind model.StreamKind, e *entry) 
 	gb.pendingWait[sIdx] = gb.pendingWait[sIdx][:0]
 	gb.lastKern[sIdx] = id
 
-	if op.IsComm() && e.commID != 0 {
-		key := execgraph.GroupKey{CommID: e.commID, CommSeq: e.commSeq}
+	if op.IsComm() && e.in.CommID != 0 {
+		key := execgraph.GroupKey{CommID: e.in.CommID, CommSeq: e.in.CommSeq}
 		gb.g.Groups[key] = append(gb.g.Groups[key], id)
 	}
 }

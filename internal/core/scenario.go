@@ -817,8 +817,11 @@ func (tk *Toolkit) PrepareTraces(ctx context.Context, cfg parallel.Config, m *tr
 	if err != nil {
 		return nil, err
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	rp := sp.Child("replay")
-	rep, err := tk.Replay(ctx, g)
+	iter, breakdown, err := tk.replayBase(g)
 	rp.End()
 	if err != nil {
 		return nil, err
@@ -846,8 +849,8 @@ func (tk *Toolkit) PrepareTraces(ctx context.Context, cfg parallel.Config, m *tr
 		Config:      cfg,
 		Traces:      m,
 		Graph:       g,
-		Iteration:   rep.Iteration,
-		Breakdown:   rep.Breakdown,
+		Iteration:   iter,
+		Breakdown:   breakdown,
 		Library:     lib,
 		Fitted:      fitted,
 		Fabric:      f,
@@ -855,6 +858,22 @@ func (tk *Toolkit) PrepareTraces(ctx context.Context, cfg parallel.Config, m *tr
 		fingerprint: profileFP,
 		disk:        disk,
 	}, nil
+}
+
+// replayBase replays a campaign's base graph on a pooled engine and reads
+// its iteration time and breakdown straight off the replay's Start/End
+// columns, before the engine (which owns them) goes back to the pool. No
+// trace is materialized, and the compiled program stays with the engine
+// rather than the campaign: kernel what-ifs lower their own copy on demand
+// (BaseState.program).
+func (tk *Toolkit) replayBase(g *execgraph.Graph) (trace.Dur, analysis.Breakdown, error) {
+	e := tk.acquireEngine()
+	defer tk.releaseEngine(e)
+	res, err := e.Run(g)
+	if err != nil {
+		return 0, analysis.Breakdown{}, err
+	}
+	return res.Makespan, analysis.ReplayBreakdown(g, res.Start, res.End), nil
 }
 
 // Evaluate runs a what-if campaign: profile the base deployment once (with

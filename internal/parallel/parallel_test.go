@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -339,4 +340,65 @@ func TestBuildProgramRankRange(t *testing.T) {
 	if _, err := BuildProgram(cfg, cfg.Map.WorldSize()); err == nil {
 		t.Fatal("rank >= world must fail")
 	}
+}
+
+// TestBuildProgramsMatchesBuildProgram is the stamp-equivalence property:
+// every program BuildPrograms stamps from a stage template must equal the
+// program BuildProgram builds directly for that rank, across all four
+// schedules, TP/PP/DP degrees, microbatch counts and sequence parallelism.
+// A shallow arch keeps the grid fast; the stamped fields do not depend on
+// depth.
+func TestBuildProgramsMatchesBuildProgram(t *testing.T) {
+	arch := model.GPT3_15B().WithLayers(8)
+	type sched struct {
+		policy  SchedulePolicy
+		virtual int
+	}
+	schedules := []sched{{OneFOneB, 0}, {GPipe, 0}, {Interleaved, 2}, {ZBH1, 0}}
+	checked := 0
+	for _, sc := range schedules {
+		for _, tp := range []int{1, 2, 4} {
+			for _, pp := range []int{1, 2, 4} {
+				for _, dp := range []int{1, 2, 3} {
+					for _, mb := range []int{2, 4, 8} {
+						for _, sp := range []bool{false, true} {
+							cfg := DefaultConfig(arch, mapping(t, tp, pp, dp))
+							cfg.Microbatches = mb
+							cfg.Schedule = sc.policy
+							cfg.VirtualStages = sc.virtual
+							cfg.SequenceParallel = sp
+							progs, err := BuildPrograms(cfg)
+							if cfg.Validate() != nil {
+								if err == nil {
+									t.Fatalf("%+v: BuildPrograms accepted an invalid config", cfg.Map)
+								}
+								continue
+							}
+							if err != nil {
+								t.Fatal(err)
+							}
+							if len(progs) != cfg.Map.WorldSize() {
+								t.Fatalf("%d programs for world %d", len(progs), cfg.Map.WorldSize())
+							}
+							for rank, got := range progs {
+								want, err := BuildProgram(cfg, rank)
+								if err != nil {
+									t.Fatal(err)
+								}
+								if !reflect.DeepEqual(got, want) {
+									t.Fatalf("schedule %v/%d tp=%d pp=%d dp=%d mb=%d sp=%v: stamped program of rank %d differs from BuildProgram's",
+										sc.policy, sc.virtual, tp, pp, dp, mb, sp, rank)
+								}
+								checked++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no configuration was checked")
+	}
+	t.Logf("%d rank programs checked", checked)
 }

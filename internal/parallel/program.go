@@ -187,7 +187,11 @@ type Instr struct {
 // Thread 0 is the main (forward/optimizer) thread; thread 1 is the autograd
 // (backward) thread, matching PyTorch's execution structure.
 type Program struct {
-	Rank    int
+	Rank int
+	// Stage is the rank's pipeline stage. Every rank of a stage runs the
+	// same instruction kinds on the same streams; only communicator fields
+	// differ (see BuildPrograms).
+	Stage   int
 	Threads [][]Instr
 }
 
@@ -218,6 +222,10 @@ type builder struct {
 	threads   [][]Instr
 	nextEvent int64
 	nextSig   int64
+	// sizing, when set, makes emit and launch only count each thread's
+	// instructions into sizes (see buildProgram).
+	sizing bool
+	sizes  [2]int
 
 	// per-communicator sequence counters; p2p channels use payload-keyed
 	// sequence numbers instead (see ppSeq).
@@ -225,9 +233,43 @@ type builder struct {
 
 	tpRanks []int
 	dpRanks []int
+
+	shape model.ShapeConfig
+	// ops is the stage's per-layer op memo, shared by the sizing and
+	// emitting passes.
+	ops *layerOps
+}
+
+// layerOps memoizes one stage build's per-layer op lists: a layer's
+// kernels depend on the shape and the layer index, not on the microbatch,
+// so each list is generated once per stage instead of once per slot.
+// Indexed by global layer; nil until first use.
+type layerOps struct {
+	fwd, bwd, bwdIn, bwdW [][]model.Op
+}
+
+func newLayerOps(layers int) *layerOps {
+	return &layerOps{
+		fwd:   make([][]model.Op, layers),
+		bwd:   make([][]model.Op, layers),
+		bwdIn: make([][]model.Op, layers),
+		bwdW:  make([][]model.Op, layers),
+	}
+}
+
+// layer returns layer's op list from cache, generating it on first use.
+func (b *builder) layer(cache [][]model.Op, gen func(model.Arch, model.ShapeConfig, int) []model.Op, layer int) []model.Op {
+	if cache[layer] == nil {
+		cache[layer] = gen(b.cfg.Arch, b.shape, layer)
+	}
+	return cache[layer]
 }
 
 func (b *builder) emit(thread int, in Instr) {
+	if b.sizing {
+		b.sizes[thread]++
+		return
+	}
 	b.threads[thread] = append(b.threads[thread], in)
 }
 
@@ -243,6 +285,10 @@ func (b *builder) newSignal() int64 {
 
 // launch emits a kernel launch, filling comm metadata for collectives.
 func (b *builder) launch(thread int, op model.Op, mb int) {
+	if b.sizing {
+		b.sizes[thread]++
+		return
+	}
 	in := Instr{Kind: ILaunch, Op: op, Stream: op.Stream, Microbatch: mb, PeerRank: -1}
 	if op.IsComm() {
 		switch op.Group {
@@ -334,6 +380,8 @@ func (b *builder) launchOps(thread int, ops []model.Op, mb int) {
 }
 
 // BuildProgram constructs the full training-iteration program for a rank.
+// BuildPrograms builds every rank's at once, sharing the work across each
+// stage's replicas.
 func BuildProgram(cfg Config, rank int) (*Program, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -341,8 +389,112 @@ func BuildProgram(cfg Config, rank int) (*Program, error) {
 	if rank < 0 || rank >= cfg.Map.WorldSize() {
 		return nil, fmt.Errorf("parallel: rank %d out of range [0,%d)", rank, cfg.Map.WorldSize())
 	}
+	return buildProgram(cfg, rank)
+}
+
+// BuildPrograms constructs every rank's program, indexed by rank. It runs
+// BuildProgram once per pipeline stage and stamps the stage's other TP×DP
+// replicas from that template: a replica's instruction streams are the
+// template's with only the communicator fields re-resolved from its
+// (dp, tp) coordinates — the TP/DP group IDs and rank lists, and the p2p
+// src/dst ranks, pair IDs and peers. Ops, events, signals and sequence
+// numbers do not depend on those coordinates, so every stamped program
+// equals BuildProgram's for its rank.
+func BuildPrograms(cfg Config) ([]*Program, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
+	m := cfg.Map
+	progs := make([]*Program, m.WorldSize())
+	for stage := 0; stage < m.PP; stage++ {
+		tmpl, err := buildProgram(cfg, m.Rank(0, stage, 0))
+		if err != nil {
+			return nil, err
+		}
+		for dp := 0; dp < m.DP; dp++ {
+			for tp := 0; tp < m.TP; tp++ {
+				if dp == 0 && tp == 0 {
+					progs[tmpl.Rank] = tmpl
+					continue
+				}
+				p := tmpl.stamp(m, dp, tp)
+				progs[p.Rank] = p
+			}
+		}
+	}
+	return progs, nil
+}
+
+// stamp copies a stage template (built for the stage's dp=0, tp=0 rank)
+// for the replica at (dp, tp), re-resolving the communicator fields that
+// launch and fillP2P derive from the rank's coordinates.
+func (p *Program) stamp(m topology.Mapping, dp, tp int) *Program {
+	rank := m.Rank(dp, p.Stage, tp)
+	tpID, tpRanks := m.TPGroupID(rank), m.TPGroup(rank)
+	dpID, dpRanks := m.DPGroupID(rank), m.DPGroup(rank)
+	// relocate maps a template-slice rank to the same stage in this
+	// replica's (dp, tp) slice.
+	relocate := func(r int) int {
+		_, stage, _ := m.Coords(r)
+		return m.Rank(dp, stage, tp)
+	}
+	out := &Program{Rank: rank, Stage: p.Stage, Threads: make([][]Instr, len(p.Threads))}
+	for t, src := range p.Threads {
+		instrs := make([]Instr, len(src))
+		copy(instrs, src)
+		for i := range instrs {
+			in := &instrs[i]
+			if in.Kind != ILaunch || !in.Op.IsComm() {
+				continue
+			}
+			switch in.Op.Group {
+			case model.GroupTP:
+				in.CommID, in.CommRanks = tpID, tpRanks
+			case model.GroupDP:
+				in.CommID, in.CommRanks = dpID, dpRanks
+			case model.GroupPPNext, model.GroupPPPrev:
+				from, to := relocate(in.CommRanks[0]), relocate(in.CommRanks[1])
+				up := from // forward payloads flow downstream
+				if in.Op.Pass == trace.PassBackward {
+					up = to
+				}
+				in.CommID = m.PPPairID(up)
+				in.CommRanks = []int{from, to}
+				in.PeerRank = relocate(in.PeerRank)
+			}
+		}
+		out.Threads[t] = instrs
+	}
+	return out
+}
+
+// buildProgram is BuildProgram for a validated config and in-range rank.
+// A sizing pass first counts each thread's instructions, so the emitting
+// pass allocates every stream once, at its exact length.
+func buildProgram(cfg Config, rank int) (*Program, error) {
+	_, stage, _ := cfg.Map.Coords(rank)
+	slots, err := cfg.StageSlots(stage)
+	if err != nil {
+		return nil, err
+	}
+	ops := newLayerOps(cfg.Arch.Layers)
+	sizer := newBuilder(cfg, rank, ops)
+	sizer.sizing = true
+	sizer.iteration(slots)
+
+	b := newBuilder(cfg, rank, ops)
+	for t, n := range sizer.sizes {
+		b.threads[t] = make([]Instr, 0, n)
+	}
+	b.iteration(slots)
+	return &Program{Rank: rank, Stage: stage, Threads: b.threads}, nil
+}
+
+// newBuilder returns an empty builder for rank sharing the stage's layer
+// op memo.
+func newBuilder(cfg Config, rank int, ops *layerOps) *builder {
 	dp, stage, tp := cfg.Map.Coords(rank)
-	b := &builder{
+	return &builder{
 		cfg:     cfg,
 		rank:    rank,
 		stage:   stage,
@@ -352,15 +504,16 @@ func BuildProgram(cfg Config, rank int) (*Program, error) {
 		seq:     map[int64]int64{},
 		tpRanks: cfg.Map.TPGroup(rank),
 		dpRanks: cfg.Map.DPGroup(rank),
+		shape:   cfg.shape(),
+		ops:     ops,
 	}
+}
 
-	slots, err := cfg.StageSlots(stage)
-	if err != nil {
-		return nil, err
-	}
-
-	shape := cfg.shape()
-	buckets := cfg.bucketPlan(stage)
+// iteration emits one training iteration over the stage's slots: the
+// preamble, every forward/backward/weight slot, and the optimizer step.
+func (b *builder) iteration(slots []Slot) {
+	cfg := b.cfg
+	buckets := cfg.bucketPlan(b.stage)
 
 	// Iteration preamble: dataloader + python dispatch overhead.
 	b.emit(threadMain, Instr{Kind: ICPUWork, Name: "DataLoader::next", CPUDur: 150 * trace.Microsecond, Microbatch: -1})
@@ -389,11 +542,11 @@ func BuildProgram(cfg Config, rank int) (*Program, error) {
 		b.curChunk = chunk
 		switch slot.Kind {
 		case SlotForward:
-			b.forwardSlot(shape, mb, chunk)
+			b.forwardSlot(mb, chunk)
 		case SlotBackward:
-			b.backwardSlot(shape, mb, chunk, fireAt[i], buckets)
+			b.backwardSlot(mb, chunk, fireAt[i], buckets)
 		case SlotWeight:
-			b.weightSlot(shape, mb, chunk, fireAt[i], buckets)
+			b.weightSlot(mb, chunk, fireAt[i], buckets)
 		}
 	}
 
@@ -402,19 +555,17 @@ func BuildProgram(cfg Config, rank int) (*Program, error) {
 	if cfg.Map.DP > 1 {
 		b.emit(threadMain, Instr{Kind: IStreamSync, Stream: model.StreamDPComm, Microbatch: -1})
 	}
-	for _, op := range cfg.Arch.OptimizerOps(cfg.LocalParams(stage), cfg.OptimizerChunks) {
+	for _, op := range cfg.Arch.OptimizerOps(cfg.LocalParams(b.stage), cfg.OptimizerChunks) {
 		b.launch(threadMain, op, -1)
 	}
 	b.emit(threadMain, Instr{Kind: IDeviceSync, Microbatch: -1})
 	b.emit(threadMain, Instr{Kind: ICPUWork, Name: "Iteration::end", CPUDur: 50 * trace.Microsecond, Microbatch: -1})
-
-	return &Program{Rank: rank, Threads: b.threads}, nil
 }
 
 // forwardSlot emits one chunk-microbatch's forward pass on the main thread.
-func (b *builder) forwardSlot(shape model.ShapeConfig, mb, chunk int) {
+func (b *builder) forwardSlot(mb, chunk int) {
 	cfg := b.cfg
-	arch := cfg.Arch
+	arch, shape := cfg.Arch, b.shape
 	g := chunk*cfg.Map.PP + b.stage
 	gLast := cfg.GlobalStages() - 1
 	lo, hi := cfg.ChunkLayers(b.stage, chunk)
@@ -435,7 +586,7 @@ func (b *builder) forwardSlot(shape model.ShapeConfig, mb, chunk int) {
 		b.launchOps(threadMain, arch.EmbeddingForward(shape), mb)
 	}
 	for layer := lo; layer < hi; layer++ {
-		b.launchOps(threadMain, arch.LayerForward(shape, layer), mb)
+		b.launchOps(threadMain, b.layer(b.ops.fwd, model.Arch.LayerForward, layer), mb)
 	}
 	if g < gLast {
 		b.bridge(threadMain, model.StreamCompute, model.StreamPPSend, mb)
@@ -464,9 +615,9 @@ func chunkBuckets(buckets []bucket, chunk int) []bucket {
 // input-gradient half runs here — the upstream gradient send leaves as soon
 // as it is ready — and the weight-gradient half (with the bucket fires)
 // moves to the weight slot.
-func (b *builder) backwardSlot(shape model.ShapeConfig, mb, chunk int, fire bool, buckets []bucket) {
+func (b *builder) backwardSlot(mb, chunk int, fire bool, buckets []bucket) {
 	cfg := b.cfg
-	arch := cfg.Arch
+	arch, shape := cfg.Arch, b.shape
 	zb := cfg.Schedule == ZBH1
 	g := chunk*cfg.Map.PP + b.stage
 	gLast := cfg.GlobalStages() - 1
@@ -500,10 +651,10 @@ func (b *builder) backwardSlot(shape model.ShapeConfig, mb, chunk int, fire bool
 	bucketIdx := 0
 	for layer := hi - 1; layer >= lo; layer-- {
 		if zb {
-			b.launchOps(ag, arch.LayerBackwardInput(shape, layer), mb)
+			b.launchOps(ag, b.layer(b.ops.bwdIn, model.Arch.LayerBackwardInput, layer), mb)
 			continue
 		}
-		b.launchOps(ag, arch.LayerBackward(shape, layer), mb)
+		b.launchOps(ag, b.layer(b.ops.bwd, model.Arch.LayerBackward, layer), mb)
 		if fire {
 			for bucketIdx < len(mine) && mine[bucketIdx].triggerLayer == layer {
 				b.fireBucket(ag, mine[bucketIdx], mb)
@@ -538,9 +689,9 @@ func (b *builder) backwardSlot(shape model.ShapeConfig, mb, chunk int, fire bool
 // flight. The chunk's gradient buckets (and the first stage's embedding
 // weight gradient) fire here, once the last microbatch's weight gradients
 // are final.
-func (b *builder) weightSlot(shape model.ShapeConfig, mb, chunk int, fire bool, buckets []bucket) {
+func (b *builder) weightSlot(mb, chunk int, fire bool, buckets []bucket) {
 	cfg := b.cfg
-	arch := cfg.Arch
+	arch, shape := cfg.Arch, b.shape
 	g := chunk*cfg.Map.PP + b.stage
 	lo, hi := cfg.ChunkLayers(b.stage, chunk)
 
@@ -559,7 +710,7 @@ func (b *builder) weightSlot(shape model.ShapeConfig, mb, chunk int, fire bool, 
 	}
 	bucketIdx := 0
 	for layer := hi - 1; layer >= lo; layer-- {
-		b.launchOps(ag, arch.LayerBackwardWeight(shape, layer), mb)
+		b.launchOps(ag, b.layer(b.ops.bwdW, model.Arch.LayerBackwardWeight, layer), mb)
 		if fire {
 			for bucketIdx < len(mine) && mine[bucketIdx].triggerLayer == layer {
 				b.fireBucket(ag, mine[bucketIdx], mb)

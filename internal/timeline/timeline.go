@@ -5,7 +5,10 @@
 // comm \ compute").
 package timeline
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Interval is a half-open time interval [Start, End) in nanoseconds.
 type Interval struct {
@@ -62,7 +65,9 @@ func (s *Set) normalize() {
 	if len(s.ivs) <= 1 {
 		return
 	}
-	sort.Slice(s.ivs, func(i, j int) bool { return s.ivs[i].Start < s.ivs[j].Start })
+	// Merging is order-independent among equal starts, so an unstable
+	// sort yields the same set.
+	slices.SortFunc(s.ivs, func(a, b Interval) int { return cmp.Compare(a.Start, b.Start) })
 	out := s.ivs[:1]
 	for _, iv := range s.ivs[1:] {
 		last := &out[len(out)-1]
