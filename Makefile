@@ -9,7 +9,7 @@ SWEEP_BENCH = BenchmarkSweep_SharedCalibration$$|BenchmarkSweepThroughput$$|Benc
 .PHONY: check fmt vet build test race alloc-guard bench bench-diff benchsmoke plan-smoke schedule-smoke serve-smoke obs-smoke
 
 # check is the CI gate: formatting, static analysis, full build, tests,
-# the race detector on the concurrent service/cache/replay packages, the
+# the race detector on the concurrent service/cache/replay/core packages, the
 # compiled-engine and synthesis allocation budgets, a one-iteration
 # benchmark smoke pass, and the planner, schedule, planning-service and
 # observability acceptance smokes.
@@ -29,10 +29,12 @@ test:
 	$(GO) test ./...
 
 # race runs the packages with real request-level concurrency — the lumosd
-# service, the shared disk cache, the pooled replay engines, and the
-# batch-evaluating planner — under the race detector.
+# service, the shared disk cache, the pooled replay engines, the
+# batch-evaluating planner, and the campaign engine whose structural
+# entries, timings buffers and pooled engines concurrent sweep fabric rows
+# and plan points share — under the race detector.
 race:
-	$(GO) test -race ./internal/server/ ./internal/scache/ ./internal/replay/ ./internal/planner/ ./internal/obs/
+	$(GO) test -race ./internal/server/ ./internal/scache/ ./internal/replay/ ./internal/planner/ ./internal/obs/ ./internal/core/
 
 # alloc-guard enforces the compiled replay engine's zero-allocation
 # contract: a retimed run on warm scratch must stay within a fixed

@@ -519,14 +519,9 @@ func BenchmarkSweepThroughput(b *testing.B) {
 	b.ReportMetric(float64(len(scenarios)), "scenarios/sweep")
 }
 
-// BenchmarkReplayEngine measures the replay engines head to head on the
-// retimed what-if hot path: a campaign of kernel-class retimings and
-// fusion what-ifs (each a full replay of the shared base graph) under the
-// compiled structure-of-arrays engine and the reference interpreter.
-// Sub-benchmarks carry an engine=<compiled|interpreted> label that
-// cmd/benchjson records in BENCH_sweep.json, so the compiled engine's
-// speedup is tracked release over release; the engines are bit-identical
-// (TestEngineEquivalenceCampaign), so only the costs may differ.
+// BenchmarkReplayEngine measures the retimed what-if hot path: a campaign
+// of kernel-class retimings and fusion what-ifs, each a full replay of the
+// shared base graph on a pooled compiled engine.
 func BenchmarkReplayEngine(b *testing.B) {
 	ctx := context.Background()
 	cfg, err := DeploymentConfig(GPT3_15B(), 2, 2, 1)
@@ -541,24 +536,21 @@ func BenchmarkReplayEngine(b *testing.B) {
 			ClassScaleScenario(class, 0.9),
 		)
 	}
-	for _, kind := range []EngineKind{EngineCompiled, EngineInterpreted} {
-		tk := New(WithConcurrency(4), WithScenarioCache(false), WithSeed(42), WithReplayEngine(kind))
-		base, err := tk.Prepare(ctx, cfg, 42)
+	tk := New(WithConcurrency(4), WithScenarioCache(false), WithSeed(42))
+	base, err := tk.Prepare(ctx, cfg, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sweep, err := tk.EvaluateState(ctx, base, scenarios...)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("engine=%s", kind), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				sweep, err := tk.EvaluateState(ctx, base, scenarios...)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(sweep.Results) != len(scenarios) {
-					b.Fatal("scenario lost")
-				}
-			}
-		})
+		if len(sweep.Results) != len(scenarios) {
+			b.Fatal("scenario lost")
+		}
 	}
 }
 

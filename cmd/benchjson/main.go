@@ -34,52 +34,31 @@ import (
 type result struct {
 	Name       string `json:"name"`
 	Iterations int64  `json:"iterations"`
-	// Fabric is the topology label for fabric-parameterized benchmarks
-	// (sub-benchmark names containing "fabric=<preset>"), so entries in
-	// BENCH_sweep.json are comparable across topologies.
-	Fabric string `json:"fabric,omitempty"`
-	// Strategy is the search-strategy label for planner benchmarks
-	// (sub-benchmark names containing "strategy=<name>"), so entries are
-	// comparable across exhaustive/beam/halving/bnb runs.
-	Strategy string `json:"strategy,omitempty"`
-	// Space is the search-space-size label for planner benchmarks
-	// (sub-benchmark names containing "space=<points>"), so large-space
-	// branch-and-bound entries carry the space they searched.
-	Space string `json:"space,omitempty"`
-	// Schedule is the pipeline-schedule label for schedule-campaign
-	// benchmarks (sub-benchmark names containing "schedule=<name>"), so
-	// entries are comparable across 1f1b/gpipe/interleaved/zb-h1 runs.
-	Schedule string `json:"schedule,omitempty"`
-	// Cache is the cache-temperature label for disk-cache benchmarks
-	// (sub-benchmark names containing "cache=<cold|warm>"), so the
-	// warm-start speedup is directly readable from BENCH_sweep.json.
-	Cache string `json:"cache,omitempty"`
-	// Engine is the replay-engine label for engine-comparison benchmarks
-	// (sub-benchmark names containing "engine=<compiled|interpreted>"), so
-	// the compiled engine's speedup is directly readable from
-	// BENCH_sweep.json.
-	Engine     string             `json:"engine,omitempty"`
+	// Labels holds the key=value segments of a sub-benchmark name (e.g.
+	// "BenchmarkPlan_BranchAndBound/strategy=bnb/space=131072" →
+	// strategy=bnb, space=131072), so entries in BENCH_sweep.json stay
+	// comparable across fabrics, strategies, schedules and cache states.
+	Labels     map[string]string  `json:"labels,omitempty"`
 	NsPerOp    float64            `json:"ns_per_op,omitempty"`
 	BytesPerOp float64            `json:"bytes_per_op,omitempty"`
 	AllocsOp   float64            `json:"allocs_per_op,omitempty"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
 }
 
-// fabricRe extracts the fabric label from a sub-benchmark name like
-// "BenchmarkSweep_FabricCampaign/fabric=nvl72-8" (the trailing -N is the
-// GOMAXPROCS suffix go test appends); strategyRe does the same for planner
-// benchmarks like "BenchmarkPlan_BeamVsExhaustive/strategy=beam4-8". The
-// labels may be followed by further /label=value segments (e.g.
-// "strategy=bnb/space=131072-8"), so each match ends at a segment boundary
-// or end of name, not only at end of name.
-var (
-	fabricRe   = regexp.MustCompile(`fabric=([^/]+?)(?:-\d+)?(?:/|$)`)
-	strategyRe = regexp.MustCompile(`strategy=([^/]+?)(?:-\d+)?(?:/|$)`)
-	spaceRe    = regexp.MustCompile(`space=([^/]+?)(?:-\d+)?(?:/|$)`)
-	scheduleRe = regexp.MustCompile(`schedule=([^/]+?)(?:-\d+)?(?:/|$)`)
-	cacheRe    = regexp.MustCompile(`cache=([^/]+?)(?:-\d+)?(?:/|$)`)
-	engineRe   = regexp.MustCompile(`engine=([^/]+?)(?:-\d+)?(?:/|$)`)
-)
+// nameLabels parses the key=value segments of a benchmark name, after the
+// GOMAXPROCS suffix go test appends to the last segment is stripped.
+func nameLabels(name string) map[string]string {
+	var labels map[string]string
+	for _, seg := range strings.Split(canonicalName(name), "/")[1:] {
+		if k, v, ok := strings.Cut(seg, "="); ok {
+			if labels == nil {
+				labels = map[string]string{}
+			}
+			labels[k] = v
+		}
+	}
+	return labels
+}
 
 func parseLine(line string) (result, bool) {
 	fields := strings.Fields(line)
@@ -90,25 +69,7 @@ func parseLine(line string) (result, bool) {
 	if err != nil {
 		return result{}, false
 	}
-	r := result{Name: fields[0], Iterations: iters, Metrics: map[string]float64{}}
-	if m := fabricRe.FindStringSubmatch(fields[0]); m != nil {
-		r.Fabric = m[1]
-	}
-	if m := strategyRe.FindStringSubmatch(fields[0]); m != nil {
-		r.Strategy = m[1]
-	}
-	if m := spaceRe.FindStringSubmatch(fields[0]); m != nil {
-		r.Space = m[1]
-	}
-	if m := scheduleRe.FindStringSubmatch(fields[0]); m != nil {
-		r.Schedule = m[1]
-	}
-	if m := cacheRe.FindStringSubmatch(fields[0]); m != nil {
-		r.Cache = m[1]
-	}
-	if m := engineRe.FindStringSubmatch(fields[0]); m != nil {
-		r.Engine = m[1]
-	}
+	r := result{Name: fields[0], Iterations: iters, Labels: nameLabels(fields[0]), Metrics: map[string]float64{}}
 	// The remainder alternates value / unit.
 	for i := 2; i+1 < len(fields); i += 2 {
 		v, err := strconv.ParseFloat(fields[i], 64)

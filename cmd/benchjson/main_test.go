@@ -1,38 +1,51 @@
 package main
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestParseLineLabels(t *testing.T) {
 	cases := []struct {
-		line     string
-		strategy string
-		space    string
-		fabric   string
-		schedule string
-		cache    string
+		line   string
+		labels map[string]string
 	}{
 		{
-			line:     "BenchmarkPlan_BeamVsExhaustive/strategy=beam4-8 	      20	  52047619 ns/op	       374.2 best-ms",
-			strategy: "beam4",
+			line:   "BenchmarkPlan_BeamVsExhaustive/strategy=beam4-8 	      20	  52047619 ns/op	       374.2 best-ms",
+			labels: map[string]string{"strategy": "beam4"},
 		},
 		{
 			// Composite label: the strategy segment is followed by a space
-			// segment, so neither regex may demand end-of-name.
-			line:     "BenchmarkPlan_BranchAndBound/strategy=bnb/space=131072-8 	       1	1167756151 ns/op	        65.00 simulated-points",
-			strategy: "bnb",
-			space:    "131072",
+			// segment, and only the last segment carries the proc suffix.
+			line:   "BenchmarkPlan_BranchAndBound/strategy=bnb/space=131072-8 	       1	1167756151 ns/op	        65.00 simulated-points",
+			labels: map[string]string{"strategy": "bnb", "space": "131072"},
 		},
 		{
 			line:   "BenchmarkSweep_FabricCampaign/fabric=nvl72-8 	      20	  1000000 ns/op",
-			fabric: "nvl72",
+			labels: map[string]string{"fabric": "nvl72"},
 		},
 		{
-			line:     "BenchmarkSweep_ScheduleCampaign/schedule=zb-h1-8 	      20	  1000000 ns/op",
-			schedule: "zb-h1",
+			// A value that itself contains a dash keeps it.
+			line:   "BenchmarkSweep_ScheduleCampaign/schedule=zb-h1-8 	      20	  1000000 ns/op",
+			labels: map[string]string{"schedule": "zb-h1"},
 		},
 		{
-			line:  "BenchmarkSweep_DiskCacheWarmStart/cache=warm-8 	      20	  1000000 ns/op",
-			cache: "warm",
+			line:   "BenchmarkSweep_DiskCacheWarmStart/cache=warm-8 	      20	  1000000 ns/op",
+			labels: map[string]string{"cache": "warm"},
+		},
+		{
+			// Without a GOMAXPROCS suffix (GOMAXPROCS=1) nothing is stripped.
+			line:   "BenchmarkSynthesize/schedule=interleaved2 	      20	  1000000 ns/op",
+			labels: map[string]string{"schedule": "interleaved2"},
+		},
+		{
+			// Segments without "=" are not labels.
+			line:   "BenchmarkReplayEngine-8 	      20	  1000000 ns/op",
+			labels: nil,
+		},
+		{
+			line:   "BenchmarkFig5/lumos/model=15b-8 	      20	  1000000 ns/op",
+			labels: map[string]string{"model": "15b"},
 		},
 	}
 	for _, c := range cases {
@@ -41,20 +54,8 @@ func TestParseLineLabels(t *testing.T) {
 			t.Errorf("parseLine rejected %q", c.line)
 			continue
 		}
-		if r.Strategy != c.strategy {
-			t.Errorf("%s: strategy = %q, want %q", r.Name, r.Strategy, c.strategy)
-		}
-		if r.Space != c.space {
-			t.Errorf("%s: space = %q, want %q", r.Name, r.Space, c.space)
-		}
-		if r.Fabric != c.fabric {
-			t.Errorf("%s: fabric = %q, want %q", r.Name, r.Fabric, c.fabric)
-		}
-		if r.Schedule != c.schedule {
-			t.Errorf("%s: schedule = %q, want %q", r.Name, r.Schedule, c.schedule)
-		}
-		if r.Cache != c.cache {
-			t.Errorf("%s: cache = %q, want %q", r.Name, r.Cache, c.cache)
+		if !reflect.DeepEqual(r.Labels, c.labels) {
+			t.Errorf("%s: labels = %v, want %v", r.Name, r.Labels, c.labels)
 		}
 	}
 }

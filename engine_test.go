@@ -2,15 +2,30 @@ package lumos
 
 import (
 	"context"
+	"fmt"
 	"reflect"
+	"sort"
 	"testing"
+
+	"lumos/internal/analysis"
+	"lumos/internal/collective"
+	"lumos/internal/execgraph"
+	"lumos/internal/manip"
+	"lumos/internal/planner"
+	"lumos/internal/replay"
+	"lumos/internal/trace"
 )
 
+// The compiled engine is the only production replay engine; the reference
+// interpreter (replay.Simulator) survives as the oracle these tests check
+// it against. Every replayed answer a campaign or plan gives is recomputed
+// here on the interpreter and must match bit for bit.
+
 // engineCampaign is a fig7/fig8-flavored campaign touching every replay
-// path the engines must agree on: the scale grid (fig7), architecture
-// variants (fig8), kernel-level what-ifs (pooled retimed replays of the
-// base graph), fusion, fabric and degrade overrides, and every pipeline
-// schedule including interleaved and zero-bubble.
+// path: the scale grid (fig7), architecture variants (fig8), kernel-level
+// what-ifs (pooled retimed replays of the base graph), fusion, fabric and
+// degrade overrides, and every pipeline schedule including interleaved and
+// zero-bubble.
 func engineCampaign(world int) []Scenario {
 	scenarios := GridSweep(GPT3_15B(), []int{2}, []int{1, 2}, []int{1, 2})
 	return append(scenarios,
@@ -29,36 +44,143 @@ func engineCampaign(world int) []Scenario {
 	)
 }
 
-// TestEngineEquivalenceCampaign is the compiled engine's acceptance test at
-// the public API: a full campaign evaluated under the compiled engine and
-// the reference interpreter must produce bit-identical ranked results.
+// oracleSim returns a fresh reference interpreter.
+func oracleSim() *replay.Simulator { return replay.NewSimulator(replay.DefaultOptions()) }
+
+// oracleOnFabric recomputes a target's prediction on a resolved fabric f
+// with the reference interpreter, following the documented fabric
+// semantics from scratch: synthesize the target on the campaign fabric;
+// on that fabric answer the synthesized iteration; elsewhere scale every
+// collective group's synthesized duration by its target/campaign cost on a
+// retimed view, replay the view and the untouched graph, and add the
+// difference to the synthesized iteration. The breakdown is the one a
+// sweep row reports (zero for plan points, which compute none).
+func oracleOnFabric(t *testing.T, st *BaseState, target Config, f Fabric) (trace.Dur, Breakdown) {
+	t.Helper()
+	out, err := manip.PredictGraphWith(manip.Request{Base: st.Config, Target: target}, st.Library, st.Fitted, st.Fabric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := out.Graph
+	campaign := st.Fabric
+	if world := target.Map.WorldSize(); campaign.Capacity() < world {
+		campaign = campaign.WithCapacity(world)
+	}
+	if fmt.Sprintf("%T|%+v", f, f) == fmt.Sprintf("%T|%+v", campaign, campaign) {
+		return out.Iteration, analysis.GraphBreakdown(g)
+	}
+	tp, cp := collective.For(f), collective.For(campaign)
+	v := execgraph.NewRetimed(g)
+	for _, members := range g.Groups {
+		ranks := make([]int, len(members))
+		for i, id := range members {
+			ranks[i] = int(g.Tasks[id].Rank)
+		}
+		sort.Ints(ranks)
+		t0 := &g.Tasks[members[0]]
+		d := t0.GroupDur
+		if base, tgt := cp.Cost(t0.Comm, t0.CommBytes, ranks), tp.Cost(t0.Comm, t0.CommBytes, ranks); base > 0 && tgt > 0 {
+			d = trace.Dur(float64(d) * (float64(tgt) / float64(base)))
+		}
+		for _, id := range members {
+			v.SetDur(id, d)
+			v.SetGroupDur(id, d)
+		}
+	}
+	sim := oracleSim()
+	own, err := sim.Run(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ownSpan := own.Makespan
+	res, err := sim.RunRetimed(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out.Iteration + res.Makespan - ownSpan, analysis.MultiBreakdown(replay.ToTrace(g, res))
+}
+
+// TestEngineEquivalenceCampaign checks every replayed campaign answer
+// against the interpreter: the base point, the kernel what-ifs (through
+// WhatIfScaleSim/WhatIfFusionSim on a Simulator), and the fabric and
+// degrade rows (through a retimed view plus the anchor). Synthesis-only
+// rows are checked against a direct synthesis.
 func TestEngineEquivalenceCampaign(t *testing.T) {
 	ctx := context.Background()
 	base := sweepBase(t)
+	world := base.Map.WorldSize()
+	tk := New(WithSeed(42), WithConcurrency(4))
+	st, err := tk.Prepare(ctx, base, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep, err := tk.EvaluateState(ctx, st, engineCampaign(world)...)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	run := func(k EngineKind) *SweepResult {
-		t.Helper()
-		tk := New(WithSeed(42), WithConcurrency(4), WithReplayEngine(k))
-		sweep, err := tk.Evaluate(ctx, base, engineCampaign(base.Map.WorldSize())...)
+	baseRes, err := oracleSim().Run(st.Graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sweep.Base.Iteration != baseRes.Makespan {
+		t.Fatalf("base point %d, interpreter %d", sweep.Base.Iteration, baseRes.Makespan)
+	}
+	degraded, err := DegradeFabric(st.Fabric, 0.7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fabrics := map[string]Fabric{"oversub": OversubscribedFabric(world, 4), "degrade=[0.7]": degraded}
+	class := map[string]struct {
+		class  KernelClass
+		factor float64
+	}{
+		ClassScaleScenario(KCGEMM, 0.5).Name(): {KCGEMM, 0.5},
+		ClassScaleScenario(KCComm, 1.7).Name(): {KCComm, 1.7},
+	}
+
+	checked := 0
+	for _, r := range sweep.Results {
+		if !r.Feasible() {
+			t.Fatalf("%q infeasible: %s", r.Name, r.Err)
+		}
+		var want trace.Dur
+		wantBreakdown := r.Breakdown
+		switch r.Kind {
+		case "baseline":
+			want = baseRes.Makespan
+		case "whatif-scale":
+			c := class[r.Name]
+			want, err = analysis.WhatIfScaleSim(oracleSim(), st.Graph,
+				func(tk *execgraph.Task) bool { return tk.Class == c.class }, c.factor)
+		case "whatif-fusion":
+			var rep FusionReport
+			rep, err = analysis.WhatIfFusionSim(oracleSim(), st.Graph, DefaultFusionOpts(), st.Iteration)
+			want = rep.Fused
+		case "fabric":
+			f, ok := fabrics[r.Name]
+			if !ok {
+				t.Fatalf("unexpected fabric row %q", r.Name)
+			}
+			want, wantBreakdown = oracleOnFabric(t, st, r.Target, f)
+		default:
+			var out *manip.GraphResult
+			out, err = manip.PredictGraphWith(manip.Request{Base: st.Config, Target: r.Target}, st.Library, st.Fitted, st.Fabric)
+			if err == nil {
+				want, wantBreakdown = out.Iteration, analysis.GraphBreakdown(out.Graph)
+			}
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sweep
-	}
-	compiled := run(EngineCompiled)
-	interpreted := run(EngineInterpreted)
-	if !reflect.DeepEqual(compiled.Results, interpreted.Results) {
-		for i := range compiled.Results {
-			c, p := compiled.Results[i], interpreted.Results[i]
-			if !reflect.DeepEqual(c, p) {
-				t.Errorf("rank %d: compiled %q iter=%d vs interpreted %q iter=%d",
-					i, c.Name, c.Iteration, p.Name, p.Iteration)
-			}
+		if r.Iteration != want || r.Breakdown != wantBreakdown {
+			t.Errorf("%s %q: iteration %d breakdown %+v, oracle %d %+v",
+				r.Kind, r.Name, r.Iteration, r.Breakdown, want, wantBreakdown)
 		}
-		t.Fatal("compiled and interpreted engines disagree")
+		checked++
 	}
-	if compiled.Base.Iteration != interpreted.Base.Iteration {
-		t.Fatalf("base point differs: %d vs %d", compiled.Base.Iteration, interpreted.Base.Iteration)
+	if checked != len(engineCampaign(world)) {
+		t.Fatalf("checked %d rows, want %d", checked, len(engineCampaign(world)))
 	}
 }
 
@@ -75,33 +197,35 @@ func planSpace() Space {
 }
 
 // TestEngineEquivalencePlan runs branch-and-bound over a mixed
-// schedule/degrade space under both engines: the evaluated points, the
-// frontier, and the best configuration must match exactly.
+// schedule/degrade space and recomputes every simulated point on the
+// interpreter: each must match bit for bit.
 func TestEngineEquivalencePlan(t *testing.T) {
 	ctx := context.Background()
 	base := sweepBase(t)
 	mem := MemoryModel{GPUMemBytes: 192 << 30, ZeRO: ZeROOptimizer}
 
-	run := func(k EngineKind) *PlanResult {
-		t.Helper()
-		tk := New(WithSeed(42), WithConcurrency(4), WithReplayEngine(k))
-		res, err := tk.Plan(ctx, base, planSpace(),
-			WithPlanStrategy(BranchAndBoundStrategy(0)), WithMemoryModel(mem))
+	tk := New(WithSeed(42), WithConcurrency(4))
+	st, err := tk.Prepare(ctx, base, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tk.PlanState(ctx, st, planSpace(),
+		WithPlanStrategy(BranchAndBoundStrategy(0)), WithMemoryModel(mem))
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := append(append([]PlanEvaluated{}, res.Frontier...), res.Dominated...)
+	if len(all) == 0 {
+		t.Fatal("plan simulated no points")
+	}
+	for _, e := range all {
+		f, err := planner.ResolveFabric(e.Point, st.Fabric)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
-	}
-	compiled := run(EngineCompiled)
-	interpreted := run(EngineInterpreted)
-	if !reflect.DeepEqual(compiled.Frontier, interpreted.Frontier) {
-		t.Fatal("compiled and interpreted plan frontiers disagree")
-	}
-	if !reflect.DeepEqual(compiled.Dominated, interpreted.Dominated) {
-		t.Fatal("compiled and interpreted plans rank dominated points differently")
-	}
-	if compiled.Stats != interpreted.Stats {
-		t.Fatalf("plan stats differ across engines: %+v vs %+v", compiled.Stats, interpreted.Stats)
+		if want, _ := oracleOnFabric(t, st, e.Point.Config(st.Config), f); e.Iteration != want {
+			t.Errorf("%s: plan %d, oracle %d", e.Point.Key(), e.Iteration, want)
+		}
 	}
 }
 
@@ -137,58 +261,40 @@ func TestPlanDeterminismAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestEngineCountersSurface checks the observability contract: a compiled
-// campaign reports program lowerings and compiled runs (and no interpreted
-// runs), an interpreted one the inverse — already after Prepare, whose base
-// replay runs on the campaign's engine before any scenario does.
+// TestEngineCountersSurface checks the observability contract: a campaign
+// reports its replays on the single run counter — already after Prepare,
+// whose base replay runs before any scenario does — and its program
+// lowerings once what-ifs run.
 func TestEngineCountersSurface(t *testing.T) {
 	ctx := context.Background()
 	base := sweepBase(t)
 
-	tk := New(WithSeed(42), WithReplayEngine(EngineCompiled))
+	tk := New(WithSeed(42))
 	st, err := tk.Prepare(ctx, base, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs := st.CacheStats(); cs.CompiledRuns < 1 || cs.InterpretedRuns != 0 {
-		t.Fatalf("compiled campaign's base replay did not run compiled: %+v", cs)
+	before := st.CacheStats()
+	if before.CompiledRuns < 1 {
+		t.Fatalf("campaign's base replay was not counted: %+v", before)
 	}
 	if _, err := tk.EvaluateState(ctx, st, ClassScaleScenario(KCGEMM, 0.5), FusionScenario()); err != nil {
 		t.Fatal(err)
 	}
 	cs := st.CacheStats()
-	if cs.CompiledPrograms == 0 || cs.CompiledRuns == 0 {
-		t.Fatalf("compiled campaign reported no engine activity: %+v", cs)
+	if cs.CompiledPrograms == 0 {
+		t.Fatalf("campaign reported no program lowerings: %+v", cs)
 	}
-	if cs.InterpretedRuns != 0 {
-		t.Fatalf("compiled campaign ran the interpreter: %+v", cs)
-	}
-
-	itk := New(WithSeed(42), WithReplayEngine(EngineInterpreted))
-	ist, err := itk.Prepare(ctx, base, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ics := ist.CacheStats(); ics.InterpretedRuns < 1 || ics.CompiledRuns != 0 {
-		t.Fatalf("interpreted campaign's base replay did not run interpreted: %+v", ics)
-	}
-	if _, err := itk.EvaluateState(ctx, ist, ClassScaleScenario(KCGEMM, 0.5)); err != nil {
-		t.Fatal(err)
-	}
-	ics := ist.CacheStats()
-	if ics.InterpretedRuns == 0 {
-		t.Fatalf("interpreted campaign reported no interpreter runs: %+v", ics)
-	}
-	if ics.CompiledRuns != 0 {
-		t.Fatalf("interpreted campaign ran the compiled engine: %+v", ics)
+	if got := cs.CompiledRuns - before.CompiledRuns; got != 2 {
+		t.Fatalf("two what-ifs counted %d runs, want 2: %+v", got, cs)
 	}
 }
 
 // TestPrepareBaseReplayMatchesReplay pins the campaign base point to the
-// reference path: PrepareTraces replays the base on the campaign's engine
-// and reads its breakdown off the replay columns, and must report exactly
-// the iteration time and breakdown Replay derives from the materialized
-// replayed trace, under every pipeline schedule and both engines.
+// reference path: PrepareTraces replays the base on a pooled engine and
+// reads its breakdown off the replay columns, and must report exactly the
+// iteration time and breakdown the interpreter's replay gives through a
+// materialized trace, under every pipeline schedule.
 func TestPrepareBaseReplayMatchesReplay(t *testing.T) {
 	ctx := context.Background()
 	for _, spec := range []string{"1f1b", "gpipe", "interleaved2", "zb-h1"} {
@@ -200,20 +306,18 @@ func TestPrepareBaseReplayMatchesReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, k := range []EngineKind{EngineCompiled, EngineInterpreted} {
-			tk := New(WithReplayEngine(k))
-			st, err := tk.PrepareTraces(ctx, cfg, traces)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep, err := tk.Replay(ctx, st.Graph)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Iteration != rep.Iteration || st.Breakdown != rep.Breakdown {
-				t.Fatalf("%s/%s: prepared base %d %#v != replayed %d %#v",
-					spec, k, st.Iteration, st.Breakdown, rep.Iteration, rep.Breakdown)
-			}
+		st, err := New().PrepareTraces(ctx, cfg, traces)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := oracleSim().Run(st.Graph)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := analysis.MultiBreakdown(replay.ToTrace(st.Graph, res))
+		if st.Iteration != res.Makespan || st.Breakdown != want {
+			t.Fatalf("%s: prepared base %d %#v != interpreter %d %#v",
+				spec, st.Iteration, st.Breakdown, res.Makespan, want)
 		}
 	}
 }

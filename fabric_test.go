@@ -216,3 +216,138 @@ func TestIdentityFabricMatchesIdentityDeploy(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepPlanFabricAgreement is the one-answer-per-question gate for
+// fabric what-ifs on the fig7 and fig8 base profiles (TP2×PP2×DP2, 8
+// microbatches, seed 42): a deployment priced on a fabric gets the same
+// number, bit for bit, from a sweep's FabricSweep and DegradeLinksScenario
+// rows as from the plan point with the same fabric and degradation, and no
+// degraded point is predicted faster than its undegraded twin.
+func TestSweepPlanFabricAgreement(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		arch Arch
+	}{{"fig7", GPT3_15B()}, {"fig8", GPT3_V3()}} {
+		t.Run(c.name, func(t *testing.T) { checkSweepPlanAgreement(t, c.arch) })
+	}
+}
+
+// checkSweepPlanAgreement runs the agreement check on one base profile.
+// Fabric rows price their campaign's own deployment, so each grid
+// deployment gets a campaign state over the one base profile; the plan
+// searches the whole grid from the base campaign itself.
+func checkSweepPlanAgreement(t *testing.T, arch Arch) {
+	ctx := context.Background()
+	base, err := DeploymentConfig(arch, 2, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.Microbatches = 8
+	tk := New(WithSeed(42), WithConcurrency(4))
+	traces, err := tk.Profile(ctx, base, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := tk.PrepareTraces(ctx, base, traces)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fabrics := []Fabric{nil, NVLDomainFabric(32), OversubscribedFabric(32, 4)}
+	factors := []float64{1, 0.97, 0.6}
+	var degrade [][]float64
+	for _, x := range factors {
+		degrade = append(degrade, NetworkDegradeFactors(x))
+	}
+	res, err := tk.PlanState(ctx, st, Space{
+		PP:         []int{2, 8},
+		DP:         []int{1, 2},
+		Microbatch: []int{4},
+		Schedules:  []string{"1f1b", "gpipe"},
+		Fabrics:    fabrics,
+		Degrade:    degrade,
+	}, WithPlanStrategy(ExhaustiveStrategy()),
+		WithMemoryModel(MemoryModel{GPUMemBytes: 192 << 30, ZeRO: ZeROOptimizer}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := map[string]PlanEvaluated{}
+	for _, e := range append(append([]PlanEvaluated{}, res.Frontier...), res.Dominated...) {
+		plan[e.Point.Key()] = e
+	}
+	if len(plan) != res.Stats.Feasible {
+		t.Fatalf("plan evaluated %d of %d feasible points", len(plan), res.Stats.Feasible)
+	}
+
+	rows := 0
+	for _, pp := range []int{2, 8} {
+		for _, dp := range []int{1, 2} {
+			for _, sched := range []string{"1f1b", "gpipe"} {
+				cfg, err := WithScheduleSpec(base, sched)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cfg.Map.PP, cfg.Map.DP, cfg.Microbatches = pp, dp, 4
+				point := func(f Fabric, d []float64) PlanPoint {
+					return PlanPoint{TP: 2, PP: pp, DP: dp, Microbatches: 4, Schedule: sched, Fabric: f, Degrade: d}
+				}
+				if _, ok := plan[point(nil, nil).Key()]; !ok {
+					continue // the schedule cannot run this pipeline shape
+				}
+				dst, err := tk.PrepareTraces(ctx, cfg, traces)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var scenarios []Scenario
+				var points []PlanPoint
+				for _, f := range fabrics {
+					for i, x := range factors {
+						scenarios = append(scenarios, FabricSweep([]Fabric{f}, []float64{x})...)
+						points = append(points, point(f, degrade[i]))
+					}
+				}
+				for _, d := range degrade[1:] {
+					scenarios = append(scenarios, DegradeLinksScenario(d...))
+					points = append(points, point(nil, d))
+				}
+				sweep, err := tk.EvaluateState(ctx, dst, scenarios...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				byName := map[string]ScenarioResult{}
+				for _, r := range sweep.Results {
+					byName[r.Name] = r
+				}
+				for i, sc := range scenarios {
+					r := byName[sc.Name()]
+					e, ok := plan[points[i].Key()]
+					switch {
+					case !r.Feasible():
+						t.Errorf("%+v %q infeasible: %s", cfg.Map, r.Name, r.Err)
+					case !ok:
+						t.Errorf("plan did not simulate %s", points[i].Key())
+					case r.Iteration != e.Iteration:
+						t.Errorf("%+v: sweep row %q predicts %d, plan point %s predicts %d",
+							cfg.Map, r.Name, r.Iteration, e.Point.Key(), e.Iteration)
+					}
+					rows++
+				}
+			}
+		}
+	}
+	if perDeployment := len(fabrics)*len(factors) + 2; rows < 6*perDeployment {
+		t.Fatalf("compared only %d rows", rows)
+	}
+
+	for _, e := range plan {
+		if len(e.Point.Degrade) == 0 {
+			continue
+		}
+		twin := e.Point
+		twin.Degrade = nil
+		if u := plan[twin.Key()]; e.Iteration < u.Iteration {
+			t.Errorf("%s predicts %d, faster than undegraded %s at %d",
+				e.Point.Key(), e.Iteration, twin.Key(), u.Iteration)
+		}
+	}
+}

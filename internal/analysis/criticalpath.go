@@ -102,7 +102,7 @@ func CriticalPath(g *execgraph.Graph, res *replay.Result) []PathEntry {
 // 0.5), answering the what-if questions from the paper's discussion
 // section. The retiming is a copy-on-write view — only the duration
 // columns are copied, never the task array — replayed on the given
-// engine (the interpreted Simulator or the compiled engine).
+// engine (a pooled compiled engine, or the reference Simulator in tests).
 func WhatIfScaleSim(sim replay.Engine, g *execgraph.Graph, match func(*execgraph.Task) bool, factor float64) (trace.Dur, error) {
 	v := execgraph.NewRetimed(g)
 	v.Scale(match, factor)
@@ -113,7 +113,7 @@ func WhatIfScaleSim(sim replay.Engine, g *execgraph.Graph, match func(*execgraph
 	return res.Makespan, nil
 }
 
-// WhatIfScale is WhatIfScaleSim on a fresh simulator.
+// WhatIfScale is WhatIfScaleSim on a fresh compiled engine.
 func WhatIfScale(g *execgraph.Graph, match func(*execgraph.Task) bool, factor float64) (trace.Dur, error) {
-	return WhatIfScaleSim(replay.NewSimulator(replay.DefaultOptions()), g, match, factor)
+	return WhatIfScaleSim(replay.NewCompiled(replay.DefaultOptions()), g, match, factor)
 }

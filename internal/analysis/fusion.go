@@ -107,9 +107,9 @@ func ApplyFusion(v *execgraph.Retimed, opts FusionOpts) (fusedGroups, kernelsRem
 
 // WhatIfFusionSim estimates the end-to-end effect of fusing consecutive
 // eligible kernels, replaying a retimed view of the graph on the given
-// engine (interpreted or compiled). baseline is the unfused iteration time
-// (typically already known from the campaign's base replay, so it is not
-// recomputed here).
+// engine (a pooled compiled engine, or the reference Simulator in tests).
+// baseline is the unfused iteration time (typically already known from the
+// campaign's base replay, so it is not recomputed here).
 func WhatIfFusionSim(sim replay.Engine, g *execgraph.Graph, opts FusionOpts, baseline trace.Dur) (FusionReport, error) {
 	rep := FusionReport{Baseline: baseline}
 	v := execgraph.NewRetimed(g)
@@ -123,9 +123,9 @@ func WhatIfFusionSim(sim replay.Engine, g *execgraph.Graph, opts FusionOpts, bas
 }
 
 // WhatIfFusion is the one-shot form: it replays the baseline itself on a
-// fresh simulator, then the fused counterfactual.
+// fresh compiled engine, then the fused counterfactual.
 func WhatIfFusion(g *execgraph.Graph, opts FusionOpts) (FusionReport, error) {
-	sim := replay.NewSimulator(replay.DefaultOptions())
+	sim := replay.NewCompiled(replay.DefaultOptions())
 	base, err := sim.Run(g)
 	if err != nil {
 		return FusionReport{}, err

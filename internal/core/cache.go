@@ -42,7 +42,10 @@ import (
 // v2: planner fabric/degrade points re-time a structurally shared graph
 // (replayed makespan) instead of re-synthesizing, shifting their
 // predictions within ~1% of the v1 synthesis path.
-const CacheSchemaVersion = "lumos-cache-v2"
+// v3: sweep fabric/degrade rows and plan points share one pricing path —
+// every collective scaled by target/campaign cost and the replay anchored
+// to the synthesized iteration — so both kinds of answer changed.
+const CacheSchemaVersion = "lumos-cache-v3"
 
 // WithDiskCache enables the disk-backed scenario and calibration cache
 // rooted at dir (created on first use). Campaigns and predictions

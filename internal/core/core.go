@@ -71,37 +71,11 @@ type Options struct {
 	// CacheCap is the disk cache eviction size cap in bytes; <= 0 selects
 	// the scache default.
 	CacheCap int64
-	// Engine selects the replay engine (see WithReplayEngine). The zero
-	// value is the compiled engine.
-	Engine EngineKind
 	// Tracer, when non-nil, records pipeline spans (prepare, calibrate,
 	// sweep, per-scenario synthesize/compile/retime/replay) and cache
 	// events for Chrome-trace export (see WithTracer). Nil — the default —
 	// disables tracing with zero overhead.
 	Tracer *obs.Tracer
-}
-
-// EngineKind selects which replay engine campaigns simulate with. The two
-// engines are bit-identical on every graph (enforced by equivalence tests);
-// they differ only in cost per run.
-type EngineKind int
-
-const (
-	// EngineCompiled lowers each graph once into a structure-of-arrays
-	// program (CSR edges, dense resource lanes) executed on pooled
-	// zero-alloc scratch state. The default.
-	EngineCompiled EngineKind = iota
-	// EngineInterpreted is the reference Algorithm 1 interpreter,
-	// retained for cross-checking the compiled engine.
-	EngineInterpreted
-)
-
-// String names the engine for stats and CLI output.
-func (k EngineKind) String() string {
-	if k == EngineInterpreted {
-		return "interpreted"
-	}
-	return "compiled"
 }
 
 // Option configures a Toolkit.
@@ -137,14 +111,6 @@ func WithGraphOptions(g execgraph.BuildOptions) Option {
 // WithReplayOptions overrides simulation options.
 func WithReplayOptions(r replay.Options) Option {
 	return func(o *Options) { o.Replay = &r }
-}
-
-// WithReplayEngine selects the replay engine: the compiled
-// structure-of-arrays engine (the default) or the reference interpreter.
-// Predictions are bit-identical under either; the interpreter exists to
-// cross-check the compiled engine and as a debugging baseline.
-func WithReplayEngine(k EngineKind) Option {
-	return func(o *Options) { o.Engine = k }
 }
 
 // WithConcurrency bounds the number of scenarios evaluated in parallel
@@ -187,15 +153,14 @@ type Toolkit struct {
 	profiles      atomic.Int64
 	libraryBuilds atomic.Int64
 
-	// simPool recycles replay engines (with their preallocated per-task
-	// scratch state) across sweep workers and what-if calls; the pooled
-	// kind follows opts.Engine.
+	// simPool recycles compiled replay engines (with their preallocated
+	// per-task scratch state) across sweep workers and what-if calls.
 	simPool sync.Pool
 	// timingsPool recycles flat duration columns for compiled retimed runs
 	// (one buffer pair per in-flight planner point).
 	timingsPool sync.Pool
 	// engineMeter aggregates replay-engine activity (programs compiled,
-	// runs per engine) across every pooled engine and campaign state.
+	// runs) across every pooled engine and campaign state.
 	engineMeter replay.Counters
 
 	// workersBusy and queueDepth are live worker-pool occupancy gauges:
@@ -222,14 +187,9 @@ func New(opts ...Option) *Toolkit {
 }
 
 // acquireEngine takes a pooled replay engine (allocating on first use).
-func (tk *Toolkit) acquireEngine() replay.Engine {
-	if e, ok := tk.simPool.Get().(replay.Engine); ok {
+func (tk *Toolkit) acquireEngine() *replay.Compiled {
+	if e, ok := tk.simPool.Get().(*replay.Compiled); ok {
 		return e
-	}
-	if tk.opts.Engine == EngineInterpreted {
-		s := replay.NewSimulator(tk.replayOpts())
-		s.Meter(&tk.engineMeter)
-		return s
 	}
 	c := replay.NewCompiled(tk.replayOpts())
 	c.Meter(&tk.engineMeter)
@@ -237,7 +197,7 @@ func (tk *Toolkit) acquireEngine() replay.Engine {
 }
 
 // releaseEngine returns an engine to the pool.
-func (tk *Toolkit) releaseEngine(e replay.Engine) { tk.simPool.Put(e) }
+func (tk *Toolkit) releaseEngine(e *replay.Compiled) { tk.simPool.Put(e) }
 
 // timingsBuf is a pooled pair of flat duration columns for a compiled
 // retimed run: seeded with the program's recorded durations, selectively
@@ -273,11 +233,9 @@ func (tk *Toolkit) acquireTimings(prog *replay.Program) *timingsBuf {
 func (tk *Toolkit) releaseTimings(buf *timingsBuf) { tk.timingsPool.Put(buf) }
 
 // EngineStats reports replay-engine activity across every campaign on this
-// toolkit: graph lowerings performed, and simulations run per engine.
-func (tk *Toolkit) EngineStats() (compiledPrograms, compiledRuns, interpretedRuns int64) {
-	return tk.engineMeter.CompiledPrograms.Load(),
-		tk.engineMeter.CompiledRuns.Load(),
-		tk.engineMeter.InterpretedRuns.Load()
+// toolkit: graph lowerings performed, and simulations run.
+func (tk *Toolkit) EngineStats() (compiledPrograms, compiledRuns int64) {
+	return tk.engineMeter.CompiledPrograms.Load(), tk.engineMeter.CompiledRuns.Load()
 }
 
 // Counters reports how many ground-truth profiles and kernel-library
@@ -331,14 +289,13 @@ func (tk *Toolkit) RegisterMetrics(r *obs.Registry) {
 		return
 	}
 	r.Collect(func() []obs.Sample {
-		compiled, compiledRuns, interpretedRuns := tk.EngineStats()
+		compiled, runs := tk.EngineStats()
 		profiles, calibrations := tk.Counters()
 		samples := []obs.Sample{
 			{Name: "lumos_profiles_total", Kind: obs.KindCounter, Help: "Ground-truth profiling runs performed.", Value: float64(profiles)},
 			{Name: "lumos_calibrations_total", Kind: obs.KindCounter, Help: "Kernel-library calibrations performed (disk-cache hits skip these).", Value: float64(calibrations)},
 			{Name: "lumos_engine_compiled_programs_total", Kind: obs.KindCounter, Help: "Graphs lowered into compiled replay programs.", Value: float64(compiled)},
-			{Name: "lumos_engine_runs_total", Labels: obs.RenderLabels("engine", "compiled"), Kind: obs.KindCounter, Help: "Replay simulations per engine.", Value: float64(compiledRuns)},
-			{Name: "lumos_engine_runs_total", Labels: obs.RenderLabels("engine", "interpreted"), Kind: obs.KindCounter, Help: "Replay simulations per engine.", Value: float64(interpretedRuns)},
+			{Name: "lumos_engine_runs_total", Kind: obs.KindCounter, Help: "Replay simulations run on the compiled engine.", Value: float64(runs)},
 			{Name: "lumos_sweep_workers_busy", Kind: obs.KindGauge, Help: "Sweep worker-pool occupancy: scenarios being evaluated right now.", Value: float64(tk.workersBusy.Load())},
 			{Name: "lumos_sweep_queue_depth", Kind: obs.KindGauge, Help: "Scenarios dispatched to the sweep worker pool but not yet picked up.", Value: float64(tk.queueDepth.Load())},
 		}
@@ -472,7 +429,8 @@ type ReplayResult struct {
 	Breakdown analysis.Breakdown
 }
 
-// Replay simulates an execution graph (Section 3.5, Algorithm 1).
+// Replay simulates an execution graph (Section 3.5, Algorithm 1) on the
+// compiled engine.
 func (tk *Toolkit) Replay(ctx context.Context, g *execgraph.Graph) (*ReplayResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

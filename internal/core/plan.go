@@ -13,20 +13,20 @@ import (
 	"sync"
 
 	"lumos/internal/analysis"
-	"lumos/internal/collective"
-	"lumos/internal/execgraph"
 	"lumos/internal/manip"
 	"lumos/internal/obs"
 	"lumos/internal/parallel"
 	"lumos/internal/planner"
 	"lumos/internal/replay"
+	"lumos/internal/topology"
+	"lumos/internal/trace"
 )
 
 // structEntry is one structurally keyed synthesized graph: built once
 // (under once) and then shared read-only by every sibling point. The
-// compiled replay artifacts — the lowered program and the
-// fabric-independent comm retime plan — are built lazily under progOnce,
-// so campaign-fabric-only keys never pay for them.
+// compiled replay artifacts — the lowered program, the comm retime plan
+// and the program's own replayed makespan — are built lazily under
+// progOnce, so campaign-fabric-only keys never pay for them.
 type structEntry struct {
 	once sync.Once
 	out  *manip.GraphResult
@@ -35,55 +35,60 @@ type structEntry struct {
 	progOnce sync.Once
 	prog     *replay.Program
 	plan     *manip.CommRetimePlan
+	own      trace.Dur
+	progErr  error
 }
 
-// compiled returns the entry's lowered program and comm retime plan,
-// building both at most once per structural key. sp, when non-nil, parents
-// a "compile" span attributed to whichever scenario lowers first.
-func (e *structEntry) compiled(b *BaseState, sp *obs.Span) (*replay.Program, *manip.CommRetimePlan) {
+// compiled returns the entry's lowered program, its comm retime plan priced
+// on the campaign fabric, and the makespan of replaying the program at its
+// own durations, building all three at most once per structural key. sp,
+// when non-nil, parents a "compile" span attributed to whichever scenario
+// lowers first.
+func (e *structEntry) compiled(b *BaseState, campaign topology.Fabric, sp *obs.Span) (*replay.Program, *manip.CommRetimePlan, trace.Dur, error) {
 	e.progOnce.Do(func() {
 		csp := sp.Child("compile")
 		defer csp.End()
-		var basePricer collective.Pricer
-		if b.Fabric != nil {
-			basePricer = b.pricerFor(b.Fabric)
-		}
 		e.prog = replay.Compile(e.out.Graph, b.replayOpts())
-		e.plan = manip.NewCommRetimePlan(e.out.Graph, b.Library, basePricer)
+		e.plan = manip.NewCommRetimePlan(e.out.Graph, b.pricerFor(campaign))
 		if b.tk != nil {
 			b.tk.engineMeter.CompiledPrograms.Add(1)
 		}
+		eng := b.acquireEngine()
+		res, err := eng.RunProgram(e.prog, replay.Timings{})
+		if err == nil {
+			e.own = res.Makespan
+		}
+		e.progErr = err
+		b.releaseEngine(eng)
 	})
-	return e.prog, e.plan
+	return e.prog, e.plan, e.own, e.progErr
 }
 
 // structCacheCap bounds how many synthesized graphs a campaign state keeps
-// alive for structural sharing. Past the cap, points synthesize privately —
-// the prediction is bit-identical either way (synthesis is deterministic),
-// only the sharing is lost, so cache pressure can never change a result.
+// alive for structural sharing. Past the cap, points synthesize into a
+// private entry — the prediction is bit-identical either way (synthesis is
+// deterministic), only the sharing is lost, so cache pressure can never
+// change a result.
 const structCacheCap = 64
 
-// synthesizeStructural returns the campaign-fabric synthesized graph for
-// the target, shared across every point with the same structure (the
-// planner's fabric/degrade axis varies only durations, never the DAG).
-// The returned entry carries the shared compiled-replay artifacts; it is
-// nil on the private-synthesis overflow path past structCacheCap. sp, when
-// non-nil, parents a "synthesize" span attributed to whichever scenario
-// synthesizes first (structural-cache hits emit no span).
-func (b *BaseState) synthesizeStructural(req manip.Request, sp *obs.Span) (*manip.GraphResult, *structEntry, error) {
+// synthesizeStructural returns the campaign-fabric synthesis of the
+// target, shared across every point with the same structure (the fabric
+// and degrade axes vary only durations, never the DAG). Past
+// structCacheCap the entry is private to the caller and not stored. sp,
+// when non-nil, parents a "synthesize" span attributed to whichever
+// scenario synthesizes first (structural-cache hits emit no span).
+func (b *BaseState) synthesizeStructural(req manip.Request, sp *obs.Span) (*structEntry, error) {
 	key := fmt.Sprintf("%+v", req.Target)
 	v, ok := b.structs.Load(key)
 	if !ok {
 		if b.structCount.Load() >= structCacheCap {
-			ssp := sp.Child("synthesize")
-			out, err := manip.PredictGraphWith(req, b.Library, b.Fitted, b.Fabric)
-			ssp.End()
-			return out, nil, err
-		}
-		var loaded bool
-		v, loaded = b.structs.LoadOrStore(key, &structEntry{})
-		if !loaded {
-			b.structCount.Add(1)
+			v = &structEntry{}
+		} else {
+			var loaded bool
+			v, loaded = b.structs.LoadOrStore(key, &structEntry{})
+			if !loaded {
+				b.structCount.Add(1)
+			}
 		}
 	}
 	e := v.(*structEntry)
@@ -92,12 +97,88 @@ func (b *BaseState) synthesizeStructural(req manip.Request, sp *obs.Span) (*mani
 		defer ssp.End()
 		e.out, e.err = manip.PredictGraphWith(req, b.Library, b.Fitted, b.Fabric)
 	})
-	return e.out, e, e.err
+	return e, e.err
+}
+
+// fabricPrediction is one target deployment priced on one fabric.
+type fabricPrediction struct {
+	// out is the target's synthesis on the campaign fabric.
+	out *manip.GraphResult
+	// iteration is the predicted iteration time on the target fabric.
+	iteration trace.Dur
+	// breakdown decomposes the prediction; zero unless requested.
+	breakdown analysis.Breakdown
+	// retimed reports that the shared graph was re-timed and replayed;
+	// repriced counts the collective groups that were re-priced.
+	retimed  bool
+	repriced int
+}
+
+// predictOnFabric is the one way sweep and plan answer "what would this
+// deployment take on that fabric?". f is the resolved target fabric
+// (sized, degraded and validated; see planner.ResolveFabric).
+//
+// The target is synthesized once on the campaign fabric and shared with
+// every fabric it is priced on. On the campaign fabric itself the answer
+// is the synthesized iteration. Elsewhere each collective group's
+// synthesized duration is scaled by target/campaign analytic cost (see
+// manip.CommRetimePlan), the shared program is replayed at those
+// durations, and the answer is the synthesized iteration plus the replayed
+// change: retimed makespan minus the program's own makespan. The anchor
+// cancels the replay's offset from synthesis (a launch-bound kernel starts
+// LaunchLatency after its launch in synthesis but OpEpilogue after it in
+// the graph, so replaying a synthesized graph at its own durations ends
+// 1–2 µs early), and a fabric that changes no duration answers exactly the
+// synthesized iteration. breakdown requests the replayed execution
+// breakdown.
+func (b *BaseState) predictOnFabric(req manip.Request, f topology.Fabric, breakdown bool, sp *obs.Span) (fabricPrediction, error) {
+	e, err := b.synthesizeStructural(req, sp)
+	if err != nil {
+		return fabricPrediction{}, err
+	}
+	// The campaign fabric sized for the target — the fabric synthesis
+	// priced on — resolves as a plan point with no fabric override.
+	m := req.Target.Map
+	campaign, err := planner.ResolveFabric(planner.Point{TP: m.TP, PP: m.PP, DP: m.DP}, b.Fabric)
+	if err != nil {
+		return fabricPrediction{}, err
+	}
+	p := fabricPrediction{out: e.out, iteration: e.out.Iteration}
+	if fabricFingerprint(f) == fabricFingerprint(campaign) {
+		if breakdown {
+			p.breakdown = analysis.GraphBreakdown(e.out.Graph)
+		}
+		return p, nil
+	}
+	prog, plan, own, err := e.compiled(b, campaign, sp)
+	if err != nil {
+		return fabricPrediction{}, err
+	}
+	buf := b.acquireTimings(prog)
+	defer b.releaseTimings(buf)
+	tsp := sp.Child("retime")
+	p.repriced = plan.Retime(buf.dur, buf.gdur, b.pricerFor(f))
+	tsp.End()
+	eng := b.acquireEngine()
+	defer b.releaseEngine(eng)
+	rsp := sp.Child("replay")
+	res, err := eng.RunProgram(prog, replay.Timings{Dur: buf.dur, GroupDur: buf.gdur})
+	rsp.End()
+	if err != nil {
+		return fabricPrediction{}, err
+	}
+	p.iteration += res.Makespan - own
+	p.retimed = true
+	if breakdown {
+		// Read off the engine's columns before it returns to the pool.
+		p.breakdown = analysis.ReplayBreakdown(e.out.Graph, res.Start, res.End)
+	}
+	return p, nil
 }
 
 // planScenario evaluates one planner candidate: the target deployment
-// predicted via direct graph synthesis, on the campaign fabric or on the
-// point's own (possibly degraded) fabric.
+// priced on the point's own (possibly degraded) fabric, which defaults to
+// the campaign's.
 type planScenario struct {
 	cand planner.Candidate
 }
@@ -112,7 +193,6 @@ func (s *planScenario) Fingerprint(*BaseState) (string, bool) {
 }
 
 func (s *planScenario) Run(ctx context.Context, b *BaseState) (ScenarioResult, error) {
-	sp := obs.SpanFrom(ctx)
 	p := s.cand.Point
 	target := p.Config(b.Config)
 	res := ScenarioResult{
@@ -126,79 +206,24 @@ func (s *planScenario) Run(ctx context.Context, b *BaseState) (ScenarioResult, e
 		res.Err = err.Error()
 		return res, nil
 	}
-
-	if p.Fabric == nil && len(p.Degrade) == 0 {
-		// The campaign's own fabric: the plain deploy-prediction path,
-		// served from (and seeding) the structural graph cache.
-		out, _, err := b.synthesizeStructural(req, sp)
-		if err != nil {
-			res.Err = err.Error()
-			return res, nil
-		}
-		res.Iteration = out.Iteration
-		res.Breakdown = analysis.GraphBreakdown(out.Graph)
-		res.LibraryHits = out.LibraryHits
-		res.LibraryMisses = out.LibraryMisses
-		return res, nil
-	}
-
-	// A fabric or degradation override varies only durations, never the
-	// DAG: re-time the structurally shared graph for the point's resolved
-	// fabric and replay it, instead of re-synthesizing and re-binding.
 	// The same resolution chain the planner's analytic bound used.
-	f, rerr := planner.ResolveFabric(p, b.Fabric)
-	if rerr != nil {
-		res.Err = rerr.Error()
-		return res, nil
-	}
-	out, entry, err := b.synthesizeStructural(req, sp)
+	f, err := planner.ResolveFabric(p, b.Fabric)
 	if err != nil {
 		res.Err = err.Error()
 		return res, nil
 	}
-	pricer := b.pricerFor(f)
-	var (
-		rres     *replay.Result
-		repriced int
-	)
-	eng := b.acquireEngine()
-	if c, ok := eng.(*replay.Compiled); ok && entry != nil {
-		// Compiled fast path: re-time the shared program's flat duration
-		// columns (pooled buffers seeded with the recorded durations) via
-		// the precomputed comm plan, and run on the engine's scratch — no
-		// view, no maps, no per-point graph walk.
-		prog, plan := entry.compiled(b, sp)
-		buf := b.acquireTimings(prog)
-		tsp := sp.Child("retime")
-		repriced = plan.Retime(buf.dur, buf.gdur, pricer)
-		tsp.End()
-		rsp := sp.Child("replay")
-		rres, err = c.RunProgram(prog, replay.Timings{Dur: buf.dur, GroupDur: buf.gdur})
-		rsp.End()
-		b.releaseTimings(buf)
-	} else {
-		var basePricer collective.Pricer
-		if b.Fabric != nil {
-			basePricer = b.pricerFor(b.Fabric)
-		}
-		v := execgraph.NewRetimed(out.Graph)
-		tsp := sp.Child("retime")
-		repriced = manip.RetimeCommOnFabric(v, b.Library, pricer, basePricer)
-		tsp.End()
-		rsp := sp.Child("replay")
-		rres, err = eng.RunRetimed(v)
-		rsp.End()
-	}
-	b.releaseEngine(eng)
+	pred, err := b.predictOnFabric(req, f, false, obs.SpanFrom(ctx))
 	if err != nil {
 		res.Err = err.Error()
 		return res, nil
 	}
-	res.Iteration = rres.Makespan
-	res.LibraryHits = out.LibraryHits
-	res.LibraryMisses = out.LibraryMisses
-	res.SharedStructure = true
-	res.Detail = fmt.Sprintf("shared structure, %d comm groups repriced", repriced)
+	res.Iteration = pred.iteration
+	res.LibraryHits = pred.out.LibraryHits
+	res.LibraryMisses = pred.out.LibraryMisses
+	if pred.retimed {
+		res.SharedStructure = true
+		res.Detail = fmt.Sprintf("shared structure, %d comm groups repriced", pred.repriced)
+	}
 	return res, nil
 }
 

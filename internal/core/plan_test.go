@@ -5,9 +5,14 @@ import (
 	"reflect"
 	"testing"
 
+	"lumos/internal/cluster"
+	"lumos/internal/collective"
 	"lumos/internal/manip"
 	"lumos/internal/memcost"
+	"lumos/internal/parallel"
 	"lumos/internal/planner"
+	"lumos/internal/topology"
+	"lumos/internal/trace"
 )
 
 // planSpace is a fig7-style grid over pipeline/data parallelism and
@@ -160,10 +165,56 @@ func TestPlanFabricPoints(t *testing.T) {
 	}
 }
 
+// ratioPredictor is the reference the shared-structure path is checked
+// against: a synthesis-time predictor that prices kernels like the
+// campaign (measured, else fitted) and then moves every collective to the
+// target fabric by the same target/campaign cost ratio the retime plan
+// applies.
+type ratioPredictor struct {
+	manip.Predictor
+	target, campaign collective.Pricer
+}
+
+func (p *ratioPredictor) Comm(kind trace.CommKind, bytes int64, ranks []int) trace.Dur {
+	d := p.Predictor.Comm(kind, bytes, ranks)
+	base, target := p.campaign.Cost(kind, bytes, ranks), p.target.Cost(kind, bytes, ranks)
+	if base > 0 && target > 0 {
+		d = trace.Dur(float64(d) * (float64(target) / float64(base)))
+	}
+	return d
+}
+
+// synthesizeOn synthesizes target directly on fabric f with every
+// collective re-priced by the ratio rule, under the deterministic
+// simulator settings campaign synthesis uses.
+func synthesizeOn(t *testing.T, st *BaseState, target parallel.Config, f topology.Fabric) trace.Dur {
+	t.Helper()
+	world := target.Map.WorldSize()
+	campaign := st.Fabric
+	if campaign.Capacity() < world {
+		campaign = campaign.WithCapacity(world)
+	}
+	cfg := cluster.DefaultSimConfig(world, 0)
+	cfg.Fabric = f
+	cfg.Oracle = &ratioPredictor{
+		Predictor: manip.Predictor{Lib: st.Library, Fitted: st.Fitted},
+		target:    collective.For(f),
+		campaign:  collective.For(campaign),
+	}
+	cfg.ComputeJitterSigma, cfg.CommJitterSigma, cfg.CPUJitterSigma, cfg.RankSkewSigma = 0, 0, 0, 0
+	cfg.OverlapComputeSlowdown, cfg.OverlapCommSlowdown = 1, 1
+	g, err := cluster.Synthesize(target, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.Duration()
+}
+
 // TestPlanSharedStructureRetime covers the structural batch-replay path:
 // fabric/degrade points re-time one shared synthesized graph instead of
 // re-synthesizing, the sharing is counted in Stats, and the replayed
-// prediction stays within 2% of the direct per-point synthesis path.
+// prediction stays within 2% of synthesizing each point directly on its
+// own fabric under the same pricing rule.
 func TestPlanSharedStructureRetime(t *testing.T) {
 	ctx := context.Background()
 	tk := New(WithConcurrency(4))
@@ -196,19 +247,14 @@ func TestPlanSharedStructureRetime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := manip.PredictGraphOnFabric(
-			manip.Request{Base: st.Config, Target: e.Point.Config(st.Config)},
-			st.Library, st.Fitted, f, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		diff := float64(e.Iteration) - float64(out.Iteration)
+		direct := synthesizeOn(t, st, e.Point.Config(st.Config), f)
+		diff := float64(e.Iteration) - float64(direct)
 		if diff < 0 {
 			diff = -diff
 		}
-		if rel := diff / float64(out.Iteration); rel > 0.02 {
+		if rel := diff / float64(direct); rel > 0.02 {
 			t.Errorf("%s: retimed %v vs direct synthesis %v (%.2f%% apart)",
-				e.Point.Key(), e.Iteration, out.Iteration, 100*rel)
+				e.Point.Key(), e.Iteration, direct, 100*rel)
 		}
 	}
 }

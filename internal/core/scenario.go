@@ -26,6 +26,7 @@ import (
 	"lumos/internal/model"
 	"lumos/internal/obs"
 	"lumos/internal/parallel"
+	"lumos/internal/planner"
 	"lumos/internal/replay"
 	"lumos/internal/scache"
 	"lumos/internal/schedule"
@@ -115,11 +116,10 @@ type CacheStats struct {
 	// DiskHits and DiskMisses count this campaign state's scenario lookups
 	// served by / absent from the disk layer.
 	DiskHits, DiskMisses int64
-	// CompiledPrograms counts graph lowerings for the compiled replay
-	// engine; CompiledRuns and InterpretedRuns count simulations per
-	// engine. The counters are toolkit-wide (shared across campaign states
-	// on one toolkit, like the Disk store).
-	CompiledPrograms, CompiledRuns, InterpretedRuns int64
+	// CompiledPrograms counts graph lowerings for the replay engine and
+	// CompiledRuns counts simulations. The counters are toolkit-wide
+	// (shared across campaign states on one toolkit, like the Disk store).
+	CompiledPrograms, CompiledRuns int64
 	// Disk reports the shared on-disk store (all campaigns and calibration
 	// entries in this process); zero when no disk cache is configured.
 	Disk scache.Stats
@@ -138,7 +138,7 @@ func (b *BaseState) CacheStats() CacheStats {
 		s.Disk = b.disk.Stats()
 	}
 	if b.tk != nil {
-		s.CompiledPrograms, s.CompiledRuns, s.InterpretedRuns = b.tk.EngineStats()
+		s.CompiledPrograms, s.CompiledRuns = b.tk.EngineStats()
 	}
 	return s
 }
@@ -183,16 +183,16 @@ func (b *BaseState) RegisterMetrics(r *obs.Registry, labelPairs ...string) {
 	})
 }
 
-// acquireEngine returns a pooled replay engine (or a fresh interpreter for
-// a hand-built BaseState); release it with releaseEngine.
-func (b *BaseState) acquireEngine() replay.Engine {
+// acquireEngine returns a pooled replay engine (or a fresh one for a
+// hand-built BaseState); release it with releaseEngine.
+func (b *BaseState) acquireEngine() *replay.Compiled {
 	if b.tk != nil {
 		return b.tk.acquireEngine()
 	}
-	return replay.NewSimulator(replay.DefaultOptions())
+	return replay.NewCompiled(b.replayOpts())
 }
 
-func (b *BaseState) releaseEngine(e replay.Engine) {
+func (b *BaseState) releaseEngine(e *replay.Compiled) {
 	if b.tk != nil {
 		b.tk.releaseEngine(e)
 	}
@@ -240,13 +240,11 @@ func (b *BaseState) program() *replay.Program {
 }
 
 // engineForBase returns a pooled engine primed for the campaign's base
-// graph: a compiled engine adopts the shared base program instead of
-// lowering its own copy.
-func (b *BaseState) engineForBase() replay.Engine {
+// graph: it adopts the shared base program instead of lowering its own
+// copy.
+func (b *BaseState) engineForBase() *replay.Compiled {
 	e := b.acquireEngine()
-	if c, ok := e.(*replay.Compiled); ok {
-		c.Use(b.program())
-	}
+	e.Use(b.program())
 	return e
 }
 
@@ -264,7 +262,7 @@ type ScenarioResult struct {
 	// Name identifies the scenario within its sweep.
 	Name string
 	// Kind classifies the scenario: "baseline", "deploy", "arch",
-	// "whatif-scale" or "whatif-fusion".
+	// "schedule", "fabric", "plan", "whatif-scale" or "whatif-fusion".
 	Kind string
 	// Target is the deployment the scenario describes. For what-if
 	// scenarios it equals the base deployment.
@@ -348,11 +346,12 @@ func (s *deployScenario) Run(ctx context.Context, b *BaseState) (ScenarioResult,
 	// evaluations of one target on this campaign state share the
 	// synthesized DAG with each other and with planner points (synthesis
 	// is deterministic, so sharing is bit-identical to re-synthesizing).
-	out, _, err := b.synthesizeStructural(req, obs.SpanFrom(ctx))
+	e, err := b.synthesizeStructural(req, obs.SpanFrom(ctx))
 	if err != nil {
 		res.Err = err.Error()
 		return res, nil
 	}
+	out := e.out
 	res.Iteration = out.Iteration
 	res.Breakdown = analysis.GraphBreakdown(out.Graph)
 	res.LibraryHits = out.LibraryHits
@@ -535,9 +534,10 @@ func (b *BaseState) pricerFor(f topology.Fabric) collective.Pricer {
 }
 
 // fabricScenario re-predicts the base deployment on a different (or
-// degraded) fabric: compute kernels keep their measured durations, every
-// communication kernel is re-priced for the target fabric, and the
-// synthesized schedule propagates the new costs.
+// degraded) fabric through BaseState.predictOnFabric, the path plan points
+// take too: compute kernels keep their durations, every collective is
+// re-priced by its target/campaign cost ratio, and a replay of the shared
+// graph propagates the new costs.
 type fabricScenario struct {
 	name string
 	// fabric is the target interconnect; nil re-uses the campaign's bound
@@ -550,65 +550,46 @@ type fabricScenario struct {
 
 func (s *fabricScenario) Name() string { return s.name }
 
-// Fingerprint keys the scenario by the fully resolved fabric value, so two
-// spellings of the same topology and degradation share one prediction.
+// Fingerprint keys the scenario by its resolved (sized and degraded)
+// fabric, so two spellings of the same fabric share one prediction.
 func (s *fabricScenario) Fingerprint(b *BaseState) (string, bool) {
-	f := s.resolve(b)
-	return fmt.Sprintf("fabric|%T|%+v|%v", f, f, s.degrade), true
+	f, err := planner.ResolveFabric(s.point(b), b.Fabric)
+	if err != nil {
+		return "", false
+	}
+	return "fabric|" + fabricFingerprint(f), true
 }
 
-// resolve produces the capacity-sized target fabric.
-func (s *fabricScenario) resolve(b *BaseState) topology.Fabric {
-	f := s.fabric
-	if f == nil {
-		f = b.Fabric
-	}
-	world := b.Config.Map.WorldSize()
-	if f == nil {
-		// Hand-built BaseState without a bound fabric: the legacy default.
-		f = topology.H100Cluster(world)
-	}
-	if f.Capacity() < world {
-		f = f.WithCapacity(world)
-	}
-	return f
+// point places the base deployment on the scenario's fabric as a planner
+// point, so the fabric resolves exactly as a plan point's does.
+func (s *fabricScenario) point(b *BaseState) planner.Point {
+	m := b.Config.Map
+	return planner.Point{TP: m.TP, PP: m.PP, DP: m.DP, Fabric: s.fabric, Degrade: s.degrade}
 }
 
-func (s *fabricScenario) Run(_ context.Context, b *BaseState) (ScenarioResult, error) {
+func (s *fabricScenario) Run(ctx context.Context, b *BaseState) (ScenarioResult, error) {
 	res := ScenarioResult{
 		Name:   s.name,
 		Kind:   "fabric",
 		Target: b.Config,
 		World:  b.Config.Map.WorldSize(),
 	}
-	f := s.resolve(b)
-	if len(s.degrade) > 0 {
-		df, err := topology.Degrade(f, s.degrade...)
-		if err != nil {
-			res.Err = err.Error()
-			return res, nil
-		}
-		f = df
-	}
-	if err := f.Validate(); err != nil {
-		res.Err = err.Error()
-		return res, nil
-	}
-	req := manip.Request{Base: b.Config, Target: b.Config}
-	var basePricer collective.Pricer
-	if b.Fabric != nil {
-		basePricer = b.pricerFor(b.Fabric)
-	}
-	out, err := manip.PredictGraphOnFabric(req, b.Library, b.Fitted, f, b.pricerFor(f), basePricer)
+	f, err := planner.ResolveFabric(s.point(b), b.Fabric)
 	if err != nil {
 		res.Err = err.Error()
 		return res, nil
 	}
-	res.Iteration = out.Iteration
-	res.Breakdown = analysis.GraphBreakdown(out.Graph)
-	res.LibraryHits = out.LibraryHits
-	res.LibraryMisses = out.LibraryMisses
-	res.Detail = fmt.Sprintf("fabric %s, %d comm kernels repriced", f.FabricName(), out.CommRepriced)
+	pred, err := b.predictOnFabric(manip.Request{Base: b.Config, Target: b.Config}, f, true, obs.SpanFrom(ctx))
+	if err != nil {
+		res.Err = err.Error()
+		return res, nil
+	}
+	res.Iteration = pred.iteration
+	res.Breakdown = pred.breakdown
+	res.LibraryHits = pred.out.LibraryHits
+	res.LibraryMisses = pred.out.LibraryMisses
+	res.SharedStructure = pred.retimed
+	res.Detail = fmt.Sprintf("fabric %s, %d comm groups repriced", f.FabricName(), pred.repriced)
 	return res, nil
 }
 

@@ -95,16 +95,6 @@ func (v *Retimed) Columns() (dur, groupDur []trace.Dur) {
 	return v.dur, v.groupDur
 }
 
-// MaterializeColumns forces the override columns into existence (copying
-// the graph's durations on first call) and returns them for direct bulk
-// writes — the flat-array path retiming passes use instead of per-task
-// SetDur/SetGroupDur calls. The slices are view-owned and remain valid
-// until the next Bind.
-func (v *Retimed) MaterializeColumns() (dur, groupDur []trace.Dur) {
-	v.materialize()
-	return v.dur, v.groupDur
-}
-
 // SetDur overrides a task's duration.
 func (v *Retimed) SetDur(id int32, d trace.Dur) {
 	v.materialize()

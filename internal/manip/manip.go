@@ -20,7 +20,6 @@ import (
 	"sort"
 
 	"lumos/internal/cluster"
-	"lumos/internal/collective"
 	"lumos/internal/execgraph"
 	"lumos/internal/kernelmodel"
 	"lumos/internal/parallel"
@@ -148,22 +147,9 @@ type Predictor struct {
 	Lib    *Library
 	Fitted *kernelmodel.Fitted
 
-	// CommPricer, when set, re-prices every communication kernel for a
-	// different fabric — the fabric-swap path: measured collective
-	// durations are tied to the profiled fabric and do not carry over
-	// directly, while compute kernels are device-local and unchanged. When
-	// CommBasePricer is also set, kernels with a measured duration are
-	// transferred multiplicatively (measured × target/base analytic cost),
-	// preserving profiled jitter and contention effects and making the
-	// identical-fabric what-if reproduce the measured durations exactly;
-	// unmeasured kernels are priced analytically on the target fabric.
-	CommPricer     collective.Pricer
-	CommBasePricer collective.Pricer
-
 	// Hits and Misses count library lookups, for validation that unchanged
-	// configurations replay from measurements. Repriced counts comm kernels
-	// priced by CommPricer.
-	Hits, Misses, Repriced int
+	// configurations replay from measurements.
+	Hits, Misses int
 }
 
 // Compute implements kernelmodel.Predictor.
@@ -178,19 +164,6 @@ func (p *Predictor) Compute(class trace.KernelClass, flops, bytes int64) trace.D
 
 // Comm implements kernelmodel.Predictor.
 func (p *Predictor) Comm(kind trace.CommKind, bytes int64, ranks []int) trace.Dur {
-	if p.CommPricer != nil {
-		p.Repriced++
-		target := p.CommPricer.Cost(kind, bytes, ranks)
-		if p.CommBasePricer != nil {
-			if d, ok := p.Lib.comm[commKey{kind, bytes, len(ranks), p.Lib.fabric.TierOf(ranks)}]; ok {
-				base := p.CommBasePricer.Cost(kind, bytes, ranks)
-				if base > 0 && target > 0 {
-					return trace.Dur(float64(d) * (float64(target) / float64(base)))
-				}
-			}
-		}
-		return target
-	}
 	if d, ok := p.Lib.comm[commKey{kind, bytes, len(ranks), p.Lib.fabric.TierOf(ranks)}]; ok {
 		p.Hits++
 		return d
@@ -289,9 +262,8 @@ type GraphResult struct {
 	// Iteration is the predicted per-iteration time.
 	Iteration trace.Dur
 	// LibraryHits/LibraryMisses report how many kernels reused measured
-	// durations vs were priced by the fitted model. CommRepriced counts
-	// communication kernels priced analytically for a different fabric.
-	LibraryHits, LibraryMisses, CommRepriced int
+	// durations vs were priced by the fitted model.
+	LibraryHits, LibraryMisses int
 }
 
 // PredictGraph is Predict via direct graph synthesis: the generator emits
@@ -332,65 +304,6 @@ func PredictGraphWith(req Request, lib *Library, fitted *kernelmodel.Fitted, c t
 		LibraryHits:   pred.Hits,
 		LibraryMisses: pred.Misses,
 	}, nil
-}
-
-// PredictGraphOnFabric predicts the base-calibrated target configuration on
-// a *different* fabric — the network what-if: compute kernels reuse
-// measured (or fitted) durations, since device-local work is
-// fabric-invariant, while communication kernels are transferred to the
-// target fabric — measured durations scaled by the ratio of the target and
-// base analytic costs (keeping profiled jitter/contention, and making the
-// identical-fabric point agree with the measured execution), unmeasured
-// ones priced directly by the target pricer. Nil pricers select each
-// fabric's default backend. The synthesized schedule then propagates the
-// new communication costs through the same dependency structure.
-func PredictGraphOnFabric(req Request, lib *Library, fitted *kernelmodel.Fitted, target topology.Fabric, pricer, basePricer collective.Pricer) (*GraphResult, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	if target == nil {
-		return nil, fmt.Errorf("manip: no target fabric")
-	}
-	if err := target.Validate(); err != nil {
-		return nil, fmt.Errorf("manip: target fabric: %w", err)
-	}
-	if pricer == nil {
-		pricer = collective.For(target)
-	}
-	if basePricer == nil {
-		basePricer = collective.For(lib.fabric)
-	}
-	pred := &Predictor{Lib: lib, Fitted: fitted, CommPricer: pricer, CommBasePricer: basePricer}
-
-	world := req.Target.Map.WorldSize()
-	simCfg := deterministicSim(target, world, pred)
-	g, err := cluster.Synthesize(req.Target, simCfg)
-	if err != nil {
-		return nil, fmt.Errorf("manip: synthesizing target execution graph: %w", err)
-	}
-	return &GraphResult{
-		Graph:         g,
-		Iteration:     g.Duration(),
-		LibraryHits:   pred.Hits,
-		LibraryMisses: pred.Misses,
-		CommRepriced:  pred.Repriced,
-	}, nil
-}
-
-// RetimeCommOnFabric transfers a synthesized graph's collective kernels to
-// a different fabric on a copy-on-write duration view, leaving the shared
-// structure untouched — the structural-batch-replay half of the fabric
-// what-if. Each collective group is re-priced with the same transfer math
-// Predictor.Comm applies at synthesis time (measured × target/base for
-// library-calibrated shapes, the target pricer's analytic cost otherwise),
-// so sibling planner points that differ only in fabric or degradation can
-// re-time one shared graph instead of re-synthesizing it. A nil basePricer
-// selects the library fabric's default backend. Returns the number of
-// collective groups repriced.
-func RetimeCommOnFabric(v *execgraph.Retimed, lib *Library, pricer, basePricer collective.Pricer) int {
-	pl := NewCommRetimePlan(v.Graph, lib, basePricer)
-	dur, groupDur := v.MaterializeColumns()
-	return pl.Retime(dur, groupDur, pricer)
 }
 
 // deterministicSim returns simulator settings with all stochastic and

@@ -11,8 +11,8 @@
 // The engine is bit-identical to the Simulator interpreter: the ready heap
 // orders by (recorded start, task ID) — a strict total order, so any
 // conforming heap pops the same sequence — and waiter/rendezvous folds are
-// order-independent max-reductions. The interpreter remains the reference
-// implementation (see WithReplayEngine in internal/core).
+// order-independent max-reductions. The interpreter remains as the
+// reference implementation the tests compare against.
 package replay
 
 import (
@@ -572,14 +572,14 @@ type Counters struct {
 	// CompiledPrograms counts graph lowerings (Compile calls made on
 	// behalf of this counter set).
 	CompiledPrograms atomic.Int64
-	// CompiledRuns and InterpretedRuns count simulations per engine.
-	CompiledRuns    atomic.Int64
-	InterpretedRuns atomic.Int64
+	// CompiledRuns counts simulations.
+	CompiledRuns atomic.Int64
 }
 
-// Engine is the common surface of the interpreted Simulator and the
-// compiled engine: replay a graph, optionally through a retimed view.
-// Engines are not safe for concurrent use — pool one per worker.
+// Engine is the common surface of the compiled engine and the reference
+// Simulator: replay a graph, optionally through a retimed view, so what-if
+// analyses run unchanged on either. Engines are not safe for concurrent
+// use — pool one per worker.
 type Engine interface {
 	Run(g *execgraph.Graph) (*Result, error)
 	RunRetimed(v *execgraph.Retimed) (*Result, error)

@@ -13,10 +13,8 @@ import (
 	"lumos/internal/trace"
 )
 
-// schedGraph synthesizes a graph under a specific pipeline schedule so the
-// compiled engine is exercised on every structural variant (interleaved
-// wraparound channels, ZB-H1 B/W-split slots included).
-func schedGraph(t *testing.T, pol parallel.SchedulePolicy, tp, pp, dp, mb int, seed uint64) *execgraph.Graph {
+// schedConfig is a GPT-3 15B deployment under a specific pipeline schedule.
+func schedConfig(t *testing.T, pol parallel.SchedulePolicy, tp, pp, dp, mb int) parallel.Config {
 	t.Helper()
 	m, err := topology.NewMapping(tp, pp, dp)
 	if err != nil {
@@ -28,11 +26,25 @@ func schedGraph(t *testing.T, pol parallel.SchedulePolicy, tp, pp, dp, mb int, s
 	if pol == parallel.Interleaved {
 		cfg.VirtualStages = 2
 	}
-	traces, err := cluster.Run(cfg, cluster.DefaultSimConfig(m.WorldSize(), seed))
+	return cfg
+}
+
+// schedGraph builds a graph from a profiled run under a specific pipeline
+// schedule, with the given construction options, so the compiled engine is
+// exercised on every structural variant (interleaved wraparound channels,
+// ZB-H1 B/W-split slots included).
+func schedGraph(t *testing.T, pol parallel.SchedulePolicy, tp, pp, dp, mb int, seed uint64, opts ...execgraph.BuildOptions) *execgraph.Graph {
+	t.Helper()
+	cfg := schedConfig(t, pol, tp, pp, dp, mb)
+	traces, err := cluster.Run(cfg, cluster.DefaultSimConfig(cfg.Map.WorldSize(), seed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := execgraph.Build(traces, execgraph.DefaultOptions())
+	bopts := execgraph.DefaultOptions()
+	if len(opts) > 0 {
+		bopts = opts[0]
+	}
+	g, err := execgraph.Build(traces, bopts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +73,12 @@ func mustMatch(t *testing.T, want, got *Result, label string) {
 }
 
 // TestCompiledMatchesInterpreterSchedules is the bit-identity property test:
-// for every pipeline schedule, on randomized synthesized graphs, the
-// compiled engine must reproduce the interpreter exactly — with recorded
-// durations and through degraded-fabric-style retimed views.
+// for every pipeline schedule, on randomized graphs, the compiled engine
+// must reproduce the interpreter exactly — with recorded durations and
+// through degraded-fabric-style retimed views. Three graph sources are
+// covered: graphs built from profiled traces, graphs built with the dPRO
+// baseline's options (compute→comm inter-stream edges only, replayed with
+// uncoupled collectives), and graphs emitted directly by synthesis.
 func TestCompiledMatchesInterpreterSchedules(t *testing.T) {
 	schedules := []struct {
 		name string
@@ -74,42 +89,67 @@ func TestCompiledMatchesInterpreterSchedules(t *testing.T) {
 		{"interleaved", parallel.Interleaved},
 		{"zb-h1", parallel.ZBH1},
 	}
+	dproBuild := execgraph.DefaultOptions()
+	dproBuild.InterStream = execgraph.InterStreamComputeToComm
+	uncoupled := DefaultOptions()
+	uncoupled.CoupleCollectives = false
 	for _, sc := range schedules {
 		t.Run(sc.name, func(t *testing.T) {
 			for _, seed := range []uint64{7, 71} {
-				g := schedGraph(t, sc.pol, 2, 2, 1, 4, seed)
-				sim := NewSimulator(DefaultOptions())
-				eng := NewCompiled(DefaultOptions())
-
-				want, err := sim.Run(g)
+				cfg := schedConfig(t, sc.pol, 2, 2, 1, 4)
+				synth, err := cluster.Synthesize(cfg, cluster.DefaultSimConfig(cfg.Map.WorldSize(), seed))
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := eng.Run(g)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mustMatch(t, want, got, "recorded")
-
-				// Degraded-fabric style retiming: collectives slowed, one
-				// compute class scaled. The two engines consume the same
-				// view, interpreted as wrapper calls vs flat columns.
-				for _, f := range []float64{1.9, 0.55} {
-					v := execgraph.NewRetimed(g)
-					v.Scale(func(tk *execgraph.Task) bool { return tk.Class == trace.KCComm }, f)
-					v.Scale(func(tk *execgraph.Task) bool { return tk.Class == trace.KCGEMM }, 2-f/2)
-					want, err = sim.RunRetimed(v)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err = eng.RunRetimed(v)
-					if err != nil {
-						t.Fatal(err)
-					}
-					mustMatch(t, want, got, "retimed")
+				for _, in := range []struct {
+					label string
+					g     *execgraph.Graph
+					opts  Options
+				}{
+					{"profiled", schedGraph(t, sc.pol, 2, 2, 1, 4, seed), DefaultOptions()},
+					{"dpro", schedGraph(t, sc.pol, 2, 2, 1, 4, seed, dproBuild), uncoupled},
+					{"synthesized", synth, DefaultOptions()},
+				} {
+					matchEngines(t, in.g, in.opts, in.label)
 				}
 			}
 		})
+	}
+}
+
+// matchEngines replays g on both engines, with recorded durations and
+// through retimed views, and requires bit-identical results.
+func matchEngines(t *testing.T, g *execgraph.Graph, opts Options, label string) {
+	t.Helper()
+	sim := NewSimulator(opts)
+	eng := NewCompiled(opts)
+
+	want, err := sim.Run(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := eng.Run(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustMatch(t, want, got, label+"/recorded")
+
+	// Degraded-fabric style retiming: collectives slowed, one compute
+	// class scaled. The two engines consume the same view, interpreted as
+	// wrapper calls vs flat columns.
+	for _, f := range []float64{1.9, 0.55} {
+		v := execgraph.NewRetimed(g)
+		v.Scale(func(tk *execgraph.Task) bool { return tk.Class == trace.KCComm }, f)
+		v.Scale(func(tk *execgraph.Task) bool { return tk.Class == trace.KCGEMM }, 2-f/2)
+		want, err = sim.RunRetimed(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err = eng.RunRetimed(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustMatch(t, want, got, label+"/retimed")
 	}
 }
 

@@ -5,12 +5,13 @@
 // (synchronization calls and cross-rank collective rendezvous), and produces
 // an output trace with the replayed timestamps of every task.
 //
-// The simulator is built for the sweep workload: a Simulator preallocates
-// all per-task and per-processor state, binds to a graph once, and resets
-// cheaply between runs, so a campaign replaying hundreds of what-if
-// retimings of the same graph pays the allocation cost once. Duration
-// overrides come in through execgraph.Retimed views, which retime without
-// cloning the task array.
+// Two engines implement the algorithm. The compiled engine (Compile,
+// Program, Compiled) is the one every caller replays on: it lowers a graph
+// once into flat columns and runs allocation-free on reusable scratch. The
+// Simulator interprets the graph directly, task by task, and is kept as
+// the reference the compiled engine is tested against. Duration overrides
+// come in through execgraph.Retimed views, which retime without cloning
+// the task array.
 package replay
 
 import (
@@ -127,12 +128,7 @@ type Simulator struct {
 	groupReady   [][]trace.Time
 
 	executed int
-	meter    *Counters
 }
-
-// Meter attaches shared activity counters (may be nil to detach); each run
-// counts as one interpreted simulation.
-func (s *Simulator) Meter(m *Counters) { s.meter = m }
 
 // NewSimulator returns a simulator with the given options and no bound
 // graph; the first Run binds it.
@@ -153,11 +149,11 @@ func (s *Simulator) Run(g *execgraph.Graph) (*Result, error) { return s.run(g, n
 // RunRetimed simulates a graph through a duration-override view.
 func (s *Simulator) RunRetimed(v *execgraph.Retimed) (*Result, error) { return s.run(v.Graph, v) }
 
-// Run simulates the graph and returns replayed task times. It is the
-// one-shot entry point: a fresh Simulator per call, so the Result owns its
-// buffers.
+// Run simulates the graph on the compiled engine and returns replayed task
+// times. It is the one-shot entry point: a fresh engine per call, so the
+// Result owns its buffers.
 func Run(g *execgraph.Graph, opts Options) (*Result, error) {
-	return NewSimulator(opts).Run(g)
+	return NewCompiled(opts).Run(g)
 }
 
 // bind derives graph-shape state, reusing buffer capacity where possible.
@@ -247,9 +243,6 @@ func (s *Simulator) run(g *execgraph.Graph, v *execgraph.Retimed) (*Result, erro
 	}
 	s.view = v
 	s.reset()
-	if s.meter != nil {
-		s.meter.InterpretedRuns.Add(1)
-	}
 
 	n := len(g.Tasks)
 	for i := range g.Tasks {

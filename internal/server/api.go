@@ -437,12 +437,10 @@ type SearchStats struct {
 }
 
 // EngineStats aggregates replay-engine activity across every request served
-// since startup: graph lowerings into compiled programs, runs on the
-// compiled engine, and runs on the reference interpreter.
+// since startup: graph lowerings into compiled programs, and runs.
 type EngineStats struct {
 	CompiledPrograms int64 `json:"compiled_programs"`
 	CompiledRuns     int64 `json:"compiled_runs"`
-	InterpretedRuns  int64 `json:"interpreted_runs"`
 }
 
 // HealthResponse is the GET /v1/healthz response: liveness plus enough
