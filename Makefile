@@ -6,14 +6,14 @@ GO ?= go
 # bench-diff.
 SWEEP_BENCH = BenchmarkSweep_SharedCalibration$$|BenchmarkSweepThroughput$$|BenchmarkReplayEngine|BenchmarkSweep_FabricCampaign|BenchmarkSweep_ScheduleCampaign|BenchmarkSweep_DiskCacheWarmStart|BenchmarkSynthesize|BenchmarkPlan_BeamVsExhaustive|BenchmarkPlan_BranchAndBound
 
-.PHONY: check fmt vet build test race alloc-guard bench bench-diff benchsmoke plan-smoke schedule-smoke serve-smoke obs-smoke
+.PHONY: check fmt vet build test race alloc-guard fuzz-smoke bench bench-diff benchsmoke plan-smoke schedule-smoke serve-smoke obs-smoke
 
 # check is the CI gate: formatting, static analysis, full build, tests,
 # the race detector on the concurrent service/cache/replay/core packages, the
-# compiled-engine and synthesis allocation budgets, a one-iteration
-# benchmark smoke pass, and the planner, schedule, planning-service and
-# observability acceptance smokes.
-check: fmt vet build test race alloc-guard benchsmoke plan-smoke schedule-smoke serve-smoke obs-smoke
+# compiled-engine and synthesis allocation budgets, a short fuzz run, a
+# one-iteration benchmark smoke pass, and the planner, schedule,
+# planning-service and observability acceptance smokes.
+check: fmt vet build test race alloc-guard fuzz-smoke benchsmoke plan-smoke schedule-smoke serve-smoke obs-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -50,6 +50,13 @@ ALLOC_GUARD_BUDGET ?= 8
 alloc-guard:
 	$(GO) test -run TestReplayAllocBudget -count 1 ./internal/replay/
 	$(GO) test -run TestSynthesizeAllocBudget -count 1 ./internal/cluster/
+
+# fuzz-smoke runs the fabric-pricing fuzz target for 10 s beyond its seed
+# corpus (testdata/fuzz/FuzzFabricPricing, which plain go test replays): no
+# fabric preset or degrade factor the resolvers accept may price a
+# collective below its launch overhead or wrap past trace.Dur's range.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzFabricPricing$$' -fuzztime 10s .
 
 # benchsmoke runs every benchmark once as a regression canary.
 benchsmoke:

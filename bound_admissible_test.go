@@ -83,6 +83,10 @@ func TestBoundAdmissible(t *testing.T) {
 			t.Errorf("%s: bnb simulated %d points, want strictly fewer than exhaustive's %d",
 				arch.Name, bnb.Stats.Simulated, res.Stats.Simulated)
 		}
+		if res.Stats.BoundViolations != 0 || bnb.Stats.BoundViolations != 0 {
+			t.Errorf("%s: runtime bound check counted %d (exhaustive) and %d (bnb) violations, want 0",
+				arch.Name, res.Stats.BoundViolations, bnb.Stats.BoundViolations)
+		}
 		t.Logf("%s: bnb simulated %d/%d, pruned %d by bound, %d dominated",
 			arch.Name, bnb.Stats.Simulated, res.Stats.Simulated,
 			bnb.Stats.BoundPruned, bnb.Stats.DominatedPruned)

@@ -550,7 +550,7 @@ func ablations() {
 	actualT := simulate(req.Target, *seed+3000)
 	actualTI := analysis.IterationTime(actualT)
 	lib := manip.BuildLibrary(profiled, topo)
-	oracle := kernelmodel.NewOracle(topo)
+	oracle := kernelmodel.NewOracleFabric(topo, nil)
 	fitted, err := kernelmodel.Fit([]*trace.Multi{profiled}, topo, oracle)
 	if err != nil {
 		panic(err)

@@ -69,7 +69,7 @@ func oracleOnFabric(t *testing.T, st *BaseState, target Config, f Fabric) (trace
 	if fmt.Sprintf("%T|%+v", f, f) == fmt.Sprintf("%T|%+v", campaign, campaign) {
 		return out.Iteration, analysis.GraphBreakdown(g)
 	}
-	tp, cp := collective.For(f), collective.For(campaign)
+	tp, cp := collective.NewPricer(f), collective.NewPricer(campaign)
 	v := execgraph.NewRetimed(g)
 	for _, members := range g.Groups {
 		ranks := make([]int, len(members))

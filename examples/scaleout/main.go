@@ -21,7 +21,7 @@ import (
 func main() {
 	ctx := context.Background()
 	tk := lumos.New(
-		lumos.WithCluster(lumos.H100Cluster(128)),
+		lumos.WithFabric(lumos.H100Cluster(128)),
 		lumos.WithConcurrency(4),
 		lumos.WithSeed(42),
 	)

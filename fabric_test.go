@@ -1,13 +1,16 @@
-// Fabric-layer regression tests: the hierarchical pricing path must
-// reproduce the flat alpha-beta path bit-for-bit on the paper's two-tier
-// testbed, and fabric/degradation campaigns must be deterministic under any
-// worker count.
+// Fabric-layer regression tests: the default toolkit's fig7/fig8
+// predictions on the paper's two-tier testbed are pinned bit for bit, and
+// fabric/degradation campaigns must be deterministic under any worker
+// count.
 package lumos
 
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
+
+	"lumos/internal/trace"
 )
 
 // fig7Fig8Scenarios is the manipulation set behind the paper's Figure 7
@@ -24,12 +27,12 @@ func fig7Fig8Scenarios() []Scenario {
 	}
 }
 
-// TestHierPricerFig7Fig8Equivalence is the equivalence regression from the
-// fabric refactor: running the entire predict pipeline — ground-truth
-// profiling, kernel-library and fitted-model calibration, and every
-// fig7/fig8 manipulation — with the hierarchical pricer bound to the
-// two-tier H100 fabric must reproduce the flat alpha-beta model's
-// predictions bit-identically.
+// TestHierPricerFig7Fig8Equivalence is the golden regression of the one
+// interconnect model: the whole predict pipeline — ground-truth profiling,
+// kernel-library and fitted-model calibration, and every fig7/fig8
+// manipulation — on the default toolkit (the flat H100 preset priced by
+// the hierarchical bottleneck pricer) must reproduce, bit for bit, the
+// answers the retired flat alpha-beta Model path gave.
 func TestHierPricerFig7Fig8Equivalence(t *testing.T) {
 	ctx := context.Background()
 	base, err := DeploymentConfig(GPT3_15B(), 2, 2, 2)
@@ -38,34 +41,40 @@ func TestHierPricerFig7Fig8Equivalence(t *testing.T) {
 	}
 	base.Microbatches = 8
 
-	flatTK := New(WithSeed(42)) // default: flat H100 cluster + alpha-beta Model
-	hierTK := New(WithSeed(42), WithFabric(TwoTierFabric(H100Cluster(base.Map.WorldSize()))))
-
-	flat, err := flatTK.Evaluate(ctx, base, fig7Fig8Scenarios()...)
+	sweep, err := New(WithSeed(42)).Evaluate(ctx, base, fig7Fig8Scenarios()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hier, err := hierTK.Evaluate(ctx, base, fig7Fig8Scenarios()...)
-	if err != nil {
-		t.Fatal(err)
+	const wantBase trace.Dur = 960_756_909
+	if sweep.Base.Iteration != wantBase {
+		t.Fatalf("base iteration %d, want %d", sweep.Base.Iteration, wantBase)
 	}
-
-	if flat.Base.Iteration != hier.Base.Iteration {
-		t.Fatalf("base profiles diverge: flat %d, hier %d", flat.Base.Iteration, hier.Base.Iteration)
+	type golden struct {
+		name         string
+		iteration    trace.Dur
+		breakdown    Breakdown
+		hits, misses int
 	}
-	if len(flat.Results) != len(hier.Results) {
-		t.Fatalf("result counts diverge: %d vs %d", len(flat.Results), len(hier.Results))
+	// Ranked fastest first, as Evaluate returns them.
+	want := []golden{
+		{"pp=4", 667_260_032, Breakdown{ExposedCompute: 24_473_603, Overlapped: 354_054_951, ExposedComm: 233_456_373, Other: 248_601, Total: 612_233_528}, 34272, 194},
+		{"pp=4,dp=4", 723_239_641, Breakdown{ExposedCompute: 24_473_603, Overlapped: 354_054_951, ExposedComm: 286_082_821, Other: 248_601, Total: 664_859_976}, 68544, 290},
+		{"baseline", 960_756_909, Breakdown{ExposedCompute: 88_015_454, Overlapped: 674_110_360, ExposedComm: 164_936_332, Other: 245_885, Total: 927_308_031}, 0, 0},
+		{"dp=4", 1_207_188_323, Breakdown{ExposedCompute: 56_986_318, Overlapped: 702_990_118, ExposedComm: 407_992_556, Other: 248_600, Total: 1_168_217_592}, 68384, 98},
+		{"arch=GPT-3 V1", 1_252_332_244, Breakdown{ExposedCompute: 122_062_111, Overlapped: 887_256_880, ExposedComm: 199_671_168, Other: 248_600, Total: 1_209_238_759}, 45538, 48},
+		{"arch=GPT-3 V3", 1_905_092_756, Breakdown{ExposedCompute: 190_328_970, Overlapped: 1_387_885_768, ExposedComm: 260_458_798, Other: 248_601, Total: 1_838_922_137}, 1616, 32674},
 	}
-	for i := range flat.Results {
-		f, h := flat.Results[i], hier.Results[i]
-		if f.Name != h.Name || f.Iteration != h.Iteration || f.Breakdown != h.Breakdown ||
-			f.LibraryHits != h.LibraryHits || f.LibraryMisses != h.LibraryMisses {
-			t.Errorf("rank %d: flat %q iter=%d (hits %d/misses %d) vs hier %q iter=%d (hits %d/misses %d)",
-				i, f.Name, f.Iteration, f.LibraryHits, f.LibraryMisses,
-				h.Name, h.Iteration, h.LibraryHits, h.LibraryMisses)
+	if len(sweep.Results) != len(want) {
+		t.Fatalf("%d results, want %d", len(sweep.Results), len(want))
+	}
+	for i, w := range want {
+		r := sweep.Results[i]
+		if !r.Feasible() {
+			t.Errorf("%q infeasible: %s", r.Name, r.Err)
 		}
-		if !f.Feasible() {
-			t.Errorf("%q infeasible: %s", f.Name, f.Err)
+		got := golden{r.Name, r.Iteration, r.Breakdown, r.LibraryHits, r.LibraryMisses}
+		if got != w {
+			t.Errorf("rank %d:\n got %+v\nwant %+v", i, got, w)
 		}
 	}
 }
@@ -349,5 +358,91 @@ func checkSweepPlanAgreement(t *testing.T, arch Arch) {
 			t.Errorf("%s predicts %d, faster than undegraded %s at %d",
 				e.Point.Key(), e.Iteration, twin.Key(), u.Iteration)
 		}
+	}
+}
+
+// TestFabricPresetRejectsNonPhysical is the preset resolver's contract:
+// every accepted name yields a fabric that passes Validate, and every
+// rejected one — an unknown name, a non-finite or sub-1 oversubscription,
+// or one that slows the spine below the link-bandwidth floor — fails with
+// the preset menu.
+func TestFabricPresetRejectsNonPhysical(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		world int
+		ok    bool
+	}{
+		{"flat", 64, true},
+		{"h100", 3, true},
+		{"nvl72", 64, true},
+		{"spine", 64, true},
+		{" Spine2.5 ", 64, true},
+		{"spine4", 512, true},
+		{"spine42000", 512, true}, // 42 GB/s ÷ 42000 is exactly the 1 MB/s floor
+		{"spine42001", 512, false},
+		{"spine1e12", 512, false},
+		{"spine1e12", 64, false},
+		{"spineinf", 64, false},
+		{"spine+Inf", 64, false},
+		{"spine-inf", 64, false},
+		{"spineNaN", 64, false},
+		{"spine0.5", 64, false},
+		{"spinex", 64, false},
+		{"warpdrive", 64, false},
+	} {
+		f, err := FabricPreset(tc.name, tc.world)
+		if !tc.ok {
+			if err == nil {
+				t.Errorf("FabricPreset(%q, %d) accepted as %s", tc.name, tc.world, f.FabricName())
+			} else if !strings.Contains(err.Error(), "valid presets") {
+				t.Errorf("FabricPreset(%q, %d): error lacks the preset menu: %v", tc.name, tc.world, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("FabricPreset(%q, %d): %v", tc.name, tc.world, err)
+			continue
+		}
+		if err := f.Validate(); err != nil {
+			t.Errorf("FabricPreset(%q, %d) returned an invalid fabric: %v", tc.name, tc.world, err)
+		}
+	}
+}
+
+// TestDegradeBelowFloorInfeasible reproduces a point whose collectives
+// used to price past int64: the fig7 base at 2x2x4, mb 8, with the network
+// degraded to 1e-12 of its bandwidth (0.042 B/s). The plan used to answer
+// the undegraded 1,207,188,323 ns with a wrapped bound of
+// -7,839,866,230,614,720,512; the point is infeasible now, and the same
+// degrade as a sweep row is an error instead of a number.
+func TestDegradeBelowFloorInfeasible(t *testing.T) {
+	ctx := context.Background()
+	base, err := DeploymentConfig(GPT3_15B(), 2, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.Microbatches = 8
+	tk := New(WithSeed(42))
+	st, err := tk.Prepare(ctx, base, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tk.PlanState(ctx, st, Space{PP: []int{2}, DP: []int{4}, Microbatch: []int{8}, Degrade: [][]float64{{1, 1e-12}}},
+		WithMemoryModel(MemoryModel{GPUMemBytes: 192 << 30, ZeRO: ZeROOptimizer}), WithPlanStrategy(ExhaustiveStrategy()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range append(append([]PlanEvaluated{}, res.Frontier...), res.Dominated...) {
+		t.Errorf("%s answered %d ns with bound %d, want infeasible", e.Point.Key(), e.Iteration, e.Bound)
+	}
+	if len(res.Infeasible) != 1 || !strings.Contains(res.Infeasible[0].Infeasible, "bandwidth") {
+		t.Fatalf("infeasible points %+v, want the degraded point rejected for its bandwidth", res.Infeasible)
+	}
+	sweep, err := tk.EvaluateState(ctx, st, DegradeLinksScenario(1, 1e-12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := sweep.Results[0]; r.Feasible() {
+		t.Fatalf("degrade row answered %d ns, want an error", r.Iteration)
 	}
 }

@@ -42,8 +42,9 @@ func StreamKindForID(id int) (model.StreamKind, bool) {
 
 // SimConfig tunes the ground-truth simulator.
 type SimConfig struct {
-	// Fabric is the interconnect model: a flat two-tier topology.Cluster or
-	// any hierarchical fabric (NVLink domains, leaf/spine).
+	// Fabric is the interconnect model: the two-tier H100 testbed
+	// (topology.H100Cluster) or any other hierarchy (NVLink domains,
+	// leaf/spine).
 	Fabric topology.Fabric
 	// Oracle prices kernels. If nil, a fabric-matched H100 oracle is built
 	// at Run/Synthesize time, so setting Fabric alone reprices collectives

@@ -325,9 +325,9 @@ func TestPropertyMakespanDominatesRanks(t *testing.T) {
 func TestInvalidFabricRejected(t *testing.T) {
 	cfg := smallConfig(t, 2, 2, 1, 2)
 	sc := DefaultSimConfig(cfg.Map.WorldSize(), 1)
-	sc.Fabric = topology.Cluster{GPUsPerNode: 8, NumGPUs: 12, IntraNodeBW: 1, InterNodeBW: 1}
+	sc.Fabric = topology.HierFabric{Name: "slow", NumGPUs: 12, Levels: []topology.Level{{GPUs: 8, BW: 1}, {BW: 1}}}
 	if _, err := Run(cfg, sc); err == nil {
-		t.Fatal("ragged cluster must be rejected")
+		t.Fatal("fabric with links below the bandwidth floor must be rejected")
 	}
 	sc = DefaultSimConfig(cfg.Map.WorldSize(), 1)
 	sc.Fabric = nil

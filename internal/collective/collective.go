@@ -4,73 +4,36 @@
 // the paper cites as alternative backends: given a primitive, payload size,
 // and participant set, they return a duration.
 //
-// Pricing is split behind the Pricer interface so backends are swappable:
-// Model is the standard flat alpha-beta formulation on a two-tier Cluster —
-// a ring all-reduce of S bytes over n ranks moves 2(n-1)/n·S through the
-// bottleneck link and pays (n-1) hop latencies per phase, with groups that
-// span nodes priced against the inter-node bandwidth — and HierPricer
-// generalizes it to arbitrary fabric hierarchies (NVLink domains, leaf/
-// spine), either at the bottleneck tier or as per-tier phase compositions.
-// topology.Degrade and the Degraded constructors scale per-tier bandwidth
-// for degraded-network what-ifs.
+// Pricing sits behind the Pricer interface so backends are swappable. The
+// one production backend is HierPricer, an alpha-beta model over any
+// fabric hierarchy (the paper's two-tier H100 testbed, NVLink domains,
+// leaf/spine): by default it prices a ring all-reduce of S bytes over n
+// ranks as 2(n-1)/n·S through the bottleneck tier the group spans plus
+// (n-1) hop latencies per phase, and its phased variant composes per-tier
+// phases the way NCCL's hierarchical algorithms do. What-ifs on degraded
+// networks scale per-tier bandwidth on the fabric (topology.Degrade), not
+// in the pricer.
 package collective
 
 import (
-	"fmt"
 	"math"
 
-	"lumos/internal/topology"
 	"lumos/internal/trace"
 )
 
-// Algorithm selects the collective algorithm family.
-type Algorithm uint8
-
-const (
-	// Ring is NCCL's default bandwidth-optimal algorithm for large payloads.
-	Ring Algorithm = iota
-	// Tree is latency-optimal for small payloads; NCCL switches
-	// automatically. Model provides both so callers can pick min().
-	Tree
-)
-
-// String names the algorithm.
-func (a Algorithm) String() string {
-	switch a {
-	case Ring:
-		return "ring"
-	case Tree:
-		return "tree"
-	}
-	return fmt.Sprintf("alg(%d)", uint8(a))
-}
-
 // Pricer prices NCCL-style communication primitives: given a primitive,
 // payload size, and participant set, it returns a duration. Backends are
-// swappable — the flat alpha-beta Model, the hierarchical HierPricer, and
-// their degraded variants all implement it — and must be safe for
-// concurrent use.
+// swappable — the bottleneck and phased HierPricer both implement it — and
+// must be safe for concurrent use.
 type Pricer interface {
 	Cost(kind trace.CommKind, bytes int64, ranks []int) trace.Dur
 }
 
-// For returns the default pricer for a fabric: the flat alpha-beta Model
-// for a two-tier Cluster (preserving the calibrated legacy path
-// bit-for-bit), the hierarchical pricer for everything else.
-func For(f topology.Fabric) Pricer {
-	if c, ok := f.(topology.Cluster); ok {
-		return NewModel(c)
-	}
-	return NewPricer(f)
-}
-
-// --- Shared alpha-beta formulas --------------------------------------------
+// --- Alpha-beta formulas ---------------------------------------------------
 //
-// Every backend resolves a group to a (bw, lat) pair — bandwidth in bytes
-// per NANOSECOND so size/bw expressions yield trace durations directly —
-// and applies these closed forms. Keeping them in one place guarantees the
-// flat and hierarchical backends agree bit-for-bit when they resolve the
-// same link.
+// The pricer resolves a group (or one phase of it) to a (bw, lat) pair —
+// bandwidth in bytes per NANOSECOND so size/bw expressions yield trace
+// durations directly — and applies these closed forms.
 
 // allReduceTime is the faster of ring and pipelined tree, excluding launch
 // overhead.
@@ -107,129 +70,4 @@ func effectiveBW(bwPerSec, busEfficiency float64) float64 {
 		bw = 1e-9
 	}
 	return bw
-}
-
-// Model prices collectives on a cluster.
-type Model struct {
-	Cluster topology.Cluster
-
-	// LaunchOverhead is the fixed per-collective kernel startup cost in ns
-	// (protocol setup, channel warmup).
-	LaunchOverhead float64
-
-	// BusEfficiency derates achievable bus bandwidth (protocol overhead,
-	// imperfect pipelining). NCCL typically achieves 80–92% of link rate.
-	BusEfficiency float64
-}
-
-// NewModel returns a collective model with NCCL-like defaults.
-func NewModel(c topology.Cluster) *Model {
-	return &Model{Cluster: c, LaunchOverhead: 6_000, BusEfficiency: 0.88}
-}
-
-// groupParams resolves the bottleneck bandwidth and latency for a
-// participant set. Bandwidth is returned in bytes per NANOSECOND so that
-// size/bw expressions yield trace durations directly.
-func (m *Model) groupParams(ranks []int) (bw, lat float64) {
-	bwPerSec, lat := m.Cluster.GroupBW(ranks)
-	return effectiveBW(bwPerSec, m.BusEfficiency), lat
-}
-
-// AllReduce returns the duration (ns) of an all-reduce of size bytes over
-// the group, taking the faster of ring and tree.
-func (m *Model) AllReduce(bytes int64, ranks []int) trace.Dur {
-	n := len(ranks)
-	if n <= 1 || bytes <= 0 {
-		return trace.Dur(m.LaunchOverhead)
-	}
-	bw, lat := m.groupParams(ranks)
-	return trace.Dur(m.LaunchOverhead + allReduceTime(bytes, n, bw, lat))
-}
-
-// ReduceScatter returns the duration of a reduce-scatter with per-rank input
-// size bytes (each rank contributes bytes, receives bytes/n).
-func (m *Model) ReduceScatter(bytes int64, ranks []int) trace.Dur {
-	n := len(ranks)
-	if n <= 1 || bytes <= 0 {
-		return trace.Dur(m.LaunchOverhead)
-	}
-	bw, lat := m.groupParams(ranks)
-	return trace.Dur(m.LaunchOverhead + reduceScatterTime(bytes, n, bw, lat))
-}
-
-// AllGather returns the duration of an all-gather producing bytes total on
-// each rank.
-func (m *Model) AllGather(bytes int64, ranks []int) trace.Dur {
-	// Same data motion as reduce-scatter without the reduction.
-	return m.ReduceScatter(bytes, ranks)
-}
-
-// Broadcast returns the duration of a broadcast of size bytes.
-func (m *Model) Broadcast(bytes int64, ranks []int) trace.Dur {
-	n := len(ranks)
-	if n <= 1 || bytes <= 0 {
-		return trace.Dur(m.LaunchOverhead)
-	}
-	bw, lat := m.groupParams(ranks)
-	return trace.Dur(m.LaunchOverhead + broadcastTime(bytes, n, bw, lat))
-}
-
-// AllToAll returns the duration of an all-to-all where each rank exchanges
-// bytes total.
-func (m *Model) AllToAll(bytes int64, ranks []int) trace.Dur {
-	n := len(ranks)
-	if n <= 1 || bytes <= 0 {
-		return trace.Dur(m.LaunchOverhead)
-	}
-	bw, lat := m.groupParams(ranks)
-	return trace.Dur(m.LaunchOverhead + reduceScatterTime(bytes, n, bw, lat))
-}
-
-// P2P returns the duration of a point-to-point transfer of size bytes
-// between two ranks (pipeline-parallel activation/gradient exchange).
-func (m *Model) P2P(bytes int64, src, dst int) trace.Dur {
-	if bytes <= 0 {
-		return trace.Dur(m.LaunchOverhead)
-	}
-	bw, lat := m.groupParams([]int{src, dst})
-	return trace.Dur(m.LaunchOverhead + p2pTime(bytes, bw, lat))
-}
-
-// Cost dispatches on a trace.CommKind. For send/recv, ranks must hold
-// {src, dst}.
-func (m *Model) Cost(kind trace.CommKind, bytes int64, ranks []int) trace.Dur {
-	switch kind {
-	case trace.CommAllReduce:
-		return m.AllReduce(bytes, ranks)
-	case trace.CommAllGather:
-		return m.AllGather(bytes, ranks)
-	case trace.CommReduceScatter:
-		return m.ReduceScatter(bytes, ranks)
-	case trace.CommBroadcast:
-		return m.Broadcast(bytes, ranks)
-	case trace.CommSend, trace.CommRecv:
-		if len(ranks) >= 2 {
-			return m.P2P(bytes, ranks[0], ranks[1])
-		}
-		return m.P2P(bytes, 0, 1)
-	case trace.CommAllToAll:
-		return m.AllToAll(bytes, ranks)
-	}
-	return trace.Dur(m.LaunchOverhead)
-}
-
-// BusBandwidth returns the effective achieved "bus bandwidth" (NCCL's
-// algbw-normalized metric, bytes/sec) for an all-reduce of the given size,
-// useful for reporting and calibration.
-func (m *Model) BusBandwidth(bytes int64, ranks []int) float64 {
-	d := m.AllReduce(bytes, ranks)
-	if d <= 0 {
-		return 0
-	}
-	n := len(ranks)
-	if n <= 1 {
-		return 0
-	}
-	algBytes := 2 * float64(n-1) / float64(n) * float64(bytes)
-	return algBytes / (float64(d) / 1e9)
 }

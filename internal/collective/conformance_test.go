@@ -43,33 +43,131 @@ func strided(stride int) func(n int) []int {
 	}
 }
 
-// backends enumerates every Pricer implementation; the conformance suite
-// runs each property against all of them.
+// Model is the reference the production pricer is checked against: the
+// alpha-beta model of the paper's flat testbed, written directly against
+// its two link pairs. A group whose ranks all sit on one node (rank /
+// GPUsPerNode) uses the NVLink pair, any other group the network pair.
+type Model struct {
+	GPUsPerNode int
+	// IntraNodeBW and InterNodeBW are per-GPU link rates in bytes/sec;
+	// IntraNodeLatency and InterNodeLatency are per-hop latencies in ns.
+	IntraNodeBW, InterNodeBW           float64
+	IntraNodeLatency, InterNodeLatency float64
+	// LaunchOverhead is the fixed per-collective cost in ns;
+	// BusEfficiency derates achievable bus bandwidth.
+	LaunchOverhead, BusEfficiency float64
+}
+
+// NewModel returns the reference model of the paper's testbed: 8-GPU
+// nodes, NVLink 360 GB/s and 4 µs, network 42 GB/s and 12 µs.
+func NewModel() *Model {
+	return &Model{
+		GPUsPerNode: 8,
+		IntraNodeBW: 360e9, InterNodeBW: 42e9,
+		IntraNodeLatency: 4_000, InterNodeLatency: 12_000,
+		LaunchOverhead: 6_000, BusEfficiency: 0.88,
+	}
+}
+
+// degraded scales the link rates the way topology.Degrade scales tiers:
+// the NVLink pair takes factors[0], the network pair factors[1] (or
+// factors[0] when only one is given). Factors topology.Degrade rejects on
+// the testbed are rejected here too.
+func (m *Model) degraded(factors ...float64) (*Model, error) {
+	if _, err := topology.Degrade(topology.H100Cluster(512), factors...); err != nil {
+		return nil, err
+	}
+	cp := *m
+	if len(factors) > 0 {
+		inter := factors[0]
+		if len(factors) > 1 {
+			inter = factors[1]
+		}
+		cp.IntraNodeBW *= factors[0]
+		cp.InterNodeBW *= inter
+	}
+	return &cp, nil
+}
+
+// groupParams resolves a group's effective bandwidth (bytes/ns) and
+// latency by the same-node rule.
+func (m *Model) groupParams(ranks []int) (bw, lat float64) {
+	for _, r := range ranks {
+		if r/m.GPUsPerNode != ranks[0]/m.GPUsPerNode {
+			return effectiveBW(m.InterNodeBW, m.BusEfficiency), m.InterNodeLatency
+		}
+	}
+	return effectiveBW(m.IntraNodeBW, m.BusEfficiency), m.IntraNodeLatency
+}
+
+// Cost implements Pricer. A send/recv prices ranks[0]→ranks[1] (0→1 when
+// fewer are given).
+func (m *Model) Cost(kind trace.CommKind, bytes int64, ranks []int) trace.Dur {
+	if kind == trace.CommSend || kind == trace.CommRecv {
+		if len(ranks) < 2 {
+			ranks = []int{0, 1}
+		}
+		ranks = ranks[:2]
+	}
+	n := len(ranks)
+	if n <= 1 || bytes <= 0 {
+		return trace.Dur(m.LaunchOverhead)
+	}
+	bw, lat := m.groupParams(ranks)
+	var t float64
+	switch kind {
+	case trace.CommAllReduce:
+		t = allReduceTime(bytes, n, bw, lat)
+	case trace.CommAllGather, trace.CommReduceScatter, trace.CommAllToAll:
+		t = reduceScatterTime(bytes, n, bw, lat)
+	case trace.CommBroadcast:
+		t = broadcastTime(bytes, n, bw, lat)
+	case trace.CommSend, trace.CommRecv:
+		t = p2pTime(bytes, bw, lat)
+	}
+	return trace.Dur(m.LaunchOverhead + t)
+}
+
+// degradeWith returns a backend's degrade constructor: topology.Degrade on
+// the fabric, then the given pricer over the degraded fabric.
+func degradeWith(f topology.Fabric, pricer func(topology.Fabric) *HierPricer) func(...float64) (Pricer, error) {
+	return func(factors ...float64) (Pricer, error) {
+		d, err := topology.Degrade(f, factors...)
+		if err != nil {
+			return nil, err
+		}
+		return pricer(d), nil
+	}
+}
+
+// backends enumerates the production pricers — the flat preset and nvl72
+// under the bottleneck pricer, nvl72 under the phased one — plus the
+// reference Model; the conformance suite runs each property against all of
+// them.
 func backends() []pricerBackend {
-	flat := NewModel(topology.H100Cluster(512))
-	twoTier := NewPricer(topology.TwoTierFabric(topology.H100Cluster(512)))
-	nvl := NewPricer(topology.NVLDomainFabric(1152))
-	phased := NewPhasedPricer(topology.NVLDomainFabric(1152))
+	oracle := NewModel()
+	flat := topology.H100Cluster(512)
+	nvl := topology.NVLDomainFabric(1152)
 	return []pricerBackend{
 		{
-			name: "flat-alpha-beta", p: flat,
+			name: "flat-alpha-beta", p: oracle,
 			intra: strided(1), inter: strided(8),
-			degrade: func(f ...float64) (Pricer, error) { return flat.Degraded(f...) },
+			degrade: func(f ...float64) (Pricer, error) { return oracle.degraded(f...) },
 		},
 		{
-			name: "hier-bottleneck/2tier", p: twoTier,
+			name: "hier-bottleneck/2tier", p: NewPricer(flat),
 			intra: strided(1), inter: strided(8),
-			degrade: func(f ...float64) (Pricer, error) { return twoTier.Degraded(f...) },
+			degrade: degradeWith(flat, NewPricer),
 		},
 		{
-			name: "hier-bottleneck/nvl72", p: nvl,
+			name: "hier-bottleneck/nvl72", p: NewPricer(nvl),
 			intra: strided(1), inter: strided(72),
-			degrade: func(f ...float64) (Pricer, error) { return nvl.Degraded(f...) },
+			degrade: degradeWith(nvl, NewPricer),
 		},
 		{
-			name: "hier-phased/nvl72", p: phased,
+			name: "hier-phased/nvl72", p: NewPhasedPricer(nvl),
 			intra: strided(1), inter: strided(72),
-			degrade: func(f ...float64) (Pricer, error) { return phased.Degraded(f...) },
+			degrade: degradeWith(nvl, NewPhasedPricer),
 		},
 	}
 }
@@ -161,40 +259,39 @@ func TestPricerConformance(t *testing.T) {
 	}
 }
 
-// TestHierBottleneckMatchesFlatModel is the pricer-level equivalence
-// regression: the hierarchical pricer bound to the two-tier H100 fabric
-// must reproduce the flat alpha-beta model bit-for-bit for every primitive,
-// payload, and group shape.
+// TestHierBottleneckMatchesFlatModel is the one-pricer equivalence
+// regression: production pricing of the flat preset — NewPricer over
+// topology.H100Cluster(n), degraded through topology.Degrade — must
+// reproduce the reference Model bit for bit, for every primitive, payload
+// and group shape, at world sizes covering the single partial node (n < 8)
+// and the rounding to whole nodes.
 func TestHierBottleneckMatchesFlatModel(t *testing.T) {
-	c := topology.H100Cluster(512)
-	flat := NewModel(c)
-	hier := NewPricer(topology.TwoTierFabric(c))
 	groups := [][]int{
 		{0}, {3, 5}, {0, 1, 2, 3}, strided(1)(8), strided(8)(2), strided(8)(16), {0, 7, 8, 15, 64},
 	}
 	kinds := append([]trace.CommKind{trace.CommRecv, trace.CommNone}, conformanceKinds...)
+	sizes := append([]int64{0, 1}, conformanceSizes...)
 	// The equivalence must also survive degradation, including a middle
 	// factor that only touches the outer tier.
-	pairs := [][2]Pricer{{flat, hier}}
-	for _, factors := range [][]float64{{1, 0.5}, {0.75}} {
-		f, err := flat.Degraded(factors...)
+	for _, factors := range [][]float64{nil, {1, 0.5}, {0.75}, {0.5, 0.25}} {
+		oracle, err := NewModel().degraded(factors...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		h, err := hier.Degraded(factors...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pairs = append(pairs, [2]Pricer{f, h})
-	}
-	for _, pair := range pairs {
-		for _, kind := range kinds {
-			for _, ranks := range groups {
-				for _, size := range append([]int64{0, 1}, conformanceSizes...) {
-					f := pair[0].Cost(kind, size, ranks)
-					h := pair[1].Cost(kind, size, ranks)
-					if f != h {
-						t.Fatalf("%v size=%d ranks=%v: flat=%d hier=%d", kind, size, ranks, f, h)
+		for _, n := range []int{1, 3, 7, 8, 12, 512} {
+			f, err := topology.Degrade(topology.H100Cluster(n), factors...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p := NewPricer(f)
+			for _, kind := range kinds {
+				for _, ranks := range groups {
+					for _, size := range sizes {
+						want := oracle.Cost(kind, size, ranks)
+						if got := p.Cost(kind, size, ranks); got != want {
+							t.Fatalf("n=%d degrade=%v %v size=%d ranks=%v: pricer=%d model=%d",
+								n, factors, kind, size, ranks, got, want)
+						}
 					}
 				}
 			}

@@ -1,7 +1,7 @@
-// HierPricer: the hierarchical multi-tier pricing backend. It binds any
-// topology.Fabric — NVLink-domain racks, leaf/spine networks, degraded
-// fabrics — and prices a collective either at the bottleneck tier the group
-// spans (NCCL's flat ring/tree, the calibration-compatible default) or as a
+// HierPricer: the multi-tier pricing backend. It binds any topology.Fabric
+// — the two-tier H100 testbed, NVLink-domain racks, leaf/spine networks,
+// degraded fabrics — and prices a collective either at the bottleneck tier
+// the group spans (NCCL's flat ring/tree, the calibrated default) or as a
 // per-tier phase composition (NCCL's hierarchical algorithms: reduce-scatter
 // and all-gather inside each domain at domain bandwidth, a ring across
 // domain leaders at the spanning tier).
@@ -17,10 +17,8 @@ type Compose uint8
 
 const (
 	// ComposeBottleneck prices a collective as one ring/tree pass at the
-	// outermost tier the group spans. This is NCCL's default flat algorithm
-	// family and reproduces the flat alpha-beta Model bit-for-bit on a
-	// two-tier fabric with the same link parameters, so calibrated
-	// predictions carry over unchanged.
+	// outermost tier the group spans: NCCL's default flat algorithm family,
+	// and the model every prediction is calibrated under.
 	ComposeBottleneck Compose = iota
 	// ComposePhased composes per-tier phases: payload is reduce-scattered
 	// inside each innermost domain at domain bandwidth, exchanged across
@@ -42,8 +40,8 @@ type HierPricer struct {
 	Compose Compose
 }
 
-// NewPricer returns a bottleneck-composed hierarchical pricer with the same
-// NCCL-like constants as the flat Model.
+// NewPricer returns the default pricer for a fabric: bottleneck-composed,
+// with NCCL-like constants (6 µs launch overhead, 88% bus efficiency).
 func NewPricer(f topology.Fabric) *HierPricer {
 	return &HierPricer{Fabric: f, LaunchOverhead: 6_000, BusEfficiency: 0.88}
 }
@@ -56,48 +54,6 @@ func NewPhasedPricer(f topology.Fabric) *HierPricer {
 	return p
 }
 
-// Degraded returns a copy of the pricer whose fabric tiers have bandwidth
-// scaled by the given factors (see topology.Degrade). Factor 1.0 is the
-// identity; NaN, zero, negative, and infinite factors are rejected at
-// construction.
-func (h *HierPricer) Degraded(factors ...float64) (*HierPricer, error) {
-	f, err := topology.Degrade(h.Fabric, factors...)
-	if err != nil {
-		return nil, err
-	}
-	cp := *h
-	cp.Fabric = f
-	return &cp, nil
-}
-
-// Degraded returns a copy of the flat model with the cluster's two tiers'
-// bandwidth scaled by the given factors (the last factor extends outward).
-// Factor 1.0 is the identity; NaN, zero, negative, and infinite factors are
-// rejected at construction.
-func (m *Model) Degraded(factors ...float64) (*Model, error) {
-	if err := topology.ValidateDegradeFactors(factors); err != nil {
-		return nil, err
-	}
-	cp := *m
-	if len(factors) == 0 {
-		return &cp, nil
-	}
-	// Per-tier mapping, matching topology.Degrade: tier 0 takes factors[0],
-	// tier 1 takes factors[1] (or factors[0] when only one is given).
-	intra := factors[0]
-	inter := factors[0]
-	if len(factors) > 1 {
-		inter = factors[1]
-	}
-	if intra != 1 {
-		cp.Cluster.IntraNodeBW *= intra
-	}
-	if inter != 1 {
-		cp.Cluster.InterNodeBW *= inter
-	}
-	return &cp, nil
-}
-
 // tierParams resolves tier l's effective bandwidth (bytes/ns) and latency.
 func (h *HierPricer) tierParams(l int) (bw, lat float64) {
 	link := h.Fabric.Tier(l)
@@ -108,8 +64,7 @@ func (h *HierPricer) tierParams(l int) (bw, lat float64) {
 func (h *HierPricer) Cost(kind trace.CommKind, bytes int64, ranks []int) trace.Dur {
 	if kind == trace.CommSend || kind == trace.CommRecv {
 		// A p2p transfer is src→dst regardless of extra metadata ranks;
-		// degenerate metadata prices a default neighbor transfer, exactly
-		// as the flat model does.
+		// degenerate metadata prices a default neighbor transfer.
 		if len(ranks) >= 2 {
 			ranks = ranks[:2]
 		} else {

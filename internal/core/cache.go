@@ -45,7 +45,9 @@ import (
 // v3: sweep fabric/degrade rows and plan points share one pricing path —
 // every collective scaled by target/campaign cost and the replay anchored
 // to the synthesized iteration — so both kinds of answer changed.
-const CacheSchemaVersion = "lumos-cache-v3"
+// v4: the flat H100 preset is a two-tier HierFabric priced by HierPricer,
+// so its fabric and pricer fingerprints changed; no answer did.
+const CacheSchemaVersion = "lumos-cache-v4"
 
 // WithDiskCache enables the disk-backed scenario and calibration cache
 // rooted at dir (created on first use). Campaigns and predictions
@@ -88,8 +90,8 @@ func (tk *Toolkit) DiskCacheStats() (scache.Stats, bool) {
 }
 
 // fabricFingerprint renders a fabric's full value deterministically. All
-// fabric implementations are value types (Cluster, HierFabric, degraded
-// wrappers over them), so %+v has no pointer dependence.
+// fabric implementations are value types (HierFabric and degraded wrappers
+// over it), so %+v has no pointer dependence.
 func fabricFingerprint(f topology.Fabric) string {
 	return fmt.Sprintf("%T|%+v", f, f)
 }

@@ -5,7 +5,7 @@
 //
 // Typical use:
 //
-//	tk := core.New(core.WithCluster(topology.H100Cluster(64)))
+//	tk := core.New(core.WithFabric(topology.H100Cluster(64)))
 //	traces, _ := tk.Profile(ctx, cfg, 42)         // or load Kineto JSON
 //	g, _ := tk.BuildGraph(ctx, traces)
 //	rep, _ := tk.Replay(ctx, g)                   // replayed execution
@@ -43,13 +43,12 @@ import (
 // Options carries a toolkit's resolved configuration. Construct toolkits
 // with New and functional options.
 type Options struct {
-	// Fabric is the interconnect model used for profiling and prediction —
-	// a flat two-tier topology.Cluster or any hierarchical Fabric. Nil (or
-	// a zero Cluster) selects an H100 cluster sized on demand.
+	// Fabric is the interconnect model used for profiling and prediction.
+	// Nil selects the paper's H100 testbed (topology.H100Cluster) sized on
+	// demand.
 	Fabric topology.Fabric
 	// Pricer builds the collective pricing backend for a fabric. Nil
-	// selects the fabric's default (the calibrated flat alpha-beta model
-	// for two-tier clusters, the hierarchical pricer otherwise).
+	// selects collective.NewPricer.
 	Pricer func(topology.Fabric) collective.Pricer
 	// Graph overrides execution-graph construction options.
 	Graph *execgraph.BuildOptions
@@ -80,12 +79,6 @@ type Options struct {
 
 // Option configures a Toolkit.
 type Option func(*Options)
-
-// WithCluster sets a flat two-tier fabric model used for profiling and
-// prediction.
-func WithCluster(c topology.Cluster) Option {
-	return func(o *Options) { o.Fabric = c }
-}
 
 // WithFabric sets the interconnect model used for profiling and prediction:
 // any topology.Fabric, e.g. topology.NVLDomainFabric or an oversubscribed
@@ -169,6 +162,10 @@ type Toolkit struct {
 	// deterministic snapshots at rest stay byte-identical.
 	workersBusy atomic.Int64
 	queueDepth  atomic.Int64
+
+	// boundViolations sums planner.Stats.BoundViolations over every plan
+	// this toolkit ran.
+	boundViolations atomic.Int64
 
 	// cacheOnce lazily opens the disk cache configured by CacheDir; every
 	// campaign and prediction on this toolkit shares one handle.
@@ -280,10 +277,11 @@ func (tk *Toolkit) Close() error {
 }
 
 // RegisterMetrics exposes the toolkit's counters — profiling runs,
-// calibrations, replay-engine activity, and (when configured) the disk
-// cache — through the registry as snapshot-time collectors. The collectors
-// read the exact same atomics Counters/EngineStats/DiskCacheStats report,
-// so a /metrics scrape and the Go API can never disagree.
+// calibrations, replay-engine activity, planner bound violations, and
+// (when configured) the disk cache — through the registry as snapshot-time
+// collectors. The collectors read the exact same atomics
+// Counters/EngineStats/DiskCacheStats report, so a /metrics scrape and the
+// Go API can never disagree.
 func (tk *Toolkit) RegisterMetrics(r *obs.Registry) {
 	if r == nil {
 		return
@@ -298,6 +296,7 @@ func (tk *Toolkit) RegisterMetrics(r *obs.Registry) {
 			{Name: "lumos_engine_runs_total", Kind: obs.KindCounter, Help: "Replay simulations run on the compiled engine.", Value: float64(runs)},
 			{Name: "lumos_sweep_workers_busy", Kind: obs.KindGauge, Help: "Sweep worker-pool occupancy: scenarios being evaluated right now.", Value: float64(tk.workersBusy.Load())},
 			{Name: "lumos_sweep_queue_depth", Kind: obs.KindGauge, Help: "Scenarios dispatched to the sweep worker pool but not yet picked up.", Value: float64(tk.queueDepth.Load())},
+			{Name: "lumos_planner_bound_violations_total", Kind: obs.KindCounter, Help: "Simulated plan points whose analytic bound exceeded their simulated iteration time.", Value: float64(tk.boundViolations.Load())},
 		}
 		if st, ok := tk.DiskCacheStats(); ok {
 			samples = append(samples,
@@ -336,9 +335,6 @@ func (tk *Toolkit) fabricFor(world int) topology.Fabric {
 	if f == nil {
 		return topology.H100Cluster(world)
 	}
-	if c, ok := f.(topology.Cluster); ok && c.GPUsPerNode == 0 {
-		return topology.H100Cluster(world)
-	}
 	if f.Capacity() < world {
 		f = f.WithCapacity(world)
 	}
@@ -350,7 +346,7 @@ func (tk *Toolkit) pricerFor(f topology.Fabric) collective.Pricer {
 	if tk.opts.Pricer != nil {
 		return tk.opts.Pricer(f)
 	}
-	return collective.For(f)
+	return collective.NewPricer(f)
 }
 
 func (tk *Toolkit) graphOpts() execgraph.BuildOptions {

@@ -275,5 +275,10 @@ func (tk *Toolkit) PlanState(ctx context.Context, st *BaseState, space planner.S
 	if tr != nil {
 		opts = append([]planner.Option{planner.WithTracer(tr)}, opts...)
 	}
-	return planner.Plan(ctx, st.Config, space, st.Fabric, tk.opts.Pricer, sim, opts...)
+	res, err := planner.Plan(ctx, st.Config, space, st.Fabric, tk.opts.Pricer, sim, opts...)
+	if err != nil {
+		return nil, err
+	}
+	tk.boundViolations.Add(int64(res.Stats.BoundViolations))
+	return res, nil
 }

@@ -198,8 +198,8 @@ func synthesizeOn(t *testing.T, st *BaseState, target parallel.Config, f topolog
 	cfg.Fabric = f
 	cfg.Oracle = &ratioPredictor{
 		Predictor: manip.Predictor{Lib: st.Library, Fitted: st.Fitted},
-		target:    collective.For(f),
-		campaign:  collective.For(campaign),
+		target:    collective.NewPricer(f),
+		campaign:  collective.NewPricer(campaign),
 	}
 	cfg.ComputeJitterSigma, cfg.CommJitterSigma, cfg.CPUJitterSigma, cfg.RankSkewSigma = 0, 0, 0, 0
 	cfg.OverlapComputeSlowdown, cfg.OverlapCommSlowdown = 1, 1

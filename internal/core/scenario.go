@@ -530,7 +530,7 @@ func (b *BaseState) pricerFor(f topology.Fabric) collective.Pricer {
 	if b.tk != nil {
 		return b.tk.pricerFor(f)
 	}
-	return collective.For(f)
+	return collective.NewPricer(f)
 }
 
 // fabricScenario re-predicts the base deployment on a different (or

@@ -47,23 +47,15 @@ type Oracle struct {
 	KernelOverhead float64
 
 	// Collectives prices communication kernels; any collective.Pricer
-	// backend (flat alpha-beta, hierarchical, degraded) plugs in here.
+	// backend (bottleneck or phased, on any fabric) plugs in here.
 	Collectives collective.Pricer
 }
 
-// NewOracle returns an H100-class oracle over the given cluster, pricing
-// collectives with the flat alpha-beta model.
-func NewOracle(c topology.Cluster) *Oracle {
-	return NewOracleFabric(c, nil)
-}
-
-// NewOracleFabric returns an H100-class oracle over an arbitrary fabric.
-// pricer overrides the collective backend; nil selects the fabric's default
-// (the flat Model for a two-tier Cluster, the hierarchical pricer
-// otherwise).
+// NewOracleFabric returns an H100-class oracle over a fabric. pricer
+// overrides the collective backend; nil selects collective.NewPricer.
 func NewOracleFabric(f topology.Fabric, pricer collective.Pricer) *Oracle {
 	if pricer == nil {
-		pricer = collective.For(f)
+		pricer = collective.NewPricer(f)
 	}
 	o := NewDeviceOracle()
 	o.Collectives = pricer
@@ -207,10 +199,9 @@ func payloadCoef(kind trace.CommKind, n int) float64 {
 }
 
 // Fit calibrates a predictor from one or more collected multi-rank traces
-// over the given fabric (a flat topology.Cluster or any hierarchical
-// Fabric). fallback (usually an Oracle) prices families absent from the
-// traces; it may be nil, in which case unseen families get a conservative
-// constant.
+// over the given fabric. fallback (usually an Oracle) prices families
+// absent from the traces; it may be nil, in which case unseen families get
+// a conservative constant.
 func Fit(traces []*trace.Multi, fabric topology.Fabric, fallback Predictor) (*Fitted, error) {
 	f := &Fitted{
 		fabric:   fabric,

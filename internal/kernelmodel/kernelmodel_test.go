@@ -8,7 +8,7 @@ import (
 	"lumos/internal/trace"
 )
 
-func oracle() *Oracle { return NewOracle(topology.H100Cluster(64)) }
+func oracle() *Oracle { return NewOracleFabric(topology.H100Cluster(64), nil) }
 
 func TestOracleGEMMThroughput(t *testing.T) {
 	o := oracle()
@@ -61,7 +61,7 @@ func TestOracleMonotone(t *testing.T) {
 
 // synthTraces builds a multi-rank trace with kernels priced by a known
 // generator, to verify the fit recovers it.
-func synthTraces(o *Oracle, c topology.Cluster) *trace.Multi {
+func synthTraces(o *Oracle, c topology.Fabric) *trace.Multi {
 	m := trace.NewMulti(4)
 	corr := int64(1)
 	addCompute := func(rank int, class trace.KernelClass, flops, bytes int64) {
@@ -98,7 +98,7 @@ func synthTraces(o *Oracle, c topology.Cluster) *trace.Multi {
 
 func TestFitRecoversGenerator(t *testing.T) {
 	c := topology.H100Cluster(8)
-	o := NewOracle(c)
+	o := NewOracleFabric(c, nil)
 	m := synthTraces(o, c)
 	fit, err := Fit([]*trace.Multi{m}, c, o)
 	if err != nil {
@@ -135,7 +135,7 @@ func TestFitExtrapolatesGroupSize(t *testing.T) {
 	// The alpha-beta structure lets the fit predict an 8-rank collective
 	// from 4-rank samples; the ring coefficient does the extrapolation.
 	c := topology.H100Cluster(8)
-	o := NewOracle(c)
+	o := NewOracleFabric(c, nil)
 	m := synthTraces(o, c)
 	fit, err := Fit([]*trace.Multi{m}, c, o)
 	if err != nil {
@@ -152,7 +152,7 @@ func TestFitExtrapolatesGroupSize(t *testing.T) {
 
 func TestFitFallsBackForUnseenFamilies(t *testing.T) {
 	c := topology.H100Cluster(8)
-	o := NewOracle(c)
+	o := NewOracleFabric(c, nil)
 	m := synthTraces(o, c)
 	fit, err := Fit([]*trace.Multi{m}, c, o)
 	if err != nil {
@@ -171,7 +171,7 @@ func TestFitFallsBackForUnseenFamilies(t *testing.T) {
 
 func TestFitWithNoFallback(t *testing.T) {
 	c := topology.H100Cluster(8)
-	m := synthTraces(NewOracle(c), c)
+	m := synthTraces(NewOracleFabric(c, nil), c)
 	fit, err := Fit([]*trace.Multi{m}, c, nil)
 	if err != nil {
 		t.Fatal(err)

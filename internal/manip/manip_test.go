@@ -200,9 +200,9 @@ func TestPredictorCounters(t *testing.T) {
 	}
 }
 
-func mustFit(t *testing.T, m *trace.Multi, c topology.Cluster) *kernelmodel.Fitted {
+func mustFit(t *testing.T, m *trace.Multi, c topology.Fabric) *kernelmodel.Fitted {
 	t.Helper()
-	f, err := kernelmodel.Fit([]*trace.Multi{m}, c, kernelmodel.NewOracle(c))
+	f, err := kernelmodel.Fit([]*trace.Multi{m}, c, kernelmodel.NewOracleFabric(c, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

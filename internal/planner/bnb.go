@@ -31,7 +31,9 @@ import (
 // BranchAndBound is the exact bound-first strategy. Unlike Beam and
 // SuccessiveHalving it is not a heuristic: it returns the same best point
 // as Exhaustive while simulating only the points whose admissible lower
-// bound does not exceed the running incumbent.
+// bound does not exceed the running incumbent. Only the best point is
+// exact: its frontier is the non-dominated subset of the points it
+// simulated, not the space's Pareto frontier.
 type BranchAndBound struct {
 	// Batch is how many queue heads are promoted per simulation round —
 	// the concurrency the sweep engine's worker pool sees. Zero selects 4.

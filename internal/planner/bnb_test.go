@@ -26,6 +26,51 @@ func admissibleSim() *fakeSim {
 	return s
 }
 
+// TestBoundViolationsCounted checks the runtime admissibility check: a
+// simulator that undershoots the bound on known points trips
+// Stats.BoundViolations exactly once per such point, however often a
+// strategy re-submits it, and an admissible simulator reads zero.
+func TestBoundViolationsCounted(t *testing.T) {
+	base := baseCfg(t)
+	for _, s := range []Space{space(), bnbSpace()} {
+		for _, strat := range []Strategy{Exhaustive{}, BranchAndBound{}, SuccessiveHalving{}} {
+			if res := plan(t, base, s, admissibleSim(), WithStrategy(strat)); res.Stats.BoundViolations != 0 {
+				t.Fatalf("%s: admissible simulator tripped %d bound violations", strat.Name(), res.Stats.BoundViolations)
+			}
+		}
+	}
+
+	// Undershoot the bound by 1 ns on every third feasible point; the rest
+	// simulate exactly at their bound, which is admissible.
+	ex := plan(t, base, space(), admissibleSim(), WithStrategy(Exhaustive{}))
+	under := map[string]bool{}
+	for i, e := range append(append([]Evaluated{}, ex.Frontier...), ex.Dominated...) {
+		if i%3 == 0 {
+			under[e.Point.Key()] = true
+		}
+	}
+	for _, strat := range []Strategy{Exhaustive{}, SuccessiveHalving{}} {
+		sim := newFakeSim()
+		sim.perturb = func(c Candidate) trace.Dur {
+			if under[c.Point.Key()] {
+				return c.Bound - 1
+			}
+			return c.Bound
+		}
+		res := plan(t, base, space(), sim, WithStrategy(strat))
+		want := 0
+		for k := range under {
+			if sim.unique[k] > 0 {
+				want++
+			}
+		}
+		if want == 0 || res.Stats.BoundViolations != want {
+			t.Fatalf("%s: %d bound violations, want %d (of %d undershooting points)",
+				strat.Name(), res.Stats.BoundViolations, want, len(under))
+		}
+	}
+}
+
 // bnbSpace stresses every rejection path: an out-of-scope TP slice, an
 // unknown schedule name, schedules with per-mapping validity rules, and
 // the microbatch axis the subtree nodes hold lazily.

@@ -52,8 +52,8 @@ type Bounder struct {
 	// Fabric is the campaign's bound interconnect, used by points that do
 	// not override it.
 	Fabric topology.Fabric
-	// Pricer builds the collective backend for a fabric; nil selects the
-	// fabric's default.
+	// Pricer builds the collective backend for a fabric; nil selects
+	// collective.NewPricer.
 	Pricer func(topology.Fabric) collective.Pricer
 	// Mem is the memory-feasibility model.
 	Mem memcost.Model
@@ -158,7 +158,7 @@ func (b *Bounder) resolveFabric(p Point) (topology.Fabric, collective.Pricer, er
 	if b.Pricer != nil {
 		pricer = b.Pricer(f)
 	} else {
-		pricer = collective.For(f)
+		pricer = collective.NewPricer(f)
 	}
 	return f, pricer, nil
 }

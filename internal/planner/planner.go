@@ -529,15 +529,25 @@ type Stats struct {
 	// shared execution graph (same slot DAG, different durations) instead
 	// of synthesizing and binding their own.
 	SharedStructure int
+	// BoundViolations counts simulated points whose analytic bound exceeded
+	// their simulated iteration time. Bound pruning is exact only while
+	// the bound is admissible, so a nonzero count means a pruned subtree
+	// may have held a faster point.
+	BoundViolations int
 }
 
-// Result is a completed plan: the Pareto frontier over (iteration time,
-// GPU count, peak memory), dominated simulated points ranked by iteration
-// time, and the analytically rejected points with their reasons.
+// Result is a completed plan: the simulated points that no other simulated
+// point dominates over (iteration time, GPU count, peak memory), the
+// dominated simulated points ranked by iteration time, and the
+// analytically rejected points with their reasons. Only Exhaustive
+// simulates every feasible point, so only its Frontier is the space's
+// Pareto frontier. BranchAndBound's best point is exact, but it prunes on
+// iteration time alone, so its Frontier can miss a slower point that uses
+// fewer GPUs or less memory.
 type Result struct {
 	// Strategy names the search that produced the result.
 	Strategy string
-	// Frontier holds the non-dominated points, fastest first.
+	// Frontier holds the non-dominated simulated points, fastest first.
 	Frontier []Evaluated
 	// Dominated holds simulated feasible points not on the frontier,
 	// ranked by iteration time.
@@ -585,7 +595,8 @@ func Plan(ctx context.Context, base parallel.Config, space Space,
 
 	// The engine meters the strategy's use of the simulator: unique points
 	// promoted, total requests (the difference hit the scenario cache),
-	// batch rounds, and structure sharing among fresh points.
+	// batch rounds, and structure sharing and bound violations among fresh
+	// points.
 	seen := map[string]bool{}
 	metered := func(ctx context.Context, cands []Candidate) ([]Outcome, error) {
 		stats.Rounds++
@@ -600,9 +611,15 @@ func Plan(ctx context.Context, base parallel.Config, space Space,
 		}
 		outs, err := sim(ctx, cands)
 		if err == nil {
-			for i := range cands {
-				if fresh[i] && i < len(outs) && outs[i].SharedStructure {
+			for i, c := range cands {
+				if !fresh[i] || i >= len(outs) {
+					continue
+				}
+				if outs[i].SharedStructure {
 					stats.SharedStructure++
+				}
+				if outs[i].Err == "" && c.Bound > outs[i].Iteration {
+					stats.BoundViolations++
 				}
 			}
 			if o.Explain != nil {

@@ -344,6 +344,7 @@ type PlanStats struct {
 	BoundPruned       int `json:"bound_pruned,omitempty"`
 	DominatedPruned   int `json:"dominated_pruned,omitempty"`
 	SharedStructure   int `json:"shared_structure,omitempty"`
+	BoundViolations   int `json:"bound_violations,omitempty"`
 	DominatedRetained int `json:"dominated_retained"`
 }
 

@@ -38,8 +38,14 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("sweep = %d: %s", rec.Code, rec.Body.String())
 	}
 	planReq := PlanRequest{Profile: "fig7", PPRange: []int{1, 2}, MBRange: []int{4, 8}, Strategy: "bnb"}
-	if rec := do(t, s, "POST", "/v1/plan", planReq); rec.Code != http.StatusOK {
+	rec := do(t, s, "POST", "/v1/plan", planReq)
+	if rec.Code != http.StatusOK {
 		t.Fatalf("plan = %d: %s", rec.Code, rec.Body.String())
+	}
+	// The admissible bound holds on the fig7 profile, so the violation
+	// count is zero and stays out of the response body.
+	if strings.Contains(rec.Body.String(), "bound_violations") {
+		t.Errorf("plan response reports bound violations: %s", rec.Body.String())
 	}
 
 	body := metricsBody(t, s)
@@ -55,6 +61,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"lumosd_sweeps_total 1",
 		"lumosd_plans_total 1",
 		"# TYPE lumos_engine_runs_total counter",
+		"lumos_planner_bound_violations_total 0",
 		`lumos_memo_hits_total{profile="fig7"}`,
 		"lumos_scache_puts_total",
 	} {

@@ -667,6 +667,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			BoundPruned:       res.Stats.BoundPruned,
 			DominatedPruned:   res.Stats.DominatedPruned,
 			SharedStructure:   res.Stats.SharedStructure,
+			BoundViolations:   res.Stats.BoundViolations,
 			DominatedRetained: len(res.Dominated),
 		},
 	}

@@ -280,6 +280,10 @@ func TestRequestValidation(t *testing.T) {
 		{"plan bad strategy", "/v1/plan", PlanRequest{Profile: "fig7", Strategy: "quantum"}, http.StatusBadRequest},
 		{"plan bad zero", "/v1/plan", PlanRequest{Profile: "fig7", ZeRO: 3}, http.StatusBadRequest},
 		{"plan bad fabric", "/v1/plan", PlanRequest{Profile: "fig7", Fabrics: []string{"warpdrive"}}, http.StatusBadRequest},
+		{"sweep infinite oversubscription", "/v1/sweep", SweepRequest{Profile: "fig7", Fabrics: []string{"spineinf"}}, http.StatusBadRequest},
+		{"sweep NaN oversubscription", "/v1/sweep", SweepRequest{Profile: "fig7", Fabrics: []string{"spineNaN"}}, http.StatusBadRequest},
+		{"plan infinite oversubscription", "/v1/plan", PlanRequest{Profile: "fig7", Fabrics: []string{"spine+Inf"}}, http.StatusBadRequest},
+		{"plan spine below the bandwidth floor", "/v1/plan", PlanRequest{Profile: "fig7", Fabrics: []string{"spine1e12"}}, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		if rec := do(t, s, "POST", c.path, c.body); rec.Code != c.want {

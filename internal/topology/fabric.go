@@ -1,11 +1,11 @@
 // Fabric: the hierarchical network-topology abstraction. A Fabric is a
 // sequence of tiers — innermost (fastest, smallest domains) to outermost —
 // each describing the per-GPU bandwidth and per-hop latency of one level of
-// the interconnect: NVLink domain, rail/leaf switch, spine. The flat
-// two-tier Cluster is one implementation; HierFabric models arbitrary
-// hierarchies (NVL72-class NVLink domains, rail-optimized or oversubscribed
-// leaf/spine networks); Degrade wraps any fabric with per-tier bandwidth
-// scaling for degraded-link what-ifs.
+// the interconnect: NVLink domain, rail/leaf switch, spine. HierFabric
+// models every hierarchy — the paper's flat two-tier testbed
+// (H100Cluster), NVL72-class NVLink domains, rail-optimized or
+// oversubscribed leaf/spine networks — and Degrade wraps any fabric with
+// per-tier bandwidth scaling for degraded-link what-ifs.
 package topology
 
 import (
@@ -13,6 +13,17 @@ import (
 	"math"
 	"strings"
 )
+
+// MinLinkBW is the slowest per-GPU link bandwidth, in bytes/sec, that a
+// fabric tier may have (1 MB/s), degraded tiers included. Slower links are
+// not physical, and their collective prices leave trace.Dur's int64 range:
+// at the floor a 1 TiB all-reduce prices at ≈2.5e15 ns, over 3,000× below
+// the 9.2e18 ns limit.
+const MinLinkBW = 1e6
+
+// MaxLinkLatency is the largest per-hop latency, in nanoseconds, that a
+// fabric tier may have (1 s).
+const MaxLinkLatency = 1e9
 
 // Link is one fabric tier's per-GPU link parameters.
 type Link struct {
@@ -44,55 +55,10 @@ type Fabric interface {
 	// TierSize returns the number of consecutive ranks per domain at tier l;
 	// the outermost tier covers the whole fabric.
 	TierSize(l int) int
-	// Validate rejects non-physical fabrics (non-positive bandwidths,
-	// domain sizes that do not nest) at construction time.
+	// Validate rejects non-physical fabrics (links below MinLinkBW or
+	// beyond MaxLinkLatency, domain sizes that do not nest) at
+	// construction time.
 	Validate() error
-}
-
-// --- Cluster as a two-tier Fabric ------------------------------------------
-
-// FabricName implements Fabric.
-func (c Cluster) FabricName() string { return "flat" }
-
-// Capacity implements Fabric.
-func (c Cluster) Capacity() int { return c.NumGPUs }
-
-// WithCapacity implements Fabric, growing the cluster to whole nodes.
-func (c Cluster) WithCapacity(n int) Fabric {
-	if n > c.NumGPUs {
-		if c.GPUsPerNode > 0 {
-			n = (n + c.GPUsPerNode - 1) / c.GPUsPerNode * c.GPUsPerNode
-		}
-		c.NumGPUs = n
-	}
-	return c
-}
-
-// Tiers implements Fabric: NVLink inside a node, the network across.
-func (c Cluster) Tiers() int { return 2 }
-
-// Tier implements Fabric.
-func (c Cluster) Tier(l int) Link {
-	if l == 0 {
-		return Link{BW: c.IntraNodeBW, Latency: c.IntraNodeLatency}
-	}
-	return Link{BW: c.InterNodeBW, Latency: c.InterNodeLatency}
-}
-
-// TierOf implements Fabric.
-func (c Cluster) TierOf(ranks []int) int {
-	if c.SameNode(ranks) {
-		return 0
-	}
-	return 1
-}
-
-// TierSize implements Fabric.
-func (c Cluster) TierSize(l int) int {
-	if l == 0 {
-		return c.GPUsPerNode
-	}
-	return c.NumGPUs
 }
 
 // --- HierFabric -------------------------------------------------------------
@@ -199,11 +165,8 @@ func (h HierFabric) Validate() error {
 	}
 	prev := 0
 	for i, lv := range h.Levels {
-		if !(lv.BW > 0) { // NaN-rejecting
-			return fmt.Errorf("topology: fabric %q tier %d (%s): bandwidth must be positive, got %g", h.Name, i, lv.Name, lv.BW)
-		}
-		if !(lv.Latency >= 0) {
-			return fmt.Errorf("topology: fabric %q tier %d (%s): negative latency %g", h.Name, i, lv.Name, lv.Latency)
+		if err := checkLink(Link{BW: lv.BW, Latency: lv.Latency}); err != nil {
+			return fmt.Errorf("topology: fabric %q tier %d (%s): %w", h.Name, i, lv.Name, err)
 		}
 		if lv.GPUs == 0 {
 			if i != len(h.Levels)-1 {
@@ -222,7 +185,44 @@ func (h HierFabric) Validate() error {
 	return nil
 }
 
+// checkLink rejects a non-physical tier: a bandwidth below MinLinkBW or
+// not finite, or a latency outside [0, MaxLinkLatency]. The comparisons
+// are written NaN-rejecting.
+func checkLink(lk Link) error {
+	if !(lk.BW >= MinLinkBW) || math.IsInf(lk.BW, 1) {
+		return fmt.Errorf("bandwidth %g B/s must be finite and at least %g B/s", lk.BW, MinLinkBW)
+	}
+	if !(lk.Latency >= 0 && lk.Latency <= MaxLinkLatency) {
+		return fmt.Errorf("latency %g ns must lie in [0, %g]", lk.Latency, MaxLinkLatency)
+	}
+	return nil
+}
+
 // --- Presets ----------------------------------------------------------------
+
+// H100Cluster returns the paper's testbed as a two-tier fabric named
+// "flat": nodes of 8 H100s joined by NVLink 4 (~450 GB/s effective per
+// direction, derated), and one RoCE tier with 400 Gbps per GPU. The result
+// always validates: fewer than 8 GPUs live in one partially filled node
+// (the node size stays 8, so later capacity growth keeps real 8-GPU NVLink
+// servers), and larger counts round up to whole nodes.
+func H100Cluster(numGPUs int) HierFabric {
+	const gpn = 8
+	switch {
+	case numGPUs < 1:
+		numGPUs = gpn
+	case numGPUs > gpn:
+		numGPUs = (numGPUs + gpn - 1) / gpn * gpn
+	}
+	return HierFabric{
+		Name:    "flat",
+		NumGPUs: numGPUs,
+		Levels: []Level{
+			{Name: "nvlink", GPUs: gpn, BW: 360e9, Latency: 4_000}, // 450 GB/s peak derated to ~80% achievable
+			{Name: "network", GPUs: 0, BW: 42e9, Latency: 12_000},  // 50 GB/s peak derated for RoCE/ECMP effects
+		},
+	}
+}
 
 // NVLDomainFabric models an NVL72-class deployment: rack-scale NVLink
 // domains of 72 GPUs (GB200 NVL72 switch trays, ~900 GB/s peak per GPU
@@ -271,21 +271,6 @@ func OversubscribedFabric(numGPUs int, factor float64) HierFabric {
 	}
 }
 
-// TwoTierFabric is the HierFabric view of a flat two-tier Cluster, with
-// identical tier structure and link parameters. It exists so the
-// hierarchical pricing path can be checked bit-for-bit against the flat
-// alpha-beta model on the same topology.
-func TwoTierFabric(c Cluster) HierFabric {
-	return HierFabric{
-		Name:    "flat-2tier",
-		NumGPUs: c.NumGPUs,
-		Levels: []Level{
-			{Name: "nvlink", GPUs: c.GPUsPerNode, BW: c.IntraNodeBW, Latency: c.IntraNodeLatency},
-			{Name: "network", GPUs: 0, BW: c.InterNodeBW, Latency: c.InterNodeLatency},
-		},
-	}
-}
-
 // --- Degradation ------------------------------------------------------------
 
 // degraded wraps a fabric with per-tier bandwidth scaling.
@@ -294,10 +279,10 @@ type degraded struct {
 	factors []float64
 }
 
-// ValidateDegradeFactors rejects non-physical per-tier bandwidth factors:
+// validateDegradeFactors rejects non-physical per-tier bandwidth factors:
 // NaN, zero, negative, and +Inf values all turn into silent nonsense prices
 // downstream, so they are refused before a degraded fabric can exist.
-func ValidateDegradeFactors(factors []float64) error {
+func validateDegradeFactors(factors []float64) error {
 	for i, s := range factors {
 		if !(s > 0) || math.IsInf(s, 1) { // NaN-rejecting
 			return fmt.Errorf("topology: degradation factor %d is %g, must be a positive finite value", i, s)
@@ -311,10 +296,11 @@ func ValidateDegradeFactors(factors []float64) error {
 // "degraded links" what-if: Degrade(f, 1, 0.5) halves everything beyond the
 // innermost domain, Degrade(f, 0.5) halves every link. A factor of 1.0 is
 // the identity; if every factor is 1 the fabric is returned unwrapped.
-// NaN, zero, negative, and infinite factors are rejected at construction —
-// a bad factor never reaches a pricer.
+// NaN, zero, negative, and infinite factors are rejected at construction,
+// and so is a factor that drops any tier below MinLinkBW — a bad factor
+// never reaches a pricer.
 func Degrade(f Fabric, factors ...float64) (Fabric, error) {
-	if err := ValidateDegradeFactors(factors); err != nil {
+	if err := validateDegradeFactors(factors); err != nil {
 		return nil, err
 	}
 	ident := true
@@ -327,7 +313,11 @@ func Degrade(f Fabric, factors ...float64) (Fabric, error) {
 	if ident {
 		return f, nil
 	}
-	return degraded{base: f, factors: factors}, nil
+	d := degraded{base: f, factors: factors}
+	if err := d.checkTiers(); err != nil {
+		return nil, err
+	}
+	return d, nil
 }
 
 // MustDegrade is Degrade for statically known factors; it panics on factors
@@ -387,11 +377,25 @@ func (d degraded) TierOf(ranks []int) int { return d.base.TierOf(ranks) }
 // TierSize implements Fabric.
 func (d degraded) TierSize(l int) int { return d.base.TierSize(l) }
 
-// Validate implements Fabric. Factors were already rejected at
-// construction; re-checking keeps hand-built degraded values honest.
+// checkTiers rejects a degradation that leaves any tier non-physical.
+func (d degraded) checkTiers() error {
+	for l := 0; l < d.Tiers(); l++ {
+		if err := checkLink(d.Tier(l)); err != nil {
+			return fmt.Errorf("topology: fabric %q tier %d: %w", d.FabricName(), l, err)
+		}
+	}
+	return nil
+}
+
+// Validate implements Fabric. Factors and degraded tiers were already
+// rejected at construction; re-checking keeps hand-built degraded values
+// honest.
 func (d degraded) Validate() error {
-	if err := ValidateDegradeFactors(d.factors); err != nil {
+	if err := validateDegradeFactors(d.factors); err != nil {
 		return err
 	}
-	return d.base.Validate()
+	if err := d.base.Validate(); err != nil {
+		return err
+	}
+	return d.checkTiers()
 }

@@ -7,34 +7,55 @@ import (
 	"testing/quick"
 )
 
+// TestClusterValidate checks Validate on the flat preset: the testbed
+// validates, and each corruption of one of its fields is rejected.
 func TestClusterValidate(t *testing.T) {
 	good := H100Cluster(64)
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid cluster rejected: %v", err)
 	}
-	cases := map[string]func(c Cluster) Cluster{
-		"zero GPUsPerNode":   func(c Cluster) Cluster { c.GPUsPerNode = 0; return c },
-		"zero NumGPUs":       func(c Cluster) Cluster { c.NumGPUs = 0; return c },
-		"ragged last node":   func(c Cluster) Cluster { c.NumGPUs = 12; return c },
-		"zero intra BW":      func(c Cluster) Cluster { c.IntraNodeBW = 0; return c },
-		"negative inter BW":  func(c Cluster) Cluster { c.InterNodeBW = -1; return c },
-		"negative intra lat": func(c Cluster) Cluster { c.IntraNodeLatency = -1; return c },
-		"negative inter lat": func(c Cluster) Cluster { c.InterNodeLatency = -5; return c },
-		"indivisible counts": func(c Cluster) Cluster { c.GPUsPerNode = 7; return c },
+	// corrupt edits a copy of tier l; good's Levels stay untouched.
+	corrupt := func(l int, edit func(*Level)) HierFabric {
+		h := good
+		h.Levels = append([]Level(nil), good.Levels...)
+		edit(&h.Levels[l])
+		return h
 	}
-	for name, corrupt := range cases {
-		if err := corrupt(good).Validate(); err == nil {
+	zeroGPUs := good
+	zeroGPUs.NumGPUs = 0
+	cases := map[string]HierFabric{
+		"zero GPUsPerNode":      corrupt(0, func(lv *Level) { lv.GPUs = 0 }),
+		"zero NumGPUs":          zeroGPUs,
+		"zero intra BW":         corrupt(0, func(lv *Level) { lv.BW = 0 }),
+		"negative inter BW":     corrupt(1, func(lv *Level) { lv.BW = -1 }),
+		"negative intra lat":    corrupt(0, func(lv *Level) { lv.Latency = -1 }),
+		"negative inter lat":    corrupt(1, func(lv *Level) { lv.Latency = -5 }),
+		"intra BW below floor":  corrupt(0, func(lv *Level) { lv.BW = MinLinkBW / 2 }),
+		"infinite inter BW":     corrupt(1, func(lv *Level) { lv.BW = math.Inf(1) }),
+		"NaN inter BW":          corrupt(1, func(lv *Level) { lv.BW = math.NaN() }),
+		"NaN intra lat":         corrupt(0, func(lv *Level) { lv.Latency = math.NaN() }),
+		"infinite inter lat":    corrupt(1, func(lv *Level) { lv.Latency = math.Inf(1) }),
+		"inter lat above bound": corrupt(1, func(lv *Level) { lv.Latency = 2 * MaxLinkLatency }),
+	}
+	for name, h := range cases {
+		if err := h.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted a nonsense cluster", name)
 		}
 	}
-	if _, err := NewCluster(8, 12, 360e9, 42e9, 4000, 12000); err == nil {
-		t.Error("NewCluster accepted NumGPUs not divisible by GPUsPerNode")
+	if err := good.Validate(); err != nil {
+		t.Fatalf("corruptions leaked into the preset: %v", err)
 	}
-	if _, err := NewCluster(8, 64, 360e9, 0, 4000, 12000); err == nil {
-		t.Error("NewCluster accepted a non-positive bandwidth")
+	// The floor and the latency bound are inclusive.
+	edge := corrupt(1, func(lv *Level) { lv.BW, lv.Latency = MinLinkBW, MaxLinkLatency })
+	if err := edge.Validate(); err != nil {
+		t.Errorf("links at the floor and the latency bound rejected: %v", err)
 	}
-	if c, err := NewCluster(8, 64, 360e9, 42e9, 4000, 12000); err != nil || c.NumNodes() != 8 {
-		t.Errorf("NewCluster rejected a valid cluster: %v (%d nodes)", err, c.NumNodes())
+	// A ragged last node is a valid hierarchy, like NVLDomainFabric(128)'s
+	// ragged last domain; H100Cluster itself never builds one.
+	ragged := good
+	ragged.NumGPUs = 12
+	if err := ragged.Validate(); err != nil {
+		t.Errorf("ragged last node rejected: %v", err)
 	}
 }
 
@@ -47,31 +68,30 @@ func TestH100ClusterAlwaysValidates(t *testing.T) {
 		if c.Capacity() < n {
 			t.Errorf("H100Cluster(%d) capacity %d", n, c.Capacity())
 		}
-		// The rank-to-node mapping of the first n ranks must match the
-		// pre-normalization 8-per-node layout.
+		// The rank-to-node mapping of the first n ranks must be the
+		// 8-per-node layout: every rank shares a node with its node's first
+		// rank, and no node reaches past a multiple of 8.
 		for r := 0; r < n; r++ {
-			want := r / 8
-			if n < 8 {
-				want = 0
+			if c.TierOf([]int{r / 8 * 8, r}) != 0 {
+				t.Fatalf("H100Cluster(%d): rank %d is not on node %d", n, r, r/8)
 			}
-			if c.Node(r) != want {
-				t.Fatalf("H100Cluster(%d).Node(%d) = %d, want %d", n, r, c.Node(r), want)
+			if r%8 == 7 && r+1 < n && c.TierOf([]int{r, r + 1}) != 1 {
+				t.Fatalf("H100Cluster(%d): ranks %d and %d share a node", n, r, r+1)
 			}
 		}
 	}
 }
 
 func TestClusterAsFabric(t *testing.T) {
-	c := H100Cluster(64)
-	var f Fabric = c
+	var f Fabric = H100Cluster(64)
 	if f.Tiers() != 2 || f.FabricName() != "flat" {
 		t.Fatalf("cluster fabric shape: %d tiers, %q", f.Tiers(), f.FabricName())
 	}
-	if f.Tier(0).BW != c.IntraNodeBW || f.Tier(1).BW != c.InterNodeBW {
-		t.Fatal("tier links disagree with cluster fields")
+	if f.Tier(0) != (Link{BW: 360e9, Latency: 4_000}) || f.Tier(1) != (Link{BW: 42e9, Latency: 12_000}) {
+		t.Fatalf("tier links %+v / %+v, want NVLink 360 GB/s 4 µs and network 42 GB/s 12 µs", f.Tier(0), f.Tier(1))
 	}
 	if f.TierOf([]int{0, 7}) != 0 || f.TierOf([]int{0, 8}) != 1 {
-		t.Fatal("TierOf disagrees with SameNode")
+		t.Fatal("TierOf disagrees with the 8-GPU node layout")
 	}
 	if f.TierSize(0) != 8 || f.TierSize(1) != 64 {
 		t.Fatal("tier sizes wrong")
@@ -83,22 +103,32 @@ func TestClusterAsFabric(t *testing.T) {
 	if err := grown.Validate(); err != nil {
 		t.Fatalf("grown cluster invalid: %v", err)
 	}
+	// Below 8 GPUs the cluster is one partial node that keeps the 8-GPU
+	// node size, so growth restores whole NVLink servers.
+	partial := H100Cluster(3)
+	if partial.Capacity() != 3 || partial.TierSize(0) != 8 || partial.TierOf([]int{0, 2}) != 0 {
+		t.Fatalf("partial node: capacity %d, node size %d", partial.Capacity(), partial.TierSize(0))
+	}
+	if got := partial.WithCapacity(5).Capacity(); got != 8 {
+		t.Fatalf("partial node WithCapacity(5) = %d, want one whole node (8)", got)
+	}
 }
 
+// TestTwoTierFabricMatchesCluster checks the flat preset against the node
+// rule the testbed is defined by: a group stays on the NVLink tier exactly
+// when every rank sits on the same 8-GPU node (rank / 8).
 func TestTwoTierFabricMatchesCluster(t *testing.T) {
-	c := H100Cluster(512)
-	h := TwoTierFabric(c)
+	h := H100Cluster(512)
 	if err := h.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if h.Tier(0) != c.Tier(0) || h.Tier(1) != c.Tier(1) {
-		t.Fatal("two-tier fabric links diverge from the cluster's")
-	}
-	// TierOf must agree with the cluster's SameNode classification for
-	// arbitrary groups.
 	f := func(a, b, n uint16) bool {
 		ranks := []int{int(a) % 512, int(b) % 512, int(n) % 512}
-		return h.TierOf(ranks) == c.TierOf(ranks)
+		want := 1
+		if ranks[0]/8 == ranks[1]/8 && ranks[1]/8 == ranks[2]/8 {
+			want = 0
+		}
+		return h.TierOf(ranks) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
@@ -138,6 +168,11 @@ func TestHierFabricValidate(t *testing.T) {
 		{Name: "inner-whole", NumGPUs: 64, Levels: []Level{
 			{GPUs: 0, BW: 1e9}, {GPUs: 0, BW: 1e9}}},
 		{Name: "negative-lat", NumGPUs: 8, Levels: []Level{{GPUs: 8, BW: 1e9, Latency: -1}}},
+		{Name: "below-floor", NumGPUs: 512, Levels: []Level{
+			{GPUs: 8, BW: 360e9}, {GPUs: 0, BW: 0.042}}},
+		{Name: "infinite-bw", NumGPUs: 8, Levels: []Level{{GPUs: 8, BW: math.Inf(1)}}},
+		{Name: "nan-lat", NumGPUs: 8, Levels: []Level{{GPUs: 8, BW: 1e9, Latency: math.NaN()}}},
+		{Name: "huge-lat", NumGPUs: 8, Levels: []Level{{GPUs: 8, BW: 1e9, Latency: 1e19}}},
 	}
 	for _, h := range bad {
 		if err := h.Validate(); err == nil {
@@ -224,7 +259,9 @@ func TestDegradeFactorValidation(t *testing.T) {
 		{"empty-is-identity", nil, false},
 		{"all-ones", []float64{1, 1, 1}, false},
 		{"half-outer", []float64{1, 0.5}, false},
-		{"tiny-positive", []float64{1e-9}, false},
+		{"tiny-positive", []float64{1e-4}, false},
+		{"below-floor", []float64{1e-9}, true},
+		{"below-floor-outer", []float64{1, 1e-5}, true},
 		{"above-one", []float64{2}, false},
 		{"zero", []float64{0}, true},
 		{"negative", []float64{-0.5}, true},

@@ -1,140 +1,14 @@
-// Package topology models the interconnect fabrics deployments run on. The
-// flat two-tier Cluster matches the paper's evaluation testbed — servers of
-// 8 NVIDIA H100-class GPUs joined by NVLink inside a node and a RoCE
-// data-center network (8x400 Gbps per host) across nodes — and is the
-// simplest implementation of the hierarchical Fabric interface (see
-// fabric.go), alongside NVLink-domain and oversubscribed leaf/spine
-// presets. The package also owns the 3D-parallel rank mapping (tensor
-// innermost, pipeline middle, data outermost — the Megatron-LM convention),
-// so that communication groups can be classified by the fabric tier they
-// span.
+// Package topology models the interconnect fabrics deployments run on:
+// the paper's evaluation testbed — servers of 8 NVIDIA H100-class GPUs
+// joined by NVLink inside a node and a RoCE data-center network
+// (8x400 Gbps per host) across nodes — as a two-tier HierFabric, alongside
+// NVLink-domain and oversubscribed leaf/spine presets (see fabric.go). The
+// package also owns the 3D-parallel rank mapping (tensor innermost,
+// pipeline middle, data outermost — the Megatron-LM convention), so that
+// communication groups can be classified by the fabric tier they span.
 package topology
 
 import "fmt"
-
-// Cluster describes the physical deployment.
-type Cluster struct {
-	// GPUsPerNode is the number of accelerators per server (8 for the
-	// paper's H100 hosts).
-	GPUsPerNode int
-	// NumGPUs is the total accelerator count.
-	NumGPUs int
-
-	// IntraNodeBW is per-GPU NVLink bandwidth in bytes/sec (unidirectional
-	// effective).
-	IntraNodeBW float64
-	// InterNodeBW is per-GPU network bandwidth in bytes/sec. The paper's
-	// hosts have 8x400 Gbps shared by 8 GPUs, i.e. 400 Gbps ≈ 50 GB/s per
-	// GPU.
-	InterNodeBW float64
-
-	// IntraNodeLatency and InterNodeLatency are per-hop latencies in
-	// nanoseconds.
-	IntraNodeLatency float64
-	InterNodeLatency float64
-}
-
-// NewCluster validates and returns a two-tier cluster model. It rejects the
-// configurations that would otherwise produce silent nonsense costs: GPU
-// counts that do not fill whole nodes, and non-positive bandwidths.
-func NewCluster(gpusPerNode, numGPUs int, intraBW, interBW, intraLat, interLat float64) (Cluster, error) {
-	c := Cluster{
-		GPUsPerNode:      gpusPerNode,
-		NumGPUs:          numGPUs,
-		IntraNodeBW:      intraBW,
-		InterNodeBW:      interBW,
-		IntraNodeLatency: intraLat,
-		InterNodeLatency: interLat,
-	}
-	if err := c.Validate(); err != nil {
-		return Cluster{}, err
-	}
-	return c, nil
-}
-
-// Validate rejects non-physical clusters at construction time instead of
-// letting them produce silent nonsense costs downstream: beyond one node
-// the GPU count must fill whole nodes (a rank-to-node mapping over a ragged
-// last node would misclassify groups), bandwidths must be positive, and
-// latencies non-negative. A single partially filled node is allowed. The
-// comparisons are written NaN-rejecting.
-func (c Cluster) Validate() error {
-	if c.GPUsPerNode < 1 {
-		return fmt.Errorf("topology: GPUsPerNode must be >= 1, got %d", c.GPUsPerNode)
-	}
-	if c.NumGPUs < 1 {
-		return fmt.Errorf("topology: NumGPUs must be >= 1, got %d", c.NumGPUs)
-	}
-	if c.NumGPUs > c.GPUsPerNode && c.NumGPUs%c.GPUsPerNode != 0 {
-		return fmt.Errorf("topology: NumGPUs (%d) must be divisible by GPUsPerNode (%d)", c.NumGPUs, c.GPUsPerNode)
-	}
-	if !(c.IntraNodeBW > 0) || !(c.InterNodeBW > 0) {
-		return fmt.Errorf("topology: bandwidths must be positive, got intra=%g inter=%g", c.IntraNodeBW, c.InterNodeBW)
-	}
-	if !(c.IntraNodeLatency >= 0) || !(c.InterNodeLatency >= 0) {
-		return fmt.Errorf("topology: latencies must be non-negative, got intra=%g inter=%g", c.IntraNodeLatency, c.InterNodeLatency)
-	}
-	return nil
-}
-
-// H100Cluster returns a cluster model matching the paper's testbed: nodes of
-// 8 H100s, NVLink 4 (~450 GB/s effective per direction, derated), and a
-// RoCE fabric with 400 Gbps per GPU. The result always validates: fewer
-// than 8 GPUs live in one partially filled node (GPUsPerNode stays 8, so
-// later capacity growth keeps real 8-GPU NVLink servers), and larger
-// counts round up to whole nodes.
-func H100Cluster(numGPUs int) Cluster {
-	const gpn = 8
-	switch {
-	case numGPUs < 1:
-		numGPUs = gpn
-	case numGPUs > gpn:
-		numGPUs = (numGPUs + gpn - 1) / gpn * gpn
-	}
-	return Cluster{
-		GPUsPerNode:      gpn,
-		NumGPUs:          numGPUs,
-		IntraNodeBW:      360e9, // 450 GB/s peak derated to ~80% achievable
-		InterNodeBW:      42e9,  // 50 GB/s peak derated for RoCE/ECMP effects
-		IntraNodeLatency: 4_000,
-		InterNodeLatency: 12_000,
-	}
-}
-
-// NumNodes returns the server count (ceiling division).
-func (c Cluster) NumNodes() int {
-	if c.GPUsPerNode <= 0 {
-		return 0
-	}
-	return (c.NumGPUs + c.GPUsPerNode - 1) / c.GPUsPerNode
-}
-
-// Node returns the node index hosting the given global rank.
-func (c Cluster) Node(rank int) int { return rank / c.GPUsPerNode }
-
-// SameNode reports whether all ranks are on one server.
-func (c Cluster) SameNode(ranks []int) bool {
-	if len(ranks) == 0 {
-		return true
-	}
-	n := c.Node(ranks[0])
-	for _, r := range ranks[1:] {
-		if c.Node(r) != n {
-			return false
-		}
-	}
-	return true
-}
-
-// GroupBW returns the bottleneck per-GPU bandwidth (bytes/sec) and per-hop
-// latency (ns) for a communication group: NVLink numbers if the group fits
-// in one node, network numbers otherwise.
-func (c Cluster) GroupBW(ranks []int) (bw float64, latency float64) {
-	if c.SameNode(ranks) {
-		return c.IntraNodeBW, c.IntraNodeLatency
-	}
-	return c.InterNodeBW, c.InterNodeLatency
-}
 
 // Mapping is a 3D-parallel rank layout: tensor parallel innermost (so TP
 // groups sit inside a node and use NVLink), pipeline next, data outermost.

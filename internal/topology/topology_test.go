@@ -7,27 +7,26 @@ import (
 
 func TestH100Cluster(t *testing.T) {
 	c := H100Cluster(512)
-	if c.NumNodes() != 64 {
-		t.Fatalf("512 GPUs at 8/node = %d nodes, want 64", c.NumNodes())
+	if c.FabricName() != "flat" || c.Tiers() != 2 {
+		t.Fatalf("H100Cluster: %q with %d tiers, want \"flat\" with 2", c.FabricName(), c.Tiers())
 	}
-	if c.Node(0) != 0 || c.Node(7) != 0 || c.Node(8) != 1 || c.Node(511) != 63 {
-		t.Fatal("node mapping wrong")
+	if nodes := c.Capacity() / c.TierSize(0); nodes != 64 {
+		t.Fatalf("512 GPUs at 8/node = %d nodes, want 64", nodes)
 	}
-	if !c.SameNode([]int{0, 3, 7}) {
-		t.Fatal("0,3,7 share node 0")
+	sameNode := func(ranks ...int) bool { return c.TierOf(ranks) == 0 }
+	if !sameNode(0, 3, 7) || !sameNode(504, 511) {
+		t.Fatal("0,3,7 share node 0 and 504,511 share node 63")
 	}
-	if c.SameNode([]int{7, 8}) {
+	if sameNode(7, 8) {
 		t.Fatal("7 and 8 are on different nodes")
 	}
-	if !c.SameNode(nil) {
+	if !sameNode() {
 		t.Fatal("empty group is trivially same-node")
 	}
-	bw, lat := c.GroupBW([]int{0, 1})
-	if bw != c.IntraNodeBW || lat != c.IntraNodeLatency {
+	if c.Tier(c.TierOf([]int{0, 1})) != c.Tier(0) {
 		t.Fatal("intra-node group should use NVLink numbers")
 	}
-	bw, _ = c.GroupBW([]int{0, 8})
-	if bw != c.InterNodeBW {
+	if c.Tier(c.TierOf([]int{0, 8})).BW != 42e9 {
 		t.Fatal("cross-node group should use network numbers")
 	}
 }
@@ -148,7 +147,7 @@ func TestTPGroupIsIntraNode(t *testing.T) {
 	for _, tp := range []int{2, 4, 8} {
 		m := Mapping{TP: tp, PP: 2, DP: 64 / tp / 2}
 		for r := 0; r < m.WorldSize(); r++ {
-			if !c.SameNode(m.TPGroup(r)) {
+			if c.TierOf(m.TPGroup(r)) != 0 {
 				t.Fatalf("TP=%d group of rank %d spans nodes: %v", tp, r, m.TPGroup(r))
 			}
 		}

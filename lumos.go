@@ -64,13 +64,10 @@ type (
 // New returns a toolkit configured by the given options.
 func New(opts ...Option) *Toolkit { return core.New(opts...) }
 
-// WithCluster sets a flat two-tier fabric model used for profiling and
-// prediction.
-func WithCluster(c Cluster) Option { return core.WithCluster(c) }
-
 // WithFabric sets the interconnect model used for profiling and prediction:
-// any Fabric, e.g. NVLDomainFabric(512) or OversubscribedFabric(512, 4),
-// optionally wrapped by DegradeFabric.
+// any Fabric, e.g. H100Cluster(128) (the default, sized on demand),
+// NVLDomainFabric(512) or OversubscribedFabric(512, 4), optionally wrapped
+// by DegradeFabric.
 func WithFabric(f Fabric) Option { return core.WithFabric(f) }
 
 // WithPricer swaps the collective pricing backend used wherever the toolkit
@@ -124,9 +121,6 @@ type (
 	Config = parallel.Config
 	// Mapping is a 3D-parallel rank layout.
 	Mapping = topology.Mapping
-	// Cluster describes a flat two-tier physical fabric (NVLink inside a
-	// node, one network across); it is the simplest Fabric implementation.
-	Cluster = topology.Cluster
 	// Fabric is the hierarchical interconnect abstraction: tiers of
 	// bandwidth/latency from NVLink domain out to spine. Deployments,
 	// predictions and what-if campaigns bind one Fabric.
@@ -137,7 +131,7 @@ type (
 	// Link is one fabric tier's per-GPU bandwidth/latency pair.
 	Link = topology.Link
 	// Pricer prices NCCL-style communication primitives; backends are
-	// swappable (flat alpha-beta, hierarchical, degraded).
+	// swappable (NewHierPricer, the default, or NewPhasedPricer).
 	Pricer = collective.Pricer
 	// Trace is one rank's profiling trace; Multi a distributed run's set.
 	Trace = trace.Trace
@@ -228,8 +222,9 @@ func SMUtilization(t *Trace, windowNs int64) []float64 {
 func SaveTraces(m *Multi, dir string) error { return core.SaveTraces(m, dir) }
 func LoadTraces(dir string) (*Multi, error) { return core.LoadTraces(dir) }
 
-// H100Cluster returns the paper-like flat two-tier fabric model for n GPUs.
-func H100Cluster(n int) Cluster { return topology.H100Cluster(n) }
+// H100Cluster returns the paper's testbed for n GPUs: a two-tier fabric
+// named "flat" of 8-GPU NVLink nodes joined by one RoCE tier.
+func H100Cluster(n int) HierFabric { return topology.H100Cluster(n) }
 
 // NVLDomainFabric returns an NVL72-class fabric: rack-scale 72-GPU NVLink
 // domains joined by a rail-optimized RoCE fabric with a spine across pods.
@@ -242,24 +237,17 @@ func OversubscribedFabric(n int, factor float64) HierFabric {
 	return topology.OversubscribedFabric(n, factor)
 }
 
-// TwoTierFabric is the hierarchical view of a flat Cluster, with identical
-// tier structure and link parameters.
-func TwoTierFabric(c Cluster) HierFabric { return topology.TwoTierFabric(c) }
-
 // DegradeFabric wraps a fabric with per-tier bandwidth scaling (the last
 // factor extends to the remaining outer tiers); factor 1.0 is the identity.
-// NaN, zero, negative, and infinite factors are rejected at construction so
-// a bad factor never flows into collective prices.
+// NaN, zero, negative, and infinite factors, and factors that drop any
+// tier below the 1 MB/s link-bandwidth floor, are rejected at construction
+// so a bad factor never flows into collective prices.
 func DegradeFabric(f Fabric, factors ...float64) (Fabric, error) {
 	return topology.Degrade(f, factors...)
 }
 
-// NewFlatPricer returns the flat alpha-beta collective model over a
-// two-tier cluster — the calibrated legacy backend.
-func NewFlatPricer(c Cluster) Pricer { return collective.NewModel(c) }
-
-// NewHierPricer returns the bottleneck-composed hierarchical pricer over
-// any fabric (bit-identical to the flat model on a two-tier fabric).
+// NewHierPricer returns the bottleneck-composed pricer over any fabric: the
+// default backend every toolkit prices communication with.
 func NewHierPricer(f Fabric) Pricer { return collective.NewPricer(f) }
 
 // NewPhasedPricer returns the hierarchical pricer with per-tier phase

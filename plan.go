@@ -90,8 +90,12 @@ func HalvingStrategy(eta int) PlanStrategy { return planner.SuccessiveHalving{Et
 // subspace expansion with admissible analytic lower bounds, a bound-ranked
 // priority queue, and wholesale pruning of subtrees that cannot beat the
 // incumbent. Returns the same best point as ExhaustiveStrategy while
-// simulating strictly fewer points. batch sets how many bound-minimal
-// heads are simulated per round; batch <= 0 selects the default.
+// simulating strictly fewer points. Only that best point is exact: the
+// result's Frontier is the non-dominated subset of the points bnb
+// simulated, and pruning on iteration time alone can drop a slower point
+// that uses fewer GPUs or less memory from it. batch sets how many
+// bound-minimal heads are simulated per round; batch <= 0 selects the
+// default.
 func BranchAndBoundStrategy(batch int) PlanStrategy { return planner.BranchAndBound{Batch: batch} }
 
 // WithPlanStrategy selects the search strategy. The default is exhaustive

@@ -5,6 +5,7 @@ package lumos
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -51,25 +52,38 @@ func FabricPresetNames() []string {
 
 // FabricPreset resolves a fabric preset for the given world size:
 // "flat"/"h100" (the two-tier H100 cluster), "nvl72" (rack-scale NVLink
-// domains), or "spineN" (leaf/spine with an N:1 oversubscribed spine,
-// e.g. spine4).
+// domains), or "spineN" (leaf/spine with a finite N:1 oversubscribed
+// spine, e.g. spine4). It returns only fabrics that pass Validate: an N
+// that slows the spine below the link-bandwidth floor is rejected with
+// the preset menu, like an unknown name.
 func FabricPreset(name string, world int) (Fabric, error) {
 	n := strings.ToLower(strings.TrimSpace(name))
+	var f Fabric
 	switch {
 	case n == "flat" || n == "h100":
-		return H100Cluster(world), nil
+		f = H100Cluster(world)
 	case n == "nvl72":
-		return NVLDomainFabric(world), nil
+		f = NVLDomainFabric(world)
 	case strings.HasPrefix(n, "spine"):
 		factor := 1.0
 		if rest := strings.TrimPrefix(n, "spine"); rest != "" {
-			f, err := strconv.ParseFloat(rest, 64)
-			if err != nil || f < 1 {
-				return nil, fmt.Errorf("bad oversubscription factor in %q (want spine[N] with N >= 1, e.g. spine4)", name)
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil || !(v >= 1) || math.IsInf(v, 1) { // NaN-rejecting
+				return nil, fabricPresetError(name, "bad oversubscription factor (want spine[N] with finite N >= 1, e.g. spine4)")
 			}
-			factor = f
+			factor = v
 		}
-		return OversubscribedFabric(world, factor), nil
+		f = OversubscribedFabric(world, factor)
+	default:
+		return nil, fabricPresetError(name, "unknown preset")
 	}
-	return nil, fmt.Errorf("unknown fabric %q; valid presets:\n  %s", name, strings.Join(FabricPresetNames(), "\n  "))
+	if err := f.Validate(); err != nil {
+		return nil, fabricPresetError(name, err.Error())
+	}
+	return f, nil
+}
+
+// fabricPresetError reports a rejected preset name with the preset menu.
+func fabricPresetError(name, why string) error {
+	return fmt.Errorf("fabric %q: %s; valid presets:\n  %s", name, why, strings.Join(FabricPresetNames(), "\n  "))
 }
