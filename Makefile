@@ -10,7 +10,7 @@ SWEEP_BENCH = BenchmarkSweep_SharedCalibration$$|BenchmarkSweepThroughput$$|Benc
 
 # check is the CI gate: formatting, static analysis, full build, tests,
 # the race detector on the concurrent service/cache/replay/core packages, the
-# compiled-engine and synthesis allocation budgets, a short fuzz run, a
+# compiled-engine, synthesis and plan-search allocation budgets, a short fuzz run, a
 # one-iteration benchmark smoke pass, and the planner, schedule,
 # planning-service and observability acceptance smokes.
 check: fmt vet build test race alloc-guard fuzz-smoke benchsmoke plan-smoke schedule-smoke serve-smoke obs-smoke
@@ -45,11 +45,14 @@ race:
 # raised (e.g. to absorb observability overhead) without regenerating the
 # committed archive. It also holds one fig7 synthesis under its byte budget
 # (TestSynthesizeAllocBudget), so per-rank program rebuilds cannot return
-# unnoticed.
+# unnoticed, and one serve-plan-shaped branch-and-bound search under its
+# byte budget (TestPlanSearchAllocBudget), so memory estimates or reason
+# strings for points a plan never returns cannot creep back.
 ALLOC_GUARD_BUDGET ?= 8
 alloc-guard:
 	$(GO) test -run TestReplayAllocBudget -count 1 ./internal/replay/
 	$(GO) test -run TestSynthesizeAllocBudget -count 1 ./internal/cluster/
+	$(GO) test -run TestPlanSearchAllocBudget -count 1 ./internal/planner/
 
 # fuzz-smoke runs the fabric-pricing fuzz target for 10 s beyond its seed
 # corpus (testdata/fuzz/FuzzFabricPricing, which plain go test replays): no

@@ -71,10 +71,12 @@ func traceHalf() error {
 	tk := lumos.New(lumos.WithSeed(42), lumos.WithTracer(tracer))
 	// The degrade axis matters: degraded points re-time the structurally
 	// shared graph, which is the path that emits compile/retime/replay
-	// spans (campaign-fabric points stop at synthesize).
+	// spans (campaign-fabric points stop at synthesize). The factor scales
+	// every tier, NVLink included: these points fit in one NVLink node, so
+	// a network-only factor would change no duration and skip the replay.
 	space := lumos.Space{
 		PP: []int{1, 2}, DP: []int{1, 2}, Microbatch: []int{4, 8},
-		Degrade: [][]float64{nil, lumos.NetworkDegradeFactors(0.5)},
+		Degrade: [][]float64{nil, {0.5}},
 	}
 	res, err := tk.Plan(context.Background(), cfg, space,
 		lumos.WithPlanStrategy(lumos.BranchAndBoundStrategy(0)))
@@ -200,6 +202,9 @@ func serviceHalf() error {
 		Search struct {
 			Simulated int64 `json:"simulated"`
 		} `json:"search"`
+		Engine struct {
+			SkippedRuns int64 `json:"skipped_runs"`
+		} `json:"engine"`
 	}
 	if err := getJSON(base+"/v1/stats", &stats); err != nil {
 		return err
@@ -211,6 +216,7 @@ func serviceHalf() error {
 		{"lumosd_profiles_created_total", float64(stats.Requests.Profiles)},
 		{"lumosd_plans_total", float64(stats.Requests.Plans)},
 		{"lumosd_plan_simulated_total", float64(stats.Search.Simulated)},
+		{"lumos_engine_skipped_runs_total", float64(stats.Engine.SkippedRuns)},
 		{`lumosd_requests_total{handler="plan"}`, 1},
 		{`lumosd_request_duration_seconds_count{handler="plan"}`, 1},
 	} {

@@ -166,6 +166,12 @@ type Toolkit struct {
 	// boundViolations sums planner.Stats.BoundViolations over every plan
 	// this toolkit ran.
 	boundViolations atomic.Int64
+	// scenarioPanics counts scenarios whose Fingerprint or Run panicked
+	// and came back as infeasible rows (see runScenario).
+	scenarioPanics atomic.Int64
+	// skippedRuns counts plan-point replays skipped because the retime
+	// changed no collective's duration (see BaseState.predictOnFabric).
+	skippedRuns atomic.Int64
 
 	// cacheOnce lazily opens the disk cache configured by CacheDir; every
 	// campaign and prediction on this toolkit shares one handle.
@@ -230,9 +236,11 @@ func (tk *Toolkit) acquireTimings(prog *replay.Program) *timingsBuf {
 func (tk *Toolkit) releaseTimings(buf *timingsBuf) { tk.timingsPool.Put(buf) }
 
 // EngineStats reports replay-engine activity across every campaign on this
-// toolkit: graph lowerings performed, and simulations run.
-func (tk *Toolkit) EngineStats() (compiledPrograms, compiledRuns int64) {
-	return tk.engineMeter.CompiledPrograms.Load(), tk.engineMeter.CompiledRuns.Load()
+// toolkit: graph lowerings performed, simulations run, and replays skipped
+// because a retime changed no duration.
+func (tk *Toolkit) EngineStats() (compiledPrograms, compiledRuns, skippedRuns int64) {
+	m := &tk.engineMeter
+	return m.CompiledPrograms.Load(), m.CompiledRuns.Load(), tk.skippedRuns.Load()
 }
 
 // Counters reports how many ground-truth profiles and kernel-library
@@ -287,16 +295,18 @@ func (tk *Toolkit) RegisterMetrics(r *obs.Registry) {
 		return
 	}
 	r.Collect(func() []obs.Sample {
-		compiled, runs := tk.EngineStats()
+		compiled, runs, skipped := tk.EngineStats()
 		profiles, calibrations := tk.Counters()
 		samples := []obs.Sample{
 			{Name: "lumos_profiles_total", Kind: obs.KindCounter, Help: "Ground-truth profiling runs performed.", Value: float64(profiles)},
 			{Name: "lumos_calibrations_total", Kind: obs.KindCounter, Help: "Kernel-library calibrations performed (disk-cache hits skip these).", Value: float64(calibrations)},
 			{Name: "lumos_engine_compiled_programs_total", Kind: obs.KindCounter, Help: "Graphs lowered into compiled replay programs.", Value: float64(compiled)},
 			{Name: "lumos_engine_runs_total", Kind: obs.KindCounter, Help: "Replay simulations run on the compiled engine.", Value: float64(runs)},
+			{Name: "lumos_engine_skipped_runs_total", Kind: obs.KindCounter, Help: "Plan-point replays skipped because the retime changed no collective's duration.", Value: float64(skipped)},
 			{Name: "lumos_sweep_workers_busy", Kind: obs.KindGauge, Help: "Sweep worker-pool occupancy: scenarios being evaluated right now.", Value: float64(tk.workersBusy.Load())},
 			{Name: "lumos_sweep_queue_depth", Kind: obs.KindGauge, Help: "Scenarios dispatched to the sweep worker pool but not yet picked up.", Value: float64(tk.queueDepth.Load())},
 			{Name: "lumos_planner_bound_violations_total", Kind: obs.KindCounter, Help: "Simulated plan points whose analytic bound exceeded their simulated iteration time.", Value: float64(tk.boundViolations.Load())},
+			{Name: "lumos_scenario_panics_total", Kind: obs.KindCounter, Help: "Scenarios whose evaluation panicked and came back as infeasible rows.", Value: float64(tk.scenarioPanics.Load())},
 		}
 		if st, ok := tk.DiskCacheStats(); ok {
 			samples = append(samples,

@@ -46,6 +46,7 @@ type structEntry struct {
 // lowers first.
 func (e *structEntry) compiled(b *BaseState, campaign topology.Fabric, sp *obs.Span) (*replay.Program, *manip.CommRetimePlan, trace.Dur, error) {
 	e.progOnce.Do(func() {
+		defer recordPanic(&e.progErr, "compile")
 		csp := sp.Child("compile")
 		defer csp.End()
 		e.prog = replay.Compile(e.out.Graph, b.replayOpts())
@@ -54,14 +55,26 @@ func (e *structEntry) compiled(b *BaseState, campaign topology.Fabric, sp *obs.S
 			b.tk.engineMeter.CompiledPrograms.Add(1)
 		}
 		eng := b.acquireEngine()
+		defer b.releaseEngine(eng)
 		res, err := eng.RunProgram(e.prog, replay.Timings{})
 		if err == nil {
 			e.own = res.Makespan
 		}
 		e.progErr = err
-		b.releaseEngine(eng)
 	})
 	return e.prog, e.plan, e.own, e.progErr
+}
+
+// recordPanic, deferred first in a sync.Once body that builds shared
+// state, stores a panic in *err and re-raises it. Once counts a panicking
+// body as done, so without it every later caller would read the
+// half-built state with a nil error; with it they get the error, and the
+// panic still reaches the scenario that triggered it (see runScenario).
+func recordPanic(err *error, stage string) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("internal: %s panicked: %v", stage, r)
+		panic(r)
+	}
 }
 
 // structCacheCap bounds how many synthesized graphs a campaign state keeps
@@ -93,6 +106,7 @@ func (b *BaseState) synthesizeStructural(req manip.Request, sp *obs.Span) (*stru
 	}
 	e := v.(*structEntry)
 	e.once.Do(func() {
+		defer recordPanic(&e.err, "synthesis")
 		ssp := sp.Child("synthesize")
 		defer ssp.End()
 		e.out, e.err = manip.PredictGraphWith(req, b.Library, b.Fitted, b.Fabric)
@@ -124,7 +138,9 @@ type fabricPrediction struct {
 // synthesized duration is scaled by target/campaign analytic cost (see
 // manip.CommRetimePlan), the shared program is replayed at those
 // durations, and the answer is the synthesized iteration plus the replayed
-// change: retimed makespan minus the program's own makespan. The anchor
+// change: retimed makespan minus the program's own makespan. A plan point
+// whose retime changes no collective's duration skips the replay: its
+// change is zero by construction. The anchor
 // cancels the replay's offset from synthesis (a launch-bound kernel starts
 // LaunchLatency after its launch in synthesis but OpEpilogue after it in
 // the graph, so replaying a synthesized graph at its own durations ends
@@ -157,8 +173,19 @@ func (b *BaseState) predictOnFabric(req manip.Request, f topology.Fabric, breakd
 	buf := b.acquireTimings(prog)
 	defer b.releaseTimings(buf)
 	tsp := sp.Child("retime")
-	p.repriced = plan.Retime(buf.dur, buf.gdur, b.pricerFor(f))
+	repriced, changed := plan.Retime(buf.dur, buf.gdur, b.pricerFor(f))
+	tsp.Annotate("changed", changed)
 	tsp.End()
+	p.repriced, p.retimed = repriced, true
+	if changed == 0 && !breakdown && b.replayOpts().CoupleCollectives {
+		// The retime moved no collective, so the program would replay to
+		// its own makespan and the anchored change is zero: the answer is
+		// the synthesized iteration, with no replay.
+		if b.tk != nil {
+			b.tk.skippedRuns.Add(1)
+		}
+		return p, nil
+	}
 	eng := b.acquireEngine()
 	defer b.releaseEngine(eng)
 	rsp := sp.Child("replay")
@@ -168,7 +195,6 @@ func (b *BaseState) predictOnFabric(req manip.Request, f topology.Fabric, breakd
 		return fabricPrediction{}, err
 	}
 	p.iteration += res.Makespan - own
-	p.retimed = true
 	if breakdown {
 		// Read off the engine's columns before it returns to the pool.
 		p.breakdown = analysis.ReplayBreakdown(e.out.Graph, res.Start, res.End)

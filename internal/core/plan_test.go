@@ -9,6 +9,7 @@ import (
 	"lumos/internal/collective"
 	"lumos/internal/manip"
 	"lumos/internal/memcost"
+	"lumos/internal/obs"
 	"lumos/internal/parallel"
 	"lumos/internal/planner"
 	"lumos/internal/topology"
@@ -295,5 +296,59 @@ func TestPlanProfilesOnce(t *testing.T) {
 	profiles, libs := tk.Counters()
 	if profiles != 1 || libs != 1 {
 		t.Fatalf("plan used %d profiles and %d calibrations, want 1 and 1", profiles, libs)
+	}
+}
+
+// TestPlanSkipsUnchangedReplay: a degraded plan point whose collectives all
+// stay inside one NVLink node retimes to the synthesized durations, so it
+// answers its undegraded twin's iteration without a replay — no replay
+// span, a skipped-run count, and a retime span annotated with zero changed
+// groups — while a point that crosses the network still replays.
+func TestPlanSkipsUnchangedReplay(t *testing.T) {
+	ctx := context.Background()
+	tr := obs.NewTracer()
+	tk := New(WithConcurrency(2), WithTracer(tr))
+	st, err := tk.Prepare(ctx, testConfig(t), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tk.PlanState(ctx, st, planner.Space{
+		PP:      []int{1, 2},
+		DP:      []int{1, 4},
+		Degrade: [][]float64{nil, NetworkDegradeFactors(0.5)},
+	}, planner.WithStrategy(planner.Exhaustive{}), planner.WithMemModel(roomyMem()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	iter := map[string]trace.Dur{}
+	for _, e := range append(append([]planner.Evaluated{}, res.Frontier...), res.Dominated...) {
+		iter[e.Point.Key()] = e.Iteration
+	}
+	if len(iter) != 8 || res.Stats.SharedStructure != 4 {
+		t.Fatalf("%d points with %d shared-structure, want 8 and 4", len(iter), res.Stats.SharedStructure)
+	}
+	for _, shape := range []string{"2x1x1/mb4", "2x2x1/mb4", "2x1x4/mb4"} {
+		if iter[shape+"~bw*1,0.5"] != iter[shape] {
+			t.Errorf("%s: degraded %v != undegraded %v inside one node", shape, iter[shape+"~bw*1,0.5"], iter[shape])
+		}
+	}
+	if iter["2x2x4/mb4~bw*1,0.5"] <= iter["2x2x4/mb4"] {
+		t.Errorf("2x2x4/mb4: degraded %v not slower than undegraded %v across nodes",
+			iter["2x2x4/mb4~bw*1,0.5"], iter["2x2x4/mb4"])
+	}
+	if _, _, skipped := tk.EngineStats(); skipped != 3 {
+		t.Fatalf("skipped runs = %d, want 3", skipped)
+	}
+	replays, unchanged := 0, 0
+	for _, ev := range tr.Events() {
+		switch {
+		case ev.Cat == "scenario" && ev.Name == "replay":
+			replays++
+		case ev.Cat == "scenario" && ev.Name == "retime" && ev.Args["changed"] == 0:
+			unchanged++
+		}
+	}
+	if replays != 1 || unchanged != 3 {
+		t.Fatalf("%d replay spans and %d unchanged retimes, want 1 and 3", replays, unchanged)
 	}
 }

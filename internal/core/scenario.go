@@ -13,6 +13,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -73,9 +74,10 @@ type BaseState struct {
 
 	// baseProg is the campaign base graph lowered for the compiled replay
 	// engine, compiled at most once and shared by every worker's what-if
-	// retiming.
+	// retiming; baseProgErr records a lowering that panicked.
 	baseProgOnce sync.Once
 	baseProg     *replay.Program
+	baseProgErr  error
 
 	// structs caches synthesized execution graphs by structural identity
 	// (the full target config: same schedule, stages, microbatches ⇒ same
@@ -116,10 +118,12 @@ type CacheStats struct {
 	// DiskHits and DiskMisses count this campaign state's scenario lookups
 	// served by / absent from the disk layer.
 	DiskHits, DiskMisses int64
-	// CompiledPrograms counts graph lowerings for the replay engine and
-	// CompiledRuns counts simulations. The counters are toolkit-wide
-	// (shared across campaign states on one toolkit, like the Disk store).
-	CompiledPrograms, CompiledRuns int64
+	// CompiledPrograms counts graph lowerings for the replay engine,
+	// CompiledRuns counts simulations, and SkippedRuns counts plan-point
+	// replays skipped because the retime changed no duration. The counters
+	// are toolkit-wide (shared across campaign states on one toolkit, like
+	// the Disk store).
+	CompiledPrograms, CompiledRuns, SkippedRuns int64
 	// Disk reports the shared on-disk store (all campaigns and calibration
 	// entries in this process); zero when no disk cache is configured.
 	Disk scache.Stats
@@ -138,7 +142,7 @@ func (b *BaseState) CacheStats() CacheStats {
 		s.Disk = b.disk.Stats()
 	}
 	if b.tk != nil {
-		s.CompiledPrograms, s.CompiledRuns = b.tk.EngineStats()
+		s.CompiledPrograms, s.CompiledRuns, s.SkippedRuns = b.tk.EngineStats()
 	}
 	return s
 }
@@ -229,23 +233,28 @@ func (b *BaseState) replayOpts() replay.Options {
 
 // program returns the campaign base graph compiled for the replay engine,
 // lowering it at most once and sharing the program across sweep workers.
-func (b *BaseState) program() *replay.Program {
+func (b *BaseState) program() (*replay.Program, error) {
 	b.baseProgOnce.Do(func() {
+		defer recordPanic(&b.baseProgErr, "base compile")
 		b.baseProg = replay.Compile(b.Graph, b.replayOpts())
 		if b.tk != nil {
 			b.tk.engineMeter.CompiledPrograms.Add(1)
 		}
 	})
-	return b.baseProg
+	return b.baseProg, b.baseProgErr
 }
 
 // engineForBase returns a pooled engine primed for the campaign's base
 // graph: it adopts the shared base program instead of lowering its own
 // copy.
-func (b *BaseState) engineForBase() *replay.Compiled {
+func (b *BaseState) engineForBase() (*replay.Compiled, error) {
+	prog, err := b.program()
+	if err != nil {
+		return nil, err
+	}
 	e := b.acquireEngine()
-	e.Use(b.program())
-	return e
+	e.Use(prog)
+	return e, nil
 }
 
 // Fingerprinter is an optional Scenario extension: scenarios whose outcome
@@ -453,7 +462,12 @@ func (s *kernelScaleScenario) Run(ctx context.Context, b *BaseState) (ScenarioRe
 		World:  b.Config.Map.WorldSize(),
 	}
 	rsp := obs.SpanFrom(ctx).Child("replay")
-	sim := b.engineForBase()
+	sim, err := b.engineForBase()
+	if err != nil {
+		rsp.End()
+		res.Err = err.Error()
+		return res, nil
+	}
 	iter, err := analysis.WhatIfScaleSim(sim, b.Graph, s.match, s.factor)
 	b.releaseEngine(sim)
 	rsp.End()
@@ -504,7 +518,12 @@ func (s *fusionScenario) Run(ctx context.Context, b *BaseState) (ScenarioResult,
 	// The unfused baseline is the campaign's replayed base point; only the
 	// fused counterfactual needs a simulation here.
 	rsp := obs.SpanFrom(ctx).Child("replay")
-	sim := b.engineForBase()
+	sim, err := b.engineForBase()
+	if err != nil {
+		rsp.End()
+		res.Err = err.Error()
+		return res, nil
+	}
 	rep, err := analysis.WhatIfFusionSim(sim, b.Graph, s.opts, b.Iteration)
 	b.releaseEngine(sim)
 	rsp.End()
@@ -957,15 +976,20 @@ dispatch:
 	}, nil
 }
 
-// runScenario evaluates one scenario, converting panics-free hard errors
+// runScenario evaluates one scenario, converting hard errors and panics
 // into infeasible results so a single bad point cannot sink the campaign.
+// Scenarios run on worker goroutines that net/http's handler recovery does
+// not cover, so a panic in Fingerprint or Run is recovered here: the row
+// reads "internal: scenario panicked: …", the scenario span carries the
+// stack, lumos_scenario_panics_total counts it, and neither cache level
+// stores it.
 // Fingerprintable scenarios are served through two cache levels on the
 // campaign state: the in-memory memo (duplicate grid points within one
 // process) and, when configured, the content-addressed disk cache
 // (duplicate points across processes, users and restarts). A disk hit
 // seeds the memo so subsequent repeats stay in memory; fresh feasible
 // results are written through to both levels.
-func runScenario(ctx context.Context, sc Scenario, base *BaseState, useCache bool) ScenarioResult {
+func runScenario(ctx context.Context, sc Scenario, base *BaseState, useCache bool) (res ScenarioResult) {
 	if err := ctx.Err(); err != nil {
 		return ScenarioResult{Name: sc.Name(), Err: err.Error()}
 	}
@@ -975,6 +999,16 @@ func runScenario(ctx context.Context, sc Scenario, base *BaseState, useCache boo
 		ctx = obs.ContextWithSpan(ctx, sp)
 	}
 	defer sp.End()
+	defer func() {
+		if r := recover(); r != nil {
+			sp.Annotate("panic", fmt.Sprint(r))
+			sp.Annotate("stack", string(debug.Stack()))
+			if base.tk != nil {
+				base.tk.scenarioPanics.Add(1)
+			}
+			res = ScenarioResult{Name: sc.Name(), Err: fmt.Sprintf("internal: scenario panicked: %v", r)}
+		}
+	}()
 
 	var key, diskKey string
 	if useCache {

@@ -38,6 +38,10 @@ type retimeGroup struct {
 	bytes              int64
 	synth              trace.Dur
 	base               trace.Dur
+	// intrinsic reports that synth is the recorded intrinsic duration
+	// (GroupDur) of every member, the one a coupled replay of the
+	// unretimed graph runs the group for.
+	intrinsic bool
 }
 
 // NewCommRetimePlan lowers g's collective groups, pricing each on the
@@ -56,6 +60,7 @@ func NewCommRetimePlan(g *execgraph.Graph, basePricer collective.Pricer) *CommRe
 			kind:      t0.Comm,
 			bytes:     t0.CommBytes,
 			synth:     t0.GroupDur,
+			intrinsic: t0.GroupDur > 0,
 		}
 		if gr.synth <= 0 {
 			gr.synth = t0.Dur
@@ -63,6 +68,7 @@ func NewCommRetimePlan(g *execgraph.Graph, basePricer collective.Pricer) *CommRe
 		pl.members = append(pl.members, members...)
 		for _, id := range members {
 			pl.ranks = append(pl.ranks, int(g.Tasks[id].Rank))
+			gr.intrinsic = gr.intrinsic && g.Tasks[id].GroupDur == t0.GroupDur
 		}
 		ranks := pl.ranks[gr.rankOff:]
 		sort.Ints(ranks)
@@ -76,8 +82,12 @@ func NewCommRetimePlan(g *execgraph.Graph, basePricer collective.Pricer) *CommRe
 // columns (len == task count): each group's synthesized duration scaled by
 // target/campaign cost. A group whose cost is not positive on either
 // fabric keeps its synthesized duration. It returns the repriced group
-// count.
-func (pl *CommRetimePlan) Retime(dur, groupDur []trace.Dur, pricer collective.Pricer) int {
+// count and how many of those groups changed duration: a group that keeps
+// its recorded intrinsic duration counts as unchanged. When changed is
+// zero, a coupled-collective replay of the retimed columns is the replay
+// of the unretimed graph (a coupled group runs for its intrinsic
+// duration), so callers may reuse that replay's makespan.
+func (pl *CommRetimePlan) Retime(dur, groupDur []trace.Dur, pricer collective.Pricer) (repriced, changed int) {
 	for gi := range pl.groups {
 		gr := &pl.groups[gi]
 		ranks := pl.ranks[gr.rankOff : gr.rankOff+gr.memberN]
@@ -85,10 +95,13 @@ func (pl *CommRetimePlan) Retime(dur, groupDur []trace.Dur, pricer collective.Pr
 		if target := pricer.Cost(gr.kind, gr.bytes, ranks); gr.base > 0 && target > 0 {
 			d = trace.Dur(float64(gr.synth) * (float64(target) / float64(gr.base)))
 		}
+		if d != gr.synth || !gr.intrinsic {
+			changed++
+		}
 		for _, id := range pl.members[gr.memberOff : gr.memberOff+gr.memberN] {
 			dur[id] = d
 			groupDur[id] = d
 		}
 	}
-	return len(pl.groups)
+	return len(pl.groups), changed
 }

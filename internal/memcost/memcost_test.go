@@ -5,6 +5,7 @@ import (
 
 	"lumos/internal/model"
 	"lumos/internal/parallel"
+	"lumos/internal/schedule"
 	"lumos/internal/topology"
 )
 
@@ -196,4 +197,47 @@ func TestDefaultsResolved(t *testing.T) {
 	if m.Usable() != (80<<30)-(6<<30) {
 		t.Fatalf("usable %d", m.Usable())
 	}
+}
+
+// TestPeakMemoryMonotoneInMicrobatches checks the invariant the planner's
+// branch-and-bound rests on when it books a subtree's whole microbatch
+// tail as OOM after its first OOM point: among valid configs, peak memory
+// never falls as the microbatch count grows, for every schedule family,
+// pipeline and data-parallel degree, ZeRO stage and model size.
+func TestPeakMemoryMonotoneInMicrobatches(t *testing.T) {
+	specs := []string{"1f1b", "gpipe", "interleaved2", "interleaved4", "zb-h1"}
+	checked := 0
+	for _, arch := range []model.Arch{model.GPT3_15B(), model.GPT3_V3(), model.GPT3_175B()} {
+		for _, name := range specs {
+			spec, err := schedule.Parse(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, pp := range []int{1, 2, 3, 4, 6, 8} {
+				for _, dp := range []int{1, 2, 4, 8} {
+					for zero := ZeRONone; zero <= ZeROGradients; zero++ {
+						m := Model{ZeRO: zero}
+						c := cfg(t, arch, 2, pp, dp, 1)
+						c.Schedule, c.VirtualStages = spec.Policy, spec.Virtual
+						var prev int64
+						prevMB := 0
+						for mb := 1; mb <= 160; mb++ {
+							c.Microbatches = mb
+							if c.Validate() != nil {
+								continue
+							}
+							total := estimate(t, m, c).Total()
+							if prevMB > 0 && total < prev {
+								t.Fatalf("%s %s PP%d DP%d %v: peak memory falls from %d B at %d microbatches to %d B at %d",
+									arch.Name, name, pp, dp, zero, prev, prevMB, total, mb)
+							}
+							prev, prevMB = total, mb
+							checked++
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d valid configurations checked", checked)
 }

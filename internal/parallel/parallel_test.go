@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"lumos/internal/model"
+	"lumos/internal/schedule"
 	"lumos/internal/topology"
 	"lumos/internal/trace"
 )
@@ -136,6 +137,44 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("1F1B with microbatches < PP must be rejected")
 	}
+}
+
+// TestCheckMatchesValidate holds Check without a message to Validate over
+// valid and invalid architectures, mappings, microbatch counts and
+// schedules: the same accept/reject decision, and the same
+// schedule-vs-scope bucket.
+func TestCheckMatchesValidate(t *testing.T) {
+	broken := model.GPT3_15B()
+	broken.Layers = 0
+	type sched struct {
+		policy  SchedulePolicy
+		virtual int
+	}
+	scheds := []sched{{OneFOneB, 0}, {GPipe, 0}, {Interleaved, 0}, {Interleaved, 1},
+		{Interleaved, 2}, {Interleaved, 3}, {ZBH1, 0}, {SchedulePolicy(9), 0}}
+	checked := 0
+	for _, arch := range []model.Arch{model.GPT3_15B(), model.GPT3_V3(), broken} {
+		for _, tp := range []int{0, 1, 2, 3} {
+			for _, pp := range []int{0, 1, 2, 3, 4, 5, 8} {
+				for _, dp := range []int{0, 1, 2} {
+					for _, mb := range []int{0, 1, 2, 3, 4, 6, 8, 9, 16} {
+						for _, mbs := range []int{0, 1} {
+							for _, sc := range scheds {
+								cfg := Config{Arch: arch, Map: topology.Mapping{TP: tp, PP: pp, DP: dp},
+									Microbatches: mb, MicrobatchSize: mbs, Schedule: sc.policy, VirtualStages: sc.virtual}
+								full, bare := cfg.Validate(), cfg.Check(false)
+								if (bare == nil) != (full == nil) || schedule.IsScheduleError(bare) != schedule.IsScheduleError(full) {
+									t.Fatalf("%+v: Check(false) = %v, Validate = %v", cfg.Map, bare, full)
+								}
+								checked++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d configs checked", checked)
 }
 
 func TestLocalParams(t *testing.T) {

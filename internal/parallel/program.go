@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"errors"
 	"fmt"
 
 	"lumos/internal/model"
@@ -63,11 +64,26 @@ func DefaultConfig(arch model.Arch, m topology.Mapping) Config {
 }
 
 // Validate checks deployment feasibility.
-func (c Config) Validate() error {
+func (c Config) Validate() error { return c.Check(true) }
+
+// ErrInfeasible is Check's bare rejection of a deployment that fails a
+// rule other than its schedule's.
+var ErrInfeasible = errors.New("parallel: infeasible deployment")
+
+// Check is Validate with the message optional. With explain false, the
+// mapping, divisibility, microbatch and schedule rules format nothing: a
+// rejection there is ErrInfeasible or the bare schedule sentinel
+// Validate's error wraps, so schedule.IsScheduleError buckets both forms
+// alike. The planner screens thousands of points per search and keeps
+// the messages of only a few.
+func (c Config) Check(explain bool) error {
 	if err := c.Arch.Validate(); err != nil {
 		return err
 	}
 	if c.Map.TP < 1 || c.Map.PP < 1 || c.Map.DP < 1 {
+		if !explain {
+			return ErrInfeasible
+		}
 		return fmt.Errorf("parallel: invalid mapping %dx%dx%d", c.Map.TP, c.Map.PP, c.Map.DP)
 	}
 	gen, err := c.generator()
@@ -76,8 +92,13 @@ func (c Config) Validate() error {
 	}
 	chunks := gen.Chunks()
 	if c.Arch.Layers%(c.Map.PP*chunks) != 0 {
-		if chunks == 1 {
+		switch {
+		case chunks == 1 && !explain:
+			return ErrInfeasible
+		case chunks == 1:
 			return fmt.Errorf("parallel: layers (%d) not divisible by PP (%d)", c.Arch.Layers, c.Map.PP)
+		case !explain:
+			return schedule.ErrIncompatible
 		}
 		// A typed schedule error: only the schedule's chunking makes this
 		// mapping indivisible, so the planner buckets it as
@@ -86,13 +107,22 @@ func (c Config) Validate() error {
 			schedule.ErrIncompatible, c.Arch.Layers, c.Map.PP, chunks)
 	}
 	if c.Arch.Hidden%c.Map.TP != 0 || c.Arch.FFN%c.Map.TP != 0 {
+		if !explain {
+			return ErrInfeasible
+		}
 		return fmt.Errorf("parallel: hidden/FFN (%d/%d) not divisible by TP (%d)",
 			c.Arch.Hidden, c.Arch.FFN, c.Map.TP)
 	}
 	if c.Microbatches < 1 || c.MicrobatchSize < 1 {
+		if !explain {
+			return ErrInfeasible
+		}
 		return fmt.Errorf("parallel: microbatches/microbatch size must be >= 1")
 	}
-	if err := gen.Validate(c.Map.PP, c.Microbatches); err != nil {
+	if err := gen.Check(c.Map.PP, c.Microbatches, explain); err != nil {
+		if !explain {
+			return err
+		}
 		return fmt.Errorf("parallel: %w", err)
 	}
 	return nil

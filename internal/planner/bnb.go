@@ -106,8 +106,8 @@ type spaceSearch struct {
 	budget  int
 	sim     Simulate
 	stats   *Stats
-	// retain records an analytically rejected candidate (capped upstream).
-	retain func(Candidate)
+	// rej books analytically rejected points and keeps the first few.
+	rej *rejections
 	// tracer, when non-nil, receives per-round pop/prune instant events on
 	// the "search" category (the metered simulator adds the simulate ones).
 	tracer *obs.Tracer
@@ -122,19 +122,6 @@ type spaceSearch struct {
 type spaceStrategy interface {
 	Strategy
 	searchSpace(ctx context.Context, s *spaceSearch) ([]Evaluated, error)
-}
-
-// classify books one examined-and-rejected point into the stats tables.
-func (s *spaceSearch) classify(c Candidate) {
-	switch {
-	case c.OOM:
-		s.stats.MemRejected++
-	case c.BadSchedule:
-		s.stats.ScheduleRejected++
-	default:
-		s.stats.ScopeRejected++
-	}
-	s.retain(c)
 }
 
 // bnbNode is one (PP, DP, schedule, fabric, degrade) subtree holding the
@@ -153,21 +140,46 @@ type bnbNode struct {
 	ok      bool // cur holds a feasible head
 }
 
+// point is the subtree's coordinate at microbatch count mb.
+func (n *bnbNode) point(tp, mb int) Point {
+	return Point{TP: tp, PP: n.pp, DP: n.dp, Microbatches: mb,
+		Schedule: n.sched, Fabric: n.fabric, Degrade: n.degrade}
+}
+
 // advance walks the microbatch axis to the next feasible candidate,
-// classifying the rejected points it steps over.
+// booking the rejected points it steps over.
+//
+// An OOM point ends the walk. Peak memory never falls as microbatches
+// grow (TestPeakMemoryMonotoneInMicrobatches in internal/memcost checks
+// every schedule family), and the scope, schedule name and fabric are the
+// subtree's own and already passed. So every untried microbatch is either
+// an invalid config or OOM as well; they are booked from the config's
+// validity alone, with no memory estimate or bound, and the subtree is
+// exhausted. Only a point the result keeps is screened in full, for its
+// reason.
 func (n *bnbNode) advance(s *spaceSearch) {
 	n.ok = false
+	tp := s.base.Map.TP
 	for n.i < len(n.mbs) {
-		p := Point{TP: s.base.Map.TP, PP: n.pp, DP: n.dp, Microbatches: n.mbs[n.i],
-			Schedule: n.sched, Fabric: n.fabric, Degrade: n.degrade}
+		c, ok := s.bounder.screen(n.point(tp, n.mbs[n.i]), s.rej.room())
 		n.i++
-		c := s.bounder.Candidate(p)
-		if c.Infeasible != "" {
-			s.classify(c)
+		if ok {
+			n.cur, n.ok = c, true
+			return
+		}
+		s.rej.book(c)
+		if c.OOM {
+			break
+		}
+	}
+	for ; n.i < len(n.mbs); n.i++ {
+		p := n.point(tp, n.mbs[n.i])
+		if s.rej.room() {
+			s.rej.book(s.bounder.Candidate(p))
 			continue
 		}
-		n.cur, n.ok = c, true
-		return
+		err := p.Config(s.base).Check(false)
+		s.rej.book(Candidate{Point: p, OOM: err == nil, BadSchedule: schedule.IsScheduleError(err)})
 	}
 }
 
@@ -206,9 +218,12 @@ func (b BranchAndBound) searchSpace(ctx context.Context, s *spaceSearch) ([]Eval
 	perTP := len(r.PP) * len(r.DP) * len(r.Microbatch) * len(r.Schedules) * len(r.Fabrics) * len(r.Degrade)
 	perSched := len(r.PP) * len(r.DP) * len(r.Microbatch) * len(r.Fabrics) * len(r.Degrade)
 
-	representative := func(tp int, sched string) Candidate {
-		return s.bounder.Candidate(Point{TP: tp, PP: r.PP[0], DP: r.DP[0],
-			Microbatches: r.Microbatch[0], Schedule: sched, Fabric: r.Fabrics[0], Degrade: r.Degrade[0]})
+	// keepRepresentative retains one candidate for a slice rejected in bulk.
+	keepRepresentative := func(tp int, sched string) {
+		if s.rej.room() {
+			s.rej.keep(s.bounder.Candidate(Point{TP: tp, PP: r.PP[0], DP: r.DP[0],
+				Microbatches: r.Microbatch[0], Schedule: sched, Fabric: r.Fabrics[0], Degrade: r.Degrade[0]}))
+		}
 	}
 
 	h := &nodeHeap{}
@@ -218,7 +233,7 @@ func (b BranchAndBound) searchSpace(ctx context.Context, s *spaceSearch) ([]Eval
 			// The whole TP slice is outside the manipulation scope: no
 			// point can ever be promoted, so the slice is booked in bulk.
 			s.stats.ScopeRejected += perTP
-			s.retain(representative(tp, r.Schedules[0]))
+			keepRepresentative(tp, r.Schedules[0])
 			continue
 		}
 		for _, sched := range r.Schedules {
@@ -226,7 +241,7 @@ func (b BranchAndBound) searchSpace(ctx context.Context, s *spaceSearch) ([]Eval
 				if _, err := schedule.Parse(sched); err != nil {
 					// An unknown spec name is invalid at every coordinate.
 					s.stats.ScheduleRejected += perSched
-					s.retain(representative(tp, sched))
+					keepRepresentative(tp, sched)
 					continue
 				}
 			}

@@ -75,46 +75,64 @@ func NewBounder(base parallel.Config, fabric topology.Fabric, pricer func(topolo
 // Candidate runs the analytic pre-filter on one point: scope check, memory
 // feasibility, and the roofline + pricer cost bound. It never simulates.
 func (b *Bounder) Candidate(p Point) Candidate {
-	c := Candidate{Point: p, Target: p.Config(b.Base)}
+	c, _ := b.screen(p, true)
+	return c
+}
+
+// screen is Candidate with the rejection reason optional; ok reports a
+// feasible point. A rejected point's OOM and BadSchedule flags name its
+// Stats bucket either way, but its Infeasible reason is built only when
+// reason is set: a search rejects tens of thousands of points and keeps
+// the reasons of a few (see rejections), so the rest skip the formatting.
+func (b *Bounder) screen(p Point, reason bool) (c Candidate, ok bool) {
+	c = Candidate{Point: p, Target: p.Config(b.Base)}
 	if p.TP != b.Base.Map.TP {
 		// The paper's manipulation scope: TP changes cannot be predicted
 		// from the profile, so the point can never be promoted.
-		c.Infeasible = fmt.Sprintf("tensor-parallel changes are not supported (TP %d → %d)", b.Base.Map.TP, p.TP)
-		return c
+		if reason {
+			c.Infeasible = fmt.Sprintf("tensor-parallel changes are not supported (TP %d → %d)", b.Base.Map.TP, p.TP)
+		}
+		return c, false
 	}
 	if p.Schedule != "" {
 		// Unknown spec names fail here with the full schedule menu; Config
 		// keeps the base's schedule for such points, so they must never
 		// reach the memory model or the bound.
 		if _, err := schedule.Parse(p.Schedule); err != nil {
-			c.Infeasible = err.Error()
 			c.BadSchedule = true
-			return c
+			if reason {
+				c.Infeasible = err.Error()
+			}
+			return c, false
 		}
 	}
-	if err := c.Target.Validate(); err != nil {
-		c.Infeasible = err.Error()
+	if err := c.Target.Check(reason); err != nil {
 		c.BadSchedule = schedule.IsScheduleError(err)
-		return c
+		if reason {
+			c.Infeasible = err.Error()
+		}
+		return c, false
 	}
 	_, pricer, err := b.resolveFabric(p)
 	if err != nil {
 		c.Infeasible = err.Error()
-		return c
+		return c, false
 	}
-	mem, ok, err := b.Mem.Feasible(c.Target)
+	mem, fits, err := b.Mem.Feasible(c.Target)
 	if err != nil {
 		c.Infeasible = err.Error()
-		return c
+		return c, false
 	}
 	c.Mem = mem
-	if !ok {
-		c.Infeasible = fmt.Sprintf("OOM: needs %v, device has %.1fGiB usable", mem, float64(b.Mem.Usable())/(1<<30))
+	if !fits {
 		c.OOM = true
-		return c
+		if reason {
+			c.Infeasible = fmt.Sprintf("OOM: needs %v, device has %.1fGiB usable", mem, float64(b.Mem.Usable())/(1<<30))
+		}
+		return c, false
 	}
 	c.Bound = b.bound(c.Target, pricer)
-	return c
+	return c, true
 }
 
 // ResolveFabric resolves a point's target fabric against the campaign's

@@ -586,12 +586,7 @@ func Plan(ctx context.Context, base parallel.Config, space Space,
 
 	bounder := NewBounder(base, fabric, pricer, o.Mem)
 	stats := Stats{}
-	var infeasible []Candidate
-	retain := func(c Candidate) {
-		if len(infeasible) < maxInfeasible {
-			infeasible = append(infeasible, c)
-		}
-	}
+	rej := &rejections{max: maxInfeasible, stats: &stats}
 
 	// The engine meters the strategy's use of the simulator: unique points
 	// promoted, total requests (the difference hit the scenario cache),
@@ -669,7 +664,7 @@ func Plan(ctx context.Context, base parallel.Config, space Space,
 		// pruning tables themselves — the space is never materialized here.
 		evaluated, err = ss.searchSpace(ctx, &spaceSearch{
 			base: base, space: space, bounder: bounder,
-			budget: o.Budget, sim: metered, stats: &stats, retain: retain,
+			budget: o.Budget, sim: metered, stats: &stats, rej: rej,
 			tracer: o.Tracer, explain: o.Explain,
 		})
 		if err != nil {
@@ -679,20 +674,11 @@ func Plan(ctx context.Context, base parallel.Config, space Space,
 		var feasible []Candidate
 		space.ForEach(base, func(p Point) bool {
 			stats.SpaceSize++
-			c := bounder.Candidate(p)
-			if c.Infeasible == "" {
+			if c, ok := bounder.screen(p, rej.room()); ok {
 				feasible = append(feasible, c)
-				return true
+			} else {
+				rej.book(c)
 			}
-			switch {
-			case c.OOM:
-				stats.MemRejected++
-			case c.BadSchedule:
-				stats.ScheduleRejected++
-			default:
-				stats.ScopeRejected++
-			}
-			retain(c)
 			return true
 		})
 		stats.Feasible = len(feasible)
@@ -716,11 +702,9 @@ func Plan(ctx context.Context, base parallel.Config, space Space,
 			ok = append(ok, e)
 			continue
 		}
-		if len(infeasible) < maxInfeasible {
-			c := e.Candidate
-			c.Infeasible = "simulation: " + e.Err
-			infeasible = append(infeasible, c)
-		}
+		c := e.Candidate
+		c.Infeasible = "simulation: " + e.Err
+		rej.keep(c)
 	}
 	frontier, dominated := paretoSplit(ok)
 
@@ -731,9 +715,43 @@ func Plan(ctx context.Context, base parallel.Config, space Space,
 		Strategy:   strat.Name(),
 		Frontier:   frontier,
 		Dominated:  dominated,
-		Infeasible: infeasible,
+		Infeasible: rej.kept,
 		Stats:      stats,
 	}, nil
+}
+
+// rejections books analytically rejected points into the Stats buckets and
+// keeps the first max of them, with their reasons, for Result.Infeasible.
+// Callers screen a point with a reason only while room remains, so the
+// points past the cap are counted without one.
+type rejections struct {
+	max   int
+	kept  []Candidate
+	stats *Stats
+}
+
+// room reports whether the next rejection is kept (and so needs a reason).
+func (r *rejections) room() bool { return len(r.kept) < r.max }
+
+// keep retains c while room remains.
+func (r *rejections) keep(c Candidate) {
+	if r.room() {
+		r.kept = append(r.kept, c)
+	}
+}
+
+// book counts one rejected point in its bucket and keeps it while room
+// remains.
+func (r *rejections) book(c Candidate) {
+	switch {
+	case c.OOM:
+		r.stats.MemRejected++
+	case c.BadSchedule:
+		r.stats.ScheduleRejected++
+	default:
+		r.stats.ScopeRejected++
+	}
+	r.keep(c)
 }
 
 // dominates reports whether a Pareto-dominates b over (iteration time, GPU

@@ -8,15 +8,25 @@
 // chains in a pooled arena, and collective rendezvous state lives in flat
 // CSR slots sized at compile time.
 //
+// Compile numbers the program's tasks by (recorded start, task ID). The
+// replay executes tasks roughly in recorded-start order, so a task's
+// successors, lane neighbours and waiters sit near it in every column,
+// and the ready heap holds bare program indices: comparing two indices is
+// comparing (recorded start, task ID). Durations come in, and replayed
+// times go out, indexed by graph task ID; the order column maps between
+// the two.
+//
 // The engine is bit-identical to the Simulator interpreter: the ready heap
-// orders by (recorded start, task ID) — a strict total order, so any
+// pops by (recorded start, task ID) — a strict total order, so any
 // conforming heap pops the same sequence — and waiter/rendezvous folds are
 // order-independent max-reductions. The interpreter remains as the
 // reference implementation the tests compare against.
 package replay
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sync/atomic"
 
 	"lumos/internal/execgraph"
@@ -33,6 +43,9 @@ type Timings struct {
 
 // Program is an immutable compiled form of an execution graph. It is safe
 // for concurrent Run calls as long as each goroutine brings its own Scratch.
+// Every task-indexed column except the two base duration columns is in
+// program order (see Compile); task references inside the program (edges,
+// lanes, launch tasks, seeds) are program indices.
 type Program struct {
 	opts Options
 	g    *execgraph.Graph
@@ -41,23 +54,27 @@ type Program struct {
 	nProcs int
 	nRanks int
 
-	// Per-task columns.
+	// Per-task columns, in program order.
 	kind       []execgraph.TaskKind
 	sync       []execgraph.SyncKind
 	proc       []int32
 	rank       []int32
 	syncStream []int32
 	launch     []int32
-	recStart   []trace.Time
-	baseDur    []trace.Dur
-	baseGDur   []trace.Dur
 	depsInit   []int32
+	// order maps a program index to its graph task ID.
+	order []int32
+
+	// baseDur and baseGDur are the recorded durations, indexed by graph
+	// task ID like Timings.
+	baseDur  []trace.Dur
+	baseGDur []trace.Dur
 
 	// CSR out-edges: outEdge[outStart[id]:outStart[id+1]].
 	outStart []int32
 	outEdge  []int32
 
-	// CSR per-processor GPU kernel lanes in task order.
+	// CSR per-processor GPU kernel lanes in graph task order.
 	kernStart []int32
 	kern      []int32
 
@@ -76,12 +93,14 @@ type Program struct {
 	nGroups     int
 	groupSlots  int
 
-	// seeds lists tasks with no fixed in-edges, in task order — the initial
-	// ready frontier, precomputed so runs skip the O(n) scan.
+	// seeds lists tasks with no fixed in-edges in ascending program index
+	// — the initial ready frontier, already a valid min-heap, precomputed
+	// so runs skip the O(n) scan.
 	seeds []int32
 }
 
-// Compile lowers g into an immutable structure-of-arrays program.
+// Compile lowers g into an immutable structure-of-arrays program, numbering
+// its tasks by (recorded start, task ID) — the ready heap's pop order.
 func Compile(g *execgraph.Graph, opts Options) *Program {
 	n := len(g.Tasks)
 	p := &Program{
@@ -97,43 +116,25 @@ func Compile(g *execgraph.Graph, opts Options) *Program {
 		rank:       make([]int32, n),
 		syncStream: make([]int32, n),
 		launch:     make([]int32, n),
-		recStart:   make([]trace.Time, n),
+		depsInit:   make([]int32, n),
 		baseDur:    make([]trace.Dur, n),
 		baseGDur:   make([]trace.Dur, n),
-		depsInit:   make([]int32, n),
 		outStart:   make([]int32, n+1),
 		groupOf:    make([]int32, n),
+		kernStart:  make([]int32, len(g.Procs)+1),
 	}
 
-	totalOut := 0
-	for i := range g.Tasks {
-		totalOut += len(g.Tasks[i].Out)
+	// Number the tasks, then size the CSR columns in program order so the
+	// scatter below writes every column in place.
+	p.order = startOrder(g.Tasks)
+	// pos is the inverse of order: graph task ID → program index. Only
+	// compilation needs it.
+	pos := make([]int32, n)
+	for i, id := range p.order {
+		pos[id] = int32(i)
+		p.outStart[i+1] = p.outStart[i] + int32(len(g.Tasks[id].Out))
 	}
-	p.outEdge = make([]int32, 0, totalOut)
-	for i := range g.Tasks {
-		t := &g.Tasks[i]
-		p.kind[i] = t.Kind
-		p.sync[i] = t.Sync
-		p.proc[i] = t.Proc
-		p.rank[i] = t.Rank
-		p.syncStream[i] = t.SyncStreamID
-		p.launch[i] = t.LaunchTask
-		p.recStart[i] = t.Start
-		p.baseDur[i] = t.Dur
-		p.baseGDur[i] = t.GroupDur
-		p.depsInit[i] = t.NFixedIn
-		p.groupOf[i] = -1
-		p.outStart[i] = int32(len(p.outEdge))
-		p.outEdge = append(p.outEdge, t.Out...)
-		if t.NFixedIn == 0 {
-			p.seeds = append(p.seeds, int32(i))
-		}
-	}
-	p.outStart[n] = int32(len(p.outEdge))
-
-	// GPU kernel lanes, CSR by processor, members in task order (matching
-	// the interpreter's bind, which appends while scanning tasks).
-	p.kernStart = make([]int32, p.nProcs+1)
+	p.outEdge = make([]int32, p.outStart[n])
 	for i := range g.Tasks {
 		if g.Tasks[i].Kind == execgraph.TaskGPU {
 			p.kernStart[g.Tasks[i].Proc+1]++
@@ -142,13 +143,40 @@ func Compile(g *execgraph.Graph, opts Options) *Program {
 	for pr := 0; pr < p.nProcs; pr++ {
 		p.kernStart[pr+1] += p.kernStart[pr]
 	}
-	fill := make([]int32, p.nProcs)
 	p.kern = make([]int32, p.kernStart[p.nProcs])
+	fill := make([]int32, p.nProcs)
+
+	// Read the tasks in graph order and scatter each to its program slot. Kernel lanes keep graph task order (matching the
+	// interpreter's bind, which appends while scanning tasks): a lane is
+	// its stream's FIFO, whatever the program order.
 	for i := range g.Tasks {
-		if g.Tasks[i].Kind == execgraph.TaskGPU {
-			pr := g.Tasks[i].Proc
-			p.kern[p.kernStart[pr]+fill[pr]] = int32(i)
-			fill[pr]++
+		t := &g.Tasks[i]
+		j := pos[i]
+		p.kind[j] = t.Kind
+		p.sync[j] = t.Sync
+		p.proc[j] = t.Proc
+		p.rank[j] = t.Rank
+		p.syncStream[j] = t.SyncStreamID
+		p.launch[j] = -1
+		if t.LaunchTask >= 0 {
+			p.launch[j] = pos[t.LaunchTask]
+		}
+		p.depsInit[j] = t.NFixedIn
+		p.groupOf[j] = -1
+		edges := p.outEdge[p.outStart[j]:p.outStart[j+1]]
+		for k, c := range t.Out {
+			edges[k] = pos[c]
+		}
+		p.baseDur[i] = t.Dur
+		p.baseGDur[i] = t.GroupDur
+		if t.Kind == execgraph.TaskGPU {
+			p.kern[p.kernStart[t.Proc]+fill[t.Proc]] = j
+			fill[t.Proc]++
+		}
+	}
+	for j, deps := range p.depsInit {
+		if deps == 0 {
+			p.seeds = append(p.seeds, int32(j))
 		}
 	}
 
@@ -185,11 +213,29 @@ func Compile(g *execgraph.Graph, opts Options) *Program {
 			p.groupOff = append(p.groupOff, int32(p.groupSlots))
 			p.groupSlots += len(members)
 			for _, id := range members {
-				p.groupOf[id] = gi
+				p.groupOf[pos[id]] = gi
 			}
 		}
 	}
 	return p
+}
+
+// startOrder returns the task IDs sorted by (recorded start, task ID): the
+// program order, mapping a program index to its graph task ID.
+func startOrder(tasks []execgraph.Task) []int32 {
+	starts := make([]trace.Time, len(tasks))
+	order := make([]int32, len(tasks))
+	for i := range tasks {
+		starts[i] = tasks[i].Start
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if starts[a] != starts[b] {
+			return cmp.Compare(starts[a], starts[b])
+		}
+		return cmp.Compare(a, b)
+	})
+	return order
 }
 
 // Graph returns the source graph the program was compiled from.
@@ -198,8 +244,9 @@ func (p *Program) Graph() *execgraph.Graph { return p.g }
 // NumTasks returns the compiled task count.
 func (p *Program) NumTasks() int { return p.nTasks }
 
-// BaseDur returns the recorded per-task duration column. The slice is
-// program-owned and must not be modified; copy it to seed a Timings buffer.
+// BaseDur returns the recorded per-task duration column, indexed by graph
+// task ID. The slice is program-owned and must not be modified; copy it to
+// seed a Timings buffer.
 func (p *Program) BaseDur() []trace.Dur { return p.baseDur }
 
 // BaseGroupDur returns the recorded intrinsic collective duration column.
@@ -217,7 +264,8 @@ type waiterNode struct {
 // Scratch is the reusable mutable state for Program.Run. A zero Scratch is
 // ready to use; it grows to fit the largest program it has run and resets
 // with memclr-speed clears. Not safe for concurrent use — pool scratches,
-// one per worker.
+// one per worker. start and end are indexed by graph task ID (they back
+// Result); every other task column by program index.
 type Scratch struct {
 	prog *Program
 	dur  []trace.Dur
@@ -229,7 +277,7 @@ type Scratch struct {
 	done       []bool
 	procTime   []trace.Time
 	procCursor []int32
-	ready      []readyItem
+	ready      []int32
 
 	// syncMaxEnd is dense per task (stored values are always > 0, so the
 	// zero value means "absent" exactly like the interpreter's map).
@@ -245,6 +293,8 @@ type Scratch struct {
 
 	executed int
 	rankSpan []struct{ Start, End trace.Time }
+	// lo and hi are the earliest start and latest end so far.
+	lo, hi trace.Time
 }
 
 // NewScratch returns an empty scratch; Run sizes it on first use.
@@ -277,20 +327,25 @@ func (s *Scratch) bind(p *Program) {
 	clear(s.procTime)
 	clear(s.procCursor)
 	clear(s.groupCount)
-	s.ready = s.ready[:0]
+	for r := range s.rankSpan {
+		s.rankSpan[r] = struct{ Start, End trace.Time }{Start: math.MaxInt64}
+	}
+	s.lo, s.hi = math.MaxInt64, 0
+	// The seeds ascend, so they already form a valid min-heap.
+	s.ready = append(s.ready[:0], p.seeds...)
 	s.waiterArena = s.waiterArena[:0]
 	s.executed = 0
 }
 
-// pushReady inserts a task into the manual binary ready heap, ordered by
-// (recorded start, task ID) — the same strict total order as the
-// interpreter's container/heap, so the pop sequence is identical.
-func (s *Scratch) pushReady(task int32, recStart trace.Time) {
-	h := append(s.ready, readyItem{task, recStart})
+// pushReady inserts a task into the manual binary ready heap. Program
+// indices follow (recorded start, task ID) — the same strict total order
+// as the interpreter's container/heap — so the pop sequence is identical.
+func (s *Scratch) pushReady(task int32) {
+	h := append(s.ready, task)
 	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !readyLess(h[i], h[parent]) {
+		if h[i] >= h[parent] {
 			break
 		}
 		h[i], h[parent] = h[parent], h[i]
@@ -299,8 +354,8 @@ func (s *Scratch) pushReady(task int32, recStart trace.Time) {
 	s.ready = h
 }
 
-// popReady removes and returns the minimum ready item.
-func (s *Scratch) popReady() readyItem {
+// popReady removes and returns the minimum ready task.
+func (s *Scratch) popReady() int32 {
 	h := s.ready
 	top := h[0]
 	n := len(h) - 1
@@ -310,10 +365,10 @@ func (s *Scratch) popReady() readyItem {
 	for {
 		l, r := 2*i+1, 2*i+2
 		min := i
-		if l < n && readyLess(h[l], h[min]) {
+		if l < n && h[l] < h[min] {
 			min = l
 		}
-		if r < n && readyLess(h[r], h[min]) {
+		if r < n && h[r] < h[min] {
 			min = r
 		}
 		if min == i {
@@ -324,13 +379,6 @@ func (s *Scratch) popReady() readyItem {
 	}
 	s.ready = h
 	return top
-}
-
-func readyLess(a, b readyItem) bool {
-	if a.recStart != b.recStart {
-		return a.recStart < b.recStart
-	}
-	return a.task < b.task
 }
 
 // Run simulates the compiled graph under the given timings. The returned
@@ -348,54 +396,31 @@ func (p *Program) Run(t Timings, s *Scratch) (*Result, error) {
 		s.gdur = p.baseGDur
 	}
 
-	for _, id := range p.seeds {
-		s.pushReady(id, p.recStart[id])
-	}
 	for len(s.ready) > 0 {
-		it := s.popReady()
-		s.execute(it.task)
+		s.execute(s.popReady())
 	}
 
 	n := p.nTasks
 	if s.executed != n {
 		e := &DeadlockError{Executed: s.executed, Total: n}
-		for i := range s.done {
-			if !s.done[i] {
-				e.Stuck = append(e.Stuck, int32(i))
-				if len(e.Stuck) == 8 {
-					break
-				}
+		for i, done := range s.done {
+			if !done {
+				e.Stuck = append(e.Stuck, p.order[i])
 			}
 		}
+		// The lowest stuck graph task IDs, as the interpreter reports them.
+		slices.Sort(e.Stuck)
+		e.Stuck = e.Stuck[:min(len(e.Stuck), 8)]
 		return nil, e
 	}
 
 	// A fresh Result per run (the only steady-path allocation), matching
 	// the interpreter's contract: scalar fields outlive the scratch, while
 	// Start/End/RankSpan alias scratch buffers valid until its next Run.
-	res := &Result{Start: s.start, End: s.end, Executed: s.executed}
-	res.RankSpan = s.rankSpan
-	for r := range res.RankSpan {
-		res.RankSpan[r] = struct{ Start, End trace.Time }{Start: math.MaxInt64}
-	}
-	var lo, hi trace.Time = math.MaxInt64, 0
-	for i := 0; i < n; i++ {
-		r := p.rank[i]
-		if s.start[i] < res.RankSpan[r].Start {
-			res.RankSpan[r].Start = s.start[i]
-		}
-		if s.end[i] > res.RankSpan[r].End {
-			res.RankSpan[r].End = s.end[i]
-		}
-		if s.start[i] < lo {
-			lo = s.start[i]
-		}
-		if s.end[i] > hi {
-			hi = s.end[i]
-		}
-	}
+	// finish folded the rank spans and the makespan as tasks completed.
+	res := &Result{Start: s.start, End: s.end, Executed: s.executed, RankSpan: s.rankSpan}
 	if n > 0 {
-		res.Makespan = hi - lo
+		res.Makespan = s.hi - s.lo
 	}
 	return res, nil
 }
@@ -418,7 +443,7 @@ func (s *Scratch) execute(id int32) {
 	if pt := s.procTime[p.proc[id]]; pt > start {
 		start = pt
 	}
-	s.finish(id, start, start+s.dur[id])
+	s.finish(id, start, start+s.dur[p.order[id]])
 }
 
 // executeSync resolves a synchronization task's runtime dependencies: fold
@@ -507,7 +532,7 @@ func (s *Scratch) arrive(id, gi int32) {
 			maxReady = r
 		}
 	}
-	first := members[0]
+	first := p.order[members[0]]
 	dur := s.gdur[first]
 	if dur <= 0 {
 		dur = s.dur[first]
@@ -518,14 +543,29 @@ func (s *Scratch) arrive(id, gi int32) {
 	}
 }
 
-// finish completes a task: records times, advances its processor lane,
-// unblocks CSR dependents and chained sync waiters.
+// finish completes a task: records times, folds them into its rank's span
+// and the makespan, advances its processor lane, and unblocks CSR
+// dependents and chained sync waiters.
 func (s *Scratch) finish(id int32, start, end trace.Time) {
 	p := s.prog
-	s.start[id] = start
-	s.end[id] = end
+	gid := p.order[id]
+	s.start[gid] = start
+	s.end[gid] = end
 	s.done[id] = true
 	s.executed++
+	span := &s.rankSpan[p.rank[id]]
+	if start < span.Start {
+		span.Start = start
+	}
+	if end > span.End {
+		span.End = end
+	}
+	if start < s.lo {
+		s.lo = start
+	}
+	if end > s.hi {
+		s.hi = end
+	}
 	pr := p.proc[id]
 	if end > s.procTime[pr] {
 		s.procTime[pr] = end
@@ -546,7 +586,7 @@ func (s *Scratch) finish(id int32, start, end trace.Time) {
 		}
 		s.deps[c]--
 		if s.deps[c] == 0 {
-			s.pushReady(c, p.recStart[c])
+			s.pushReady(c)
 		}
 	}
 
@@ -559,7 +599,7 @@ func (s *Scratch) finish(id int32, start, end trace.Time) {
 		}
 		s.deps[w]--
 		if s.deps[w] == 0 {
-			s.pushReady(w, p.recStart[w])
+			s.pushReady(w)
 		}
 	}
 	s.waiterHead[id] = 0

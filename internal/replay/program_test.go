@@ -2,13 +2,16 @@ package replay
 
 import (
 	"errors"
+	"math"
 	"reflect"
+	"sort"
 	"testing"
 
 	"lumos/internal/cluster"
 	"lumos/internal/execgraph"
 	"lumos/internal/model"
 	"lumos/internal/parallel"
+	"lumos/internal/rng"
 	"lumos/internal/topology"
 	"lumos/internal/trace"
 )
@@ -182,25 +185,87 @@ func deadlockGraph() *execgraph.Graph {
 	}
 }
 
+// reversedDeadlockGraph is twelve tasks whose recorded starts run against
+// their IDs, all but the last waiting on a fixed in-edge nobody provides:
+// more stuck tasks than a DeadlockError samples, in an order the compiled
+// engine renumbers.
+func reversedDeadlockGraph() *execgraph.Graph {
+	g := &execgraph.Graph{NumRanks: 1, Procs: []execgraph.Proc{{Rank: 0, TID: 1}}}
+	const n = 12
+	for i := 0; i < n; i++ {
+		task := execgraph.Task{ID: int32(i), Kind: execgraph.TaskCPU, Start: trace.Time(10 * (n - i)), Dur: 10, LaunchTask: -1}
+		if i < n-1 {
+			task.NFixedIn = 1
+		}
+		g.Tasks = append(g.Tasks, task)
+	}
+	return g
+}
+
 // TestCompiledDeadlockParity requires the compiled engine to fail exactly
 // like the interpreter: same typed *DeadlockError, same counts, same stuck
-// sample.
+// sample — the lowest stuck graph task IDs, even when the compiled engine
+// numbers tasks in another order.
 func TestCompiledDeadlockParity(t *testing.T) {
-	g := deadlockGraph()
-	_, ierr := NewSimulator(DefaultOptions()).Run(g)
-	_, cerr := NewCompiled(DefaultOptions()).Run(g)
-	var iw, cw *DeadlockError
-	if !errors.As(ierr, &iw) {
-		t.Fatalf("interpreter error %v is not a DeadlockError", ierr)
+	for _, tc := range []struct {
+		name      string
+		g         *execgraph.Graph
+		wantStuck []int32
+	}{
+		{"two tasks", deadlockGraph(), []int32{1}},
+		{"reversed starts", reversedDeadlockGraph(), []int32{0, 1, 2, 3, 4, 5, 6, 7}},
+	} {
+		_, ierr := NewSimulator(DefaultOptions()).Run(tc.g)
+		_, cerr := NewCompiled(DefaultOptions()).Run(tc.g)
+		var iw, cw *DeadlockError
+		if !errors.As(ierr, &iw) {
+			t.Fatalf("%s: interpreter error %v is not a DeadlockError", tc.name, ierr)
+		}
+		if !errors.As(cerr, &cw) {
+			t.Fatalf("%s: compiled error %v is not a DeadlockError", tc.name, cerr)
+		}
+		if !reflect.DeepEqual(iw, cw) {
+			t.Fatalf("%s: deadlock mismatch: interpreter %+v vs compiled %+v", tc.name, iw, cw)
+		}
+		if cw.Executed != 1 || cw.Total != len(tc.g.Tasks) || !reflect.DeepEqual(cw.Stuck, tc.wantStuck) {
+			t.Fatalf("%s: unexpected deadlock shape: %+v", tc.name, cw)
+		}
 	}
-	if !errors.As(cerr, &cw) {
-		t.Fatalf("compiled error %v is not a DeadlockError", cerr)
-	}
-	if !reflect.DeepEqual(iw, cw) {
-		t.Fatalf("deadlock mismatch: interpreter %+v vs compiled %+v", iw, cw)
-	}
-	if cw.Executed != 1 || cw.Total != 2 || len(cw.Stuck) != 1 || cw.Stuck[0] != 1 {
-		t.Fatalf("unexpected deadlock shape: %+v", cw)
+}
+
+// TestStartOrder checks the compiled task numbering against a stable sort
+// by recorded start, over random starts with ties, negative values and
+// spans near the int64 limits.
+func TestStartOrder(t *testing.T) {
+	src := rng.New(7)
+	for _, tc := range []struct {
+		name   string
+		n      int
+		starts func(i int) trace.Time
+	}{
+		{"empty", 0, nil},
+		{"ties", 5000, func(int) trace.Time { return trace.Time(src.Intn(50)) }},
+		{"negative", 5000, func(int) trace.Time { return trace.Time(src.Intn(1_000_000)) - 500_000 }},
+		{"wide", 5000, func(int) trace.Time { return trace.Time(src.Intn(3_000_000_000)) }},
+		{"extremes", 500, func(i int) trace.Time {
+			if i%2 == 0 {
+				return math.MinInt64 / 2
+			}
+			return math.MaxInt64/2 - trace.Time(src.Intn(100))
+		}},
+	} {
+		tasks := make([]execgraph.Task, tc.n)
+		for i := range tasks {
+			tasks[i].Start = tc.starts(i)
+		}
+		want := make([]int32, tc.n)
+		for i := range want {
+			want[i] = int32(i)
+		}
+		sort.SliceStable(want, func(a, b int) bool { return tasks[want[a]].Start < tasks[want[b]].Start })
+		if got := startOrder(tasks); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: start order differs from a stable sort by start", tc.name)
+		}
 	}
 }
 

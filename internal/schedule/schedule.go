@@ -136,9 +136,12 @@ type Generator interface {
 	// Chunks is the number of model chunks each rank hosts (v for
 	// interleaved, 1 otherwise).
 	Chunks() int
-	// Validate checks that the schedule can run with the given stage and
-	// microbatch counts, returning a typed error otherwise.
-	Validate(stages, microbatches int) error
+	// Check reports whether the schedule can run with the given stage and
+	// microbatch counts: nil, or a typed error. With explain false the
+	// error is the bare sentinel (ErrStage, ErrMicrobatches,
+	// ErrIncompatible) and no message is formatted: search layers screen
+	// thousands of points and keep the messages of only a few.
+	Check(stages, microbatches int, explain bool) error
 	// Slots returns the slot sequence for one pipeline stage.
 	Slots(stage, stages, microbatches int) ([]Slot, error)
 	// BubbleCost returns the analytic fill/drain bubble term the planner's
@@ -228,12 +231,19 @@ func Parse(name string) (Spec, error) {
 	return Spec{}, fmt.Errorf("%w: %q; valid schedules: %s", ErrPolicy, name, strings.Join(Names(), ", "))
 }
 
-// checkArgs validates the shared (stage, stages, microbatches) domain.
-func checkArgs(stage, stages, microbatches int) error {
+// checkArgs validates the shared (stage, stages, microbatches) domain,
+// returning bare sentinels unless explain is set.
+func checkArgs(stage, stages, microbatches int, explain bool) error {
 	if stages < 1 || stage < 0 || stage >= stages {
+		if !explain {
+			return ErrStage
+		}
 		return fmt.Errorf("%w: stage %d of %d", ErrStage, stage, stages)
 	}
 	if microbatches < 1 {
+		if !explain {
+			return ErrMicrobatches
+		}
 		return fmt.Errorf("%w: must be >= 1, got %d", ErrMicrobatches, microbatches)
 	}
 	return nil
@@ -248,12 +258,12 @@ func (gpipe) Policy() Policy { return GPipe }
 func (gpipe) Chunks() int    { return 1 }
 func (gpipe) P2PFactor() int { return 1 }
 
-func (gpipe) Validate(stages, microbatches int) error {
-	return checkArgs(0, stages, microbatches)
+func (gpipe) Check(stages, microbatches int, explain bool) error {
+	return checkArgs(0, stages, microbatches, explain)
 }
 
 func (gpipe) Slots(stage, stages, microbatches int) ([]Slot, error) {
-	if err := checkArgs(stage, stages, microbatches); err != nil {
+	if err := checkArgs(stage, stages, microbatches, true); err != nil {
 		return nil, err
 	}
 	slots := make([]Slot, 0, 2*microbatches)
@@ -279,11 +289,14 @@ func (oneFOneB) Policy() Policy { return OneFOneB }
 func (oneFOneB) Chunks() int    { return 1 }
 func (oneFOneB) P2PFactor() int { return 1 }
 
-func (oneFOneB) Validate(stages, microbatches int) error {
-	if err := checkArgs(0, stages, microbatches); err != nil {
+func (oneFOneB) Check(stages, microbatches int, explain bool) error {
+	if err := checkArgs(0, stages, microbatches, explain); err != nil {
 		return err
 	}
 	if microbatches < stages {
+		if !explain {
+			return ErrMicrobatches
+		}
 		return fmt.Errorf("%w: 1F1B needs microbatches (%d) >= stages (%d) to fill the pipeline",
 			ErrMicrobatches, microbatches, stages)
 	}
@@ -294,7 +307,7 @@ func (oneFOneB) Validate(stages, microbatches int) error {
 // Figure 4 of the paper is exactly this sequence for stage 0. The output is
 // bit-identical to the pre-subsystem parallel.BuildSchedule.
 func (oneFOneB) Slots(stage, stages, microbatches int) ([]Slot, error) {
-	if err := checkArgs(stage, stages, microbatches); err != nil {
+	if err := checkArgs(stage, stages, microbatches, true); err != nil {
 		return nil, err
 	}
 	slots := make([]Slot, 0, 2*microbatches)
@@ -335,14 +348,20 @@ func (interleaved) Policy() Policy   { return Interleaved }
 func (g interleaved) Chunks() int    { return g.v }
 func (g interleaved) P2PFactor() int { return g.v }
 
-func (g interleaved) Validate(stages, microbatches int) error {
-	if err := checkArgs(0, stages, microbatches); err != nil {
+func (g interleaved) Check(stages, microbatches int, explain bool) error {
+	if err := checkArgs(0, stages, microbatches, explain); err != nil {
 		return err
 	}
 	if stages < 2 {
+		if !explain {
+			return ErrIncompatible
+		}
 		return fmt.Errorf("%w: interleaved needs >= 2 pipeline stages, got %d", ErrIncompatible, stages)
 	}
 	if microbatches%stages != 0 {
+		if !explain {
+			return ErrMicrobatches
+		}
 		return fmt.Errorf("%w: interleaved needs microbatches (%d) divisible by pipeline stages (%d)",
 			ErrMicrobatches, microbatches, stages)
 	}
@@ -363,10 +382,10 @@ func (g interleaved) order(k, stages int, backward bool) (chunk, mb int) {
 }
 
 func (g interleaved) Slots(stage, stages, microbatches int) ([]Slot, error) {
-	if err := checkArgs(stage, stages, microbatches); err != nil {
+	if err := checkArgs(stage, stages, microbatches, true); err != nil {
 		return nil, err
 	}
-	if err := g.Validate(stages, microbatches); err != nil {
+	if err := g.Check(stages, microbatches, true); err != nil {
 		return nil, err
 	}
 	total := microbatches * g.v
@@ -415,11 +434,14 @@ func (zbh1) Policy() Policy { return ZBH1 }
 func (zbh1) Chunks() int    { return 1 }
 func (zbh1) P2PFactor() int { return 1 }
 
-func (zbh1) Validate(stages, microbatches int) error {
-	if err := checkArgs(0, stages, microbatches); err != nil {
+func (zbh1) Check(stages, microbatches int, explain bool) error {
+	if err := checkArgs(0, stages, microbatches, explain); err != nil {
 		return err
 	}
 	if microbatches < stages {
+		if !explain {
+			return ErrMicrobatches
+		}
 		return fmt.Errorf("%w: ZB-H1 needs microbatches (%d) >= stages (%d) to fill the pipeline",
 			ErrMicrobatches, microbatches, stages)
 	}
@@ -427,7 +449,7 @@ func (zbh1) Validate(stages, microbatches int) error {
 }
 
 func (zbh1) Slots(stage, stages, microbatches int) ([]Slot, error) {
-	if err := checkArgs(stage, stages, microbatches); err != nil {
+	if err := checkArgs(stage, stages, microbatches, true); err != nil {
 		return nil, err
 	}
 	slots := make([]Slot, 0, 3*microbatches)

@@ -148,7 +148,7 @@ func TestPropertyGeneratorsValidAndDeadlockFree(t *testing.T) {
 			g, _ = New(ZBH1, 0)
 			mb = stages + int(mbSel%12)
 		}
-		if err := g.Validate(stages, mb); err != nil {
+		if err := g.Check(stages, mb, true); err != nil {
 			return false
 		}
 		return pipelineDeadlockFree(t, g, stages, mb)
@@ -182,10 +182,10 @@ func TestInterleavedShapes(t *testing.T) {
 		}
 	}
 	// Interleaved must validate mb % stages == 0.
-	if err := g.Validate(2, 3); !errors.Is(err, ErrMicrobatches) {
+	if err := g.Check(2, 3, true); !errors.Is(err, ErrMicrobatches) {
 		t.Fatalf("mb=3 stages=2 err = %v, want ErrMicrobatches", err)
 	}
-	if err := g.Validate(1, 4); !errors.Is(err, ErrIncompatible) {
+	if err := g.Check(1, 4, true); !errors.Is(err, ErrIncompatible) {
 		t.Fatalf("stages=1 err = %v, want ErrIncompatible", err)
 	}
 }
@@ -297,5 +297,26 @@ func TestTypedErrors(t *testing.T) {
 	}
 	if IsScheduleError(errors.New("other")) {
 		t.Fatal("IsScheduleError must reject unrelated errors")
+	}
+}
+
+// TestCheckBareMatchesExplained holds every generator's Check without a
+// message to Check with one: the same accept/reject decision, and a bare
+// sentinel the explained error wraps.
+func TestCheckBareMatchesExplained(t *testing.T) {
+	for _, spec := range []Spec{{Policy: OneFOneB}, {Policy: GPipe}, {Policy: Interleaved, Virtual: 2},
+		{Policy: Interleaved, Virtual: 3}, {Policy: ZBH1}} {
+		g, err := spec.Generator()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for stages := -1; stages <= 9; stages++ {
+			for mb := -1; mb <= 40; mb++ {
+				bare, full := g.Check(stages, mb, false), g.Check(stages, mb, true)
+				if (bare == nil) != (full == nil) || (bare != nil && !errors.Is(full, bare)) {
+					t.Fatalf("%s: Check(%d, %d) = %v bare, %v explained", g.Name(), stages, mb, bare, full)
+				}
+			}
+		}
 	}
 }

@@ -438,10 +438,12 @@ type SearchStats struct {
 }
 
 // EngineStats aggregates replay-engine activity across every request served
-// since startup: graph lowerings into compiled programs, and runs.
+// since startup: graph lowerings into compiled programs, runs, and plan-point
+// replays skipped because the retime changed no collective's duration.
 type EngineStats struct {
 	CompiledPrograms int64 `json:"compiled_programs"`
 	CompiledRuns     int64 `json:"compiled_runs"`
+	SkippedRuns      int64 `json:"skipped_runs"`
 }
 
 // HealthResponse is the GET /v1/healthz response: liveness plus enough

@@ -784,7 +784,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	for name, g := range s.inflights {
 		resp.Inflight.ByEndpoint[name] = g.Load()
 	}
-	resp.Engine.CompiledPrograms, resp.Engine.CompiledRuns = s.tk.EngineStats()
+	resp.Engine.CompiledPrograms, resp.Engine.CompiledRuns, resp.Engine.SkippedRuns = s.tk.EngineStats()
 	for i, p := range list {
 		cs := p.state.CacheStats()
 		resp.Profiles[i] = ProfileStats{
