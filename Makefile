@@ -4,16 +4,17 @@ GO ?= go
 # calibration, uncached throughput, fabric binding, schedule campaigns,
 # per-schedule synthesis, strategy-labeled plan search) shared by bench and
 # bench-diff.
-SWEEP_BENCH = BenchmarkSweep_SharedCalibration$$|BenchmarkSweepThroughput$$|BenchmarkReplayEngine|BenchmarkSweep_FabricCampaign|BenchmarkSweep_ScheduleCampaign|BenchmarkSweep_DiskCacheWarmStart|BenchmarkSynthesize|BenchmarkPlan_BeamVsExhaustive|BenchmarkPlan_BranchAndBound
+SWEEP_BENCH = BenchmarkSweep_SharedCalibration$$|BenchmarkSweepThroughput$$|BenchmarkReplayEngine|BenchmarkSweep_FabricCampaign|BenchmarkSweep_ScheduleCampaign|BenchmarkSweep_DiskCacheWarmStart|BenchmarkSynthesize|BenchmarkPlan_Strategies|BenchmarkPlan_BranchAndBound
 
-.PHONY: check fmt vet build test race alloc-guard fuzz-smoke bench bench-diff benchsmoke plan-smoke schedule-smoke serve-smoke obs-smoke
+.PHONY: check fmt vet build test bench-module race alloc-guard fuzz-smoke bench bench-diff benchsmoke plan-smoke schedule-smoke serve-smoke obs-smoke
 
 # check is the CI gate: formatting, static analysis, full build, tests,
-# the race detector on the concurrent service/cache/replay/core packages, the
-# compiled-engine, synthesis and plan-search allocation budgets, a short fuzz run, a
-# one-iteration benchmark smoke pass, and the planner, schedule,
-# planning-service and observability acceptance smokes.
-check: fmt vet build test race alloc-guard fuzz-smoke benchsmoke plan-smoke schedule-smoke serve-smoke obs-smoke
+# the benchmark module's vet and tests, the race detector on the concurrent
+# service/cache/replay/core packages, the compiled-engine, synthesis and
+# plan-search allocation budgets, a short fuzz run, a one-iteration
+# benchmark smoke pass, and the planner, schedule, planning-service and
+# observability acceptance smokes.
+check: fmt vet build test bench-module race alloc-guard fuzz-smoke benchsmoke plan-smoke schedule-smoke serve-smoke obs-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -27,6 +28,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# bench-module vets and tests the end-to-end benchmark (benchmark/, its own
+# Go module). It builds against this checkout through its replace
+# directive, so a change to the public API it calls fails here.
+bench-module:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # race runs the packages with real request-level concurrency — the lumosd
 # service, the shared disk cache, the pooled replay engines, the
@@ -88,9 +95,9 @@ bench-diff:
 	$(GO) run ./cmd/benchjson diff -threshold $(BENCH_DIFF_THRESHOLD) BENCH_sweep.json BENCH_new.json
 
 # plan-smoke is the deployment-planner acceptance gate: examples/autotune
-# exits non-zero unless beam search, successive halving, and exact
-# branch-and-bound find the same best configuration as an exhaustive sweep
-# of the fig7/fig8 spaces while simulating strictly fewer points.
+# exits non-zero unless branch-and-bound finds the same best configuration
+# as an exhaustive sweep of the fig7/fig8 spaces while simulating strictly
+# fewer points.
 plan-smoke:
 	$(GO) run ./examples/autotune
 

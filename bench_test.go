@@ -721,14 +721,14 @@ func BenchmarkSweep_ScheduleCampaign(b *testing.B) {
 	}
 }
 
-// BenchmarkPlan_BeamVsExhaustive measures the deployment planner per
-// search strategy over one fig7-style space, with the scenario cache
-// disabled so every promoted point pays its full simulation cost.
-// Sub-benchmarks carry a strategy=<name> label that cmd/benchjson records
-// in BENCH_sweep.json; the simulated-points metric shows the guided
-// strategies promoting strictly fewer points than exhaustive while the
-// best-ms metric shows equal frontier quality.
-func BenchmarkPlan_BeamVsExhaustive(b *testing.B) {
+// BenchmarkPlan_Strategies measures the deployment planner per search
+// strategy over one fig7-style space, with the scenario cache disabled so
+// every promoted point pays its full simulation cost. Sub-benchmarks carry
+// a strategy=<name> label that cmd/benchjson records in BENCH_sweep.json;
+// the simulated-points metric shows branch-and-bound promoting fewer
+// points than exhaustive while the best-ms metric shows the same best
+// point.
+func BenchmarkPlan_Strategies(b *testing.B) {
 	ctx := context.Background()
 	cfg, err := DeploymentConfig(GPT3_15B(), 2, 2, 1)
 	if err != nil {
@@ -741,11 +741,7 @@ func BenchmarkPlan_BeamVsExhaustive(b *testing.B) {
 		Microbatch: []int{4, 8},
 	}
 	mem := MemoryModel{GPUMemBytes: 192 << 30, ZeRO: ZeROOptimizer}
-	for _, strat := range []PlanStrategy{
-		ExhaustiveStrategy(),
-		BeamStrategy(4),
-		HalvingStrategy(3),
-	} {
+	for _, strat := range []PlanStrategy{ExhaustiveStrategy(), BranchAndBoundStrategy()} {
 		strat := strat
 		b.Run("strategy="+strat.Name(), func(b *testing.B) {
 			tk := New(WithConcurrency(4), WithScenarioCache(false))
@@ -819,7 +815,7 @@ func BenchmarkPlan_BranchAndBound(b *testing.B) {
 		var bestMS float64
 		for i := 0; i < b.N; i++ {
 			res, err := tk.PlanState(ctx, base, space,
-				WithPlanStrategy(BranchAndBoundStrategy(0)), WithMemoryModel(mem))
+				WithPlanStrategy(BranchAndBoundStrategy()), WithMemoryModel(mem))
 			if err != nil {
 				b.Fatal(err)
 			}

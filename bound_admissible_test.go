@@ -67,7 +67,7 @@ func TestBoundAdmissible(t *testing.T) {
 			t.Fatalf("%s: exhaustive plan found no feasible point", arch.Name)
 		}
 		bnb, err := tk.PlanState(ctx, st, space,
-			WithPlanStrategy(BranchAndBoundStrategy(0)), WithMemoryModel(mem))
+			WithPlanStrategy(BranchAndBoundStrategy()), WithMemoryModel(mem))
 		if err != nil {
 			t.Fatal(err)
 		}

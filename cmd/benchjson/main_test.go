@@ -11,8 +11,8 @@ func TestParseLineLabels(t *testing.T) {
 		labels map[string]string
 	}{
 		{
-			line:   "BenchmarkPlan_BeamVsExhaustive/strategy=beam4-8 	      20	  52047619 ns/op	       374.2 best-ms",
-			labels: map[string]string{"strategy": "beam4"},
+			line:   "BenchmarkPlan_Strategies/strategy=exhaustive-8 	      20	  52047619 ns/op	       374.2 best-ms",
+			labels: map[string]string{"strategy": "exhaustive"},
 		},
 		{
 			// Composite label: the strategy segment is followed by a space

@@ -32,15 +32,17 @@
 //	                [-pp-range 1,2,4] [-dp-range 1,2,4] [-mb-range 4,8] \
 //	                [-schedule 1f1b,interleaved2,zb-h1] \
 //	                [-fabric flat,nvl72] [-degrade 1,0.5] \
-//	                [-strategy auto|exhaustive|beam|halving] [-beam 8] [-eta 3] \
+//	                [-strategy auto|exhaustive|bnb] \
 //	                [-budget 0] [-gpu-mem-gib 80] [-zero 0|1|2] [-top 10] \
 //	                [-trace search.json] [-explain explain.json] [-metrics]
-//	    guided deployment search: expand the parallelism × microbatch ×
+//	    exact deployment search: expand the parallelism × microbatch ×
 //	    schedule × fabric space lazily, rule out configurations that would
-//	    OOM with the analytic memory model, rank the rest by roofline cost
-//	    bounds with schedule-specific bubble terms, simulate only the
-//	    survivors the strategy promotes, and print the Pareto frontier over
-//	    (iteration time, GPUs, peak memory); -explain additionally writes a
+//	    OOM with the analytic memory model, bound the rest by roofline cost
+//	    with schedule-specific bubble terms, simulate every feasible point
+//	    (exhaustive) or only those whose bound can beat the best simulated
+//	    time (bnb; auto picks exhaustive up to 24 points, bnb beyond), and
+//	    print the non-dominated simulated points over (iteration time,
+//	    GPUs, peak memory); -explain additionally writes a
 //	    structured report of every simulated point (analytic bound vs
 //	    simulated time) and every pruned subtree
 //	lumos trace top [-n 15] <trace.json>
@@ -640,10 +642,7 @@ func cmdPlan(ctx context.Context, args []string) error {
 	schedList := fs.String("schedule", "", "comma-separated pipeline schedules to search over (1f1b|gpipe|interleaved[V]|zb-h1; default: the base schedule)")
 	fabricList := fs.String("fabric", "", "comma-separated fabric presets to search over (flat|nvl72|spine[N]; default: the profiled fabric)")
 	degradeList := fs.String("degrade", "", "comma-separated network bandwidth factors beyond the NVLink domain (e.g. 1,0.75,0.5)")
-	strategy := fs.String("strategy", "auto", "search strategy: auto|exhaustive|beam|halving|bnb")
-	beam := fs.Int("beam", 8, "beam width for -strategy beam")
-	eta := fs.Int("eta", 3, "promotion rate for -strategy halving")
-	batch := fs.Int("batch", 0, "simulation batch size for -strategy bnb (0 = default)")
+	strategy := fs.String("strategy", "auto", "search strategy: auto|exhaustive|bnb (auto: exhaustive up to 24 points, bnb beyond)")
 	budget := fs.Int("budget", 0, "max points promoted to full simulation (0 = no cap)")
 	gpuMem := fs.Float64("gpu-mem-gib", 80, "device memory capacity in GiB for the feasibility model")
 	zero := fs.Int("zero", 0, "ZeRO sharding stage for the memory model: 0 (none), 1 (optimizer), 2 (+gradients)")
@@ -702,20 +701,11 @@ func cmdPlan(ctx context.Context, args []string) error {
 		}
 	}
 
-	var opts []lumos.PlanOption
-	switch strings.ToLower(*strategy) {
-	case "auto", "":
-	case "exhaustive":
-		opts = append(opts, lumos.WithPlanStrategy(lumos.ExhaustiveStrategy()))
-	case "beam":
-		opts = append(opts, lumos.WithPlanStrategy(lumos.BeamStrategy(*beam)))
-	case "halving":
-		opts = append(opts, lumos.WithPlanStrategy(lumos.HalvingStrategy(*eta)))
-	case "bnb":
-		opts = append(opts, lumos.WithPlanStrategy(lumos.BranchAndBoundStrategy(*batch)))
-	default:
-		return fmt.Errorf("unknown strategy %q (want auto|exhaustive|beam|halving|bnb)", *strategy)
+	strat, err := lumos.PlanStrategyByName(*strategy)
+	if err != nil {
+		return err
 	}
+	opts := []lumos.PlanOption{lumos.WithPlanStrategy(strat)}
 	if *budget > 0 {
 		opts = append(opts, lumos.WithPlanBudget(*budget))
 	}
@@ -768,8 +758,8 @@ func cmdPlan(ctx context.Context, args []string) error {
 	if s.BoundPruned > 0 || s.DominatedPruned > 0 {
 		fmt.Printf("pruned without simulating: %d by bound, %d dominated\n", s.BoundPruned, s.DominatedPruned)
 	}
-	fmt.Printf("simulated %d unique points (%d re-timed a shared graph) in %d rounds (%d requests, %d served by the scenario cache) in %v\n",
-		s.Simulated, s.SharedStructure, s.Rounds, s.SimRequests, s.SimRequests-s.Simulated, time.Since(t0).Round(time.Millisecond))
+	fmt.Printf("simulated %d points (%d re-timed a shared graph) in %d rounds in %v\n",
+		s.Simulated, s.SharedStructure, s.Rounds, time.Since(t0).Round(time.Millisecond))
 	cs := st.CacheStats()
 	fmt.Printf("replay engine: %d programs compiled, %d runs\n\n", cs.CompiledPrograms, cs.CompiledRuns)
 

@@ -210,7 +210,7 @@ func TestEngineEquivalencePlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := tk.PlanState(ctx, st, planSpace(),
-		WithPlanStrategy(BranchAndBoundStrategy(0)), WithMemoryModel(mem))
+		WithPlanStrategy(BranchAndBoundStrategy()), WithMemoryModel(mem))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestPlanDeterminismAcrossWorkers(t *testing.T) {
 		t.Helper()
 		tk := New(WithSeed(42), WithConcurrency(workers), WithScenarioCache(false))
 		res, err := tk.Plan(ctx, base, planSpace(),
-			WithPlanStrategy(BranchAndBoundStrategy(0)), WithMemoryModel(mem))
+			WithPlanStrategy(BranchAndBoundStrategy()), WithMemoryModel(mem))
 		if err != nil {
 			t.Fatal(err)
 		}

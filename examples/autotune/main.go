@@ -1,17 +1,16 @@
 // Autotune: the deployment planner answering the paper's headline question
 // — "which deployment should I run?" — on the Figure 7/8 setups. For each
 // base (the GPT-3 15B Figure 7 deployment and its Figure 8 V3 architecture
-// variant), one profile feeds a guided search over the pipeline × data ×
+// variant), one profile feeds an exact search over the pipeline × data ×
 // microbatch space: the analytic memory model rules out configurations
-// that would OOM, roofline + collective-pricer bounds rank the rest, and
-// beam search and successive halving promote only the promising points to
-// full graph simulation.
+// that would OOM, roofline + collective-pricer bounds lower-bound the
+// rest, and branch-and-bound simulates only the points whose bound can
+// still beat the best simulated time.
 //
 // The example doubles as the planner's acceptance check (the `make
-// plan-smoke` CI gate): every guided strategy — beam, successive halving,
-// and exact branch-and-bound — must find the same best configuration as
-// an exhaustive sweep of the same space while simulating strictly fewer
-// points — it exits non-zero otherwise.
+// plan-smoke` CI gate): branch-and-bound must find the same best
+// configuration as an exhaustive sweep of the same space while simulating
+// strictly fewer points — it exits non-zero otherwise.
 //
 //	go run ./examples/autotune
 package main
@@ -63,9 +62,9 @@ func main() {
 			log.Fatal(err)
 		}
 
-		// The exhaustive pass is the quality yardstick; the guided
-		// strategies share its campaign state, so their overlapping points
-		// are served by the scenario cache.
+		// The exhaustive pass is the yardstick; branch-and-bound shares its
+		// campaign state, so the points both simulate are served by the
+		// scenario cache.
 		exhaustive, err := tk.PlanState(ctx, st, space,
 			lumos.WithPlanStrategy(lumos.ExhaustiveStrategy()), lumos.WithMemoryModel(mem))
 		if err != nil {
@@ -85,40 +84,29 @@ func main() {
 				e.Point.Key(), e.Point.World(), analysis.Millis(e.Iteration), e.Mem.GiB())
 		}
 
-		for _, strat := range []lumos.PlanStrategy{
-			lumos.BeamStrategy(4),
-			lumos.HalvingStrategy(3),
-			lumos.BranchAndBoundStrategy(0),
-		} {
-			res, err := tk.PlanState(ctx, st, space,
-				lumos.WithPlanStrategy(strat), lumos.WithMemoryModel(mem))
-			if err != nil {
-				log.Fatal(err)
-			}
-			best, found := res.Best()
-			verdict := "MATCH"
-			if !found || best.Point.Key() != exBest.Point.Key() || best.Iteration != exBest.Iteration {
-				verdict = "MISMATCH"
-				ok = false
-			}
-			if res.Stats.Simulated >= exhaustive.Stats.Simulated {
-				verdict += " (but no simulation savings)"
-				ok = false
-			}
-			extra := ""
-			if pruned := res.Stats.BoundPruned + res.Stats.DominatedPruned; pruned > 0 {
-				extra = fmt.Sprintf(" (%d subtree points pruned without simulating)", pruned)
-			}
-			fmt.Printf("%-11s %2d/%d simulated, best %s — %s%s\n",
-				res.Strategy+":", res.Stats.Simulated, exhaustive.Stats.Simulated,
-				best.Point.Key(), verdict, extra)
+		res, err := tk.PlanState(ctx, st, space,
+			lumos.WithPlanStrategy(lumos.BranchAndBoundStrategy()), lumos.WithMemoryModel(mem))
+		if err != nil {
+			log.Fatal(err)
 		}
-		fmt.Println()
+		best, found := res.Best()
+		verdict := "MATCH"
+		if !found || best.Point.Key() != exBest.Point.Key() || best.Iteration != exBest.Iteration {
+			verdict = "MISMATCH"
+			ok = false
+		}
+		if res.Stats.Simulated >= exhaustive.Stats.Simulated {
+			verdict += " (but no simulation savings)"
+			ok = false
+		}
+		fmt.Printf("bnb: %d/%d simulated (%d subtree points pruned without simulating), best %s — %s\n\n",
+			res.Stats.Simulated, exhaustive.Stats.Simulated,
+			res.Stats.BoundPruned+res.Stats.DominatedPruned, best.Point.Key(), verdict)
 	}
 
 	if !ok {
-		fmt.Println("FAIL: a guided strategy disagreed with the exhaustive sweep")
+		fmt.Println("FAIL: branch-and-bound disagreed with the exhaustive sweep")
 		os.Exit(1)
 	}
-	fmt.Println("OK: beam, successive halving, and branch-and-bound found the exhaustive best with fewer simulations")
+	fmt.Println("OK: branch-and-bound found the exhaustive best with fewer simulations")
 }

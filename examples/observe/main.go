@@ -79,7 +79,7 @@ func traceHalf() error {
 		Degrade: [][]float64{nil, {0.5}},
 	}
 	res, err := tk.Plan(context.Background(), cfg, space,
-		lumos.WithPlanStrategy(lumos.BranchAndBoundStrategy(0)))
+		lumos.WithPlanStrategy(lumos.BranchAndBoundStrategy()))
 	if err != nil {
 		return err
 	}

@@ -1,10 +1,11 @@
-// Deployment planning: the guided-search entry points. Toolkit.Plan sits
-// the planner subsystem on top of the sweep engine — the planner decides
+// Deployment planning: the search entry points. Toolkit.Plan sits the
+// planner subsystem on top of the sweep engine — the planner decides
 // *which* points of a parallelism × microbatch × fabric space deserve full
 // graph simulation (memory pre-filter, analytic bounds, search strategy),
 // and each promoted point is evaluated as a scenario against the shared
-// campaign BaseState, so re-visited points hit the scenario cache and the
-// whole search is deterministic at any worker count.
+// campaign BaseState, so a point an earlier plan on the same state already
+// simulated hits the scenario cache, and the whole search is deterministic
+// at any worker count.
 package core
 
 import (
@@ -211,9 +212,9 @@ type planScenario struct {
 
 func (s *planScenario) Name() string { return s.cand.Point.Key() }
 
-// Fingerprint keys the scenario by the point's canonical identity, so
-// successive-halving re-visits (and overlapping strategies on one campaign
-// state) are served from the scenario cache.
+// Fingerprint keys the scenario by the point's canonical identity, so a
+// point that an earlier plan (or another strategy) on the same campaign
+// state already simulated is served from the scenario cache.
 func (s *planScenario) Fingerprint(*BaseState) (string, bool) {
 	return "plan|" + s.cand.Point.Key(), true
 }
@@ -253,12 +254,13 @@ func (s *planScenario) Run(ctx context.Context, b *BaseState) (ScenarioResult, e
 	return res, nil
 }
 
-// Plan profiles the base deployment once and runs the guided deployment
-// search over the space: analytic memory and cost bounds prune and rank the
-// candidates, the strategy (exhaustive, beam, successive halving — see
+// Plan profiles the base deployment once and runs the exact deployment
+// search over the space: analytic memory and cost bounds reject and bound
+// the candidates, the strategy (exhaustive or branch-and-bound; see
 // planner) promotes survivors to full graph simulation on the sweep engine,
-// and the result carries the Pareto frontier over (iteration time, GPU
-// count, peak memory) with ranked dominated points retained.
+// and the result carries the non-dominated simulated points over
+// (iteration time, GPU count, peak memory) with ranked dominated points
+// retained.
 func (tk *Toolkit) Plan(ctx context.Context, base parallel.Config, space planner.Space, opts ...planner.Option) (*planner.Result, error) {
 	st, err := tk.Prepare(ctx, base, tk.opts.Seed)
 	if err != nil {

@@ -54,31 +54,31 @@ func TestPlanStrategiesAgreeWithExhaustive(t *testing.T) {
 		t.Fatalf("exhaustive simulated %d of %d", ex.Stats.Simulated, ex.Stats.Feasible)
 	}
 
-	for _, strat := range []planner.Strategy{planner.Beam{Width: 4}, planner.SuccessiveHalving{}, planner.BranchAndBound{}} {
-		res, err := tk.PlanState(ctx, st, planSpace(),
-			planner.WithStrategy(strat), planner.WithMemModel(roomyMem()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Stats.Simulated >= ex.Stats.Simulated {
-			t.Fatalf("%s simulated %d, want fewer than exhaustive's %d",
-				strat.Name(), res.Stats.Simulated, ex.Stats.Simulated)
-		}
-		best, ok := res.Best()
-		if !ok {
-			t.Fatalf("%s found nothing", strat.Name())
-		}
-		if best.Point.Key() != exBest.Point.Key() || best.Iteration != exBest.Iteration {
-			t.Fatalf("%s best %s (%v) != exhaustive best %s (%v)",
-				strat.Name(), best.Point.Key(), best.Iteration, exBest.Point.Key(), exBest.Iteration)
-		}
+	res, err := tk.PlanState(ctx, st, planSpace(),
+		planner.WithStrategy(planner.BranchAndBound{}), planner.WithMemModel(roomyMem()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Simulated >= ex.Stats.Simulated {
+		t.Fatalf("bnb simulated %d, want fewer than exhaustive's %d",
+			res.Stats.Simulated, ex.Stats.Simulated)
+	}
+	best, ok := res.Best()
+	if !ok {
+		t.Fatal("bnb found nothing")
+	}
+	if best.Point.Key() != exBest.Point.Key() || best.Iteration != exBest.Iteration {
+		t.Fatalf("bnb best %s (%v) != exhaustive best %s (%v)",
+			best.Point.Key(), best.Iteration, exBest.Point.Key(), exBest.Iteration)
 	}
 }
 
-// TestPlanHalvingHitsScenarioCache asserts the successive-halving rounds
-// re-visit survivors through the campaign's scenario cache: re-visits must
-// be memo hits, not fresh predictions.
-func TestPlanHalvingHitsScenarioCache(t *testing.T) {
+// TestPlanRepeatServedByMemo asks the same bnb plan twice on one campaign
+// state: the second answer must equal the first, every point it simulates
+// must be a scenario-memo hit, and no compiled replay may run for it. The
+// space degrades every link tier, so the first plan's degraded points do
+// replay.
+func TestPlanRepeatServedByMemo(t *testing.T) {
 	ctx := context.Background()
 	tk := New(WithConcurrency(4))
 	base := testConfig(t)
@@ -86,24 +86,32 @@ func TestPlanHalvingHitsScenarioCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tk.PlanState(ctx, st, planSpace(),
-		planner.WithStrategy(planner.SuccessiveHalving{}), planner.WithMemModel(roomyMem()))
-	if err != nil {
-		t.Fatal(err)
+	space := planSpace()
+	space.Degrade = [][]float64{nil, {0.5}}
+	ask := func() *planner.Result {
+		t.Helper()
+		res, err := tk.PlanState(ctx, st, space,
+			planner.WithStrategy(planner.BranchAndBound{}), planner.WithMemModel(roomyMem()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	if res.Stats.SimRequests <= res.Stats.Simulated {
-		t.Fatalf("halving issued %d requests over %d unique points — no re-visits",
-			res.Stats.SimRequests, res.Stats.Simulated)
+	first := ask()
+	hits0, _ := st.MemoStats()
+	_, runs0, _ := tk.EngineStats()
+	second := ask()
+	hits1, _ := st.MemoStats()
+	_, runs1, _ := tk.EngineStats()
+
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("repeat plan differs:\n%+v\nvs\n%+v", first, second)
 	}
-	hits, entries := st.MemoStats()
-	if hits == 0 {
-		t.Fatal("successive-halving re-visits did not hit the scenario cache")
+	if got, want := hits1-hits0, int64(first.Stats.Simulated); got != want || want == 0 {
+		t.Fatalf("repeat plan had %d memo hits, want %d (the first plan's simulated points)", got, want)
 	}
-	if want := int64(res.Stats.Simulated); entries < want {
-		t.Fatalf("cache entries %d, want >= %d", entries, want)
-	}
-	if got, want := int64(res.Stats.SimRequests-res.Stats.Simulated), hits; got != want {
-		t.Fatalf("re-visits %d != memo hits %d", got, want)
+	if runs0 == 0 || runs1 != runs0 {
+		t.Fatalf("compiled replays: %d after the first plan, %d after the repeat; want some, then none more", runs0, runs1)
 	}
 }
 
@@ -115,7 +123,7 @@ func TestPlanDeterministicAcrossWorkers(t *testing.T) {
 		t.Helper()
 		tk := New(WithConcurrency(workers), WithSeed(42))
 		res, err := tk.Plan(context.Background(), base, planSpace(),
-			planner.WithStrategy(planner.SuccessiveHalving{}), planner.WithMemModel(roomyMem()))
+			planner.WithStrategy(planner.BranchAndBound{}), planner.WithMemModel(roomyMem()))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,108 +21,24 @@ import (
 	"context"
 	"sort"
 
-	"lumos/internal/obs"
-	"lumos/internal/parallel"
 	"lumos/internal/schedule"
 	"lumos/internal/topology"
 	"lumos/internal/trace"
 )
 
-// BranchAndBound is the exact bound-first strategy. Unlike Beam and
-// SuccessiveHalving it is not a heuristic: it returns the same best point
-// as Exhaustive while simulating only the points whose admissible lower
-// bound does not exceed the running incumbent. Only the best point is
-// exact: its frontier is the non-dominated subset of the points it
-// simulated, not the space's Pareto frontier.
-type BranchAndBound struct {
-	// Batch is how many queue heads are promoted per simulation round —
-	// the concurrency the sweep engine's worker pool sees. Zero selects 4.
-	Batch int
-}
+// BranchAndBound is the exact bound-first strategy: it returns the same
+// best point as Exhaustive while simulating only the points whose
+// admissible lower bound does not exceed the running incumbent. Only the
+// best point is exact: its frontier is the non-dominated subset of the
+// points it simulated, not the space's Pareto frontier.
+type BranchAndBound struct{}
 
 // Name implements Strategy.
 func (BranchAndBound) Name() string { return "bnb" }
 
-func (b BranchAndBound) batch() int {
-	if b.Batch > 0 {
-		return b.Batch
-	}
-	return 4
-}
-
-// Search implements Strategy over a pre-expanded candidate list: promote
-// in bound order, batch by batch, and stop as soon as the next bound
-// exceeds the incumbent. Plan dispatches BranchAndBound through the lazy
-// searchSpace path instead, where whole subtrees prune without expansion;
-// this entry point serves direct callers holding materialized candidates.
-func (b BranchAndBound) Search(ctx context.Context, cands []Candidate, budget int, sim Simulate) ([]Evaluated, error) {
-	pool := sortByBound(cands)
-	if budget > 0 && len(pool) > budget {
-		pool = pool[:budget]
-	}
-	var evaluated []Evaluated
-	var incumbent trace.Dur
-	have := false
-	for len(pool) > 0 {
-		if have && pool[0].Bound > incumbent {
-			break
-		}
-		take := b.batch()
-		if take > len(pool) {
-			take = len(pool)
-		}
-		if have {
-			for j := 1; j < take; j++ {
-				if pool[j].Bound > incumbent {
-					take = j
-					break
-				}
-			}
-		}
-		batch := pool[:take]
-		pool = pool[take:]
-		outs, err := sim(ctx, batch)
-		if err != nil {
-			return nil, err
-		}
-		es := zip(batch, outs)
-		evaluated = append(evaluated, es...)
-		for _, e := range es {
-			if e.Err == "" && (!have || e.Iteration < incumbent) {
-				incumbent, have = e.Iteration, true
-			}
-		}
-	}
-	return evaluated, nil
-}
-
-// spaceSearch is the engine context a space-aware strategy searches in:
-// the lazily expandable space, the bounder, the metered simulator, and
-// the shared stats/rejection sinks.
-type spaceSearch struct {
-	base    parallel.Config
-	space   Space
-	bounder *Bounder
-	budget  int
-	sim     Simulate
-	stats   *Stats
-	// rej books analytically rejected points and keeps the first few.
-	rej *rejections
-	// tracer, when non-nil, receives per-round pop/prune instant events on
-	// the "search" category (the metered simulator adds the simulate ones).
-	tracer *obs.Tracer
-	// explain, when non-nil, collects per-subtree prune records (the
-	// metered simulator collects the per-point simulation records).
-	explain *Explain
-}
-
-// spaceStrategy is implemented by strategies that search the space
-// directly — expanding it lazily and updating Stats themselves — instead
-// of receiving a materialized candidate list.
-type spaceStrategy interface {
-	Strategy
-	searchSpace(ctx context.Context, s *spaceSearch) ([]Evaluated, error)
-}
+// bnbBatch is how many queue heads a round promotes before tie-batching —
+// the concurrency the sweep engine's worker pool sees.
+const bnbBatch = 4
 
 // bnbNode is one (PP, DP, schedule, fabric, degrade) subtree holding the
 // microbatch axis lazily. Because the bound is monotone nondecreasing in
@@ -208,15 +124,15 @@ func (h *nodeHeap) Pop() any {
 	return x
 }
 
-// searchSpace implements spaceStrategy: lazy tree expansion with
-// best-bound-first promotion. Out-of-scope TP slices and unknown schedule
-// names are rejected in bulk — counted analytically, one representative
-// candidate retained — without expanding a single point.
-func (b BranchAndBound) searchSpace(ctx context.Context, s *spaceSearch) ([]Evaluated, error) {
+// search is lazy tree expansion with best-bound-first promotion.
+// Out-of-scope TP slices and unknown schedule names are rejected in bulk —
+// counted analytically, one representative candidate retained — without
+// expanding a single point.
+func (BranchAndBound) search(ctx context.Context, s *spaceSearch) ([]Evaluated, error) {
 	r := s.space.withBase(s.base)
-	s.stats.SpaceSize = s.space.Size(s.base)
-	perTP := len(r.PP) * len(r.DP) * len(r.Microbatch) * len(r.Schedules) * len(r.Fabrics) * len(r.Degrade)
 	perSched := len(r.PP) * len(r.DP) * len(r.Microbatch) * len(r.Fabrics) * len(r.Degrade)
+	perTP := perSched * len(r.Schedules)
+	s.stats.SpaceSize = perTP * len(r.TP)
 
 	// keepRepresentative retains one candidate for a slice rejected in bulk.
 	keepRepresentative := func(tp int, sched string) {
@@ -294,7 +210,7 @@ func (b BranchAndBound) searchSpace(ctx context.Context, s *spaceSearch) ([]Eval
 			// tie group in one round hands the sweep worker pool a wider
 			// batch; the batch composition is fixed before any simulation
 			// runs, so results stay identical at any worker count.
-			if len(batch) >= b.batch() && top.cur.Bound != batch[len(batch)-1].Bound {
+			if len(batch) >= bnbBatch && top.cur.Bound != batch[len(batch)-1].Bound {
 				break
 			}
 			n := heap.Pop(h).(*bnbNode)

@@ -1,11 +1,9 @@
 package planner
 
 import (
-	"context"
 	"reflect"
 	"testing"
 
-	"lumos/internal/topology"
 	"lumos/internal/trace"
 )
 
@@ -28,12 +26,12 @@ func admissibleSim() *fakeSim {
 
 // TestBoundViolationsCounted checks the runtime admissibility check: a
 // simulator that undershoots the bound on known points trips
-// Stats.BoundViolations exactly once per such point, however often a
-// strategy re-submits it, and an admissible simulator reads zero.
+// Stats.BoundViolations exactly once per such point it simulates, and an
+// admissible simulator reads zero.
 func TestBoundViolationsCounted(t *testing.T) {
 	base := baseCfg(t)
 	for _, s := range []Space{space(), bnbSpace()} {
-		for _, strat := range []Strategy{Exhaustive{}, BranchAndBound{}, SuccessiveHalving{}} {
+		for _, strat := range []Strategy{Exhaustive{}, BranchAndBound{}} {
 			if res := plan(t, base, s, admissibleSim(), WithStrategy(strat)); res.Stats.BoundViolations != 0 {
 				t.Fatalf("%s: admissible simulator tripped %d bound violations", strat.Name(), res.Stats.BoundViolations)
 			}
@@ -49,7 +47,7 @@ func TestBoundViolationsCounted(t *testing.T) {
 			under[e.Point.Key()] = true
 		}
 	}
-	for _, strat := range []Strategy{Exhaustive{}, SuccessiveHalving{}} {
+	for _, strat := range []Strategy{Exhaustive{}, BranchAndBound{}} {
 		sim := newFakeSim()
 		sim.perturb = func(c Candidate) trace.Dur {
 			if under[c.Point.Key()] {
@@ -156,43 +154,5 @@ func TestBranchAndBoundRespectsBudget(t *testing.T) {
 	}
 	if _, ok := res.Best(); !ok {
 		t.Fatal("budgeted bnb returned no best")
-	}
-}
-
-// TestBranchAndBoundPlainSearch covers the Strategy entry point over a
-// materialized candidate list (direct callers bypassing Plan's lazy
-// space dispatch): bound-ordered promotion stops at the incumbent.
-func TestBranchAndBoundPlainSearch(t *testing.T) {
-	base := baseCfg(t)
-	bounder := NewBounder(base, topology.H100Cluster(64), nil, Options{}.Mem)
-	var cands []Candidate
-	space().ForEach(base, func(p Point) bool {
-		if c := bounder.Candidate(p); c.Infeasible == "" {
-			cands = append(cands, c)
-		}
-		return true
-	})
-	if len(cands) < 6 {
-		t.Fatalf("too few feasible candidates: %d", len(cands))
-	}
-	sim := admissibleSim()
-	es, err := BranchAndBound{Batch: 2}.Search(context.Background(), cands, 0, sim.fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(es) == 0 || len(es) >= len(cands) {
-		t.Fatalf("plain search evaluated %d of %d — must stop early at the incumbent", len(es), len(cands))
-	}
-	rankEvaluated(es)
-	// The evaluated best must be the global best: every unevaluated
-	// candidate's bound exceeds it.
-	bestKeys := map[string]bool{}
-	for _, e := range es {
-		bestKeys[e.Point.Key()] = true
-	}
-	for _, c := range cands {
-		if !bestKeys[c.Point.Key()] && c.Bound <= es[0].Iteration {
-			t.Fatalf("unevaluated %s bound %v could beat incumbent %v", c.Point.Key(), c.Bound, es[0].Iteration)
-		}
 	}
 }

@@ -15,7 +15,6 @@ func TestExplainTotalsMatchStats(t *testing.T) {
 		opts []Option
 	}{
 		{"exhaustive", []Option{WithStrategy(Exhaustive{})}},
-		{"halving", []Option{WithStrategy(SuccessiveHalving{})}},
 		{"bnb", []Option{WithStrategy(BranchAndBound{})}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,31 +1,33 @@
-// Package planner is the deployment-search subsystem: guided exploration
-// of the joint parallelism × microbatch × fabric space on top of the sweep
-// engine. The layering is analytic-bounds-before-simulation: a declarative
-// Space expands lazily, every point passes through the memcost
-// feasibility model and a roofline + collective-pricer cost bound, and a
-// pluggable search strategy (exhaustive, beam, successive halving) decides
-// which survivors are promoted to full graph simulation. The result is
-// multi-objective: the Pareto frontier over (iteration time, GPU count,
-// peak memory), with ranked dominated points retained.
+// Package planner is the deployment-search subsystem: exact search of the
+// joint parallelism × microbatch × schedule × fabric space on top of the
+// sweep engine. The layering is analytic-bounds-before-simulation: a
+// declarative Space expands lazily, every point passes through the memcost
+// feasibility model and a roofline + collective-pricer cost bound, and one
+// of two exact strategies decides which survivors are promoted to full
+// graph simulation. Exhaustive simulates every feasible point;
+// BranchAndBound uses the admissible bound to prune subtrees that cannot
+// beat the best simulated time, and returns the same best point. With no
+// strategy set, Plan picks Exhaustive for spaces of at most AutoThreshold
+// points and BranchAndBound beyond. The result is multi-objective: the
+// non-dominated simulated points over (iteration time, GPU count, peak
+// memory), with ranked dominated points retained.
 //
 // The planner owns no simulator: callers hand it a Simulate callback
 // (internal/core binds it to scenario evaluation against a shared
 // BaseState), which keeps the search logic deterministic at any worker
-// count — candidate ordering, exploration draws (seeded rng) and
-// promotion decisions all happen single-threaded here, and only the
-// embarrassingly parallel point evaluations fan out.
+// count — candidate ordering and promotion decisions happen
+// single-threaded here, and only the embarrassingly parallel point
+// evaluations fan out.
 package planner
 
 import (
 	"context"
-	"fmt"
 	"sort"
 
 	"lumos/internal/collective"
 	"lumos/internal/memcost"
 	"lumos/internal/obs"
 	"lumos/internal/parallel"
-	"lumos/internal/rng"
 	"lumos/internal/topology"
 	"lumos/internal/trace"
 )
@@ -44,9 +46,10 @@ type Outcome struct {
 
 // Simulate promotes a batch of candidates to full graph simulation and
 // returns one outcome per candidate, in order. Implementations must be
-// deterministic functions of the candidate set (worker-count independent)
-// and are expected to memoize: strategies deliberately re-submit survivors
-// across rounds.
+// deterministic functions of the candidate set (worker-count independent).
+// No strategy submits a point twice within one plan, so memoization pays
+// only across plans: internal/core's scenario memo serves a point that an
+// earlier plan on the same campaign state already simulated.
 type Simulate func(ctx context.Context, cands []Candidate) ([]Outcome, error)
 
 // Evaluated is a candidate with its simulation outcome.
@@ -58,298 +61,73 @@ type Evaluated struct {
 	Err string
 }
 
-// Strategy decides which feasible candidates are promoted to simulation.
-// Implementations receive the candidates in deterministic space order and
-// must themselves be deterministic; budget > 0 caps the number of unique
-// points they may promote.
+// Strategy is one of the two exact searches: Exhaustive or BranchAndBound.
+// Both return the same best point; they differ in how many points they
+// simulate and in how much of the Pareto frontier they return (see Result).
 type Strategy interface {
 	// Name labels the strategy in results and benchmark output.
 	Name() string
-	// Search runs the strategy and returns every evaluated candidate.
-	Search(ctx context.Context, cands []Candidate, budget int, sim Simulate) ([]Evaluated, error)
+	// search expands s's space, books its rejections into s's stats, and
+	// returns every candidate it promoted to simulation.
+	search(ctx context.Context, s *spaceSearch) ([]Evaluated, error)
 }
 
-// sortByBound orders candidates by analytic bound, point key breaking ties,
-// and returns a fresh slice.
-func sortByBound(cands []Candidate) []Candidate {
-	out := make([]Candidate, len(cands))
-	copy(out, cands)
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].Bound != out[j].Bound {
-			return out[i].Bound < out[j].Bound
-		}
-		return out[i].Point.Key() < out[j].Point.Key()
-	})
-	return out
+// spaceSearch is the context a strategy searches in: the lazily expandable
+// space, the bounder, the metered simulator, and the shared stats and
+// rejection sinks.
+type spaceSearch struct {
+	base    parallel.Config
+	space   Space
+	bounder *Bounder
+	budget  int
+	sim     Simulate
+	stats   *Stats
+	// rej books analytically rejected points and keeps the first few.
+	rej *rejections
+	// tracer, when non-nil, receives per-round pop/prune instant events on
+	// the "search" category (the metered simulator adds the simulate ones).
+	tracer *obs.Tracer
+	// explain, when non-nil, collects per-subtree prune records (the
+	// metered simulator collects the per-point simulation records).
+	explain *Explain
 }
 
-// ceilDiv is ceiling division for positive ints.
-func ceilDiv(x, d int) int {
-	if d < 1 {
-		return x
-	}
-	return (x + d - 1) / d
-}
-
-// frontierPicks drafts up to k frontier-coverage extras: candidates from
-// pool (bound order preserved) that nothing already picked analytically
-// dominates on the objectives the final frontier ranks — cost bound, GPU
-// count, peak memory. Ranking cohorts on the bound alone culls
-// memory-cheap or small-world points that would have survived the
-// multi-objective split; these picks are their insurance. Returns the
-// picks and the un-picked remainder of pool.
-func frontierPicks(picked, pool []Candidate, k int) (picks, rest []Candidate) {
-	for _, c := range pool {
-		if len(picks) >= k {
-			rest = append(rest, c)
-			continue
-		}
-		dominated := false
-		for _, lists := range [2][]Candidate{picked, picks} {
-			for _, p := range lists {
-				if p.Bound <= c.Bound && p.Point.World() <= c.Point.World() && p.Mem.Total() <= c.Mem.Total() {
-					dominated = true
-					break
-				}
-			}
-			if dominated {
-				break
-			}
-		}
-		if dominated {
-			rest = append(rest, c)
-		} else {
-			picks = append(picks, c)
-		}
-	}
-	return picks, rest
-}
-
-// --- Exhaustive -------------------------------------------------------------
-
-// Exhaustive simulates every feasible candidate (bound-ranked truncation
-// under a budget). The reference strategy for small spaces, and the quality
-// yardstick the guided strategies are measured against.
+// Exhaustive screens every point of the space and simulates every feasible
+// one in a single batch, in bound order (truncated by bound under a
+// budget). Its frontier is the space's Pareto frontier, which makes it the
+// reference for small spaces and the oracle BranchAndBound is tested
+// against.
 type Exhaustive struct{}
 
 // Name implements Strategy.
 func (Exhaustive) Name() string { return "exhaustive" }
 
-// Search implements Strategy.
-func (Exhaustive) Search(ctx context.Context, cands []Candidate, budget int, sim Simulate) ([]Evaluated, error) {
-	pool := sortByBound(cands)
-	if budget > 0 && len(pool) > budget {
-		pool = pool[:budget]
+func (Exhaustive) search(ctx context.Context, s *spaceSearch) ([]Evaluated, error) {
+	var pool []Candidate
+	s.space.ForEach(s.base, func(p Point) bool {
+		s.stats.SpaceSize++
+		if c, ok := s.bounder.screen(p, s.rej.room()); ok {
+			pool = append(pool, c)
+		} else {
+			s.rej.book(c)
+		}
+		return true
+	})
+	s.stats.Feasible = len(pool)
+	sort.SliceStable(pool, func(i, j int) bool {
+		if pool[i].Bound != pool[j].Bound {
+			return pool[i].Bound < pool[j].Bound
+		}
+		return pool[i].Point.Key() < pool[j].Point.Key()
+	})
+	if s.budget > 0 && len(pool) > s.budget {
+		pool = pool[:s.budget]
 	}
-	outs, err := sim(ctx, pool)
+	outs, err := s.sim(ctx, pool)
 	if err != nil {
 		return nil, err
 	}
 	return zip(pool, outs), nil
-}
-
-// --- Beam -------------------------------------------------------------------
-
-// Beam promotes only the Width most promising candidates by analytic
-// bound, plus up to Width/4 frontier-coverage extras no beam member
-// analytically dominates on (bound, GPU count, memory) — one simulation
-// batch, bounded cost regardless of space size.
-type Beam struct {
-	// Width is the beam size. Zero selects 8.
-	Width int
-}
-
-// Name implements Strategy.
-func (b Beam) Name() string { return fmt.Sprintf("beam%d", b.width()) }
-
-func (b Beam) width() int {
-	if b.Width > 0 {
-		return b.Width
-	}
-	return 8
-}
-
-// Search implements Strategy.
-func (b Beam) Search(ctx context.Context, cands []Candidate, budget int, sim Simulate) ([]Evaluated, error) {
-	pool := sortByBound(cands)
-	w := b.width()
-	if w > len(pool) {
-		w = len(pool)
-	}
-	if budget > 0 && w > budget {
-		w = budget
-	}
-	batch := append([]Candidate{}, pool[:w]...)
-	extra := ceilDiv(w, 4)
-	if budget > 0 && extra > budget-w {
-		extra = budget - w
-	}
-	if extra > 0 {
-		picks, _ := frontierPicks(batch, pool[w:], extra)
-		batch = append(batch, picks...)
-	}
-	outs, err := sim(ctx, batch)
-	if err != nil {
-		return nil, err
-	}
-	return zip(batch, outs), nil
-}
-
-// --- Successive halving -----------------------------------------------------
-
-// SuccessiveHalving races bound-ranked cohorts through simulation: round r
-// promotes the next 1/Eta slice of the remaining pool (plus a seeded
-// exploration draw from deeper in the ranking, guarding against
-// analytic-bound bias), evaluates it together with the current survivors —
-// whose re-visits hit the sweep engine's scenario cache — and keeps the
-// top 1/Eta by measured iteration time. Total simulations converge to
-// roughly N/(Eta-1) of an exhaustive pass.
-type SuccessiveHalving struct {
-	// Eta is the cohort/promotion rate. Zero selects 3; values below 2
-	// are clamped to 2.
-	Eta int
-	// Explore is the fraction of each cohort drawn uniformly (seeded) from
-	// the rest of the pool instead of strictly by bound. Zero selects
-	// 0.25; negative disables exploration.
-	Explore float64
-	// Seed drives the exploration draws. Zero selects 1.
-	Seed uint64
-}
-
-// Name implements Strategy.
-func (s SuccessiveHalving) Name() string { return fmt.Sprintf("halving%d", s.eta()) }
-
-func (s SuccessiveHalving) eta() int {
-	switch {
-	case s.Eta <= 0:
-		return 3
-	case s.Eta < 2:
-		return 2
-	}
-	return s.Eta
-}
-
-func (s SuccessiveHalving) explore() float64 {
-	if s.Explore == 0 {
-		return 0.25
-	}
-	if s.Explore < 0 {
-		return 0
-	}
-	return s.Explore
-}
-
-// Search implements Strategy.
-func (s SuccessiveHalving) Search(ctx context.Context, cands []Candidate, budget int, sim Simulate) ([]Evaluated, error) {
-	remaining := sortByBound(cands)
-	n := len(remaining)
-	if n == 0 {
-		return nil, nil
-	}
-	eta := s.eta()
-	draw := rng.New(s.seed())
-
-	evaluated := map[string]Evaluated{}
-	var order []string // insertion order, so output is deterministic
-	var survivors []Candidate
-	promoted := 0
-
-	cohort := ceilDiv(n, eta)
-	for len(remaining) > 0 {
-		take := cohort
-		if take > len(remaining) {
-			take = len(remaining)
-		}
-		if budget > 0 {
-			if left := budget - promoted; take > left {
-				take = left
-			}
-		}
-		if take < 1 {
-			break
-		}
-		batch, rest := s.draft(remaining, take, draw)
-		// Frontier-coverage insurance: promote deeper-ranked points no
-		// cohort member analytically dominates on (bound, GPU count,
-		// memory), so memory-cheap schedules survive the bound-only cull.
-		extra := ceilDiv(len(batch), 4)
-		if budget > 0 {
-			if left := budget - promoted - len(batch); extra > left {
-				extra = left
-			}
-		}
-		if extra > 0 {
-			var picks []Candidate
-			picks, rest = frontierPicks(batch, rest, extra)
-			batch = append(batch, picks...)
-		}
-		remaining = rest
-		promoted += len(batch)
-
-		full := append(append([]Candidate{}, survivors...), batch...)
-		outs, err := sim(ctx, full)
-		if err != nil {
-			return nil, err
-		}
-		ranked := zip(full, outs)
-		for _, e := range ranked {
-			k := e.Point.Key()
-			if _, seen := evaluated[k]; !seen {
-				order = append(order, k)
-			}
-			evaluated[k] = e
-		}
-		rankEvaluated(ranked)
-		keep := ceilDiv(len(ranked), eta)
-		survivors = survivors[:0]
-		for _, e := range ranked {
-			if e.Err == "" && len(survivors) < keep {
-				survivors = append(survivors, e.Candidate)
-			}
-		}
-		next := ceilDiv(cohort, eta)
-		if next >= cohort {
-			// The cohort can no longer halve: the race has converged.
-			break
-		}
-		cohort = next
-	}
-
-	out := make([]Evaluated, 0, len(order))
-	for _, k := range order {
-		out = append(out, evaluated[k])
-	}
-	return out, nil
-}
-
-func (s SuccessiveHalving) seed() uint64 {
-	if s.Seed == 0 {
-		return 1
-	}
-	return s.Seed
-}
-
-// draft selects the round's cohort — mostly the best remaining bounds,
-// plus seeded exploration draws from deeper in the ranking — and returns
-// it alongside the unpicked remainder, whose bound-sorted order is
-// preserved for later rounds.
-func (s SuccessiveHalving) draft(pool []Candidate, take int, draw *rng.Source) (batch, rest []Candidate) {
-	if take > len(pool) {
-		take = len(pool)
-	}
-	explore := int(float64(take) * s.explore())
-	if explore >= take {
-		explore = take - 1
-	}
-	exploit := take - explore
-	batch = append(batch, pool[:exploit]...)
-	rest = append(rest, pool[exploit:]...)
-	for i := 0; i < explore && len(rest) > 0; i++ {
-		j := draw.Intn(len(rest))
-		batch = append(batch, rest[j])
-		rest = append(rest[:j], rest[j+1:]...)
-	}
-	return batch, rest
 }
 
 // zip pairs candidates with their outcomes.
@@ -386,8 +164,8 @@ func rankEvaluated(es []Evaluated) {
 
 // Options configures a plan run.
 type Options struct {
-	// Strategy selects the search. Nil picks Exhaustive for small
-	// candidate sets and SuccessiveHalving beyond AutoThreshold.
+	// Strategy selects the search. Nil picks Exhaustive for spaces of at
+	// most AutoThreshold points and BranchAndBound beyond.
 	Strategy Strategy
 	// Budget caps the number of unique points promoted to simulation;
 	// 0 means no cap.
@@ -395,10 +173,6 @@ type Options struct {
 	// Mem is the memory-feasibility model (zero value: 80 GiB H100, plain
 	// DDP).
 	Mem memcost.Model
-	// MaxInfeasible caps how many analytically rejected points are
-	// retained (with reasons) in the result. Zero selects 32; the
-	// rejection *counts* in Stats are always exact.
-	MaxInfeasible int
 	// Tracer, when non-nil, receives per-round search events (pop, prune,
 	// simulate, with the running incumbent) on the "search" category. Nil
 	// disables tracing with zero overhead.
@@ -457,7 +231,7 @@ type Explain struct {
 	// in promotion order.
 	Simulated []ExplainSim `json:"simulated"`
 	// Pruned holds one record per wholesale-discarded subtree, in prune
-	// order. Empty for strategies that expand the space eagerly.
+	// order. Empty under Exhaustive.
 	Pruned []ExplainPrune `json:"pruned,omitempty"`
 }
 
@@ -496,9 +270,14 @@ func WithTracer(t *obs.Tracer) Option { return func(o *Options) { o.Tracer = t }
 // incumbent. A nil e (the default) disables capture.
 func WithExplain(e *Explain) Option { return func(o *Options) { o.Explain = e } }
 
-// AutoThreshold is the feasible-candidate count up to which the nil
-// strategy stays exhaustive.
+// AutoThreshold is the space size (Space.Size, counted before any point
+// is screened) up to which the nil strategy is Exhaustive; larger spaces
+// get BranchAndBound.
 const AutoThreshold = 24
+
+// maxInfeasible caps how many rejected points a Result retains with their
+// reasons; the rejection counts in Stats are always exact.
+const maxInfeasible = 32
 
 // Stats reports how the search spent its effort.
 type Stats struct {
@@ -512,8 +291,8 @@ type Stats struct {
 	// remaining invalid or out-of-scope points.
 	MemRejected, ScheduleRejected, ScopeRejected int
 	// Simulated is the number of unique points promoted to full graph
-	// simulation; SimRequests the total point-evaluations requested —
-	// the difference re-visited the sweep engine's scenario cache.
+	// simulation; SimRequests the total point-evaluations requested. No
+	// strategy re-submits a point, so the two are equal.
 	Simulated, SimRequests int
 	// Rounds is the number of simulation batches the strategy ran.
 	Rounds int
@@ -521,7 +300,7 @@ type Stats struct {
 	// subtree's admissible lower bound exceeded the incumbent simulated
 	// time; DominatedPruned the subset additionally dominated by an
 	// already simulated point on every frontier objective. Both are zero
-	// for strategies that expand the space eagerly. Under a budget the
+	// under Exhaustive. Under a budget the
 	// unexplored remainder is counted in neither bucket, so the partition
 	// SpaceSize = rejections + Feasible + pruned holds only budget-free.
 	BoundPruned, DominatedPruned int
@@ -553,8 +332,7 @@ type Result struct {
 	// ranked by iteration time.
 	Dominated []Evaluated
 	// Infeasible holds analytically rejected points (OOM, scope, bad
-	// fabric) and simulation failures, with reasons, capped by
-	// Options.MaxInfeasible.
+	// fabric) and simulation failures, with reasons: the first 32.
 	Infeasible []Candidate
 	// Stats reports search effort.
 	Stats Stats
@@ -568,9 +346,10 @@ func (r *Result) Best() (Evaluated, bool) {
 	return r.Frontier[0], true
 }
 
-// Plan runs the guided search: expand the space lazily, pre-filter with
-// the memory model and analytic bounds, let the strategy promote survivors
-// to the Simulate callback, and assemble the Pareto frontier.
+// Plan runs the search: expand the space lazily, pre-filter with the
+// memory model and analytic bounds, let the strategy promote survivors to
+// the Simulate callback, and assemble the Pareto frontier of what was
+// simulated.
 func Plan(ctx context.Context, base parallel.Config, space Space,
 	fabric topology.Fabric, pricer func(topology.Fabric) collective.Pricer,
 	sim Simulate, opts ...Option) (*Result, error) {
@@ -579,121 +358,76 @@ func Plan(ctx context.Context, base parallel.Config, space Space,
 	for _, opt := range opts {
 		opt(&o)
 	}
-	maxInfeasible := o.MaxInfeasible
-	if maxInfeasible == 0 {
-		maxInfeasible = 32
-	}
-
 	bounder := NewBounder(base, fabric, pricer, o.Mem)
 	stats := Stats{}
-	rej := &rejections{max: maxInfeasible, stats: &stats}
+	rej := &rejections{stats: &stats}
 
-	// The engine meters the strategy's use of the simulator: unique points
-	// promoted, total requests (the difference hit the scenario cache),
-	// batch rounds, and structure sharing and bound violations among fresh
-	// points.
-	seen := map[string]bool{}
+	// The engine meters the strategy's use of the simulator: points
+	// promoted, batch rounds, and structure sharing and bound violations
+	// among the simulated points. Space dedups its axes and no strategy
+	// promotes a point twice, so every candidate is a fresh point.
 	metered := func(ctx context.Context, cands []Candidate) ([]Outcome, error) {
 		stats.Rounds++
 		stats.SimRequests += len(cands)
-		fresh := make([]bool, len(cands))
-		for i, c := range cands {
-			if k := c.Point.Key(); !seen[k] {
-				seen[k] = true
-				stats.Simulated++
-				fresh[i] = true
-			}
-		}
+		stats.Simulated += len(cands)
 		outs, err := sim(ctx, cands)
-		if err == nil {
-			for i, c := range cands {
-				if !fresh[i] || i >= len(outs) {
-					continue
-				}
-				if outs[i].SharedStructure {
-					stats.SharedStructure++
-				}
-				if outs[i].Err == "" && c.Bound > outs[i].Iteration {
+		if err != nil {
+			return nil, err
+		}
+		best := trace.Dur(0)
+		for i, c := range cands {
+			if i >= len(outs) {
+				break
+			}
+			out := outs[i]
+			if out.SharedStructure {
+				stats.SharedStructure++
+			}
+			if out.Err == "" {
+				if c.Bound > out.Iteration {
 					stats.BoundViolations++
 				}
-			}
-			if o.Explain != nil {
-				for i, c := range cands {
-					if !fresh[i] || i >= len(outs) {
-						continue
-					}
-					rec := ExplainSim{
-						Point:   c.Point.Key(),
-						Round:   stats.Rounds,
-						BoundMs: float64(c.Bound) / 1e6,
-						Err:     outs[i].Err,
-					}
-					if outs[i].Err == "" {
-						rec.ActualMs = float64(outs[i].Iteration) / 1e6
-					}
-					o.Explain.Simulated = append(o.Explain.Simulated, rec)
-				}
-			}
-		}
-		if o.Tracer != nil && err == nil {
-			freshCount := 0
-			for _, f := range fresh {
-				if f {
-					freshCount++
-				}
-			}
-			best := trace.Dur(0)
-			for _, out := range outs {
-				if out.Err == "" && (best == 0 || out.Iteration < best) {
+				if best == 0 || out.Iteration < best {
 					best = out.Iteration
 				}
 			}
+			if o.Explain != nil {
+				rec := ExplainSim{
+					Point:   c.Point.Key(),
+					Round:   stats.Rounds,
+					BoundMs: float64(c.Bound) / 1e6,
+					Err:     out.Err,
+				}
+				if out.Err == "" {
+					rec.ActualMs = float64(out.Iteration) / 1e6
+				}
+				o.Explain.Simulated = append(o.Explain.Simulated, rec)
+			}
+		}
+		if o.Tracer != nil {
 			o.Tracer.Instant("search", "simulate", map[string]any{
-				"round": stats.Rounds, "batch": len(cands), "fresh": freshCount,
+				"round": stats.Rounds, "batch": len(cands),
 				"best_ms": float64(best) / 1e6,
 			})
 		}
-		return outs, err
+		return outs, nil
 	}
 
-	var evaluated []Evaluated
-	var err error
 	strat := o.Strategy
-	if ss, ok := strat.(spaceStrategy); ok {
-		// Space-aware strategies expand lazily and keep the rejection and
-		// pruning tables themselves — the space is never materialized here.
-		evaluated, err = ss.searchSpace(ctx, &spaceSearch{
-			base: base, space: space, bounder: bounder,
-			budget: o.Budget, sim: metered, stats: &stats, rej: rej,
-			tracer: o.Tracer, explain: o.Explain,
-		})
-		if err != nil {
-			return nil, err
+	if strat == nil {
+		if space.Size(base) <= AutoThreshold {
+			strat = Exhaustive{}
+		} else {
+			strat = BranchAndBound{}
 		}
-	} else {
-		var feasible []Candidate
-		space.ForEach(base, func(p Point) bool {
-			stats.SpaceSize++
-			if c, ok := bounder.screen(p, rej.room()); ok {
-				feasible = append(feasible, c)
-			} else {
-				rej.book(c)
-			}
-			return true
-		})
-		stats.Feasible = len(feasible)
-
-		if strat == nil {
-			if len(feasible) <= AutoThreshold {
-				strat = Exhaustive{}
-			} else {
-				strat = SuccessiveHalving{}
-			}
-		}
-		evaluated, err = strat.Search(ctx, feasible, o.Budget, metered)
-		if err != nil {
-			return nil, err
-		}
+	}
+	evaluated, err := strat.search(ctx, &spaceSearch{
+		base: base, space: space, bounder: bounder,
+		budget: o.Budget, sim: metered, stats: &stats, rej: rej,
+		tracer: o.Tracer, explain: o.Explain,
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	var ok []Evaluated
@@ -721,17 +455,16 @@ func Plan(ctx context.Context, base parallel.Config, space Space,
 }
 
 // rejections books analytically rejected points into the Stats buckets and
-// keeps the first max of them, with their reasons, for Result.Infeasible.
-// Callers screen a point with a reason only while room remains, so the
-// points past the cap are counted without one.
+// keeps the first maxInfeasible of them, with their reasons, for
+// Result.Infeasible. Callers screen a point with a reason only while room
+// remains, so the points past the cap are counted without one.
 type rejections struct {
-	max   int
 	kept  []Candidate
 	stats *Stats
 }
 
 // room reports whether the next rejection is kept (and so needs a reason).
-func (r *rejections) room() bool { return len(r.kept) < r.max }
+func (r *rejections) room() bool { return len(r.kept) < maxInfeasible }
 
 // keep retains c while room remains.
 func (r *rejections) keep(c Candidate) {

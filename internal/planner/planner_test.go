@@ -185,65 +185,11 @@ func TestBudgetCapsSimulations(t *testing.T) {
 	if res.Stats.Simulated != 5 {
 		t.Fatalf("budget 5, simulated %d", res.Stats.Simulated)
 	}
-	sim2 := newFakeSim()
-	res2 := plan(t, base, space(), sim2, WithStrategy(SuccessiveHalving{}), WithBudget(5))
-	if res2.Stats.Simulated > 5 {
-		t.Fatalf("halving exceeded budget: %d", res2.Stats.Simulated)
-	}
-}
-
-func TestGuidedStrategiesSimulateFewerAndAgreeOnBest(t *testing.T) {
-	base := baseCfg(t)
-
-	exSim := newFakeSim()
-	ex := plan(t, base, space(), exSim, WithStrategy(Exhaustive{}))
-	exBest, ok := ex.Best()
-	if !ok {
-		t.Fatal("no exhaustive best")
-	}
-
-	for _, strat := range []Strategy{Beam{Width: 6}, SuccessiveHalving{}} {
-		sim := newFakeSim()
-		res := plan(t, base, space(), sim, WithStrategy(strat))
-		if res.Stats.Simulated >= ex.Stats.Simulated {
-			t.Fatalf("%s simulated %d, not fewer than exhaustive's %d",
-				strat.Name(), res.Stats.Simulated, ex.Stats.Simulated)
-		}
-		best, ok := res.Best()
-		if !ok {
-			t.Fatalf("%s: no best", strat.Name())
-		}
-		if best.Point.Key() != exBest.Point.Key() {
-			t.Fatalf("%s best %s != exhaustive best %s", strat.Name(), best.Point.Key(), exBest.Point.Key())
-		}
-	}
-}
-
-func TestSuccessiveHalvingRevisitsSurvivors(t *testing.T) {
-	base := baseCfg(t)
-	sim := newFakeSim()
-	res := plan(t, base, space(), sim, WithStrategy(SuccessiveHalving{}))
-	if res.Stats.SimRequests <= res.Stats.Simulated {
-		t.Fatalf("halving must re-submit survivors (requests %d, unique %d)",
-			res.Stats.SimRequests, res.Stats.Simulated)
-	}
-	if res.Stats.Rounds < 2 {
-		t.Fatalf("halving ran %d rounds, want >= 2", res.Stats.Rounds)
-	}
-	revisited := 0
-	for _, n := range sim.unique {
-		if n > 1 {
-			revisited++
-		}
-	}
-	if revisited == 0 {
-		t.Fatal("no point was re-submitted across rounds")
-	}
 }
 
 func TestPlanDeterminism(t *testing.T) {
 	base := baseCfg(t)
-	for _, strat := range []Strategy{Exhaustive{}, Beam{}, SuccessiveHalving{}} {
+	for _, strat := range []Strategy{Exhaustive{}, BranchAndBound{}} {
 		a := plan(t, base, space(), newFakeSim(), WithStrategy(strat))
 		b := plan(t, base, space(), newFakeSim(), WithStrategy(strat))
 		if !reflect.DeepEqual(a.Stats, b.Stats) {
@@ -408,5 +354,88 @@ func TestScheduleBoundEconomics(t *testing.T) {
 	// The empty schedule inherits the base (1F1B here): identical bound.
 	if inherit := bound(""); inherit != fb {
 		t.Fatalf("inherited bound %v != explicit 1f1b %v", inherit, fb)
+	}
+}
+
+// TestDefaultStrategyRule: with no strategy set, Plan searches a space of
+// at most AutoThreshold points exhaustively and a larger one by
+// branch-and-bound, deciding from Space.Size before any point is screened,
+// so a large space with few feasible points still gets branch-and-bound.
+func TestDefaultStrategyRule(t *testing.T) {
+	base := baseCfg(t)
+	mbs := func(n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = 4 + i
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name  string
+		space Space
+		size  int
+		want  string
+	}{
+		{"at threshold", Space{PP: []int{1, 2, 4}, DP: []int{1, 2, 4, 8}, Microbatch: []int{4, 8}}, AutoThreshold, "exhaustive"},
+		{"over threshold", Space{Microbatch: mbs(AutoThreshold + 1)}, AutoThreshold + 1, "bnb"},
+		{"over threshold, half unknown schedule", Space{Microbatch: mbs(13), Schedules: []string{"", "zb-v"}}, 26, "bnb"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := tc.space.Size(base); got != tc.size {
+				t.Fatalf("Size = %d, want %d", got, tc.size)
+			}
+			e := &Explain{}
+			res := plan(t, base, tc.space, newFakeSim(), WithExplain(e))
+			if res.Strategy != tc.want {
+				t.Fatalf("Strategy = %q, want %q", res.Strategy, tc.want)
+			}
+			if e.Strategy != res.Strategy {
+				t.Errorf("explain strategy = %q, result %q", e.Strategy, res.Strategy)
+			}
+			if tc.want == "exhaustive" && res.Stats.Simulated != res.Stats.Feasible {
+				t.Errorf("exhaustive simulated %d of %d feasible", res.Stats.Simulated, res.Stats.Feasible)
+			}
+			if tc.want == "bnb" && res.Stats.BoundPruned+res.Stats.DominatedPruned == 0 {
+				t.Errorf("bnb pruned nothing: %+v", res.Stats)
+			}
+		})
+	}
+}
+
+// TestRepeatedAxisValuesPlanOnce: a value repeated on a space axis — the
+// same degree or microbatch count, a schedule name in another case or with
+// spaces, an equal degrade vector, an equal fabric — is one point, under
+// both strategies.
+func TestRepeatedAxisValuesPlanOnce(t *testing.T) {
+	base := baseCfg(t)
+	for _, tc := range []struct {
+		name  string
+		space Space
+	}{
+		{"degrees and microbatches", Space{PP: []int{2, 2}, DP: []int{1}, Microbatch: []int{4, 4}}},
+		{"schedule names", Space{DP: []int{1}, Schedules: []string{"1f1b", " 1F1B"}}},
+		{"degrade vectors", Space{DP: []int{1}, Degrade: [][]float64{{1, 0.5}, {1, 0.5}}}},
+		{"fabrics", Space{DP: []int{1}, Fabrics: []topology.Fabric{topology.H100Cluster(64), topology.H100Cluster(64)}}},
+	} {
+		for _, strat := range []Strategy{Exhaustive{}, BranchAndBound{}} {
+			t.Run(tc.name+"/"+strat.Name(), func(t *testing.T) {
+				if got := tc.space.Size(base); got != 1 {
+					t.Fatalf("Size = %d, want 1", got)
+				}
+				n := 0
+				tc.space.ForEach(base, func(Point) bool { n++; return true })
+				if n != 1 {
+					t.Fatalf("ForEach yielded %d points, want 1", n)
+				}
+				res := plan(t, base, tc.space, newFakeSim(), WithStrategy(strat))
+				st := res.Stats
+				if got := len(res.Frontier) + len(res.Dominated); got != 1 {
+					t.Fatalf("%d points returned, want 1", got)
+				}
+				if st.SpaceSize != 1 || st.Feasible != 1 || st.Simulated != 1 || st.SimRequests != 1 {
+					t.Fatalf("stats %+v, want one point", st)
+				}
+			})
+		}
 	}
 }

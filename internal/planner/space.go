@@ -48,11 +48,11 @@ func (p Point) Key() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%dx%dx%d/mb%d", p.TP, p.PP, p.DP, p.Microbatches)
 	if p.Schedule != "" {
-		fmt.Fprintf(&sb, "/%s", strings.ToLower(strings.TrimSpace(p.Schedule)))
+		fmt.Fprintf(&sb, "/%s", scheduleID(p.Schedule))
 	}
 	if p.Fabric != nil {
 		h := fnv.New32a()
-		fmt.Fprintf(h, "%T|%+v", p.Fabric, p.Fabric)
+		h.Write([]byte(fabricID(p.Fabric)))
 		fmt.Fprintf(&sb, "@%s#%06x", p.Fabric.FabricName(), h.Sum32()&0xffffff)
 	}
 	if len(p.Degrade) > 0 {
@@ -64,6 +64,13 @@ func (p Point) Key() string {
 	}
 	return sb.String()
 }
+
+// scheduleID is the schedule name as Point.Key spells it.
+func scheduleID(name string) string { return strings.ToLower(strings.TrimSpace(name)) }
+
+// fabricID is the full value of a fabric that Point.Key digests: its
+// concrete type and every link parameter.
+func fabricID(f topology.Fabric) string { return fmt.Sprintf("%T|%+v", f, f) }
 
 // Config derives the point's deployment from the campaign base: the base's
 // architecture and execution knobs with the point's mapping, microbatch
@@ -105,7 +112,11 @@ type Space struct {
 	Degrade [][]float64
 }
 
-// withBase resolves empty dimensions against the base deployment.
+// withBase resolves empty dimensions against the base deployment and keeps
+// only the first occurrence of each value on every axis, so Size, ForEach
+// and branch-and-bound's subtrees count each point once. Schedule names
+// compare as Point.Key spells them, degrade vectors by value, and fabrics
+// by the identity Point.Key digests.
 func (s Space) withBase(base parallel.Config) Space {
 	if len(s.TP) == 0 {
 		s.TP = []int{base.Map.TP}
@@ -128,7 +139,27 @@ func (s Space) withBase(base parallel.Config) Space {
 	if len(s.Degrade) == 0 {
 		s.Degrade = [][]float64{nil}
 	}
+	same := func(v int) int { return v }
+	s.TP, s.PP, s.DP = distinct(s.TP, same), distinct(s.PP, same), distinct(s.DP, same)
+	s.Microbatch = distinct(s.Microbatch, same)
+	s.Schedules = distinct(s.Schedules, scheduleID)
+	s.Fabrics = distinct(s.Fabrics, fabricID)
+	s.Degrade = distinct(s.Degrade, func(v []float64) string { return fmt.Sprint(v) })
 	return s
+}
+
+// distinct returns vals without the values whose id an earlier value
+// already had, in order.
+func distinct[T any, K comparable](vals []T, id func(T) K) []T {
+	seen := make(map[K]bool, len(vals))
+	out := make([]T, 0, len(vals))
+	for _, v := range vals {
+		if k := id(v); !seen[k] {
+			seen[k] = true
+			out = append(out, v)
+		}
+	}
+	return out
 }
 
 // Size returns the number of points the space expands to.

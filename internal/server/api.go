@@ -8,7 +8,6 @@ package server
 
 import (
 	"fmt"
-	"strings"
 
 	"lumos"
 )
@@ -217,10 +216,7 @@ type PlanRequest struct {
 	Schedules []string  `json:"schedules,omitempty"`
 	Fabrics   []string  `json:"fabrics,omitempty"`
 	Degrade   []float64 `json:"degrade,omitempty"`
-	Strategy  string    `json:"strategy,omitempty"` // auto|exhaustive|beam|halving|bnb
-	Beam      int       `json:"beam,omitempty"`
-	Eta       int       `json:"eta,omitempty"`
-	Batch     int       `json:"batch,omitempty"` // bnb simulation batch size (0 = default)
+	Strategy  string    `json:"strategy,omitempty"` // auto|exhaustive|bnb
 	Budget    int       `json:"budget,omitempty"`
 	GPUMemGiB float64   `json:"gpu_mem_gib,omitempty"`
 	ZeRO      int       `json:"zero,omitempty"`
@@ -271,28 +267,11 @@ func (req *PlanRequest) space(base lumos.Config) (lumos.Space, error) {
 
 // options assembles the planner options exactly like cmdPlan does.
 func (req *PlanRequest) options() ([]lumos.PlanOption, error) {
-	var opts []lumos.PlanOption
-	switch strings.ToLower(strings.TrimSpace(req.Strategy)) {
-	case "auto", "":
-	case "exhaustive":
-		opts = append(opts, lumos.WithPlanStrategy(lumos.ExhaustiveStrategy()))
-	case "beam":
-		beam := req.Beam
-		if beam <= 0 {
-			beam = 8
-		}
-		opts = append(opts, lumos.WithPlanStrategy(lumos.BeamStrategy(beam)))
-	case "halving":
-		eta := req.Eta
-		if eta <= 0 {
-			eta = 3
-		}
-		opts = append(opts, lumos.WithPlanStrategy(lumos.HalvingStrategy(eta)))
-	case "bnb":
-		opts = append(opts, lumos.WithPlanStrategy(lumos.BranchAndBoundStrategy(req.Batch)))
-	default:
-		return nil, fmt.Errorf("unknown strategy %q (want auto|exhaustive|beam|halving|bnb)", req.Strategy)
+	strat, err := lumos.PlanStrategyByName(req.Strategy)
+	if err != nil {
+		return nil, err
 	}
+	opts := []lumos.PlanOption{lumos.WithPlanStrategy(strat)}
 	if req.Budget > 0 {
 		opts = append(opts, lumos.WithPlanBudget(req.Budget))
 	}

@@ -278,6 +278,7 @@ func TestRequestValidation(t *testing.T) {
 		{"sweep bad arch", "/v1/sweep", SweepRequest{Profile: "fig7", Archs: []string{"v9"}}, http.StatusBadRequest},
 		{"plan unknown profile", "/v1/plan", PlanRequest{Profile: "nope"}, http.StatusNotFound},
 		{"plan bad strategy", "/v1/plan", PlanRequest{Profile: "fig7", Strategy: "quantum"}, http.StatusBadRequest},
+		{"plan removed strategy", "/v1/plan", PlanRequest{Profile: "fig7", Strategy: "halving"}, http.StatusBadRequest},
 		{"plan bad zero", "/v1/plan", PlanRequest{Profile: "fig7", ZeRO: 3}, http.StatusBadRequest},
 		{"plan bad fabric", "/v1/plan", PlanRequest{Profile: "fig7", Fabrics: []string{"warpdrive"}}, http.StatusBadRequest},
 		{"sweep infinite oversubscription", "/v1/sweep", SweepRequest{Profile: "fig7", Fabrics: []string{"spineinf"}}, http.StatusBadRequest},

@@ -25,7 +25,7 @@
 // The base is profiled once and the kernel library and fitted kernel model
 // are built once; every scenario shares them, so campaigns are both the
 // idiomatic and the fast path. GridSweep enumerates whole TP×PP×DP grids,
-// and Toolkit.Plan goes one step further: a guided search over a declared
+// and Toolkit.Plan goes one step further: an exact search over a declared
 // parallelism × microbatch × fabric Space with an analytic memory
 // pre-filter and Pareto-frontier output (see plan.go). Single-shot entry
 // points (Profile, BuildGraph, Replay, Predict) remain for step-by-step

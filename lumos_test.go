@@ -2,6 +2,7 @@ package lumos
 
 import (
 	"context"
+	"strings"
 	"testing"
 )
 
@@ -157,6 +158,37 @@ func TestPresetAccessors(t *testing.T) {
 	} {
 		if err := a.Validate(); err != nil {
 			t.Errorf("%s: %v", a.Name, err)
+		}
+	}
+}
+
+// TestPlanStrategyByName pins the one strategy menu the CLI and lumosd
+// share: "" and "auto" leave the default rule, the two exact searches
+// resolve by name in any case, and anything else — including the removed
+// heuristics — is an error that lists the menu.
+func TestPlanStrategyByName(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+	}{
+		{"", ""}, {"auto", ""}, {" AUTO ", ""},
+		{"exhaustive", "exhaustive"}, {"bnb", "bnb"}, {" BnB", "bnb"},
+	} {
+		s, err := PlanStrategyByName(tc.name)
+		if err != nil {
+			t.Fatalf("%q: %v", tc.name, err)
+		}
+		got := ""
+		if s != nil {
+			got = s.Name()
+		}
+		if got != tc.want {
+			t.Errorf("%q resolved to %q, want %q", tc.name, got, tc.want)
+		}
+	}
+	for _, name := range []string{"halving", "beam", "quantum"} {
+		_, err := PlanStrategyByName(name)
+		if err == nil || !strings.Contains(err.Error(), "auto|exhaustive|bnb") {
+			t.Errorf("%q: error %v, want one naming auto|exhaustive|bnb", name, err)
 		}
 	}
 }

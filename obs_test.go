@@ -32,7 +32,7 @@ func TestMetricsSnapshotDeterminism(t *testing.T) {
 			Degrade: [][]float64{nil, NetworkDegradeFactors(0.5)},
 		}
 		if _, err := tk.PlanState(ctx, st, space,
-			WithPlanStrategy(BranchAndBoundStrategy(0))); err != nil {
+			WithPlanStrategy(BranchAndBoundStrategy())); err != nil {
 			t.Fatal(err)
 		}
 

@@ -1,5 +1,5 @@
-// Deployment-planner façade: guided search over the joint parallelism ×
-// microbatch × fabric space with a memory-feasibility model and
+// Deployment-planner façade: exact search over the joint parallelism ×
+// microbatch × schedule × fabric space with a memory-feasibility model and
 // multi-objective output.
 //
 //	tk := lumos.New(lumos.WithConcurrency(8))
@@ -8,7 +8,7 @@
 //		PP:         []int{1, 2, 4},
 //		DP:         []int{1, 2, 4},
 //		Microbatch: []int{4, 8},
-//	}, lumos.WithPlanStrategy(lumos.HalvingStrategy(3)))
+//	}, lumos.WithPlanStrategy(lumos.BranchAndBoundStrategy()))
 //	for _, p := range res.Frontier {
 //		fmt.Println(p.Point.Key(), p.Iteration, p.Mem)
 //	}
@@ -16,12 +16,18 @@
 // The base is profiled once; the planner's memory model rules out
 // configurations that would OOM before simulation time is spent, analytic
 // roofline + collective-pricer bounds rank the rest, and the strategy
-// promotes only the promising points to full graph simulation on the sweep
-// engine. The result is the Pareto frontier over (iteration time, GPU
-// count, peak memory), with ranked dominated points retained.
+// promotes points to full graph simulation on the sweep engine: every
+// feasible point (exhaustive), or only those whose admissible bound does
+// not exceed the best simulated time (branch-and-bound). Both return the
+// same best point. The result holds the non-dominated simulated points
+// over (iteration time, GPU count, peak memory), with ranked dominated
+// points retained.
 package lumos
 
 import (
+	"fmt"
+	"strings"
+
 	"lumos/internal/memcost"
 	"lumos/internal/planner"
 )
@@ -54,7 +60,8 @@ type (
 	PlanExplainSim = planner.ExplainSim
 	// PlanExplainPrune is one pruned subtree in a PlanExplain report.
 	PlanExplainPrune = planner.ExplainPrune
-	// PlanStrategy decides which candidates are promoted to simulation.
+	// PlanStrategy is one of the two exact searches: ExhaustiveStrategy or
+	// BranchAndBoundStrategy.
 	PlanStrategy = planner.Strategy
 	// MemoryModel is the per-GPU memory-feasibility model (capacity,
 	// reserve, optimizer bytes/param, ZeRO sharding stage).
@@ -72,34 +79,41 @@ const (
 	ZeROGradients = memcost.ZeROGradients
 )
 
-// ExhaustiveStrategy simulates every feasible point — the reference for
-// small spaces and the yardstick the guided strategies are measured
-// against.
+// ExhaustiveStrategy simulates every feasible point. Its frontier is the
+// space's Pareto frontier; it is the reference for small spaces and the
+// yardstick branch-and-bound is checked against.
 func ExhaustiveStrategy() PlanStrategy { return planner.Exhaustive{} }
 
-// BeamStrategy promotes only the width best points by analytic bound.
-// width <= 0 selects 8.
-func BeamStrategy(width int) PlanStrategy { return planner.Beam{Width: width} }
+// BranchAndBoundStrategy is exact search at a fraction of the simulations:
+// lazy subspace expansion with admissible analytic lower bounds, a
+// bound-ranked priority queue, and wholesale pruning of subtrees that
+// cannot beat the incumbent. Returns the same best point as
+// ExhaustiveStrategy. Only that best point is exact: the result's Frontier
+// is the non-dominated subset of the points bnb simulated, and pruning on
+// iteration time alone can drop a slower point that uses fewer GPUs or
+// less memory from it.
+func BranchAndBoundStrategy() PlanStrategy { return planner.BranchAndBound{} }
 
-// HalvingStrategy races bound-ranked cohorts through simulation with
-// promotion rate eta (successive halving); survivors re-visit the scenario
-// cache. eta <= 0 selects 3.
-func HalvingStrategy(eta int) PlanStrategy { return planner.SuccessiveHalving{Eta: eta} }
+// PlanStrategyByName resolves a strategy menu entry, as the CLI's -strategy
+// flag and lumosd's "strategy" field spell it: "" and "auto" return nil
+// (the default rule, see WithPlanStrategy), "exhaustive" and "bnb" their
+// strategies. Case and surrounding spaces are ignored; any other name is
+// an error that lists the menu.
+func PlanStrategyByName(name string) (PlanStrategy, error) {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "", "auto":
+		return nil, nil
+	case "exhaustive":
+		return ExhaustiveStrategy(), nil
+	case "bnb":
+		return BranchAndBoundStrategy(), nil
+	}
+	return nil, fmt.Errorf("unknown strategy %q (want auto|exhaustive|bnb)", name)
+}
 
-// BranchAndBoundStrategy is exact search at guided-search cost: lazy
-// subspace expansion with admissible analytic lower bounds, a bound-ranked
-// priority queue, and wholesale pruning of subtrees that cannot beat the
-// incumbent. Returns the same best point as ExhaustiveStrategy while
-// simulating strictly fewer points. Only that best point is exact: the
-// result's Frontier is the non-dominated subset of the points bnb
-// simulated, and pruning on iteration time alone can drop a slower point
-// that uses fewer GPUs or less memory from it. batch sets how many
-// bound-minimal heads are simulated per round; batch <= 0 selects the
-// default.
-func BranchAndBoundStrategy(batch int) PlanStrategy { return planner.BranchAndBound{Batch: batch} }
-
-// WithPlanStrategy selects the search strategy. The default is exhaustive
-// for small candidate sets and successive halving beyond.
+// WithPlanStrategy selects the search strategy. Nil (the default) searches
+// spaces of at most 24 points exhaustively and larger ones by
+// branch-and-bound, deciding from Space.Size before any point is screened.
 func WithPlanStrategy(s PlanStrategy) PlanOption { return planner.WithStrategy(s) }
 
 // WithPlanBudget caps the number of unique points promoted to full graph
