@@ -10,8 +10,8 @@ SWEEP_BENCH = BenchmarkSweep_SharedCalibration$$|BenchmarkSweepThroughput$$|Benc
 
 # check is the CI gate: formatting, static analysis, full build, tests,
 # the benchmark module's vet and tests, the race detector on the concurrent
-# service/cache/replay/core packages, the compiled-engine, synthesis and
-# plan-search allocation budgets, a short fuzz run, a one-iteration
+# service/cache/replay/core packages, the compiled-engine, synthesis,
+# plan-search and what-if allocation budgets, a short fuzz run, a one-iteration
 # benchmark smoke pass, and the planner, schedule, planning-service and
 # observability acceptance smokes.
 check: fmt vet build test bench-module race alloc-guard fuzz-smoke benchsmoke plan-smoke schedule-smoke serve-smoke obs-smoke
@@ -36,10 +36,11 @@ bench-module:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # race runs the packages with real request-level concurrency — the lumosd
-# service, the shared disk cache, the pooled replay engines, the
+# service, the shared disk cache, the replay engine, the
 # batch-evaluating planner, and the campaign engine whose structural
-# entries, timings buffers and pooled engines concurrent sweep fabric rows
-# and plan points share — under the race detector.
+# entries, pooled timings buffers and pooled replay scratches concurrent
+# sweep fabric rows, plan points and kernel what-ifs share — under the
+# race detector.
 race:
 	$(GO) test -race ./internal/server/ ./internal/scache/ ./internal/replay/ ./internal/planner/ ./internal/obs/ ./internal/core/
 
@@ -54,12 +55,16 @@ race:
 # (TestSynthesizeAllocBudget), so per-rank program rebuilds cannot return
 # unnoticed, and one serve-plan-shaped branch-and-bound search under its
 # byte budget (TestPlanSearchAllocBudget), so memory estimates or reason
-# strings for points a plan never returns cannot creep back.
+# strings for points a plan never returns cannot creep back, and fifteen
+# kernel what-ifs on the fig7 base under a per-what-if byte budget
+# (TestWhatIfAllocBudget), so what-ifs keep replaying pooled duration
+# columns on pooled scratches instead of allocating fresh columns.
 ALLOC_GUARD_BUDGET ?= 8
 alloc-guard:
 	$(GO) test -run TestReplayAllocBudget -count 1 ./internal/replay/
 	$(GO) test -run TestSynthesizeAllocBudget -count 1 ./internal/cluster/
 	$(GO) test -run TestPlanSearchAllocBudget -count 1 ./internal/planner/
+	$(GO) test -run TestWhatIfAllocBudget -count 1 ./internal/core/
 
 # fuzz-smoke runs the fabric-pricing fuzz target for 10 s beyond its seed
 # corpus (testdata/fuzz/FuzzFabricPricing, which plain go test replays): no

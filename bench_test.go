@@ -486,7 +486,8 @@ func BenchmarkSweep_SharedCalibration(b *testing.B) {
 // BenchmarkSweepThroughput measures the raw per-scenario prediction cost
 // with memoization disabled: every iteration re-predicts each scenario
 // against the prepared base state, exercising direct graph synthesis (no
-// trace round trip), copy-on-write retiming, and the pooled simulators.
+// trace round trip), retiming into pooled duration columns, and pooled
+// replay scratches.
 func BenchmarkSweepThroughput(b *testing.B) {
 	ctx := context.Background()
 	tk := New(WithConcurrency(4), WithScenarioCache(false))
@@ -521,7 +522,7 @@ func BenchmarkSweepThroughput(b *testing.B) {
 
 // BenchmarkReplayEngine measures the retimed what-if hot path: a campaign
 // of kernel-class retimings and fusion what-ifs, each a full replay of the
-// shared base graph on a pooled compiled engine.
+// shared base program under pooled duration columns on a pooled scratch.
 func BenchmarkReplayEngine(b *testing.B) {
 	ctx := context.Background()
 	cfg, err := DeploymentConfig(GPT3_15B(), 2, 2, 1)

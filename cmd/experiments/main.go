@@ -541,7 +541,9 @@ func ablations() {
 			on, analysis.Millis(out.iter), metrics.RelErr(out.iter, actualIter))
 	}
 
-	// (4) Fitted vs oracle kernel model for manipulation.
+	// (4) Kernel pricing for manipulation: the fitted model alone (an empty
+	// library, so the fit prices every kernel) vs the measured library
+	// with the fit pricing only what the profile lacks.
 	fmt.Println("-- kernel model ablation for DP scale-out prediction --")
 	base := cfg
 	req := manip.ScaleDP(base, 8)
@@ -549,24 +551,27 @@ func ablations() {
 	topo := topology.H100Cluster(world)
 	actualT := simulate(req.Target, *seed+3000)
 	actualTI := analysis.IterationTime(actualT)
-	lib := manip.BuildLibrary(profiled, topo)
 	oracle := kernelmodel.NewOracleFabric(topo, nil)
 	fitted, err := kernelmodel.Fit([]*trace.Multi{profiled}, topo, oracle)
 	if err != nil {
 		panic(err)
 	}
-	predFit, err := manip.PredictWith(req, lib, fitted, topo)
+	predFit, err := manip.PredictWith(req, manip.BuildLibrary(&trace.Multi{}, topo), fitted, topo)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("fitted model:  pred %7.1fms err %5.1f%%\n",
-		analysis.Millis(predFit.Iteration), metrics.RelErr(predFit.Iteration, actualTI))
-	predOracle, err := manip.Predict(req, profiled, topo)
+	predLib, err := manip.Predict(req, profiled, topo)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("library+fit:   pred %7.1fms err %5.1f%%\n",
-		analysis.Millis(predOracle.Iteration), metrics.RelErr(predOracle.Iteration, actualTI))
+	for _, row := range []struct {
+		name string
+		pred *manip.Result
+	}{{"fitted only", predFit}, {"library+fit", predLib}} {
+		fmt.Printf("%-12s pred %7.1fms err %5.1f%% kernels measured %d modeled %d\n",
+			row.name+":", analysis.Millis(row.pred.Iteration), metrics.RelErr(row.pred.Iteration, actualTI),
+			row.pred.LibraryHits, row.pred.LibraryMisses)
+	}
 
 	// (5) Pipeline schedule policy: 1F1B vs GPipe on the same deployment.
 	fmt.Println("-- schedule policy comparison (ground truth) --")

@@ -9,7 +9,6 @@ import (
 
 	"lumos/internal/analysis"
 	"lumos/internal/collective"
-	"lumos/internal/execgraph"
 	"lumos/internal/manip"
 	"lumos/internal/planner"
 	"lumos/internal/replay"
@@ -23,7 +22,7 @@ import (
 
 // engineCampaign is a fig7/fig8-flavored campaign touching every replay
 // path: the scale grid (fig7), architecture variants (fig8), kernel-level
-// what-ifs (pooled retimed replays of the base graph), fusion, fabric and
+// what-ifs (pooled retimed replays of the base program), fusion, fabric and
 // degrade overrides, and every pipeline schedule including interleaved and
 // zero-bubble.
 func engineCampaign(world int) []Scenario {
@@ -47,12 +46,25 @@ func engineCampaign(world int) []Scenario {
 // oracleSim returns a fresh reference interpreter.
 func oracleSim() *replay.Simulator { return replay.NewSimulator(replay.DefaultOptions()) }
 
+// oracleRetime replays g on the interpreter under fresh duration columns
+// that retime rewrites, and returns the makespan.
+func oracleRetime(t *testing.T, g *Graph, retime func(replay.Timings)) trace.Dur {
+	t.Helper()
+	tm := replay.NewTimings(g)
+	retime(tm)
+	res, err := oracleSim().Run(g, tm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Makespan
+}
+
 // oracleOnFabric recomputes a target's prediction on a resolved fabric f
 // with the reference interpreter, following the documented fabric
 // semantics from scratch: synthesize the target on the campaign fabric;
 // on that fabric answer the synthesized iteration; elsewhere scale every
-// collective group's synthesized duration by its target/campaign cost on a
-// retimed view, replay the view and the untouched graph, and add the
+// collective group's synthesized duration by its target/campaign cost in
+// fresh duration columns, replay them and the untouched graph, and add the
 // difference to the synthesized iteration. The breakdown is the one a
 // sweep row reports (zero for plan points, which compute none).
 func oracleOnFabric(t *testing.T, st *BaseState, target Config, f Fabric) (trace.Dur, Breakdown) {
@@ -70,7 +82,7 @@ func oracleOnFabric(t *testing.T, st *BaseState, target Config, f Fabric) (trace
 		return out.Iteration, analysis.GraphBreakdown(g)
 	}
 	tp, cp := collective.NewPricer(f), collective.NewPricer(campaign)
-	v := execgraph.NewRetimed(g)
+	v := replay.NewTimings(g)
 	for _, members := range g.Groups {
 		ranks := make([]int, len(members))
 		for i, id := range members {
@@ -83,17 +95,17 @@ func oracleOnFabric(t *testing.T, st *BaseState, target Config, f Fabric) (trace
 			d = trace.Dur(float64(d) * (float64(tgt) / float64(base)))
 		}
 		for _, id := range members {
-			v.SetDur(id, d)
-			v.SetGroupDur(id, d)
+			v.Dur[id] = d
+			v.GroupDur[id] = d
 		}
 	}
 	sim := oracleSim()
-	own, err := sim.Run(g)
+	own, err := sim.Run(g, replay.Timings{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ownSpan := own.Makespan
-	res, err := sim.RunRetimed(v)
+	res, err := sim.Run(g, v)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,10 +113,10 @@ func oracleOnFabric(t *testing.T, st *BaseState, target Config, f Fabric) (trace
 }
 
 // TestEngineEquivalenceCampaign checks every replayed campaign answer
-// against the interpreter: the base point, the kernel what-ifs (through
-// WhatIfScaleSim/WhatIfFusionSim on a Simulator), and the fabric and
-// degrade rows (through a retimed view plus the anchor). Synthesis-only
-// rows are checked against a direct synthesis.
+// against the interpreter: the base point, the kernel what-ifs (the
+// interpreter replaying ScaleDurations/ApplyFusion columns), and the
+// fabric and degrade rows (repriced columns plus the anchor).
+// Synthesis-only rows are checked against a direct synthesis.
 func TestEngineEquivalenceCampaign(t *testing.T) {
 	ctx := context.Background()
 	base := sweepBase(t)
@@ -119,7 +131,7 @@ func TestEngineEquivalenceCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	baseRes, err := oracleSim().Run(st.Graph)
+	baseRes, err := oracleSim().Run(st.Graph, replay.Timings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,12 +163,13 @@ func TestEngineEquivalenceCampaign(t *testing.T) {
 			want = baseRes.Makespan
 		case "whatif-scale":
 			c := class[r.Name]
-			want, err = analysis.WhatIfScaleSim(oracleSim(), st.Graph,
-				func(tk *execgraph.Task) bool { return tk.Class == c.class }, c.factor)
+			want = oracleRetime(t, st.Graph, func(tm replay.Timings) {
+				analysis.ScaleDurations(st.Graph, tm, func(tk *Task) bool { return tk.Class == c.class }, c.factor)
+			})
 		case "whatif-fusion":
-			var rep FusionReport
-			rep, err = analysis.WhatIfFusionSim(oracleSim(), st.Graph, DefaultFusionOpts(), st.Iteration)
-			want = rep.Fused
+			want = oracleRetime(t, st.Graph, func(tm replay.Timings) {
+				analysis.ApplyFusion(st.Graph, tm, DefaultFusionOpts())
+			})
 		case "fabric":
 			f, ok := fabrics[r.Name]
 			if !ok {
@@ -291,7 +304,7 @@ func TestEngineCountersSurface(t *testing.T) {
 }
 
 // TestPrepareBaseReplayMatchesReplay pins the campaign base point to the
-// reference path: PrepareTraces replays the base on a pooled engine and
+// reference path: PrepareTraces replays the base on a pooled scratch and
 // reads its breakdown off the replay columns, and must report exactly the
 // iteration time and breakdown the interpreter's replay gives through a
 // materialized trace, under every pipeline schedule.
@@ -310,7 +323,7 @@ func TestPrepareBaseReplayMatchesReplay(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := oracleSim().Run(st.Graph)
+		res, err := oracleSim().Run(st.Graph, replay.Timings{})
 		if err != nil {
 			t.Fatal(err)
 		}

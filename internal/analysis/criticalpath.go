@@ -96,24 +96,3 @@ func CriticalPath(g *execgraph.Graph, res *replay.Result) []PathEntry {
 	}
 	return path
 }
-
-// WhatIfScaleSim estimates the effect of scaling the duration of every
-// kernel matched by the predicate (e.g. "all GEMMs 2x faster" → factor
-// 0.5), answering the what-if questions from the paper's discussion
-// section. The retiming is a copy-on-write view — only the duration
-// columns are copied, never the task array — replayed on the given
-// engine (a pooled compiled engine, or the reference Simulator in tests).
-func WhatIfScaleSim(sim replay.Engine, g *execgraph.Graph, match func(*execgraph.Task) bool, factor float64) (trace.Dur, error) {
-	v := execgraph.NewRetimed(g)
-	v.Scale(match, factor)
-	res, err := sim.RunRetimed(v)
-	if err != nil {
-		return 0, err
-	}
-	return res.Makespan, nil
-}
-
-// WhatIfScale is WhatIfScaleSim on a fresh compiled engine.
-func WhatIfScale(g *execgraph.Graph, match func(*execgraph.Task) bool, factor float64) (trace.Dur, error) {
-	return WhatIfScaleSim(replay.NewCompiled(replay.DefaultOptions()), g, match, factor)
-}

@@ -49,14 +49,13 @@ func (r FusionReport) Speedup() float64 {
 	return float64(r.Baseline) / float64(r.Fused)
 }
 
-// ApplyFusion rewrites a duration view with the fusion counterfactual:
+// ApplyFusion rewrites duration columns with the fusion counterfactual:
 // merged runs keep their first kernel, whose duration becomes the run's
 // total minus the recovered overheads and memory savings; the rest become
-// zero-duration. Durations are read through the view, so fusion composes
-// with overrides already applied (e.g. a kernel-scale retiming). The
-// underlying graph is never mutated.
-func ApplyFusion(v *execgraph.Retimed, opts FusionOpts) (fusedGroups, kernelsRemoved int) {
-	g := v.Graph
+// zero-duration. Durations are read from t, so fusion composes with
+// rewrites already applied (e.g. a kernel-scale retiming). The columns
+// must cover every task of g, which is never mutated.
+func ApplyFusion(g *execgraph.Graph, t replay.Timings, opts FusionOpts) (fusedGroups, kernelsRemoved int) {
 	eligible := map[trace.KernelClass]bool{}
 	for _, c := range opts.Classes {
 		eligible[c] = true
@@ -66,9 +65,9 @@ func ApplyFusion(v *execgraph.Retimed, opts FusionOpts) (fusedGroups, kernelsRem
 	// order of tasks within a stream already satisfies this.
 	byProc := make([][]int32, len(g.Procs))
 	for i := range g.Tasks {
-		t := &g.Tasks[i]
-		if t.Kind == execgraph.TaskGPU {
-			byProc[t.Proc] = append(byProc[t.Proc], int32(i))
+		tk := &g.Tasks[i]
+		if tk.Kind == execgraph.TaskGPU {
+			byProc[tk.Proc] = append(byProc[tk.Proc], int32(i))
 		}
 	}
 	for _, kerns := range byProc {
@@ -85,16 +84,16 @@ func ApplyFusion(v *execgraph.Retimed, opts FusionOpts) (fusedGroups, kernelsRem
 			if run := j - i; run > 1 {
 				var total trace.Dur
 				for k := i; k < j; k++ {
-					total += v.Dur(kerns[k])
+					total += t.Dur[kerns[k]]
 				}
 				saved := trace.Dur(float64(total)*opts.MemorySavings) +
 					trace.Dur(run-1)*opts.KernelOverhead
 				if saved > total {
 					saved = total
 				}
-				v.SetDur(kerns[i], total-saved)
+				t.Dur[kerns[i]] = total - saved
 				for k := i + 1; k < j; k++ {
-					v.SetDur(kerns[k], 0)
+					t.Dur[kerns[k]] = 0
 				}
 				fusedGroups++
 				kernelsRemoved += run - 1
@@ -105,30 +104,23 @@ func ApplyFusion(v *execgraph.Retimed, opts FusionOpts) (fusedGroups, kernelsRem
 	return fusedGroups, kernelsRemoved
 }
 
-// WhatIfFusionSim estimates the end-to-end effect of fusing consecutive
-// eligible kernels, replaying a retimed view of the graph on the given
-// engine (a pooled compiled engine, or the reference Simulator in tests).
-// baseline is the unfused iteration time (typically already known from the
-// campaign's base replay, so it is not recomputed here).
-func WhatIfFusionSim(sim replay.Engine, g *execgraph.Graph, opts FusionOpts, baseline trace.Dur) (FusionReport, error) {
-	rep := FusionReport{Baseline: baseline}
-	v := execgraph.NewRetimed(g)
-	rep.FusedGroups, rep.KernelsRemoved = ApplyFusion(v, opts)
-	res, err := sim.RunRetimed(v)
-	if err != nil {
-		return rep, err
-	}
-	rep.Fused = res.Makespan
-	return rep, nil
-}
-
-// WhatIfFusion is the one-shot form: it replays the baseline itself on a
-// fresh compiled engine, then the fused counterfactual.
+// WhatIfFusion estimates the end-to-end effect of fusing consecutive
+// eligible kernels: it compiles g, replays it as recorded for the
+// baseline, then replays the fused counterfactual on the same scratch.
 func WhatIfFusion(g *execgraph.Graph, opts FusionOpts) (FusionReport, error) {
-	sim := replay.NewCompiled(replay.DefaultOptions())
-	base, err := sim.Run(g)
+	prog := replay.Compile(g, replay.DefaultOptions())
+	s := replay.NewScratch()
+	base, err := prog.Run(replay.Timings{}, s)
 	if err != nil {
 		return FusionReport{}, err
 	}
-	return WhatIfFusionSim(sim, g, opts, base.Makespan)
+	rep := FusionReport{Baseline: base.Makespan}
+	t := replay.NewTimings(g)
+	rep.FusedGroups, rep.KernelsRemoved = ApplyFusion(g, t, opts)
+	fused, err := prog.Run(t, s)
+	if err != nil {
+		return rep, err
+	}
+	rep.Fused = fused.Makespan
+	return rep, nil
 }

@@ -47,7 +47,9 @@ import (
 // to the synthesized iteration — so both kinds of answer changed.
 // v4: the flat H100 preset is a two-tier HierFabric priced by HierPricer,
 // so its fabric and pricer fingerprints changed; no answer did.
-const CacheSchemaVersion = "lumos-cache-v4"
+// v5: the graph and replay options left the toolkit, so the profile
+// fingerprint no longer digests them; no answer changed.
+const CacheSchemaVersion = "lumos-cache-v5"
 
 // WithDiskCache enables the disk-backed scenario and calibration cache
 // rooted at dir (created on first use). Campaigns and predictions
@@ -106,9 +108,8 @@ func (tk *Toolkit) pricerFingerprint(f topology.Fabric) string {
 
 // calibrationKey addresses a calibration snapshot. Deliberately narrower
 // than the profile fingerprint: BuildLibrary and Fit depend only on the
-// traces and the fabric/pricer binding, not on the deployment config or
-// graph/replay options, so one calibration serves every campaign over the
-// same profile.
+// traces and the fabric/pricer binding, not on the deployment config, so
+// one calibration serves every campaign over the same profile.
 func (tk *Toolkit) calibrationKey(traceFP string, f topology.Fabric) string {
 	return fmt.Sprintf("calib|%s|%s|%s|%s",
 		CacheSchemaVersion, traceFP, fabricFingerprint(f), tk.pricerFingerprint(f))
@@ -116,8 +117,8 @@ func (tk *Toolkit) calibrationKey(traceFP string, f topology.Fabric) string {
 
 // profileFingerprint digests everything a scenario result depends on
 // besides the scenario itself: the profiled traces, the deployment they
-// were collected under, the fabric and pricer binding, and the graph and
-// replay options. It is the profile half of every scenario disk key.
+// were collected under, and the fabric and pricer binding. It is the
+// profile half of every scenario disk key.
 func (tk *Toolkit) profileFingerprint(cfg parallel.Config, traceFP string, f topology.Fabric) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "schema=%s\n", CacheSchemaVersion)
@@ -125,8 +126,6 @@ func (tk *Toolkit) profileFingerprint(cfg parallel.Config, traceFP string, f top
 	fmt.Fprintf(h, "fabric=%s\n", fabricFingerprint(f))
 	fmt.Fprintf(h, "pricer=%s\n", tk.pricerFingerprint(f))
 	fmt.Fprintf(h, "config=%+v\n", cfg)
-	fmt.Fprintf(h, "graph=%+v\n", tk.graphOpts())
-	fmt.Fprintf(h, "replay=%+v\n", tk.replayOpts())
 	return hex.EncodeToString(h.Sum(nil))
 }
 

@@ -50,10 +50,6 @@ type Options struct {
 	// Pricer builds the collective pricing backend for a fabric. Nil
 	// selects collective.NewPricer.
 	Pricer func(topology.Fabric) collective.Pricer
-	// Graph overrides execution-graph construction options.
-	Graph *execgraph.BuildOptions
-	// Replay overrides simulation options.
-	Replay *replay.Options
 	// Concurrency bounds the sweep worker pool. Zero selects
 	// min(GOMAXPROCS, 8).
 	Concurrency int
@@ -96,16 +92,6 @@ func WithPricer(p func(topology.Fabric) collective.Pricer) Option {
 	return func(o *Options) { o.Pricer = p }
 }
 
-// WithGraphOptions overrides execution-graph construction options.
-func WithGraphOptions(g execgraph.BuildOptions) Option {
-	return func(o *Options) { o.Graph = &g }
-}
-
-// WithReplayOptions overrides simulation options.
-func WithReplayOptions(r replay.Options) Option {
-	return func(o *Options) { o.Replay = &r }
-}
-
 // WithConcurrency bounds the number of scenarios evaluated in parallel
 // during a sweep. n <= 0 restores the default.
 func WithConcurrency(n int) Option {
@@ -146,15 +132,12 @@ type Toolkit struct {
 	profiles      atomic.Int64
 	libraryBuilds atomic.Int64
 
-	// simPool recycles compiled replay engines (with their preallocated
-	// per-task scratch state) across sweep workers and what-if calls.
-	simPool sync.Pool
-	// timingsPool recycles flat duration columns for compiled retimed runs
-	// (one buffer pair per in-flight planner point).
+	// scratchPool recycles replay scratches (the per-task mutable state of
+	// Program.Run) across sweep workers and what-if calls.
+	scratchPool sync.Pool
+	// timingsPool recycles flat duration columns for retimed runs (one
+	// pair per in-flight what-if or planner point).
 	timingsPool sync.Pool
-	// engineMeter aggregates replay-engine activity (programs compiled,
-	// runs) across every pooled engine and campaign state.
-	engineMeter replay.Counters
 
 	// workersBusy and queueDepth are live worker-pool occupancy gauges:
 	// scenarios currently being evaluated and scenarios dispatched but not
@@ -169,9 +152,13 @@ type Toolkit struct {
 	// scenarioPanics counts scenarios whose Fingerprint or Run panicked
 	// and came back as infeasible rows (see runScenario).
 	scenarioPanics atomic.Int64
-	// skippedRuns counts plan-point replays skipped because the retime
-	// changed no collective's duration (see BaseState.predictOnFabric).
-	skippedRuns atomic.Int64
+	// compiledPrograms counts graphs this toolkit lowered with compile,
+	// compiledRuns the Program.Run calls it made through run, and
+	// skippedRuns plan-point replays skipped because the retime changed
+	// no collective's duration (see BaseState.predictOnFabric).
+	compiledPrograms atomic.Int64
+	compiledRuns     atomic.Int64
+	skippedRuns      atomic.Int64
 
 	// cacheOnce lazily opens the disk cache configured by CacheDir; every
 	// campaign and prediction on this toolkit shares one handle.
@@ -189,58 +176,71 @@ func New(opts ...Option) *Toolkit {
 	return &Toolkit{opts: o}
 }
 
-// acquireEngine takes a pooled replay engine (allocating on first use).
-func (tk *Toolkit) acquireEngine() *replay.Compiled {
-	if e, ok := tk.simPool.Get().(*replay.Compiled); ok {
-		return e
+// compile lowers g for the compiled replay engine, counting the lowering.
+func (tk *Toolkit) compile(g *execgraph.Graph) *replay.Program {
+	tk.compiledPrograms.Add(1)
+	return replay.Compile(g, replay.DefaultOptions())
+}
+
+// run replays prog under t on s, counting the run. The result aliases s.
+func (tk *Toolkit) run(prog *replay.Program, t replay.Timings, s *replay.Scratch) (*replay.Result, error) {
+	tk.compiledRuns.Add(1)
+	return prog.Run(t, s)
+}
+
+// replayProgram replays prog on a pooled scratch and returns its makespan.
+// A non-nil retime first rewrites pooled columns seeded with the
+// program's recorded durations; nil replays them as recorded.
+func (tk *Toolkit) replayProgram(prog *replay.Program, retime func(replay.Timings)) (trace.Dur, error) {
+	var t replay.Timings
+	if retime != nil {
+		buf := tk.acquireTimings(prog)
+		defer tk.releaseTimings(buf)
+		retime(*buf)
+		t = *buf
 	}
-	c := replay.NewCompiled(tk.replayOpts())
-	c.Meter(&tk.engineMeter)
-	return c
+	s := tk.acquireScratch()
+	defer tk.releaseScratch(s)
+	res, err := tk.run(prog, t, s)
+	if err != nil {
+		return 0, err
+	}
+	return res.Makespan, nil
 }
 
-// releaseEngine returns an engine to the pool.
-func (tk *Toolkit) releaseEngine(e *replay.Compiled) { tk.simPool.Put(e) }
-
-// timingsBuf is a pooled pair of flat duration columns for a compiled
-// retimed run: seeded with the program's recorded durations, selectively
-// overwritten by a CommRetimePlan, and handed to Program.Run.
-type timingsBuf struct {
-	dur  []trace.Dur
-	gdur []trace.Dur
+// acquireScratch takes a pooled replay scratch (allocating on first use).
+func (tk *Toolkit) acquireScratch() *replay.Scratch {
+	if s, ok := tk.scratchPool.Get().(*replay.Scratch); ok {
+		return s
+	}
+	return replay.NewScratch()
 }
 
-// acquireTimings returns a pooled timings buffer sized for prog, seeded
+// releaseScratch returns a scratch to the pool; results it backs must no
+// longer be read.
+func (tk *Toolkit) releaseScratch(s *replay.Scratch) { tk.scratchPool.Put(s) }
+
+// acquireTimings returns pooled duration columns sized for prog, seeded
 // with its recorded task and group durations.
-func (tk *Toolkit) acquireTimings(prog *replay.Program) *timingsBuf {
-	buf, ok := tk.timingsPool.Get().(*timingsBuf)
+func (tk *Toolkit) acquireTimings(prog *replay.Program) *replay.Timings {
+	t, ok := tk.timingsPool.Get().(*replay.Timings)
 	if !ok {
-		buf = &timingsBuf{}
+		t = &replay.Timings{}
 	}
-	base, gbase := prog.BaseDur(), prog.BaseGroupDur()
-	if cap(buf.dur) < len(base) {
-		buf.dur = make([]trace.Dur, len(base))
-	}
-	buf.dur = buf.dur[:len(base)]
-	copy(buf.dur, base)
-	if cap(buf.gdur) < len(gbase) {
-		buf.gdur = make([]trace.Dur, len(gbase))
-	}
-	buf.gdur = buf.gdur[:len(gbase)]
-	copy(buf.gdur, gbase)
-	return buf
+	t.Dur = append(t.Dur[:0], prog.BaseDur()...)
+	t.GroupDur = append(t.GroupDur[:0], prog.BaseGroupDur()...)
+	return t
 }
 
-// releaseTimings returns a timings buffer to the pool. The caller must not
-// retain buf or its columns (Result slices never alias them).
-func (tk *Toolkit) releaseTimings(buf *timingsBuf) { tk.timingsPool.Put(buf) }
+// releaseTimings returns duration columns to the pool. The caller must not
+// retain them (Result slices never alias them).
+func (tk *Toolkit) releaseTimings(t *replay.Timings) { tk.timingsPool.Put(t) }
 
 // EngineStats reports replay-engine activity across every campaign on this
 // toolkit: graph lowerings performed, simulations run, and replays skipped
 // because a retime changed no duration.
 func (tk *Toolkit) EngineStats() (compiledPrograms, compiledRuns, skippedRuns int64) {
-	m := &tk.engineMeter
-	return m.CompiledPrograms.Load(), m.CompiledRuns.Load(), tk.skippedRuns.Load()
+	return tk.compiledPrograms.Load(), tk.compiledRuns.Load(), tk.skippedRuns.Load()
 }
 
 // Counters reports how many ground-truth profiles and kernel-library
@@ -359,20 +359,6 @@ func (tk *Toolkit) pricerFor(f topology.Fabric) collective.Pricer {
 	return collective.NewPricer(f)
 }
 
-func (tk *Toolkit) graphOpts() execgraph.BuildOptions {
-	if tk.opts.Graph != nil {
-		return *tk.opts.Graph
-	}
-	return execgraph.DefaultOptions()
-}
-
-func (tk *Toolkit) replayOpts() replay.Options {
-	if tk.opts.Replay != nil {
-		return *tk.opts.Replay
-	}
-	return replay.DefaultOptions()
-}
-
 // simConfigFor binds the toolkit's fabric (and its pricing backend) into a
 // ground-truth simulator configuration.
 func (tk *Toolkit) simConfigFor(world int, seed uint64) cluster.SimConfig {
@@ -421,7 +407,7 @@ func (tk *Toolkit) BuildGraph(ctx context.Context, m *trace.Multi) (*execgraph.G
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	return execgraph.Build(m, tk.graphOpts())
+	return execgraph.Build(m, execgraph.DefaultOptions())
 }
 
 // ReplayResult bundles a simulation with its derived artifacts.
@@ -441,7 +427,7 @@ func (tk *Toolkit) Replay(ctx context.Context, g *execgraph.Graph) (*ReplayResul
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res, err := replay.Run(g, tk.replayOpts())
+	res, err := replay.Run(g, replay.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -538,30 +524,34 @@ func (tk *Toolkit) calibrate(req manip.Request, profiled *trace.Multi) (*manip.L
 }
 
 // WhatIfScale estimates the makespan if kernels matched by the predicate
-// ran at the given duration factor (Section 5's what-if analysis), using a
-// copy-on-write retiming of the graph on a pooled simulator.
+// ran at the given duration factor (Section 5's what-if analysis): it
+// compiles g and replays it under scaled pooled duration columns.
 func (tk *Toolkit) WhatIfScale(ctx context.Context, g *execgraph.Graph, match func(*execgraph.Task) bool, factor float64) (trace.Dur, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	sim := tk.acquireEngine()
-	defer tk.releaseEngine(sim)
-	return analysis.WhatIfScaleSim(sim, g, match, factor)
+	return tk.replayProgram(tk.compile(g), func(t replay.Timings) {
+		analysis.ScaleDurations(g, t, match, factor)
+	})
 }
 
 // WhatIfFusion estimates the benefit of fusing consecutive eligible
-// kernels (Section 3.4's motivating example) on a pooled simulator.
+// kernels (Section 3.4's motivating example): it compiles g, replays it as
+// recorded for the baseline, then replays the fused duration columns.
 func (tk *Toolkit) WhatIfFusion(ctx context.Context, g *execgraph.Graph, opts analysis.FusionOpts) (analysis.FusionReport, error) {
 	if err := ctx.Err(); err != nil {
 		return analysis.FusionReport{}, err
 	}
-	sim := tk.acquireEngine()
-	defer tk.releaseEngine(sim)
-	base, err := sim.Run(g)
+	prog := tk.compile(g)
+	base, err := tk.replayProgram(prog, nil)
 	if err != nil {
 		return analysis.FusionReport{}, err
 	}
-	return analysis.WhatIfFusionSim(sim, g, opts, base.Makespan)
+	rep := analysis.FusionReport{Baseline: base}
+	rep.Fused, err = tk.replayProgram(prog, func(t replay.Timings) {
+		rep.FusedGroups, rep.KernelsRemoved = analysis.ApplyFusion(g, t, opts)
+	})
+	return rep, err
 }
 
 // SaveTraces writes per-rank Kineto-style JSON files (rank_<N>.json) into

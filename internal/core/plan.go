@@ -50,18 +50,9 @@ func (e *structEntry) compiled(b *BaseState, campaign topology.Fabric, sp *obs.S
 		defer recordPanic(&e.progErr, "compile")
 		csp := sp.Child("compile")
 		defer csp.End()
-		e.prog = replay.Compile(e.out.Graph, b.replayOpts())
-		e.plan = manip.NewCommRetimePlan(e.out.Graph, b.pricerFor(campaign))
-		if b.tk != nil {
-			b.tk.engineMeter.CompiledPrograms.Add(1)
-		}
-		eng := b.acquireEngine()
-		defer b.releaseEngine(eng)
-		res, err := eng.RunProgram(e.prog, replay.Timings{})
-		if err == nil {
-			e.own = res.Makespan
-		}
-		e.progErr = err
+		e.prog = b.tk.compile(e.out.Graph)
+		e.plan = manip.NewCommRetimePlan(e.out.Graph, b.tk.pricerFor(campaign))
+		e.own, e.progErr = b.tk.replayProgram(e.prog, nil)
 	})
 	return e.prog, e.plan, e.own, e.progErr
 }
@@ -171,33 +162,31 @@ func (b *BaseState) predictOnFabric(req manip.Request, f topology.Fabric, breakd
 	if err != nil {
 		return fabricPrediction{}, err
 	}
-	buf := b.acquireTimings(prog)
-	defer b.releaseTimings(buf)
+	buf := b.tk.acquireTimings(prog)
+	defer b.tk.releaseTimings(buf)
 	tsp := sp.Child("retime")
-	repriced, changed := plan.Retime(buf.dur, buf.gdur, b.pricerFor(f))
+	repriced, changed := plan.Retime(buf.Dur, buf.GroupDur, b.tk.pricerFor(f))
 	tsp.Annotate("changed", changed)
 	tsp.End()
 	p.repriced, p.retimed = repriced, true
-	if changed == 0 && !breakdown && b.replayOpts().CoupleCollectives {
+	if changed == 0 && !breakdown {
 		// The retime moved no collective, so the program would replay to
 		// its own makespan and the anchored change is zero: the answer is
 		// the synthesized iteration, with no replay.
-		if b.tk != nil {
-			b.tk.skippedRuns.Add(1)
-		}
+		b.tk.skippedRuns.Add(1)
 		return p, nil
 	}
-	eng := b.acquireEngine()
-	defer b.releaseEngine(eng)
+	scratch := b.tk.acquireScratch()
+	defer b.tk.releaseScratch(scratch)
 	rsp := sp.Child("replay")
-	res, err := eng.RunProgram(prog, replay.Timings{Dur: buf.dur, GroupDur: buf.gdur})
+	res, err := b.tk.run(prog, *buf, scratch)
 	rsp.End()
 	if err != nil {
 		return fabricPrediction{}, err
 	}
 	p.iteration += res.Makespan - own
 	if breakdown {
-		// Read off the engine's columns before it returns to the pool.
+		// Read off the scratch's columns before it returns to the pool.
 		p.breakdown = analysis.ReplayBreakdown(e.out.Graph, res.Start, res.End)
 	}
 	return p, nil

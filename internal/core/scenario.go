@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 
 	"lumos/internal/analysis"
-	"lumos/internal/collective"
 	"lumos/internal/execgraph"
 	"lumos/internal/kernelmodel"
 	"lumos/internal/manip"
@@ -37,9 +36,10 @@ import (
 
 // BaseState is the shared, read-only state of a sweep: the base deployment,
 // its profiled traces, the execution graph and replayed baseline, and the
-// calibration artifacts every scenario prices kernels against. It is built
-// once per campaign (Prepare / PrepareTraces) and may be reused across
-// multiple Evaluate calls; scenarios must treat it as immutable.
+// calibration artifacts every scenario prices kernels against. Only
+// Toolkit.Prepare and PrepareTraces build one, once per campaign; it may
+// be reused across multiple Evaluate calls, and scenarios must treat it
+// as immutable.
 type BaseState struct {
 	// Config is the deployment the traces were collected under.
 	Config parallel.Config
@@ -61,8 +61,8 @@ type BaseState struct {
 	// It is bound once per campaign and shared by every scenario.
 	Fabric topology.Fabric
 
-	// tk owns the simulator pool and cache policy; nil for a hand-built
-	// BaseState, in which case scenarios fall back to fresh simulators.
+	// tk is the toolkit that prepared this state: it owns the replay
+	// pools, the engine counters, the pricer and the cache policy.
 	tk *Toolkit
 
 	// memo caches results of fingerprintable scenarios for the lifetime of
@@ -73,8 +73,8 @@ type BaseState struct {
 	memoSize atomic.Int64
 
 	// baseProg is the campaign base graph lowered for the compiled replay
-	// engine, compiled at most once and shared by every worker's what-if
-	// retiming; baseProgErr records a lowering that panicked.
+	// engine, compiled at most once and shared by every worker's kernel
+	// what-if; baseProgErr records a lowering that panicked.
 	baseProgOnce sync.Once
 	baseProg     *replay.Program
 	baseProgErr  error
@@ -141,29 +141,8 @@ func (b *BaseState) CacheStats() CacheStats {
 	if b.disk != nil {
 		s.Disk = b.disk.Stats()
 	}
-	if b.tk != nil {
-		s.CompiledPrograms, s.CompiledRuns, s.SkippedRuns = b.tk.EngineStats()
-	}
+	s.CompiledPrograms, s.CompiledRuns, s.SkippedRuns = b.tk.EngineStats()
 	return s
-}
-
-// tracer returns the owning toolkit's tracer; nil for a hand-built
-// BaseState or when tracing is disabled.
-func (b *BaseState) tracer() *obs.Tracer {
-	if b.tk == nil {
-		return nil
-	}
-	return b.tk.opts.Tracer
-}
-
-// tracerFor resolves the effective tracer for a call: a request-scoped
-// tracer carried by ctx wins over the toolkit-bound one (see
-// Toolkit.tracerFor).
-func (b *BaseState) tracerFor(ctx context.Context) *obs.Tracer {
-	if t := obs.TracerFrom(ctx); t != nil {
-		return t
-	}
-	return b.tracer()
 }
 
 // RegisterMetrics exposes this campaign state's cache counters — memo hits
@@ -187,74 +166,25 @@ func (b *BaseState) RegisterMetrics(r *obs.Registry, labelPairs ...string) {
 	})
 }
 
-// acquireEngine returns a pooled replay engine (or a fresh one for a
-// hand-built BaseState); release it with releaseEngine.
-func (b *BaseState) acquireEngine() *replay.Compiled {
-	if b.tk != nil {
-		return b.tk.acquireEngine()
-	}
-	return replay.NewCompiled(b.replayOpts())
-}
-
-func (b *BaseState) releaseEngine(e *replay.Compiled) {
-	if b.tk != nil {
-		b.tk.releaseEngine(e)
-	}
-}
-
-// acquireTimings returns a pooled duration-column buffer seeded from prog;
-// hand-built BaseStates get an unpooled buffer.
-func (b *BaseState) acquireTimings(prog *replay.Program) *timingsBuf {
-	if b.tk != nil {
-		return b.tk.acquireTimings(prog)
-	}
-	buf := &timingsBuf{
-		dur:  make([]trace.Dur, len(prog.BaseDur())),
-		gdur: make([]trace.Dur, len(prog.BaseGroupDur())),
-	}
-	copy(buf.dur, prog.BaseDur())
-	copy(buf.gdur, prog.BaseGroupDur())
-	return buf
-}
-
-func (b *BaseState) releaseTimings(buf *timingsBuf) {
-	if b.tk != nil {
-		b.tk.releaseTimings(buf)
-	}
-}
-
-// replayOpts resolves simulation options for this campaign state.
-func (b *BaseState) replayOpts() replay.Options {
-	if b.tk != nil {
-		return b.tk.replayOpts()
-	}
-	return replay.DefaultOptions()
-}
-
 // program returns the campaign base graph compiled for the replay engine,
 // lowering it at most once and sharing the program across sweep workers.
 func (b *BaseState) program() (*replay.Program, error) {
 	b.baseProgOnce.Do(func() {
 		defer recordPanic(&b.baseProgErr, "base compile")
-		b.baseProg = replay.Compile(b.Graph, b.replayOpts())
-		if b.tk != nil {
-			b.tk.engineMeter.CompiledPrograms.Add(1)
-		}
+		b.baseProg = b.tk.compile(b.Graph)
 	})
 	return b.baseProg, b.baseProgErr
 }
 
-// engineForBase returns a pooled engine primed for the campaign's base
-// graph: it adopts the shared base program instead of lowering its own
-// copy.
-func (b *BaseState) engineForBase() (*replay.Compiled, error) {
+// whatIf replays the campaign base program under pooled duration columns
+// that retime rewrites, and returns the makespan. Kernel what-ifs answer
+// through it, the same way plan points retime a shared program.
+func (b *BaseState) whatIf(retime func(replay.Timings)) (trace.Dur, error) {
 	prog, err := b.program()
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	e := b.acquireEngine()
-	e.Use(prog)
-	return e, nil
+	return b.tk.replayProgram(prog, retime)
 }
 
 // Fingerprinter is an optional Scenario extension: scenarios whose outcome
@@ -462,14 +392,9 @@ func (s *kernelScaleScenario) Run(ctx context.Context, b *BaseState) (ScenarioRe
 		World:  b.Config.Map.WorldSize(),
 	}
 	rsp := obs.SpanFrom(ctx).Child("replay")
-	sim, err := b.engineForBase()
-	if err != nil {
-		rsp.End()
-		res.Err = err.Error()
-		return res, nil
-	}
-	iter, err := analysis.WhatIfScaleSim(sim, b.Graph, s.match, s.factor)
-	b.releaseEngine(sim)
+	iter, err := b.whatIf(func(t replay.Timings) {
+		analysis.ScaleDurations(b.Graph, t, s.match, s.factor)
+	})
 	rsp.End()
 	if err != nil {
 		res.Err = err.Error()
@@ -518,21 +443,17 @@ func (s *fusionScenario) Run(ctx context.Context, b *BaseState) (ScenarioResult,
 	// The unfused baseline is the campaign's replayed base point; only the
 	// fused counterfactual needs a simulation here.
 	rsp := obs.SpanFrom(ctx).Child("replay")
-	sim, err := b.engineForBase()
-	if err != nil {
-		rsp.End()
-		res.Err = err.Error()
-		return res, nil
-	}
-	rep, err := analysis.WhatIfFusionSim(sim, b.Graph, s.opts, b.Iteration)
-	b.releaseEngine(sim)
+	var groups, removed int
+	iter, err := b.whatIf(func(t replay.Timings) {
+		groups, removed = analysis.ApplyFusion(b.Graph, t, s.opts)
+	})
 	rsp.End()
 	if err != nil {
 		res.Err = err.Error()
 		return res, nil
 	}
-	res.Iteration = rep.Fused
-	res.Detail = fmt.Sprintf("%d kernel runs merged, %d kernels removed", rep.FusedGroups, rep.KernelsRemoved)
+	res.Iteration = iter
+	res.Detail = fmt.Sprintf("%d kernel runs merged, %d kernels removed", groups, removed)
 	return res, nil
 }
 
@@ -541,15 +462,6 @@ func (s *fusionScenario) Run(ctx context.Context, b *BaseState) (ScenarioResult,
 // Section 3.4) without implementing the fused kernels.
 func FusionScenario() Scenario {
 	return &fusionScenario{name: "fuse elementwise/norm", opts: analysis.DefaultFusionOpts()}
-}
-
-// pricerFor resolves the collective pricing backend for a fabric, honoring
-// the owning toolkit's WithPricer override.
-func (b *BaseState) pricerFor(f topology.Fabric) collective.Pricer {
-	if b.tk != nil {
-		return b.tk.pricerFor(f)
-	}
-	return collective.NewPricer(f)
 }
 
 // fabricScenario re-predicts the base deployment on a different (or
@@ -860,16 +772,16 @@ func (tk *Toolkit) PrepareTraces(ctx context.Context, cfg parallel.Config, m *tr
 	}, nil
 }
 
-// replayBase replays a campaign's base graph on a pooled engine and reads
+// replayBase replays a campaign's base graph on a pooled scratch and reads
 // its iteration time and breakdown straight off the replay's Start/End
-// columns, before the engine (which owns them) goes back to the pool. No
-// trace is materialized, and the compiled program stays with the engine
-// rather than the campaign: kernel what-ifs lower their own copy on demand
+// columns, before the scratch (which owns them) goes back to the pool. No
+// trace is materialized, and the compiled program is dropped rather than
+// pinned on the campaign: kernel what-ifs lower their own copy on demand
 // (BaseState.program).
 func (tk *Toolkit) replayBase(g *execgraph.Graph) (trace.Dur, analysis.Breakdown, error) {
-	e := tk.acquireEngine()
-	defer tk.releaseEngine(e)
-	res, err := e.Run(g)
+	s := tk.acquireScratch()
+	defer tk.releaseScratch(s)
+	res, err := tk.run(tk.compile(g), replay.Timings{}, s)
 	if err != nil {
 		return 0, analysis.Breakdown{}, err
 	}
@@ -994,7 +906,7 @@ func runScenario(ctx context.Context, sc Scenario, base *BaseState, useCache boo
 		return ScenarioResult{Name: sc.Name(), Err: err.Error()}
 	}
 
-	sp := base.tracerFor(ctx).Start("scenario", sc.Name())
+	sp := base.tk.tracerFor(ctx).Start("scenario", sc.Name())
 	if sp != nil {
 		ctx = obs.ContextWithSpan(ctx, sp)
 	}
@@ -1003,9 +915,7 @@ func runScenario(ctx context.Context, sc Scenario, base *BaseState, useCache boo
 		if r := recover(); r != nil {
 			sp.Annotate("panic", fmt.Sprint(r))
 			sp.Annotate("stack", string(debug.Stack()))
-			if base.tk != nil {
-				base.tk.scenarioPanics.Add(1)
-			}
+			base.tk.scenarioPanics.Add(1)
 			res = ScenarioResult{Name: sc.Name(), Err: fmt.Sprintf("internal: scenario panicked: %v", r)}
 		}
 	}()

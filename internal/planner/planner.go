@@ -290,10 +290,9 @@ type Stats struct {
 	// unknown or cannot run on the mapping; ScopeRejected counts the
 	// remaining invalid or out-of-scope points.
 	MemRejected, ScheduleRejected, ScopeRejected int
-	// Simulated is the number of unique points promoted to full graph
-	// simulation; SimRequests the total point-evaluations requested. No
-	// strategy re-submits a point, so the two are equal.
-	Simulated, SimRequests int
+	// Simulated is the number of points promoted to full graph
+	// simulation. No strategy submits a point twice, so each is unique.
+	Simulated int
 	// Rounds is the number of simulation batches the strategy ran.
 	Rounds int
 	// BoundPruned counts points branch-and-bound discarded because their
@@ -368,7 +367,6 @@ func Plan(ctx context.Context, base parallel.Config, space Space,
 	// promotes a point twice, so every candidate is a fresh point.
 	metered := func(ctx context.Context, cands []Candidate) ([]Outcome, error) {
 		stats.Rounds++
-		stats.SimRequests += len(cands)
 		stats.Simulated += len(cands)
 		outs, err := sim(ctx, cands)
 		if err != nil {

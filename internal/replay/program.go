@@ -27,28 +27,19 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"lumos/internal/execgraph"
 	"lumos/internal/trace"
 )
 
-// Timings carries flat duration overrides for one run. A nil column falls
-// back to the program's recorded durations; a non-nil column must cover
-// every task of the compiled graph.
-type Timings struct {
-	Dur      []trace.Dur
-	GroupDur []trace.Dur
-}
-
-// Program is an immutable compiled form of an execution graph. It is safe
-// for concurrent Run calls as long as each goroutine brings its own Scratch.
+// Program is an immutable compiled form of an execution graph. It keeps no
+// reference to the graph it was compiled from. It is safe for concurrent
+// Run calls as long as each goroutine brings its own Scratch.
 // Every task-indexed column except the two base duration columns is in
 // program order (see Compile); task references inside the program (edges,
 // lanes, launch tasks, seeds) are program indices.
 type Program struct {
 	opts Options
-	g    *execgraph.Graph
 
 	nTasks int
 	nProcs int
@@ -105,7 +96,6 @@ func Compile(g *execgraph.Graph, opts Options) *Program {
 	n := len(g.Tasks)
 	p := &Program{
 		opts:   opts,
-		g:      g,
 		nTasks: n,
 		nProcs: len(g.Procs),
 		nRanks: g.NumRanks,
@@ -237,9 +227,6 @@ func startOrder(tasks []execgraph.Task) []int32 {
 	})
 	return order
 }
-
-// Graph returns the source graph the program was compiled from.
-func (p *Program) Graph() *execgraph.Graph { return p.g }
 
 // NumTasks returns the compiled task count.
 func (p *Program) NumTasks() int { return p.nTasks }
@@ -603,88 +590,4 @@ func (s *Scratch) finish(id int32, start, end trace.Time) {
 		}
 	}
 	s.waiterHead[id] = 0
-}
-
-// Counters aggregates replay-engine activity across pooled engine
-// instances. All fields are atomic so engines on different sweep workers
-// can share one instance.
-type Counters struct {
-	// CompiledPrograms counts graph lowerings (Compile calls made on
-	// behalf of this counter set).
-	CompiledPrograms atomic.Int64
-	// CompiledRuns counts simulations.
-	CompiledRuns atomic.Int64
-}
-
-// Engine is the common surface of the compiled engine and the reference
-// Simulator: replay a graph, optionally through a retimed view, so what-if
-// analyses run unchanged on either. Engines are not safe for concurrent
-// use — pool one per worker.
-type Engine interface {
-	Run(g *execgraph.Graph) (*Result, error)
-	RunRetimed(v *execgraph.Retimed) (*Result, error)
-}
-
-// Compiled is the compiled-engine counterpart of Simulator: the same
-// Run/RunRetimed surface, executed by lowering the bound graph to a Program
-// once and running it on an embedded Scratch. Retimed views lower to flat
-// duration columns instead of per-task wrapper calls.
-type Compiled struct {
-	opts    Options
-	prog    *Program
-	scratch Scratch
-	meter   *Counters
-}
-
-// NewCompiled returns a compiled engine with no bound program; the first
-// Run compiles one.
-func NewCompiled(opts Options) *Compiled { return &Compiled{opts: opts} }
-
-// Meter attaches shared activity counters (may be nil to detach).
-func (c *Compiled) Meter(m *Counters) { c.meter = m }
-
-// Use binds an externally compiled (typically shared, cached) program so
-// this engine skips its own lowering of the same graph.
-func (c *Compiled) Use(p *Program) { c.prog = p }
-
-// ensure binds a program for g, compiling unless the bound one matches.
-// Like Simulator.bind, a graph that grew since compilation is re-lowered.
-func (c *Compiled) ensure(g *execgraph.Graph) *Program {
-	if c.prog == nil || c.prog.g != g || c.prog.nTasks != len(g.Tasks) {
-		c.prog = Compile(g, c.opts)
-		if c.meter != nil {
-			c.meter.CompiledPrograms.Add(1)
-		}
-	}
-	return c.prog
-}
-
-// Run simulates the graph with its recorded durations.
-func (c *Compiled) Run(g *execgraph.Graph) (*Result, error) {
-	p := c.ensure(g)
-	if c.meter != nil {
-		c.meter.CompiledRuns.Add(1)
-	}
-	return p.Run(Timings{}, &c.scratch)
-}
-
-// RunRetimed simulates a graph through a duration-override view, lowered
-// to flat columns.
-func (c *Compiled) RunRetimed(v *execgraph.Retimed) (*Result, error) {
-	p := c.ensure(v.Graph)
-	dur, gdur := v.Columns()
-	if c.meter != nil {
-		c.meter.CompiledRuns.Add(1)
-	}
-	return p.Run(Timings{Dur: dur, GroupDur: gdur}, &c.scratch)
-}
-
-// RunProgram simulates an externally compiled program (typically shared
-// across workers via the structural-key cache) on this engine's scratch.
-func (c *Compiled) RunProgram(p *Program, t Timings) (*Result, error) {
-	c.prog = p
-	if c.meter != nil {
-		c.meter.CompiledRuns.Add(1)
-	}
-	return p.Run(t, &c.scratch)
 }

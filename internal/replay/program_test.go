@@ -78,7 +78,7 @@ func mustMatch(t *testing.T, want, got *Result, label string) {
 // TestCompiledMatchesInterpreterSchedules is the bit-identity property test:
 // for every pipeline schedule, on randomized graphs, the compiled engine
 // must reproduce the interpreter exactly — with recorded durations and
-// through degraded-fabric-style retimed views. Three graph sources are
+// under degraded-fabric-style retimed columns. Three graph sources are
 // covered: graphs built from profiled traces, graphs built with the dPRO
 // baseline's options (compute→comm inter-stream edges only, replayed with
 // uncoupled collectives), and graphs emitted directly by synthesis.
@@ -121,38 +121,46 @@ func TestCompiledMatchesInterpreterSchedules(t *testing.T) {
 }
 
 // matchEngines replays g on both engines, with recorded durations and
-// through retimed views, and requires bit-identical results.
+// under retimed columns, and requires bit-identical results.
 func matchEngines(t *testing.T, g *execgraph.Graph, opts Options, label string) {
 	t.Helper()
 	sim := NewSimulator(opts)
-	eng := NewCompiled(opts)
-
-	want, err := sim.Run(g)
-	if err != nil {
-		t.Fatal(err)
+	prog := Compile(g, opts)
+	scratch := NewScratch()
+	match := func(tm Timings, label string) {
+		t.Helper()
+		want, err := sim.Run(g, tm)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := prog.Run(tm, scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustMatch(t, want, got, label)
 	}
-	got, err := eng.Run(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustMatch(t, want, got, label+"/recorded")
+	match(Timings{}, label+"/recorded")
 
 	// Degraded-fabric style retiming: collectives slowed, one compute
-	// class scaled. The two engines consume the same view, interpreted as
-	// wrapper calls vs flat columns.
+	// class scaled. Both engines replay the same columns.
 	for _, f := range []float64{1.9, 0.55} {
-		v := execgraph.NewRetimed(g)
-		v.Scale(func(tk *execgraph.Task) bool { return tk.Class == trace.KCComm }, f)
-		v.Scale(func(tk *execgraph.Task) bool { return tk.Class == trace.KCGEMM }, 2-f/2)
-		want, err = sim.RunRetimed(v)
-		if err != nil {
-			t.Fatal(err)
+		tm := NewTimings(g)
+		scaleTasks(g, tm, func(tk *execgraph.Task) bool { return tk.Class == trace.KCComm }, f)
+		scaleTasks(g, tm, func(tk *execgraph.Task) bool { return tk.Class == trace.KCGEMM }, 2-f/2)
+		match(tm, label+"/retimed")
+	}
+}
+
+// scaleTasks multiplies the duration, and the group duration where
+// positive, of every matched GPU task in tm, as a class-scale what-if does.
+func scaleTasks(g *execgraph.Graph, tm Timings, match func(*execgraph.Task) bool, f float64) {
+	for i := range g.Tasks {
+		if tk := &g.Tasks[i]; tk.Kind == execgraph.TaskGPU && match(tk) {
+			tm.Dur[i] = trace.Dur(float64(tm.Dur[i]) * f)
+			if tm.GroupDur[i] > 0 {
+				tm.GroupDur[i] = trace.Dur(float64(tm.GroupDur[i]) * f)
+			}
 		}
-		got, err = eng.RunRetimed(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustMatch(t, want, got, label+"/retimed")
 	}
 }
 
@@ -161,11 +169,11 @@ func matchEngines(t *testing.T, g *execgraph.Graph, opts Options, label string) 
 func TestCompiledUncoupledMatchesInterpreter(t *testing.T) {
 	g := schedGraph(t, parallel.OneFOneB, 2, 2, 1, 4, 13)
 	opts := Options{SyncMinDur: 1500, CoupleCollectives: false}
-	want, err := NewSimulator(opts).Run(g)
+	want, err := NewSimulator(opts).Run(g, Timings{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewCompiled(opts).Run(g)
+	got, err := Run(g, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,8 +223,8 @@ func TestCompiledDeadlockParity(t *testing.T) {
 		{"two tasks", deadlockGraph(), []int32{1}},
 		{"reversed starts", reversedDeadlockGraph(), []int32{0, 1, 2, 3, 4, 5, 6, 7}},
 	} {
-		_, ierr := NewSimulator(DefaultOptions()).Run(tc.g)
-		_, cerr := NewCompiled(DefaultOptions()).Run(tc.g)
+		_, ierr := NewSimulator(DefaultOptions()).Run(tc.g, Timings{})
+		_, cerr := Run(tc.g, DefaultOptions())
 		var iw, cw *DeadlockError
 		if !errors.As(ierr, &iw) {
 			t.Fatalf("%s: interpreter error %v is not a DeadlockError", tc.name, ierr)
@@ -269,23 +277,23 @@ func TestStartOrder(t *testing.T) {
 	}
 }
 
-// TestCompiledEngineReuse moves one engine (and its scratch) across graphs
-// and between plain and retimed runs, mirroring the pooled-simulator
-// contract.
-func TestCompiledEngineReuse(t *testing.T) {
-	gSmall := schedGraph(t, parallel.OneFOneB, 2, 1, 1, 4, 49)
-	gLarge := schedGraph(t, parallel.OneFOneB, 2, 2, 1, 4, 49)
-	eng := NewCompiled(DefaultOptions())
-	for _, g := range []*execgraph.Graph{gSmall, gLarge, gSmall} {
-		want, err := Run(g, DefaultOptions())
+// TestScratchReuse moves one scratch across a small, a large and a small
+// program, as pooled scratches move between workers' programs: every run
+// must match a run of the same program on a fresh scratch.
+func TestScratchReuse(t *testing.T) {
+	small := Compile(schedGraph(t, parallel.OneFOneB, 2, 1, 1, 4, 49), DefaultOptions())
+	large := Compile(schedGraph(t, parallel.OneFOneB, 2, 2, 1, 4, 49), DefaultOptions())
+	scratch := NewScratch()
+	for _, prog := range []*Program{small, large, small} {
+		want, err := prog.Run(Timings{}, NewScratch())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := eng.Run(g)
+		got, err := prog.Run(Timings{}, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mustMatch(t, want, got, "rebind")
+		mustMatch(t, want, got, "reuse")
 	}
 }
 

@@ -6,12 +6,13 @@
 // an output trace with the replayed timestamps of every task.
 //
 // Two engines implement the algorithm. The compiled engine (Compile,
-// Program, Compiled) is the one every caller replays on: it lowers a graph
+// Program, Scratch) is the one every caller replays on: it lowers a graph
 // once into flat columns and runs allocation-free on reusable scratch. The
 // Simulator interprets the graph directly, task by task, and is kept as
-// the reference the compiled engine is tested against. Duration overrides
-// come in through execgraph.Retimed views, which retime without cloning
-// the task array.
+// the reference the compiled engine is tested against. Both take duration
+// overrides one way: a Timings value of flat per-task columns, seeded
+// with the recorded durations (NewTimings, Program.BaseDur) and rewritten
+// by the what-if before the run. The graph itself is never mutated.
 package replay
 
 import (
@@ -38,6 +39,25 @@ func DefaultOptions() Options {
 	return Options{SyncMinDur: 1500, CoupleCollectives: true}
 }
 
+// Timings carries flat duration overrides for one run of either engine,
+// indexed by graph task ID. A nil column falls back to the graph's
+// recorded durations; a non-nil column must cover every task of the graph.
+type Timings struct {
+	Dur      []trace.Dur
+	GroupDur []trace.Dur
+}
+
+// NewTimings returns fresh columns seeded with g's recorded task and
+// collective-group durations, ready for a what-if to rewrite.
+func NewTimings(g *execgraph.Graph) Timings {
+	t := Timings{Dur: make([]trace.Dur, len(g.Tasks)), GroupDur: make([]trace.Dur, len(g.Tasks))}
+	for i := range g.Tasks {
+		t.Dur[i] = g.Tasks[i].Dur
+		t.GroupDur[i] = g.Tasks[i].GroupDur
+	}
+	return t
+}
+
 // DeadlockError reports a simulation that could not execute every task:
 // the dependency structure left tasks permanently blocked (an invalid or
 // cyclic-at-runtime graph).
@@ -55,9 +75,9 @@ func (e *DeadlockError) Error() string {
 
 // Result is a completed simulation.
 type Result struct {
-	// Start and End hold replayed times indexed by task ID. For results
-	// produced by a Simulator they alias the simulator's internal buffers
-	// and are valid until its next Run; package-level Run returns
+	// Start and End hold replayed times indexed by task ID. Results from
+	// a Simulator or Program.Run alias the simulator's or scratch's
+	// buffers and are valid until its next Run; package-level Run returns
 	// independently owned slices.
 	Start, End []trace.Time
 	// Makespan is the global simulated iteration time (max end − min start).
@@ -112,7 +132,7 @@ type Simulator struct {
 	nGroups      int
 
 	// Per-run state.
-	view       *execgraph.Retimed
+	t          Timings
 	deps       []int32
 	earliest   []trace.Time
 	start, end []trace.Time
@@ -141,19 +161,12 @@ func NewSimulator(opts Options) *Simulator {
 	}
 }
 
-// Run simulates the graph with its recorded durations. The returned
-// Result's Start/End slices alias simulator-owned buffers valid until the
-// next Run on this simulator.
-func (s *Simulator) Run(g *execgraph.Graph) (*Result, error) { return s.run(g, nil) }
-
-// RunRetimed simulates a graph through a duration-override view.
-func (s *Simulator) RunRetimed(v *execgraph.Retimed) (*Result, error) { return s.run(v.Graph, v) }
-
-// Run simulates the graph on the compiled engine and returns replayed task
-// times. It is the one-shot entry point: a fresh engine per call, so the
-// Result owns its buffers.
+// Run simulates the graph on the compiled engine with its recorded
+// durations and returns replayed task times. It is the one-shot entry
+// point: a fresh program and scratch per call, so the Result owns its
+// buffers.
 func Run(g *execgraph.Graph, opts Options) (*Result, error) {
-	return NewCompiled(opts).Run(g)
+	return Compile(g, opts).Run(Timings{}, NewScratch())
 }
 
 // bind derives graph-shape state, reusing buffer capacity where possible.
@@ -234,14 +247,17 @@ func (s *Simulator) reset() {
 	s.executed = 0
 }
 
-func (s *Simulator) run(g *execgraph.Graph, v *execgraph.Retimed) (*Result, error) {
+// Run simulates the graph under the given timings, exactly as
+// Program.Run does. The returned Result's Start/End slices alias
+// simulator-owned buffers valid until the next Run on this simulator.
+func (s *Simulator) Run(g *execgraph.Graph, t Timings) (*Result, error) {
 	// Shape state is keyed on graph identity; re-derive it if the graph
 	// grew since it was bound (builders may append tasks between runs).
 	// Mutating the edges of an already-bound graph is not supported.
 	if s.g != g || len(s.depsInit) != len(g.Tasks) {
 		s.bind(g)
 	}
-	s.view = v
+	s.t = t
 	s.reset()
 
 	n := len(g.Tasks)
@@ -295,18 +311,18 @@ func (s *Simulator) run(g *execgraph.Graph, v *execgraph.Retimed) (*Result, erro
 	return res, nil
 }
 
-// dur returns a task's effective duration through the active view.
+// dur returns a task's effective duration under the run's timings.
 func (s *Simulator) dur(id int32) trace.Dur {
-	if s.view != nil {
-		return s.view.Dur(id)
+	if s.t.Dur != nil {
+		return s.t.Dur[id]
 	}
 	return s.g.Tasks[id].Dur
 }
 
 // groupDur returns a task's effective intrinsic collective duration.
 func (s *Simulator) groupDur(id int32) trace.Dur {
-	if s.view != nil {
-		return s.view.GroupDur(id)
+	if s.t.GroupDur != nil {
+		return s.t.GroupDur[id]
 	}
 	return s.g.Tasks[id].GroupDur
 }

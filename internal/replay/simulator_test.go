@@ -8,9 +8,10 @@ import (
 )
 
 // TestSimulatorReuseMatchesFreshRuns verifies the pooled-simulator
-// contract: a Simulator reused across runs (same graph, then a retimed
-// view, then the plain graph again) must produce exactly the times a fresh
-// Run produces each time.
+// contract: a Simulator reused across runs (same graph, then retimed
+// columns, then the plain graph again) must produce exactly the times a
+// fresh Run produces each time, and its retimed run must match the
+// compiled engine replaying the same columns.
 func TestSimulatorReuseMatchesFreshRuns(t *testing.T) {
 	_, g := simGraph(t, 2, 2, 1, 4, 47)
 	fresh, err := Run(g, DefaultOptions())
@@ -19,7 +20,7 @@ func TestSimulatorReuseMatchesFreshRuns(t *testing.T) {
 	}
 	sim := NewSimulator(DefaultOptions())
 
-	first, err := sim.Run(g)
+	first, err := sim.Run(g, Timings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,17 +29,22 @@ func TestSimulatorReuseMatchesFreshRuns(t *testing.T) {
 	}
 
 	// A retimed run in between must not contaminate subsequent plain runs.
-	v := execgraph.NewRetimed(g)
-	v.Scale(func(tk *execgraph.Task) bool { return tk.Kind == execgraph.TaskGPU }, 0.5)
-	scaled, err := sim.RunRetimed(v)
+	tm := NewTimings(g)
+	scaleTasks(g, tm, func(*execgraph.Task) bool { return true }, 0.5)
+	scaled, err := sim.Run(g, tm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if scaled.Makespan >= fresh.Makespan {
 		t.Fatalf("halving every kernel did not speed up: %d vs %d", scaled.Makespan, fresh.Makespan)
 	}
+	compiled, err := Compile(g, DefaultOptions()).Run(tm, NewScratch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustMatch(t, scaled, compiled, "retimed")
 
-	again, err := sim.Run(g)
+	again, err := sim.Run(g, Timings{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +69,7 @@ func TestSimulatorRebinds(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := sim.Run(g)
+		got, err := sim.Run(g, Timings{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,14 +106,12 @@ func TestDeadlockError(t *testing.T) {
 	}
 }
 
-// TestUncoupledRetimedComm checks duration views reach uncoupled comm
-// kernels too.
+// TestUncoupledRetimedComm checks retimed columns reach uncoupled comm
+// kernels too, identically on both engines.
 func TestUncoupledRetimedComm(t *testing.T) {
 	_, g := simGraph(t, 2, 2, 2, 4, 51)
 	opts := DefaultOptions()
 	opts.CoupleCollectives = false
-	sim := NewSimulator(opts)
-	v := execgraph.NewRetimed(g)
 	var firstComm int32 = -1
 	for i := range g.Tasks {
 		if g.Tasks[i].IsComm() {
@@ -118,12 +122,18 @@ func TestUncoupledRetimedComm(t *testing.T) {
 	if firstComm < 0 {
 		t.Fatal("no comm kernels")
 	}
-	v.SetDur(firstComm, 12345)
-	res, err := sim.RunRetimed(v)
+	tm := NewTimings(g)
+	tm.Dur[firstComm] = 12345
+	res, err := NewSimulator(opts).Run(g, tm)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := res.End[firstComm] - res.Start[firstComm]; got != 12345 {
 		t.Fatalf("uncoupled comm kernel replayed %d, want overridden 12345", got)
 	}
+	compiled, err := Compile(g, opts).Run(tm, NewScratch())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustMatch(t, res, compiled, "uncoupled retimed")
 }

@@ -318,7 +318,6 @@ type PlanStats struct {
 	ScheduleRejected  int `json:"schedule_rejected"`
 	ScopeRejected     int `json:"scope_rejected"`
 	Simulated         int `json:"simulated"`
-	SimRequests       int `json:"sim_requests"`
 	Rounds            int `json:"rounds"`
 	BoundPruned       int `json:"bound_pruned,omitempty"`
 	DominatedPruned   int `json:"dominated_pruned,omitempty"`

@@ -179,9 +179,9 @@ func TestFlightRecorderConcurrentTraces(t *testing.T) {
 			t.Errorf("trace %s: %d pipeline/sweep spans, want %d (this request's rounds)",
 				resp.TraceID, sweepSpans, resp.Stats.Rounds)
 		}
-		if scenarioSpans != resp.Stats.SimRequests {
-			t.Errorf("trace %s: %d scenario spans, want %d (this request's sim requests)",
-				resp.TraceID, scenarioSpans, resp.Stats.SimRequests)
+		if scenarioSpans != resp.Stats.Simulated {
+			t.Errorf("trace %s: %d scenario spans, want %d (this request's simulated points)",
+				resp.TraceID, scenarioSpans, resp.Stats.Simulated)
 		}
 
 		doc := decodeBody[traceDoc](t, rec)

@@ -315,8 +315,9 @@ func (s *Server) failRun(w http.ResponseWriter, r *http.Request, err error) {
 }
 
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
@@ -662,7 +663,6 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			ScheduleRejected:  res.Stats.ScheduleRejected,
 			ScopeRejected:     res.Stats.ScopeRejected,
 			Simulated:         res.Stats.Simulated,
-			SimRequests:       res.Stats.SimRequests,
 			Rounds:            res.Stats.Rounds,
 			BoundPruned:       res.Stats.BoundPruned,
 			DominatedPruned:   res.Stats.DominatedPruned,

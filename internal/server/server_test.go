@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -285,10 +286,18 @@ func TestRequestValidation(t *testing.T) {
 		{"sweep NaN oversubscription", "/v1/sweep", SweepRequest{Profile: "fig7", Fabrics: []string{"spineNaN"}}, http.StatusBadRequest},
 		{"plan infinite oversubscription", "/v1/plan", PlanRequest{Profile: "fig7", Fabrics: []string{"spine+Inf"}}, http.StatusBadRequest},
 		{"plan spine below the bandwidth floor", "/v1/plan", PlanRequest{Profile: "fig7", Fabrics: []string{"spine1e12"}}, http.StatusBadRequest},
+		{"plan removed batch field", "/v1/plan", map[string]any{"profile": "fig7", "strategy": "bnb", "batch": 2}, http.StatusBadRequest},
+		{"profile top-level tp", "/v1/profiles", map[string]any{"name": "flat", "deployment": testDeployment(), "tp": 2}, http.StatusBadRequest},
 	}
+	// Unknown fields are rejected by name rather than silently ignored.
+	mentions := map[string]string{"plan removed batch field": `unknown field \"batch\"`, "profile top-level tp": `unknown field \"tp\"`}
 	for _, c := range cases {
-		if rec := do(t, s, "POST", c.path, c.body); rec.Code != c.want {
+		rec := do(t, s, "POST", c.path, c.body)
+		if rec.Code != c.want {
 			t.Errorf("%s: code %d, want %d: %s", c.name, rec.Code, c.want, rec.Body.String())
+		}
+		if m := mentions[c.name]; m != "" && !strings.Contains(rec.Body.String(), m) {
+			t.Errorf("%s: error %s does not name the field %s", c.name, rec.Body.String(), m)
 		}
 	}
 

@@ -46,7 +46,6 @@ import (
 	"lumos/internal/model"
 	"lumos/internal/obs"
 	"lumos/internal/parallel"
-	"lumos/internal/replay"
 	"lumos/internal/topology"
 	"lumos/internal/trace"
 )
@@ -74,12 +73,6 @@ func WithFabric(f Fabric) Option { return core.WithFabric(f) }
 // prices communication: ground-truth profiling, calibration fallbacks, and
 // fabric what-if scenarios.
 func WithPricer(p func(Fabric) collective.Pricer) Option { return core.WithPricer(p) }
-
-// WithGraphOptions overrides execution-graph construction options.
-func WithGraphOptions(g execgraph.BuildOptions) Option { return core.WithGraphOptions(g) }
-
-// WithReplayOptions overrides simulation options.
-func WithReplayOptions(r replay.Options) Option { return core.WithReplayOptions(r) }
 
 // WithConcurrency bounds the number of scenarios evaluated in parallel
 // during a sweep.
@@ -261,15 +254,6 @@ type FusionReport = analysis.FusionReport
 // SplitIterations partitions a multi-iteration profile (ProfilerStep#k
 // annotations) into per-iteration trace sets.
 func SplitIterations(m *Multi) []*Multi { return trace.SplitIterationsMulti(m) }
-
-// Retimed is a copy-on-write duration view over a Graph: what-ifs retime
-// kernels without cloning the task array, and overrides compose (scale a
-// class, then apply fusion, then replay once). Toolkit what-if methods and
-// scenarios use it internally; it is exported for custom analyses.
-type Retimed = execgraph.Retimed
-
-// NewRetimed returns a retiming view over g with no overrides.
-func NewRetimed(g *Graph) *Retimed { return execgraph.NewRetimed(g) }
 
 // FusionOpts tunes the operator-fusion what-if.
 type FusionOpts = analysis.FusionOpts
