@@ -6,15 +6,15 @@ GO ?= go
 # bench-diff.
 SWEEP_BENCH = BenchmarkSweep_SharedCalibration$$|BenchmarkSweepThroughput$$|BenchmarkReplayEngine|BenchmarkSweep_FabricCampaign|BenchmarkSweep_ScheduleCampaign|BenchmarkSweep_DiskCacheWarmStart|BenchmarkSynthesize|BenchmarkPlan_Strategies|BenchmarkPlan_BranchAndBound
 
-.PHONY: check fmt vet build test bench-module race alloc-guard fuzz-smoke bench bench-diff benchsmoke plan-smoke schedule-smoke serve-smoke obs-smoke
+.PHONY: check fmt vet build test bench-module race alloc-guard fuzz-smoke bench bench-diff benchsmoke experiments-smoke plan-smoke schedule-smoke serve-smoke obs-smoke
 
 # check is the CI gate: formatting, static analysis, full build, tests,
 # the benchmark module's vet and tests, the race detector on the concurrent
 # service/cache/replay/core packages, the compiled-engine, synthesis,
 # plan-search and what-if allocation budgets, a short fuzz run, a one-iteration
-# benchmark smoke pass, and the planner, schedule, planning-service and
-# observability acceptance smokes.
-check: fmt vet build test bench-module race alloc-guard fuzz-smoke benchsmoke plan-smoke schedule-smoke serve-smoke obs-smoke
+# benchmark smoke pass, a quick run of the paper harness's ablations, and the
+# planner, schedule, planning-service and observability acceptance smokes.
+check: fmt vet build test bench-module race alloc-guard fuzz-smoke benchsmoke experiments-smoke plan-smoke schedule-smoke serve-smoke obs-smoke
 
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -98,6 +98,13 @@ bench-diff:
 		-benchmem -benchtime 20x -count 1 . > BENCH_new.txt
 	$(GO) run ./cmd/benchjson -alloc-guard $(ALLOC_GUARD_BUDGET) < BENCH_new.txt > BENCH_new.json
 	$(GO) run ./cmd/benchjson diff -threshold $(BENCH_DIFF_THRESHOLD) BENCH_sweep.json BENCH_new.json
+
+# experiments-smoke runs the paper-evaluation harness (cmd/experiments) on its
+# quick ablations (~2 s), so the harness keeps building and running: every
+# ablation row replays, predicts or simulates through the same packages the
+# toolkit uses.
+experiments-smoke:
+	$(GO) run ./cmd/experiments -quick ablations
 
 # plan-smoke is the deployment-planner acceptance gate: examples/autotune
 # exits non-zero unless branch-and-bound finds the same best configuration

@@ -80,11 +80,11 @@ func replayErrorBench(b *testing.B, arch model.Arch, tp, pp, dp, mb int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		dg, err := dpro.Build(profiled)
+		dg, err := execgraph.Build(profiled, dpro.BuildOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
-		dres, err := dpro.Replay(dg)
+		dres, err := replay.Run(dg, dpro.ReplayOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -110,11 +110,11 @@ func BenchmarkFig1_Breakdown175B(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		profiled := benchSim(b, cfg, 7)
 		actualBD := analysis.MultiBreakdown(profiled)
-		dg, err := dpro.Build(profiled)
+		dg, err := execgraph.Build(profiled, dpro.BuildOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
-		dres, err := dpro.Replay(dg)
+		dres, err := replay.Run(dg, dpro.ReplayOptions())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -162,15 +162,11 @@ func BenchmarkFig6_SMUtilization(b *testing.B) {
 // predictBench runs a Figure 7/8-style manipulation prediction and reports
 // its error vs a ground-truth run of the target.
 func predictBench(b *testing.B, req manip.Request, seed uint64) {
-	world := req.Target.Map.WorldSize()
-	if bw := req.Base.Map.WorldSize(); bw > world {
-		world = bw
-	}
-	topo := topology.H100Cluster(world)
+	tk := New()
 	var predErr float64
 	for i := 0; i < b.N; i++ {
 		profiled := benchSim(b, req.Base, 21)
-		pred, err := manip.Predict(req, profiled, topo)
+		pred, err := tk.Predict(context.Background(), req, profiled)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -436,10 +432,11 @@ func BenchmarkWhatIfFusion(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	tk := New()
 	b.ResetTimer()
 	var speedup float64
 	for i := 0; i < b.N; i++ {
-		rep, err := analysis.WhatIfFusion(g, analysis.DefaultFusionOpts())
+		rep, err := tk.WhatIfFusion(context.Background(), g, analysis.DefaultFusionOpts())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -153,7 +153,7 @@ func compareOne(label string, cfg parallel.Config) metrics.Row {
 	runtime.GC()
 
 	lum := replayWith(profiled, execgraph.DefaultOptions(), replay.DefaultOptions())
-	dp := replayWith(profiled, dpro.BuildOptions(), dproReplayOpts())
+	dp := replayWith(profiled, dpro.BuildOptions(), dpro.ReplayOptions())
 	profiled = nil
 	runtime.GC()
 
@@ -170,10 +170,45 @@ func compareOne(label string, cfg parallel.Config) metrics.Row {
 	}
 }
 
-func dproReplayOpts() replay.Options {
-	o := replay.DefaultOptions()
-	o.CoupleCollectives = false
-	return o
+// halfGEMM is a kernel oracle under which every GEMM runs at half the
+// wrapped oracle's duration: the ground truth for a GEMM x0.5 what-if.
+type halfGEMM struct{ kernelmodel.Predictor }
+
+// Compute implements kernelmodel.Predictor.
+func (h halfGEMM) Compute(class trace.KernelClass, flops, bytes int64) trace.Dur {
+	d := h.Predictor.Compute(class, flops, bytes)
+	if class == trace.KCGEMM {
+		d = trace.Dur(float64(d) * 0.5)
+	}
+	return d
+}
+
+// halfGEMMTruth runs the ground-truth simulator with half-duration GEMMs
+// and returns its iteration time.
+func halfGEMMTruth(cfg parallel.Config, seed uint64) trace.Dur {
+	sc := cluster.DefaultSimConfig(cfg.Map.WorldSize(), seed)
+	sc.Oracle = halfGEMM{kernelmodel.NewOracleFabric(sc.Fabric, nil)}
+	m, err := cluster.Run(cfg, sc)
+	if err != nil {
+		panic(fmt.Sprintf("ground-truth simulation failed: %v", err))
+	}
+	return analysis.IterationTime(m)
+}
+
+// halfGEMMWhatIf builds a graph from the profile, halves every GEMM's
+// duration in its replay columns and replays them.
+func halfGEMMWhatIf(profiled *trace.Multi, gOpts execgraph.BuildOptions, rOpts replay.Options) trace.Dur {
+	g, err := execgraph.Build(profiled, gOpts)
+	if err != nil {
+		panic(err)
+	}
+	t := replay.NewTimings(g)
+	analysis.ScaleDurations(g, t, func(tk *execgraph.Task) bool { return tk.Class == trace.KCGEMM }, 0.5)
+	res, err := replay.Compile(g, rOpts).Run(t, replay.NewScratch())
+	if err != nil {
+		panic(err)
+	}
+	return res.Makespan
 }
 
 // ---------------------------------------------------------------------------
@@ -310,7 +345,7 @@ func fig6() {
 	if err != nil {
 		panic(err)
 	}
-	dres, err := replay.Run(dg, dproReplayOpts())
+	dres, err := replay.Run(dg, dpro.ReplayOptions())
 	if err != nil {
 		panic(err)
 	}
@@ -510,8 +545,8 @@ func ablations() {
 		r    replay.Options
 	}{
 		{"all (Lumos)", execgraph.InterStreamAll, replay.DefaultOptions()},
-		{"compute→comm (dPRO)", execgraph.InterStreamComputeToComm, dproReplayOpts()},
-		{"none", execgraph.InterStreamNone, dproReplayOpts()},
+		{"compute→comm (dPRO)", execgraph.InterStreamComputeToComm, dpro.ReplayOptions()},
+		{"none", execgraph.InterStreamNone, dpro.ReplayOptions()},
 	} {
 		opts := execgraph.DefaultOptions()
 		opts.InterStream = mode.m
@@ -521,24 +556,27 @@ func ablations() {
 			analysis.Millis(out.bd.Overlapped))
 	}
 
-	// (2) Inter-thread gap heuristic.
-	fmt.Println("-- inter-thread CPU dependency ablation --")
+	// (2) and (3) replay a what-if where the options matter: every GEMM at
+	// half its recorded duration, against a ground truth whose kernel
+	// oracle runs GEMMs at half duration. Replaying the unchanged profile
+	// would reproduce its recorded timeline under either setting.
+	truth := halfGEMMTruth(cfg, *seed+1000)
+	fmt.Printf("-- GEMM x0.5 what-if vs ground truth with half-duration GEMMs (%.1fms) --\n", analysis.Millis(truth))
+	fmt.Println("-- inter-thread CPU dependency ablation (does not bind on this substrate) --")
 	for _, on := range []bool{true, false} {
 		opts := execgraph.DefaultOptions()
 		opts.InterThreadDeps = on
-		out := replayWith(profiled, opts, replay.DefaultOptions())
+		iter := halfGEMMWhatIf(profiled, opts, replay.DefaultOptions())
 		fmt.Printf("gap-heuristic=%-5v iter %7.1fms err %5.1f%%\n",
-			on, analysis.Millis(out.iter), metrics.RelErr(out.iter, actualIter))
+			on, analysis.Millis(iter), metrics.RelErr(iter, truth))
 	}
-
-	// (3) Collective coupling in the replayer.
 	fmt.Println("-- cross-rank collective coupling ablation --")
 	for _, on := range []bool{true, false} {
 		r := replay.DefaultOptions()
 		r.CoupleCollectives = on
-		out := replayWith(profiled, execgraph.DefaultOptions(), r)
+		iter := halfGEMMWhatIf(profiled, execgraph.DefaultOptions(), r)
 		fmt.Printf("coupling=%-5v iter %7.1fms err %5.1f%%\n",
-			on, analysis.Millis(out.iter), metrics.RelErr(out.iter, actualIter))
+			on, analysis.Millis(iter), metrics.RelErr(iter, truth))
 	}
 
 	// (4) Kernel pricing for manipulation: the fitted model alone (an empty
@@ -556,21 +594,17 @@ func ablations() {
 	if err != nil {
 		panic(err)
 	}
-	predFit, err := manip.PredictWith(req, manip.BuildLibrary(&trace.Multi{}, topo), fitted, topo)
-	if err != nil {
-		panic(err)
-	}
-	predLib, err := manip.Predict(req, profiled, topo)
-	if err != nil {
-		panic(err)
-	}
 	for _, row := range []struct {
-		name string
-		pred *manip.Result
-	}{{"fitted only", predFit}, {"library+fit", predLib}} {
+		name    string
+		profile *trace.Multi
+	}{{"fitted only", &trace.Multi{}}, {"library+fit", profiled}} {
+		pred, err := manip.PredictGraphWith(req, manip.BuildLibrary(row.profile, topo), fitted, topo)
+		if err != nil {
+			panic(err)
+		}
 		fmt.Printf("%-12s pred %7.1fms err %5.1f%% kernels measured %d modeled %d\n",
-			row.name+":", analysis.Millis(row.pred.Iteration), metrics.RelErr(row.pred.Iteration, actualTI),
-			row.pred.LibraryHits, row.pred.LibraryMisses)
+			row.name+":", analysis.Millis(pred.Iteration), metrics.RelErr(pred.Iteration, actualTI),
+			pred.LibraryHits, pred.LibraryMisses)
 	}
 
 	// (5) Pipeline schedule policy: 1F1B vs GPipe on the same deployment.

@@ -70,7 +70,6 @@ import (
 
 	"lumos"
 	"lumos/internal/analysis"
-	"lumos/internal/replay"
 )
 
 func usage() {
@@ -276,7 +275,7 @@ func cmdPredict(ctx context.Context, args []string) error {
 		base.Map.TP, base.Map.PP, base.Map.DP, analysis.Millis(lumos.IterationTime(traces)))
 	fmt.Printf("target:    %s %dx%dx%d — predicted %.1fms\n", target.Arch.Name,
 		target.Map.TP, target.Map.PP, target.Map.DP, analysis.Millis(pred.Iteration))
-	fmt.Printf("breakdown: %v\n", lumos.MultiBreakdown(pred.Trace))
+	fmt.Printf("breakdown: %v\n", lumos.GraphBreakdown(pred.Graph))
 	fmt.Printf("kernels:   %d from measurements, %d from the fitted model\n",
 		pred.LibraryHits, pred.LibraryMisses)
 	return nil
@@ -285,11 +284,15 @@ func cmdPredict(ctx context.Context, args []string) error {
 func cmdWhatIf(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("whatif", flag.ExitOnError)
 	in := fs.String("in", "traces", "trace directory")
-	class := fs.String("class", "gemm", "kernel class to scale (gemm|attention|comm|norm|elementwise|optimizer)")
+	className := fs.String("class", "gemm", "kernel class to scale ("+strings.Join(kernelClassNames(), "|")+")")
 	factor := fs.Float64("factor", 0.5, "duration multiplier for matched kernels")
 	fusion := fs.Bool("fusion", false, "estimate elementwise/norm operator fusion instead of class scaling")
 	fs.Parse(args)
 
+	class, err := kernelClassByName(*className)
+	if err != nil && !*fusion {
+		return err
+	}
 	traces, err := lumos.LoadTraces(*in)
 	if err != nil {
 		return err
@@ -309,21 +312,43 @@ func cmdWhatIf(ctx context.Context, args []string) error {
 			analysis.Millis(rep.Fused), rep.FusedGroups, rep.KernelsRemoved, rep.Speedup())
 		return nil
 	}
-	baseRep, err := replay.Run(g, replay.DefaultOptions())
+	baseRep, err := tk.Replay(ctx, g)
 	if err != nil {
 		return err
 	}
-	want := strings.ToLower(*class)
-	match := func(t *lumos.Task) bool { return t.Class.String() == want }
+	match := func(t *lumos.Task) bool { return t.Class == class }
 	scaled, err := tk.WhatIfScale(ctx, g, match, *factor)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("baseline: %.1fms\n", analysis.Millis(baseRep.Makespan))
+	base := baseRep.Iteration
+	fmt.Printf("baseline: %.1fms\n", analysis.Millis(base))
 	fmt.Printf("what-if (%s x %.2f): %.1fms (%.1f%% change)\n",
-		want, *factor, analysis.Millis(scaled),
-		100*(float64(scaled)-float64(baseRep.Makespan))/float64(baseRep.Makespan))
+		class, *factor, analysis.Millis(scaled),
+		100*(float64(scaled)-float64(base))/float64(base))
 	return nil
+}
+
+// kernelClassByName resolves a -class name against the kernel-class
+// names, so a misspelled class fails with the menu instead of matching no
+// kernel.
+func kernelClassByName(name string) (lumos.KernelClass, error) {
+	want := strings.ToLower(strings.TrimSpace(name))
+	for c := lumos.KCGEMM; c <= lumos.KCComm; c++ {
+		if c.String() == want {
+			return c, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown kernel class %q (valid: %s)", name, strings.Join(kernelClassNames(), "|"))
+}
+
+// kernelClassNames lists the classes -class accepts.
+func kernelClassNames() []string {
+	var names []string
+	for c := lumos.KCGEMM; c <= lumos.KCComm; c++ {
+		names = append(names, c.String())
+	}
+	return names
 }
 
 // fabricByName resolves a fabric preset for the given world size via the

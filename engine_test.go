@@ -277,10 +277,25 @@ func TestPlanDeterminismAcrossWorkers(t *testing.T) {
 // TestEngineCountersSurface checks the observability contract: a campaign
 // reports its replays on the single run counter — already after Prepare,
 // whose base replay runs before any scenario does — and its program
-// lowerings once what-ifs run.
+// lowerings once what-ifs run; single-shot replays count the same way.
 func TestEngineCountersSurface(t *testing.T) {
 	ctx := context.Background()
 	base := sweepBase(t)
+
+	single := New()
+	traces, err := single.Profile(ctx, base, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := single.ReplayTraces(ctx, traces); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := single.ReplayDPRO(ctx, traces); err != nil {
+		t.Fatal(err)
+	}
+	if programs, runs, _ := single.EngineStats(); programs != 2 || runs != 2 {
+		t.Fatalf("ReplayTraces + ReplayDPRO counted %d programs and %d runs, want 2 and 2", programs, runs)
+	}
 
 	tk := New(WithSeed(42))
 	st, err := tk.Prepare(ctx, base, 42)

@@ -82,7 +82,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			pred, err := tk.PredictGraph(ctx, lumos.Request{Base: base, Target: target}, traces)
+			pred, err := tk.Predict(ctx, lumos.Request{Base: base, Target: target}, traces)
 			if err != nil {
 				log.Fatalf("%s: %v", spec, err)
 			}

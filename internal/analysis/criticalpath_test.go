@@ -68,14 +68,14 @@ func TestWhatIfScale(t *testing.T) {
 	g, res := smallGraph(t)
 	// Making all kernels free cannot increase the makespan; scaling by 1.0
 	// must keep it identical.
-	same, err := WhatIfScale(g, func(*execgraph.Task) bool { return true }, 1.0)
+	same, err := whatIfScale(g, func(*execgraph.Task) bool { return true }, 1.0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if same != res.Makespan {
 		t.Fatalf("factor=1 changed makespan: %d vs %d", same, res.Makespan)
 	}
-	faster, err := WhatIfScale(g, func(tk *execgraph.Task) bool { return tk.Class == trace.KCGEMM }, 0.5)
+	faster, err := whatIfScale(g, func(tk *execgraph.Task) bool { return tk.Class == trace.KCGEMM }, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,6 +88,6 @@ func TestWhatIfScale(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res2.Makespan != res.Makespan {
-		t.Fatal("WhatIfScale mutated the input graph")
+		t.Fatal("the scale what-if mutated the input graph")
 	}
 }

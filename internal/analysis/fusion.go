@@ -103,24 +103,3 @@ func ApplyFusion(g *execgraph.Graph, t replay.Timings, opts FusionOpts) (fusedGr
 	}
 	return fusedGroups, kernelsRemoved
 }
-
-// WhatIfFusion estimates the end-to-end effect of fusing consecutive
-// eligible kernels: it compiles g, replays it as recorded for the
-// baseline, then replays the fused counterfactual on the same scratch.
-func WhatIfFusion(g *execgraph.Graph, opts FusionOpts) (FusionReport, error) {
-	prog := replay.Compile(g, replay.DefaultOptions())
-	s := replay.NewScratch()
-	base, err := prog.Run(replay.Timings{}, s)
-	if err != nil {
-		return FusionReport{}, err
-	}
-	rep := FusionReport{Baseline: base.Makespan}
-	t := replay.NewTimings(g)
-	rep.FusedGroups, rep.KernelsRemoved = ApplyFusion(g, t, opts)
-	fused, err := prog.Run(t, s)
-	if err != nil {
-		return rep, err
-	}
-	rep.Fused = fused.Makespan
-	return rep, nil
-}

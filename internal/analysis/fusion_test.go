@@ -31,7 +31,7 @@ func fusionGraph(t *testing.T) *execgraph.Graph {
 
 func TestWhatIfFusion(t *testing.T) {
 	g := fusionGraph(t)
-	rep, err := WhatIfFusion(g, DefaultFusionOpts())
+	rep, err := whatIfFusion(g, DefaultFusionOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,18 +45,18 @@ func TestWhatIfFusion(t *testing.T) {
 		t.Fatalf("speedup %v < 1", rep.Speedup())
 	}
 	// The what-if must not mutate the input graph.
-	rep2, err := WhatIfFusion(g, DefaultFusionOpts())
+	rep2, err := whatIfFusion(g, DefaultFusionOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep2.Baseline != rep.Baseline {
-		t.Fatal("WhatIfFusion mutated the graph")
+		t.Fatal("the fusion what-if mutated the graph")
 	}
 }
 
 func TestWhatIfFusionNoEligibleClasses(t *testing.T) {
 	g := fusionGraph(t)
-	rep, err := WhatIfFusion(g, FusionOpts{})
+	rep, err := whatIfFusion(g, FusionOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,18 +26,3 @@ func ScaleDurations(g *execgraph.Graph, t replay.Timings, match func(*execgraph.
 	}
 	return n
 }
-
-// WhatIfScale estimates the makespan if every kernel matched by the
-// predicate ran at the given duration factor (e.g. "all GEMMs 2x faster"
-// → factor 0.5), answering the what-if questions from the paper's
-// discussion section. It compiles g and replays it once under scaled
-// columns; the graph is never mutated.
-func WhatIfScale(g *execgraph.Graph, match func(*execgraph.Task) bool, factor float64) (trace.Dur, error) {
-	t := replay.NewTimings(g)
-	ScaleDurations(g, t, match, factor)
-	res, err := replay.Compile(g, replay.DefaultOptions()).Run(t, replay.NewScratch())
-	if err != nil {
-		return 0, err
-	}
-	return res.Makespan, nil
-}

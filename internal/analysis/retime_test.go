@@ -8,6 +8,38 @@ import (
 	"lumos/internal/trace"
 )
 
+// whatIfScale replays g once with every matched kernel's duration scaled
+// by factor, compiled fresh; the graph is never mutated.
+func whatIfScale(g *execgraph.Graph, match func(*execgraph.Task) bool, factor float64) (trace.Dur, error) {
+	t := replay.NewTimings(g)
+	ScaleDurations(g, t, match, factor)
+	res, err := replay.Compile(g, replay.DefaultOptions()).Run(t, replay.NewScratch())
+	if err != nil {
+		return 0, err
+	}
+	return res.Makespan, nil
+}
+
+// whatIfFusion replays g as recorded for the baseline, then the fused
+// counterfactual on the same compiled program and scratch.
+func whatIfFusion(g *execgraph.Graph, opts FusionOpts) (FusionReport, error) {
+	prog := replay.Compile(g, replay.DefaultOptions())
+	s := replay.NewScratch()
+	base, err := prog.Run(replay.Timings{}, s)
+	if err != nil {
+		return FusionReport{}, err
+	}
+	rep := FusionReport{Baseline: base.Makespan}
+	t := replay.NewTimings(g)
+	rep.FusedGroups, rep.KernelsRemoved = ApplyFusion(g, t, opts)
+	fused, err := prog.Run(t, s)
+	if err != nil {
+		return rep, err
+	}
+	rep.Fused = fused.Makespan
+	return rep, nil
+}
+
 // TestScaleDurations checks the class-scale column rewrite on a hand-built
 // graph: only matched GPU tasks scale, a group duration scales only when
 // it is positive, the graph keeps its recorded durations, and a second
@@ -104,11 +136,11 @@ func TestScaleAndFusionCompose(t *testing.T) {
 	}
 }
 
-// TestWhatIfFusionSimAgreesWithOneShot pins the one-shot compiled fusion
-// what-if to the reference interpreter replaying the same fused columns.
+// TestWhatIfFusionSimAgreesWithOneShot pins the compiled fusion what-if
+// to the reference interpreter replaying the same fused columns.
 func TestWhatIfFusionSimAgreesWithOneShot(t *testing.T) {
 	g := fusionGraph(t)
-	ref, err := WhatIfFusion(g, DefaultFusionOpts())
+	ref, err := whatIfFusion(g, DefaultFusionOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,10 +176,11 @@ func New(opts ...Option) *Toolkit {
 	return &Toolkit{opts: o}
 }
 
-// compile lowers g for the compiled replay engine, counting the lowering.
-func (tk *Toolkit) compile(g *execgraph.Graph) *replay.Program {
+// compile lowers g for the compiled replay engine under opts, counting
+// the lowering.
+func (tk *Toolkit) compile(g *execgraph.Graph, opts replay.Options) *replay.Program {
 	tk.compiledPrograms.Add(1)
-	return replay.Compile(g, replay.DefaultOptions())
+	return replay.Compile(g, opts)
 }
 
 // run replays prog under t on s, counting the run. The result aliases s.
@@ -410,11 +411,8 @@ func (tk *Toolkit) BuildGraph(ctx context.Context, m *trace.Multi) (*execgraph.G
 	return execgraph.Build(m, execgraph.DefaultOptions())
 }
 
-// ReplayResult bundles a simulation with its derived artifacts.
+// ReplayResult is a replayed execution's derived metrics.
 type ReplayResult struct {
-	Result *replay.Result
-	// Trace is the simulated execution in trace form.
-	Trace *trace.Multi
 	// Iteration is the simulated per-iteration time.
 	Iteration trace.Dur
 	// Breakdown is the average per-rank execution breakdown.
@@ -422,22 +420,13 @@ type ReplayResult struct {
 }
 
 // Replay simulates an execution graph (Section 3.5, Algorithm 1) on the
-// compiled engine.
+// compiled engine, the same counted, trace-free way a campaign replays its
+// base (see replayBase).
 func (tk *Toolkit) Replay(ctx context.Context, g *execgraph.Graph) (*ReplayResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	res, err := replay.Run(g, replay.DefaultOptions())
-	if err != nil {
-		return nil, err
-	}
-	tr := replay.ToTrace(g, res)
-	return &ReplayResult{
-		Result:    res,
-		Trace:     tr,
-		Iteration: res.Makespan,
-		Breakdown: analysis.MultiBreakdown(tr),
-	}, nil
+	return tk.replayBase(g, replay.DefaultOptions())
 }
 
 // ReplayTraces is BuildGraph→Replay composed over existing traces.
@@ -450,47 +439,42 @@ func (tk *Toolkit) ReplayTraces(ctx context.Context, m *trace.Multi) (*ReplayRes
 }
 
 // ReplayDPRO replays the traces with the dPRO baseline's modeling
-// assumptions, for comparison.
+// assumptions (dpro.BuildOptions, dpro.ReplayOptions), for comparison.
 func (tk *Toolkit) ReplayDPRO(ctx context.Context, m *trace.Multi) (*ReplayResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	g, err := dpro.Build(m)
+	g, err := execgraph.Build(m, dpro.BuildOptions())
 	if err != nil {
 		return nil, err
 	}
-	res, err := dpro.Replay(g)
+	return tk.replayBase(g, dpro.ReplayOptions())
+}
+
+// replayBase compiles g under opts and replays it once on a pooled
+// scratch, reading the iteration time and breakdown straight off the
+// replay's Start/End columns before the scratch (which owns them) goes
+// back to the pool. No trace is materialized, and the compiled program is
+// dropped rather than pinned on a campaign: kernel what-ifs lower their
+// own copy on demand (BaseState.program). A campaign's base point and
+// every single-shot replay take this path.
+func (tk *Toolkit) replayBase(g *execgraph.Graph, opts replay.Options) (*ReplayResult, error) {
+	s := tk.acquireScratch()
+	defer tk.releaseScratch(s)
+	res, err := tk.run(tk.compile(g, opts), replay.Timings{}, s)
 	if err != nil {
 		return nil, err
 	}
-	tr := replay.ToTrace(g, res)
-	return &ReplayResult{
-		Result:    res,
-		Trace:     tr,
-		Iteration: res.Makespan,
-		Breakdown: analysis.MultiBreakdown(tr),
-	}, nil
+	return &ReplayResult{Iteration: res.Makespan, Breakdown: analysis.ReplayBreakdown(g, res.Start, res.End)}, nil
 }
 
 // Predict manipulates the profiled execution into the requested target
-// configuration and simulates it (Section 3.4). One-shot calibration: for
-// repeated predictions from the same profile, use Evaluate, which builds
-// the kernel library once and shares it across scenarios.
-func (tk *Toolkit) Predict(ctx context.Context, req manip.Request, profiled *trace.Multi) (*manip.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	lib, fitted, f, err := tk.calibrate(req, profiled)
-	if err != nil {
-		return nil, err
-	}
-	return manip.PredictWith(req, lib, fitted, f)
-}
-
-// PredictGraph is Predict via direct graph synthesis: the target's
-// execution graph is generated without materializing a trace. This is the
-// path campaigns use; it predicts identically to Predict.
-func (tk *Toolkit) PredictGraph(ctx context.Context, req manip.Request, profiled *trace.Multi) (*manip.GraphResult, error) {
+// configuration and simulates it (Section 3.4): the target's execution
+// graph is synthesized directly, with predicted timestamps, exactly as a
+// campaign predicts a deploy scenario. One-shot calibration: for repeated
+// predictions from the same profile, use Evaluate, which builds the kernel
+// library once and shares it across scenarios.
+func (tk *Toolkit) Predict(ctx context.Context, req manip.Request, profiled *trace.Multi) (*manip.GraphResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -530,7 +514,7 @@ func (tk *Toolkit) WhatIfScale(ctx context.Context, g *execgraph.Graph, match fu
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	return tk.replayProgram(tk.compile(g), func(t replay.Timings) {
+	return tk.replayProgram(tk.compile(g, replay.DefaultOptions()), func(t replay.Timings) {
 		analysis.ScaleDurations(g, t, match, factor)
 	})
 }
@@ -542,7 +526,7 @@ func (tk *Toolkit) WhatIfFusion(ctx context.Context, g *execgraph.Graph, opts an
 	if err := ctx.Err(); err != nil {
 		return analysis.FusionReport{}, err
 	}
-	prog := tk.compile(g)
+	prog := tk.compile(g, replay.DefaultOptions())
 	base, err := tk.replayProgram(prog, nil)
 	if err != nil {
 		return analysis.FusionReport{}, err

@@ -92,8 +92,8 @@ func TestPredictViaToolkit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Iteration <= 0 || res.Trace.NumRanks() != 8 {
-		t.Fatalf("prediction: iter=%d ranks=%d", res.Iteration, res.Trace.NumRanks())
+	if res.Iteration <= 0 || res.Graph.NumRanks != 8 {
+		t.Fatalf("prediction: iter=%d ranks=%d", res.Iteration, res.Graph.NumRanks)
 	}
 }
 

@@ -50,7 +50,7 @@ func (e *structEntry) compiled(b *BaseState, campaign topology.Fabric, sp *obs.S
 		defer recordPanic(&e.progErr, "compile")
 		csp := sp.Child("compile")
 		defer csp.End()
-		e.prog = b.tk.compile(e.out.Graph)
+		e.prog = b.tk.compile(e.out.Graph, replay.DefaultOptions())
 		e.plan = manip.NewCommRetimePlan(e.out.Graph, b.tk.pricerFor(campaign))
 		e.own, e.progErr = b.tk.replayProgram(e.prog, nil)
 	})

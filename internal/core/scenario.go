@@ -171,7 +171,7 @@ func (b *BaseState) RegisterMetrics(r *obs.Registry, labelPairs ...string) {
 func (b *BaseState) program() (*replay.Program, error) {
 	b.baseProgOnce.Do(func() {
 		defer recordPanic(&b.baseProgErr, "base compile")
-		b.baseProg = b.tk.compile(b.Graph)
+		b.baseProg = b.tk.compile(b.Graph, replay.DefaultOptions())
 	})
 	return b.baseProg, b.baseProgErr
 }
@@ -733,7 +733,7 @@ func (tk *Toolkit) PrepareTraces(ctx context.Context, cfg parallel.Config, m *tr
 		return nil, err
 	}
 	rp := sp.Child("replay")
-	iter, breakdown, err := tk.replayBase(g)
+	rep, err := tk.replayBase(g, replay.DefaultOptions())
 	rp.End()
 	if err != nil {
 		return nil, err
@@ -761,8 +761,8 @@ func (tk *Toolkit) PrepareTraces(ctx context.Context, cfg parallel.Config, m *tr
 		Config:      cfg,
 		Traces:      m,
 		Graph:       g,
-		Iteration:   iter,
-		Breakdown:   breakdown,
+		Iteration:   rep.Iteration,
+		Breakdown:   rep.Breakdown,
 		Library:     lib,
 		Fitted:      fitted,
 		Fabric:      f,
@@ -770,22 +770,6 @@ func (tk *Toolkit) PrepareTraces(ctx context.Context, cfg parallel.Config, m *tr
 		fingerprint: profileFP,
 		disk:        disk,
 	}, nil
-}
-
-// replayBase replays a campaign's base graph on a pooled scratch and reads
-// its iteration time and breakdown straight off the replay's Start/End
-// columns, before the scratch (which owns them) goes back to the pool. No
-// trace is materialized, and the compiled program is dropped rather than
-// pinned on the campaign: kernel what-ifs lower their own copy on demand
-// (BaseState.program).
-func (tk *Toolkit) replayBase(g *execgraph.Graph) (trace.Dur, analysis.Breakdown, error) {
-	s := tk.acquireScratch()
-	defer tk.releaseScratch(s)
-	res, err := tk.run(tk.compile(g), replay.Timings{}, s)
-	if err != nil {
-		return 0, analysis.Breakdown{}, err
-	}
-	return res.Makespan, analysis.ReplayBreakdown(g, res.Start, res.End), nil
 }
 
 // Evaluate runs a what-if campaign: profile the base deployment once (with

@@ -6,12 +6,15 @@
 // which over-estimates computation/communication overlap and under-
 // estimates iteration time — the exact failure mode Figure 1 and Figure 5
 // of the Lumos paper demonstrate.
+//
+// The baseline is two option sets for the shared graph builder and replay
+// engine: build with BuildOptions, replay with ReplayOptions
+// (Toolkit.ReplayDPRO composes them).
 package dpro
 
 import (
 	"lumos/internal/execgraph"
 	"lumos/internal/replay"
-	"lumos/internal/trace"
 )
 
 // BuildOptions returns dPRO's graph-construction settings: identical to
@@ -25,31 +28,12 @@ func BuildOptions() execgraph.BuildOptions {
 	return opts
 }
 
-// Build constructs a dPRO-style global dataflow graph from traces.
-func Build(m *trace.Multi) (*execgraph.Graph, error) {
-	return execgraph.Build(m, BuildOptions())
-}
-
-// Replay simulates a dPRO-style graph with the shared engine. dPRO replays
-// every kernel with its recorded duration — including the rendezvous wait
-// baked into communication kernels — and does not re-derive collective
-// timing from cross-rank readiness, so collective coupling is disabled.
-func Replay(g *execgraph.Graph) (*replay.Result, error) {
+// ReplayOptions returns dPRO's replay settings. dPRO replays every kernel
+// with its recorded duration — including the rendezvous wait baked into
+// communication kernels — and does not re-derive collective timing from
+// cross-rank readiness, so collective coupling is disabled.
+func ReplayOptions() replay.Options {
 	opts := replay.DefaultOptions()
 	opts.CoupleCollectives = false
-	return replay.Run(g, opts)
-}
-
-// ReplayTraces is the end-to-end convenience: build the dPRO graph from
-// traces and replay it, returning the result and the simulated traces.
-func ReplayTraces(m *trace.Multi) (*replay.Result, *trace.Multi, error) {
-	g, err := Build(m)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := Replay(g)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, replay.ToTrace(g, res), nil
+	return opts
 }

@@ -42,10 +42,15 @@ func TestDPROUnderestimatesAndInflatesOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dres, dtrace, err := ReplayTraces(m)
+	dg, err := execgraph.Build(m, BuildOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
+	dres, err := replay.Run(dg, ReplayOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dtrace := replay.ToTrace(dg, dres)
 	if dres.Makespan >= lres.Makespan {
 		t.Fatalf("dPRO (%d) should under-estimate vs Lumos (%d)", dres.Makespan, lres.Makespan)
 	}
@@ -63,7 +68,7 @@ func TestBuildOptionsDropOnlyCommToComputeEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dg, err := Build(m)
+	dg, err := execgraph.Build(m, BuildOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -200,62 +200,8 @@ func (r Request) Validate() error {
 	return nil
 }
 
-// Result carries a prediction for a manipulated configuration.
-type Result struct {
-	// Trace is the generated execution for the target configuration, with
-	// predicted timestamps.
-	Trace *trace.Multi
-	// Iteration is the predicted per-iteration time.
-	Iteration trace.Dur
-	// LibraryHits/LibraryMisses report how many kernels reused measured
-	// durations vs were priced by the fitted model.
-	LibraryHits, LibraryMisses int
-}
-
-// Predict generates the new execution graph for the target configuration
-// and simulates it. Following Section 3.4: the pipeline schedule is
-// regenerated under the scheduling policy, layers (and their task groups)
-// are re-partitioned onto the new stages, communication tasks are inserted
-// at the appropriate points with the original dependency patterns
-// (event-bridge and launch structure), and task durations are carried over
-// from the profiled graph or assigned by the kernel performance model.
-func Predict(req Request, profiled *trace.Multi, c topology.Fabric) (*Result, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	lib := BuildLibrary(profiled, c)
-	oracle := kernelmodel.NewOracleFabric(c, nil)
-	fitted, err := kernelmodel.Fit([]*trace.Multi{profiled}, c, oracle)
-	if err != nil {
-		return nil, fmt.Errorf("manip: fitting kernel model: %w", err)
-	}
-	return PredictWith(req, lib, fitted, c)
-}
-
-// PredictWith is Predict with externally supplied calibration, so sweeps
-// can reuse one library and fitted model across many targets.
-func PredictWith(req Request, lib *Library, fitted *kernelmodel.Fitted, c topology.Fabric) (*Result, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	pred := &Predictor{Lib: lib, Fitted: fitted}
-
-	world := req.Target.Map.WorldSize()
-	simCfg := deterministicSim(c, world, pred)
-	out, err := cluster.Run(req.Target, simCfg)
-	if err != nil {
-		return nil, fmt.Errorf("manip: generating target execution: %w", err)
-	}
-	return &Result{
-		Trace:         out,
-		Iteration:     out.Duration(),
-		LibraryHits:   pred.Hits,
-		LibraryMisses: pred.Misses,
-	}, nil
-}
-
-// GraphResult carries a trace-free prediction: the synthesized execution
-// graph for the target configuration with predicted timestamps.
+// GraphResult carries a prediction for a manipulated configuration: the
+// synthesized execution graph for the target with predicted timestamps.
 type GraphResult struct {
 	// Graph is the generated execution graph, timestamps included.
 	Graph *execgraph.Graph
@@ -266,26 +212,16 @@ type GraphResult struct {
 	LibraryHits, LibraryMisses int
 }
 
-// PredictGraph is Predict via direct graph synthesis: the generator emits
-// the target's execution graph directly instead of materializing a trace
-// and re-parsing it. The predicted iteration time is identical to the trace
-// path's (the generator draws at the same points in both modes).
-func PredictGraph(req Request, profiled *trace.Multi, c topology.Fabric) (*GraphResult, error) {
-	if err := req.Validate(); err != nil {
-		return nil, err
-	}
-	lib := BuildLibrary(profiled, c)
-	oracle := kernelmodel.NewOracleFabric(c, nil)
-	fitted, err := kernelmodel.Fit([]*trace.Multi{profiled}, c, oracle)
-	if err != nil {
-		return nil, fmt.Errorf("manip: fitting kernel model: %w", err)
-	}
-	return PredictGraphWith(req, lib, fitted, c)
-}
-
-// PredictGraphWith is PredictGraph with externally supplied calibration —
-// the sweep hot path: one library and fitted model, many targets, no trace
-// round trip.
+// PredictGraphWith generates the new execution graph for the target
+// configuration from supplied calibration (one library and fitted model
+// serve many targets). Following Section 3.4: the pipeline schedule is
+// regenerated under the scheduling policy, layers (and their task groups)
+// are re-partitioned onto the new stages, communication tasks are inserted
+// at the appropriate points with the original dependency patterns
+// (event-bridge and launch structure), and task durations are carried over
+// from the profiled graph or assigned by the kernel performance model. The
+// generator emits the graph directly, with predicted timestamps; no trace
+// is materialized.
 func PredictGraphWith(req Request, lib *Library, fitted *kernelmodel.Fitted, c topology.Fabric) (*GraphResult, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -311,11 +247,6 @@ func PredictGraphWith(req Request, lib *Library, fitted *kernelmodel.Fitted, c t
 // graph and the duration assignments, exactly like the paper's simulator.
 func deterministicSim(c topology.Fabric, world int, pred kernelmodel.Predictor) cluster.SimConfig {
 	cfg := cluster.DefaultSimConfig(world, 0)
-	if c == nil {
-		// Hand-built calibration state without a bound fabric: the legacy
-		// default.
-		c = topology.H100Cluster(world)
-	}
 	cfg.Fabric = c
 	if cfg.Fabric.Capacity() < world {
 		cfg.Fabric = cfg.Fabric.WithCapacity(world)

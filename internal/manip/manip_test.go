@@ -66,10 +66,7 @@ func TestIdentityManipulationReplaysMeasurements(t *testing.T) {
 	// kernel and land close to the recorded iteration time.
 	cfg, profiled := base(t)
 	topo := topology.H100Cluster(cfg.Map.WorldSize())
-	res, err := Predict(Request{Base: cfg, Target: cfg}, profiled, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := predict(t, Request{Base: cfg, Target: cfg}, profiled, topo)
 	if res.LibraryMisses != 0 {
 		t.Fatalf("identity manipulation missed the library %d times", res.LibraryMisses)
 	}
@@ -83,10 +80,7 @@ func TestIdentityManipulationReplaysMeasurements(t *testing.T) {
 func TestScaleDPOnlyRepricesDPComm(t *testing.T) {
 	cfg, profiled := base(t)
 	topo := topology.H100Cluster(64)
-	res, err := Predict(ScaleDP(cfg, 8), profiled, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := predict(t, ScaleDP(cfg, 8), profiled, topo)
 	// Paper: local computation unchanged — misses must be comm-only and
 	// small (the DP collectives).
 	if res.LibraryMisses == 0 {
@@ -95,18 +89,15 @@ func TestScaleDPOnlyRepricesDPComm(t *testing.T) {
 	if res.LibraryMisses > 2000 {
 		t.Fatalf("DP scaling re-priced %d kernels; expected only the DP collectives", res.LibraryMisses)
 	}
-	if res.Trace.NumRanks() != 32 {
-		t.Fatalf("target world = %d", res.Trace.NumRanks())
+	if res.Graph.NumRanks != 32 {
+		t.Fatalf("target world = %d", res.Graph.NumRanks)
 	}
 }
 
 func TestScaleDPAccuracy(t *testing.T) {
 	cfg, profiled := base(t)
 	topo := topology.H100Cluster(32)
-	res, err := Predict(ScaleDP(cfg, 4), profiled, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := predict(t, ScaleDP(cfg, 4), profiled, topo)
 	actualCfg := cfg
 	actualCfg.Map.DP = 4
 	sc := cluster.DefaultSimConfig(32, 555)
@@ -124,10 +115,7 @@ func TestScaleDPAccuracy(t *testing.T) {
 func TestScalePPAccuracy(t *testing.T) {
 	cfg, profiled := base(t)
 	topo := topology.H100Cluster(cfg.Map.WorldSize() * 2)
-	res, err := Predict(ScalePP(cfg, 4), profiled, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := predict(t, ScalePP(cfg, 4), profiled, topo)
 	target := cfg
 	target.Map.PP = 4
 	actual, err := cluster.Run(target, cluster.DefaultSimConfig(target.Map.WorldSize(), 556))
@@ -145,10 +133,7 @@ func TestChangeArchAccuracy(t *testing.T) {
 	target := cfg
 	target.Arch = model.GPT3_V1() // more layers, same widths
 	topo := topology.H100Cluster(cfg.Map.WorldSize())
-	res, err := Predict(ChangeArch(cfg, target), profiled, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := predict(t, ChangeArch(cfg, target), profiled, topo)
 	actual, err := cluster.Run(target, cluster.DefaultSimConfig(target.Map.WorldSize(), 557))
 	if err != nil {
 		t.Fatal(err)
@@ -198,6 +183,17 @@ func TestPredictorCounters(t *testing.T) {
 	if p.Misses != 1 {
 		t.Fatalf("miss counters: %d/%d", p.Hits, p.Misses)
 	}
+}
+
+// predict calibrates a library and a fitted model on the profile and
+// predicts the request on fabric c.
+func predict(t *testing.T, req Request, profiled *trace.Multi, c topology.Fabric) *GraphResult {
+	t.Helper()
+	res, err := PredictGraphWith(req, BuildLibrary(profiled, c), mustFit(t, profiled, c), c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
 func mustFit(t *testing.T, m *trace.Multi, c topology.Fabric) *kernelmodel.Fitted {

@@ -4,20 +4,39 @@ import (
 	"testing"
 
 	"lumos/internal/analysis"
+	"lumos/internal/cluster"
 	"lumos/internal/execgraph"
+	"lumos/internal/kernelmodel"
 	"lumos/internal/model"
 	"lumos/internal/replay"
 	"lumos/internal/topology"
 	"lumos/internal/trace"
 )
 
+// predictViaTrace is the trace form of PredictGraphWith: it runs the same
+// deterministic generator through cluster.Run, materializing the target's
+// execution as Kineto-style traces, and returns them with the predictor's
+// library hit/miss counts.
+func predictViaTrace(t *testing.T, req Request, lib *Library, fitted *kernelmodel.Fitted, c topology.Fabric) (*trace.Multi, *Predictor) {
+	t.Helper()
+	if err := req.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	pred := &Predictor{Lib: lib, Fitted: fitted}
+	out, err := cluster.Run(req.Target, deterministicSim(c, req.Target.Map.WorldSize(), pred))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, pred
+}
+
 // TestDirectSynthesisMatchesTraceRoundTrip is the equivalence acceptance
 // test for the compile-once pipeline: for every fig7/fig8-style deployment
 // manipulation, generating the target execution graph directly
 // (PredictGraphWith) must produce the exact same predicted iteration time,
 // execution breakdown and library hit/miss counts as materializing a
-// synthetic trace and measuring it (PredictWith). The two paths share one
-// generator core, so this holds to the nanosecond.
+// synthetic trace and measuring it (predictViaTrace). The two paths share
+// one generator core, so this holds to the nanosecond.
 func TestDirectSynthesisMatchesTraceRoundTrip(t *testing.T) {
 	cfg, profiled := base(t)
 	topo := topology.H100Cluster(32) // large enough for every target below
@@ -42,25 +61,20 @@ func TestDirectSynthesisMatchesTraceRoundTrip(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			viaTrace, err := PredictWith(tc.req, lib, fitted, topo)
-			if err != nil {
-				t.Fatal(err)
-			}
+			viaTrace, used := predictViaTrace(t, tc.req, lib, fitted, topo)
 			viaGraph, err := PredictGraphWith(tc.req, lib, fitted, topo)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if viaGraph.Iteration != viaTrace.Iteration {
+			if viaGraph.Iteration != viaTrace.Duration() {
 				t.Fatalf("iteration: synthesis %d != trace round trip %d",
-					viaGraph.Iteration, viaTrace.Iteration)
+					viaGraph.Iteration, viaTrace.Duration())
 			}
-			if viaGraph.LibraryHits != viaTrace.LibraryHits ||
-				viaGraph.LibraryMisses != viaTrace.LibraryMisses {
+			if viaGraph.LibraryHits != used.Hits || viaGraph.LibraryMisses != used.Misses {
 				t.Fatalf("calibration use diverged: synthesis %d/%d, trace %d/%d",
-					viaGraph.LibraryHits, viaGraph.LibraryMisses,
-					viaTrace.LibraryHits, viaTrace.LibraryMisses)
+					viaGraph.LibraryHits, viaGraph.LibraryMisses, used.Hits, used.Misses)
 			}
-			if bg, bt := analysis.GraphBreakdown(viaGraph.Graph), analysis.MultiBreakdown(viaTrace.Trace); bg != bt {
+			if bg, bt := analysis.GraphBreakdown(viaGraph.Graph), analysis.MultiBreakdown(viaTrace); bg != bt {
 				t.Fatalf("breakdown: synthesis %+v != trace %+v", bg, bt)
 			}
 			if err := viaGraph.Graph.Validate(); err != nil {
@@ -78,10 +92,7 @@ func TestDirectSynthesisMatchesTraceRoundTrip(t *testing.T) {
 func TestSynthesizedGraphReplays(t *testing.T) {
 	cfg, profiled := base(t)
 	topo := topology.H100Cluster(cfg.Map.WorldSize())
-	res, err := PredictGraph(Request{Base: cfg, Target: cfg}, profiled, topo)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := predict(t, Request{Base: cfg, Target: cfg}, profiled, topo)
 	g := res.Graph
 	rep, err := replay.Run(g, replay.DefaultOptions())
 	if err != nil {
@@ -102,13 +113,15 @@ func TestSynthesizedGraphReplays(t *testing.T) {
 	}
 	// A retiming what-if composes with the synthesized graph: halving GEMM
 	// time must strictly shorten the replayed iteration.
-	faster, err := analysis.WhatIfScale(g, func(tk *execgraph.Task) bool {
+	tm := replay.NewTimings(g)
+	analysis.ScaleDurations(g, tm, func(tk *execgraph.Task) bool {
 		return tk.Class == trace.KCGEMM
 	}, 0.5)
+	scaled, err := replay.Compile(g, replay.DefaultOptions()).Run(tm, replay.NewScratch())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if faster >= rep.Makespan {
+	if faster := scaled.Makespan; faster >= rep.Makespan {
 		t.Fatalf("2x GEMMs on synthesized graph not faster: %d vs %d", faster, rep.Makespan)
 	}
 }

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -20,33 +21,33 @@ func mapping(t *testing.T, tp, pp, dp int) topology.Mapping {
 	return m
 }
 
-func TestBuildScheduleGPipe(t *testing.T) {
-	slots, err := BuildSchedule(GPipe, 1, 4, 3)
-	if err != nil {
-		t.Fatal(err)
+func baseConfig(t *testing.T, tp, pp, dp int) Config {
+	cfg := DefaultConfig(model.GPT3_15B(), mapping(t, tp, pp, dp))
+	cfg.Microbatches = 2 * pp
+	if cfg.Microbatches < 4 {
+		cfg.Microbatches = 4
 	}
-	want := []Slot{
-		{Kind: SlotForward, Microbatch: 0}, {Kind: SlotForward, Microbatch: 1}, {Kind: SlotForward, Microbatch: 2},
-		{Kind: SlotBackward, Microbatch: 0}, {Kind: SlotBackward, Microbatch: 1}, {Kind: SlotBackward, Microbatch: 2},
-	}
-	if len(slots) != len(want) {
-		t.Fatalf("got %v", slots)
-	}
-	for i := range want {
-		if slots[i] != want[i] {
-			t.Fatalf("slot %d = %v, want %v", i, slots[i], want[i])
-		}
-	}
+	return cfg
+}
+
+// scheduleConfig is a deployment with the given pipeline depth, flat
+// schedule and microbatch count, for the Config.StageSlots tests.
+func scheduleConfig(t *testing.T, policy SchedulePolicy, stages, microbatches int) Config {
+	cfg := DefaultConfig(model.GPT3_15B(), mapping(t, 1, stages, 1))
+	cfg.Schedule = policy
+	cfg.Microbatches = microbatches
+	return cfg
 }
 
 func TestBuildSchedule1F1B(t *testing.T) {
 	// Stage 0 of 4 stages with 8 microbatches: 3 warmup forwards, then
 	// 5 steady (F,B) pairs, then 3 cooldown backwards.
-	slots, err := BuildSchedule(OneFOneB, 0, 4, 8)
+	cfg := scheduleConfig(t, OneFOneB, 4, 8)
+	slots, err := cfg.StageSlots(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ValidateSchedule(slots, 8); err != nil {
+	if err := schedule.ValidateSlots(slots, 8, 1); err != nil {
 		t.Fatal(err)
 	}
 	if slots[0].Kind != SlotForward || slots[1].Kind != SlotForward || slots[2].Kind != SlotForward {
@@ -56,18 +57,23 @@ func TestBuildSchedule1F1B(t *testing.T) {
 		t.Fatalf("steady state starts wrong: %v", slots[3:5])
 	}
 	// Last stage alternates immediately.
-	last, _ := BuildSchedule(OneFOneB, 3, 4, 8)
+	last, err := cfg.StageSlots(3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if last[0] != (Slot{Kind: SlotForward, Microbatch: 0}) || last[1] != (Slot{Kind: SlotBackward, Microbatch: 0}) {
 		t.Fatalf("last stage should be strictly 1F1B: %v", last[:2])
 	}
 }
 
 func TestBuildScheduleErrors(t *testing.T) {
-	if _, err := BuildSchedule(OneFOneB, 4, 4, 8); err == nil {
-		t.Fatal("stage out of range must fail")
+	cfg := scheduleConfig(t, OneFOneB, 4, 8)
+	if _, err := cfg.StageSlots(4); !errors.Is(err, schedule.ErrStage) {
+		t.Fatalf("stage out of range must fail with ErrStage, got %v", err)
 	}
-	if _, err := BuildSchedule(OneFOneB, 0, 4, 0); err == nil {
-		t.Fatal("zero microbatches must fail")
+	cfg.Microbatches = 0
+	if _, err := cfg.StageSlots(0); !errors.Is(err, schedule.ErrMicrobatches) {
+		t.Fatalf("zero microbatches must fail with ErrMicrobatches, got %v", err)
 	}
 }
 
@@ -80,45 +86,15 @@ func TestPropertyScheduleValid(t *testing.T) {
 		if gpipe {
 			policy = GPipe
 		}
-		slots, err := BuildSchedule(policy, stage, stages, mb)
+		slots, err := scheduleConfig(t, policy, stages, mb).StageSlots(stage)
 		if err != nil {
 			return false
 		}
-		return ValidateSchedule(slots, mb) == nil
+		return schedule.ValidateSlots(slots, mb, 1) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestInFlightBound(t *testing.T) {
-	// 1F1B peak in-flight microbatches on stage s is ≤ stages − s, which is
-	// the schedule's memory advantage over GPipe.
-	for stages := 1; stages <= 8; stages *= 2 {
-		for stage := 0; stage < stages; stage++ {
-			slots, err := BuildSchedule(OneFOneB, stage, stages, 2*stages)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, bound := InFlight(slots), stages-stage; got > bound {
-				t.Errorf("stage %d/%d: in-flight %d > bound %d", stage, stages, got, bound)
-			}
-		}
-	}
-	// GPipe holds everything.
-	slots, _ := BuildSchedule(GPipe, 0, 4, 8)
-	if InFlight(slots) != 8 {
-		t.Fatalf("GPipe in-flight = %d, want 8", InFlight(slots))
-	}
-}
-
-func baseConfig(t *testing.T, tp, pp, dp int) Config {
-	cfg := DefaultConfig(model.GPT3_15B(), mapping(t, tp, pp, dp))
-	cfg.Microbatches = 2 * pp
-	if cfg.Microbatches < 4 {
-		cfg.Microbatches = 4
-	}
-	return cfg
 }
 
 func TestConfigValidate(t *testing.T) {

@@ -44,37 +44,6 @@ const (
 // chunk) on this stage.
 type Slot = schedule.Slot
 
-// BuildSchedule returns the slot sequence for one pipeline stage of a flat
-// (single-chunk) schedule, delegating to the schedule subsystem's
-// generators; 1F1B output is bit-identical to the pre-subsystem
-// implementation. Error paths return the typed schedule errors
-// (schedule.ErrStage, schedule.ErrMicrobatches, schedule.ErrPolicy,
-// schedule.ErrIncompatible), so callers can classify infeasible-schedule
-// configurations. Interleaved schedules need a virtual-stage count: use
-// Config.StageSlots, which carries it.
-func BuildSchedule(policy SchedulePolicy, stage, stages, microbatches int) ([]Slot, error) {
-	if policy == Interleaved {
-		return nil, fmt.Errorf("%w: interleaved schedules need a virtual-stage count; use Config.StageSlots", schedule.ErrIncompatible)
-	}
-	gen, err := schedule.New(policy, 0)
-	if err != nil {
-		return nil, fmt.Errorf("parallel: %w", err)
-	}
-	slots, err := gen.Slots(stage, stages, microbatches)
-	if err != nil {
-		return nil, fmt.Errorf("parallel: %w", err)
-	}
-	return slots, nil
-}
-
-// ValidateSchedule checks the invariants every correct flat pipeline
-// schedule must satisfy: each microbatch appears exactly once per kind, and
-// a microbatch's backward never precedes its forward (weight passes, if
-// present, follow their backward).
-func ValidateSchedule(slots []Slot, microbatches int) error {
-	return schedule.ValidateSlots(slots, microbatches, 1)
-}
-
 // ScheduleSpec returns the deployment's schedule choice as a parseable
 // spec (policy + virtual-stage count).
 func (c Config) ScheduleSpec() schedule.Spec {
@@ -144,8 +113,3 @@ func (c Config) PeakInFlight(stage int) (int, error) {
 	}
 	return schedule.InFlight(slots), nil
 }
-
-// InFlight returns the maximum number of chunk-microbatches whose forward
-// has run but whose backward has not, i.e. the peak activation-memory
-// pressure of the schedule in chunk-microbatches.
-func InFlight(slots []Slot) int { return schedule.InFlight(slots) }

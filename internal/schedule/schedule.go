@@ -305,7 +305,8 @@ func (oneFOneB) Check(stages, microbatches int, explain bool) error {
 
 // Slots emits the standard warmup / steady 1F1B / cooldown structure;
 // Figure 4 of the paper is exactly this sequence for stage 0. The output is
-// bit-identical to the pre-subsystem parallel.BuildSchedule.
+// bit-identical to the 1F1B builder that predates this package
+// (TestOneFOneBBitIdenticalToLegacy).
 func (oneFOneB) Slots(stage, stages, microbatches int) ([]Slot, error) {
 	if err := checkArgs(stage, stages, microbatches, true); err != nil {
 		return nil, err

@@ -7,8 +7,8 @@ import (
 	"testing/quick"
 )
 
-// legacy1F1B is the pre-subsystem parallel.BuildSchedule 1F1B algorithm,
-// inlined verbatim as the bit-identity reference.
+// legacy1F1B is the 1F1B algorithm that predates this package, inlined
+// verbatim as the bit-identity reference.
 func legacy1F1B(stage, stages, microbatches int) []Slot {
 	var slots []Slot
 	warmup := stages - stage - 1
@@ -187,6 +187,57 @@ func TestInterleavedShapes(t *testing.T) {
 	}
 	if err := g.Check(1, 4, true); !errors.Is(err, ErrIncompatible) {
 		t.Fatalf("stages=1 err = %v, want ErrIncompatible", err)
+	}
+}
+
+// TestGPipeSlotOrder pins GPipe's exact slot sequence: every forward in
+// microbatch order, then every backward in microbatch order, on any stage.
+func TestGPipeSlotOrder(t *testing.T) {
+	g, err := New(GPipe, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slots, err := g.Slots(1, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Slot{
+		{Kind: Forward, Microbatch: 0}, {Kind: Forward, Microbatch: 1}, {Kind: Forward, Microbatch: 2},
+		{Kind: Backward, Microbatch: 0}, {Kind: Backward, Microbatch: 1}, {Kind: Backward, Microbatch: 2},
+	}
+	if len(slots) != len(want) {
+		t.Fatalf("got %v", slots)
+	}
+	for i := range want {
+		if slots[i] != want[i] {
+			t.Fatalf("slot %d = %v, want %v", i, slots[i], want[i])
+		}
+	}
+}
+
+// TestInFlightBound checks the memory property each flat schedule is
+// chosen for: 1F1B holds at most stages − stage microbatches in flight on
+// a stage, while GPipe holds every microbatch.
+func TestInFlightBound(t *testing.T) {
+	fb, _ := New(OneFOneB, 0)
+	gp, _ := New(GPipe, 0)
+	for stages := 1; stages <= 8; stages *= 2 {
+		for stage := 0; stage < stages; stage++ {
+			slots, err := fb.Slots(stage, stages, 2*stages)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, bound := InFlight(slots), stages-stage; got > bound {
+				t.Errorf("1F1B stage %d/%d: in-flight %d > bound %d", stage, stages, got, bound)
+			}
+		}
+	}
+	slots, err := gp.Slots(0, 4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := InFlight(slots); got != 8 {
+		t.Fatalf("GPipe in-flight = %d, want 8", got)
 	}
 }
 

@@ -142,11 +142,9 @@ type (
 	// Request describes a graph manipulation (new parallelism or
 	// architecture).
 	Request = manip.Request
-	// PredictResult is a manipulation prediction in trace form.
-	PredictResult = manip.Result
-	// PredictGraphResult is a trace-free manipulation prediction: the
-	// synthesized execution graph with predicted timestamps.
-	PredictGraphResult = manip.GraphResult
+	// PredictResult is a manipulation prediction: the synthesized
+	// execution graph with predicted timestamps.
+	PredictResult = manip.GraphResult
 )
 
 // Task kinds, re-exported for graph analyses.
