@@ -51,9 +51,11 @@ race:
 # ALLOC_GUARD_BUDGET mirrors the TestReplayAllocBudget constant and is
 # archived into BENCH_sweep.json so bench-diff fails if the budget is ever
 # raised (e.g. to absorb observability overhead) without regenerating the
-# committed archive. It also holds one fig7 synthesis under its byte budget
-# (TestSynthesizeAllocBudget), so per-rank program rebuilds cannot return
-# unnoticed, and one serve-plan-shaped branch-and-bound search under its
+# committed archive. It also holds one jittered fig7 synthesis and one
+# deterministic, price-classed TP2×PP2×DP4 synthesis under their byte
+# budgets (TestSynthesizeAllocBudget), so per-rank program rebuilds or
+# predictions that simulate every DP replica cannot return unnoticed, and
+# one serve-plan-shaped branch-and-bound search under its
 # byte budget (TestPlanSearchAllocBudget), so memory estimates or reason
 # strings for points a plan never returns cannot creep back, and fifteen
 # kernel what-ifs on the fig7 base under a per-what-if byte budget

@@ -319,13 +319,20 @@ func BenchmarkGroundTruthSimulator(b *testing.B) {
 	b.ReportMetric(float64(events), "events")
 }
 
-// BenchmarkSynthesize measures the synthesis layer on the fig7 target
-// (GPT-3 15B, TP2×PP2×DP2, 8 microbatches) under each pipeline schedule:
-// program building (one build per stage, stamped across its replicas),
-// the discrete-event simulation and graph emission, as every deploy
-// prediction and plan point pays them. Sub-benchmarks carry a
-// schedule=<name> label that cmd/benchjson records in BENCH_sweep.json;
-// TestSynthesizeAllocBudget (internal/cluster) bounds the same call's bytes.
+// BenchmarkSynthesize measures the synthesis layer two ways, with GPT-3
+// 15B and 8 microbatches:
+//   - schedule=<name>: the jittered ground-truth simulator on the fig7
+//     target (TP2×PP2×DP2) under each pipeline schedule. Ground truth
+//     always simulates every rank: program building (one build per stage,
+//     stamped across its replicas), the discrete-event simulation and
+//     graph emission.
+//   - path=predict/schedule=1f1b: manip.PredictGraphWith on TP2×PP2×DP4
+//     with the fig7 campaign's calibration, as every deploy prediction and
+//     plan point runs it: the DP replicas split into price classes, then
+//     one representative replica simulated.
+//
+// cmd/benchjson records the labels in BENCH_sweep.json;
+// TestSynthesizeAllocBudget (internal/cluster) bounds both shapes' bytes.
 func BenchmarkSynthesize(b *testing.B) {
 	for _, spec := range []string{"1f1b", "gpipe", "interleaved2", "zb-h1"} {
 		cfg, err := WithScheduleSpec(benchConfig(b, model.GPT3_15B(), 2, 2, 2, 8), spec)
@@ -337,7 +344,7 @@ func BenchmarkSynthesize(b *testing.B) {
 			b.ReportAllocs()
 			var tasks int
 			for i := 0; i < b.N; i++ {
-				g, err := cluster.Synthesize(cfg, simCfg)
+				g, err := cluster.Synthesize(cfg, simCfg, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -346,6 +353,25 @@ func BenchmarkSynthesize(b *testing.B) {
 			b.ReportMetric(float64(tasks), "tasks")
 		})
 	}
+	b.Run("path=predict/schedule=1f1b", func(b *testing.B) {
+		base := benchConfig(b, model.GPT3_15B(), 2, 2, 2, 8)
+		st, err := New().Prepare(context.Background(), base, 42)
+		if err != nil {
+			b.Fatal(err)
+		}
+		req := manip.ScaleDP(base, 4)
+		b.ResetTimer()
+		b.ReportAllocs()
+		var tasks int
+		for i := 0; i < b.N; i++ {
+			out, err := manip.PredictGraphWith(req, st.Library, st.Fitted, st.Fabric)
+			if err != nil {
+				b.Fatal(err)
+			}
+			tasks = len(out.Graph.Tasks)
+		}
+		b.ReportMetric(float64(tasks), "tasks")
+	})
 }
 
 // BenchmarkGraphBuild measures execution-graph construction.

@@ -34,6 +34,26 @@ import (
 	"lumos/internal/server"
 )
 
+// readHeaderTimeout bounds how long a client may take to send a request's
+// headers, so idle or trickling connections cannot pin the daemon's
+// sockets; idleTimeout closes keep-alive connections left idle. There is
+// deliberately no WriteTimeout: a large plan may compute for minutes
+// before its response is written, and a write deadline would cut it off.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer builds the API listener's server around handler.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	addr := flag.String("addr", ":8344", "listen address")
 	cacheDir := flag.String("cache-dir", "", "disk-backed scenario cache directory (empty = in-memory only)")
@@ -58,7 +78,7 @@ func main() {
 		TraceSlow: *traceSlow,
 		TraceCap:  *traceCap << 20,
 	})
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := newHTTPServer(*addr, srv)
 
 	if *debugAddr != "" {
 		// pprof registers on http.DefaultServeMux; serve it on its own

@@ -28,6 +28,9 @@ import (
 // bubbleTime returns the average per-rank GPU idle time of the predicted
 // execution: iteration span minus the rank's non-communication kernel
 // time. Fill/drain bubbles dominate it, so schedules are compared on it.
+// The graph simulates one DP replica per price class, so each simulated
+// rank counts once per world rank it stands for (RankWeight), and ranks
+// that were not simulated count not at all.
 func bubbleTime(g *lumos.Graph) float64 {
 	iter := float64(g.Duration())
 	busy := make([]float64, g.NumRanks)
@@ -37,11 +40,13 @@ func bubbleTime(g *lumos.Graph) float64 {
 			busy[t.Rank] += float64(t.Dur)
 		}
 	}
-	var bubble float64
-	for _, b := range busy {
-		bubble += iter - b
+	var bubble, ranks float64
+	for r, b := range busy {
+		w := float64(g.RankWeight(r))
+		bubble += w * (iter - b)
+		ranks += w
 	}
-	return bubble / float64(len(busy))
+	return bubble / ranks
 }
 
 func main() {

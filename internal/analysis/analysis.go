@@ -90,13 +90,14 @@ func averageBreakdowns(sum Breakdown, n int) Breakdown {
 	return sum
 }
 
-// addBreakdown accumulates a per-rank breakdown into a running sum.
-func addBreakdown(sum *Breakdown, b Breakdown) {
-	sum.ExposedCompute += b.ExposedCompute
-	sum.Overlapped += b.Overlapped
-	sum.ExposedComm += b.ExposedComm
-	sum.Other += b.Other
-	sum.Total += b.Total
+// addBreakdown accumulates a per-rank breakdown into a running sum, w
+// times: once per world rank its timeline stands for.
+func addBreakdown(sum *Breakdown, b Breakdown, w trace.Dur) {
+	sum.ExposedCompute += w * b.ExposedCompute
+	sum.Overlapped += w * b.Overlapped
+	sum.ExposedComm += w * b.ExposedComm
+	sum.Other += w * b.Other
+	sum.Total += w * b.Total
 }
 
 // RankBreakdown decomposes one rank's iteration. The iteration span is the
@@ -120,7 +121,7 @@ func MultiBreakdown(m *trace.Multi) Breakdown {
 		if len(t.Events) == 0 {
 			continue
 		}
-		addBreakdown(&sum, RankBreakdown(t))
+		addBreakdown(&sum, RankBreakdown(t), 1)
 		n++
 	}
 	return averageBreakdowns(sum, n)
@@ -135,7 +136,10 @@ func IterationTime(m *trace.Multi) trace.Dur { return m.Duration() }
 // execution decomposes without materializing its trace. For the same task
 // spans it returns exactly MultiBreakdown's numbers over replay.ToTrace:
 // the same intervals feed the same interval algebra. Nil columns select
-// the graph's recorded times (GraphBreakdown).
+// the graph's recorded times (GraphBreakdown). Each rank's breakdown is
+// weighted by Graph.RankWeight, so a graph synthesized under merged price
+// classes averages over the whole world exactly as its full synthesis
+// would.
 func ReplayBreakdown(g *execgraph.Graph, start, end []trace.Time) Breakdown {
 	type rankAcc struct {
 		compute, comm timeline.Set
@@ -179,8 +183,9 @@ func ReplayBreakdown(g *execgraph.Graph, start, end []trace.Time) Breakdown {
 		}
 		a.compute.Normalize()
 		a.comm.Normalize()
-		addBreakdown(&sum, breakdownFromSets(&a.compute, &a.comm, a.end-a.start))
-		n++
+		w := g.RankWeight(r)
+		addBreakdown(&sum, breakdownFromSets(&a.compute, &a.comm, a.end-a.start), trace.Dur(w))
+		n += w
 	}
 	return averageBreakdowns(sum, n)
 }

@@ -263,6 +263,31 @@ type sim struct {
 	// and dependencies directly. All stochastic draws happen at the same
 	// points in both modes, so the two emit identical timings.
 	gb *graphBuilder
+
+	// weight is each rank's price-class size under merged classes (0 for
+	// a rank another replica of its class stands for), nil when every
+	// rank is simulated. counting is the oracle's booking view, nil unless
+	// weight is set and the oracle books lookups.
+	weight   []int32
+	counting countingOracle
+}
+
+// simulated reports whether rank r runs in this simulation.
+func (s *sim) simulated(r int) bool { return s.weight == nil || s.weight[r] > 0 }
+
+// present counts the ranks of a collective's rank list that run in this
+// simulation: the members its rendezvous waits for.
+func (s *sim) present(ranks []int) int {
+	if s.weight == nil {
+		return len(ranks)
+	}
+	n := 0
+	for _, r := range ranks {
+		if s.weight[r] > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 func (s *sim) streamIdx(rank int, kind model.StreamKind) int {
@@ -290,7 +315,7 @@ func (s *sim) pushStream(idx int) {
 // Run simulates one training iteration of the deployment and returns the
 // per-rank traces.
 func Run(cfg parallel.Config, simCfg SimConfig) (*trace.Multi, error) {
-	s, err := newSim(cfg, simCfg, false)
+	s, err := newSim(cfg, simCfg, false, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -323,8 +348,23 @@ func Run(cfg parallel.Config, simCfg SimConfig) (*trace.Multi, error) {
 // inter-thread signal edges, sync-task metadata and cross-rank collective
 // groups. trace.Multi remains the ingestion format for real profiles;
 // predicted deployments use this path.
-func Synthesize(cfg parallel.Config, simCfg SimConfig) (*execgraph.Graph, error) {
-	s, err := newSim(cfg, simCfg, true)
+//
+// classes partitions the DP replicas into price classes (nil: one class
+// per replica, the full synthesis). Only each class's representative
+// replica is simulated. A collective keeps its full rank list for pricing,
+// and its rendezvous completes when the members present have arrived:
+// under a deterministic simulator a class's replicas run identical
+// timelines, so the representatives arrive exactly when the whole world
+// would. The graph's Weight records each simulated rank's class size, and
+// an oracle that books its lookups (manip.Predictor) books each priced
+// kernel once per world kernel it stands for. Jitter, skew and contention
+// make replicas differ, so a merged class under such a SimConfig is an
+// error.
+func Synthesize(cfg parallel.Config, simCfg SimConfig, classes parallel.Classes) (*execgraph.Graph, error) {
+	if classes.Merged() && !simCfg.deterministic() {
+		return nil, fmt.Errorf("cluster: merged price classes need a deterministic simulator (no jitter, skew or contention)")
+	}
+	s, err := newSim(cfg, simCfg, true, classes)
 	if err != nil {
 		return nil, err
 	}
@@ -334,9 +374,28 @@ func Synthesize(cfg parallel.Config, simCfg SimConfig) (*execgraph.Graph, error)
 	return s.gb.finish(), nil
 }
 
+// deterministic reports whether the simulator draws nothing at random and
+// couples no streams by contention, so equal inputs give equal timelines.
+func (c SimConfig) deterministic() bool {
+	return c.ComputeJitterSigma == 0 && c.CommJitterSigma == 0 && c.CPUJitterSigma == 0 &&
+		c.RankSkewSigma == 0 && c.OverlapComputeSlowdown == 1 && c.OverlapCommSlowdown == 1
+}
+
+// countingOracle is an oracle that books its lookups (manip.Predictor
+// counts library hits and misses). Under merged price classes one priced
+// kernel stands for n identical world kernels and is booked n times, so
+// the counts equal a full synthesis's. Under merged classes the simulator
+// prices through these methods instead of Compute and Comm, so a wrapper
+// that embeds a Predictor to override its prices must override them too.
+type countingOracle interface {
+	ComputeN(class trace.KernelClass, flops, bytes int64, n int) trace.Dur
+	CommN(kind trace.CommKind, bytes int64, ranks []int, n int) trace.Dur
+}
+
 // newSim builds the whole-cluster simulation state. With synthesize set it
-// emits an execution graph instead of traces.
-func newSim(cfg parallel.Config, simCfg SimConfig, synthesize bool) (*sim, error) {
+// emits an execution graph instead of traces, simulating the ranks of each
+// price class's representative replica.
+func newSim(cfg parallel.Config, simCfg SimConfig, synthesize bool, classes parallel.Classes) (*sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -354,6 +413,10 @@ func newSim(cfg parallel.Config, simCfg SimConfig, synthesize bool) (*sim, error
 	if oracle == nil {
 		oracle = kernelmodel.NewOracleFabric(simCfg.Fabric, nil)
 	}
+	progs, err := parallel.BuildPrograms(cfg, classes)
+	if err != nil {
+		return nil, err
+	}
 
 	s := &sim{
 		cfg:      simCfg,
@@ -364,6 +427,16 @@ func newSim(cfg parallel.Config, simCfg SimConfig, synthesize bool) (*sim, error
 	}
 	if synthesize {
 		s.gb = newGraphBuilder(world)
+		if classes.Merged() {
+			s.weight = make([]int32, world)
+			block := cfg.Map.TP * cfg.Map.PP
+			for r := range s.weight {
+				s.weight[r] = int32(classes.Size(r / block))
+			}
+			s.gb.g.Weight = s.weight
+			s.gb.g.GroupRanks = map[execgraph.GroupKey][]int{}
+			s.counting, _ = oracle.(countingOracle)
+		}
 	} else {
 		s.traces = trace.NewMulti(world)
 	}
@@ -376,10 +449,14 @@ func newSim(cfg parallel.Config, simCfg SimConfig, synthesize bool) (*sim, error
 	s.nextCorr = make([]int64, world)
 	s.events = make([]map[int64]*eventState, world)
 	s.signals = make([]map[int64]*signalState, world)
+	s.streams = make([]*streamState, world*model.NumStreamKinds)
 	skewRNG := root.Fork(0x5EED5EED)
 	for r := 0; r < world; r++ {
-		s.rngs[r] = root.Fork(uint64(r) + 1)
 		s.rankSkew[r] = skewRNG.LogNormal(simCfg.RankSkewSigma)
+		if !s.simulated(r) {
+			continue
+		}
+		s.rngs[r] = root.Fork(uint64(r) + 1)
 		s.nextCorr[r] = int64(r)*1_000_000_000 + 1
 		s.events[r] = map[int64]*eventState{}
 		s.signals[r] = map[int64]*signalState{}
@@ -387,19 +464,11 @@ func newSim(cfg parallel.Config, simCfg SimConfig, synthesize bool) (*sim, error
 			s.traces.Ranks[r].Meta["model"] = cfg.Arch.Name
 			s.traces.Ranks[r].Meta["parallelism"] = fmt.Sprintf("%dx%dx%d", cfg.Map.TP, cfg.Map.PP, cfg.Map.DP)
 		}
-	}
-
-	s.streams = make([]*streamState, world*model.NumStreamKinds)
-	for r := 0; r < world; r++ {
 		for k := 0; k < model.NumStreamKinds; k++ {
 			s.streams[s.streamIdx(r, model.StreamKind(k))] = &streamState{rank: r, kind: model.StreamKind(k)}
 		}
 	}
 
-	progs, err := parallel.BuildPrograms(cfg)
-	if err != nil {
-		return nil, err
-	}
 	// Preallocate the trace/graph and stream queues: repeated growth of the
 	// large event structs dominates runtime otherwise. A stage's replicas
 	// run the same instruction kinds on the same streams, so the sizes are
@@ -408,6 +477,9 @@ func newSim(cfg parallel.Config, simCfg SimConfig, synthesize bool) (*sim, error
 	totalTasks := 0
 	s.threads = make([]*threadState, world*2)
 	for r, prog := range progs {
+		if prog == nil {
+			continue // another replica of its price class is simulated
+		}
 		qs := sizes[prog.Stage]
 		if qs == nil {
 			qs = countQueues(prog)
@@ -489,7 +561,7 @@ func (s *sim) simulate() error {
 		}
 	}
 	for _, th := range s.threads {
-		if th.pc < len(th.instrs) {
+		if th != nil && th.pc < len(th.instrs) {
 			return fmt.Errorf("cluster: deadlock: rank %d thread %d stuck at instruction %d/%d (kind %d)",
 				th.rank, th.tid, th.pc, len(th.instrs), th.instrs[th.pc].Kind)
 		}
@@ -905,7 +977,12 @@ func (s *sim) contentionFactor(rank int, kind model.StreamKind, isComm bool, sta
 // resolveComputeKernel prices and finalizes a non-collective kernel.
 func (s *sim) resolveComputeKernel(st *streamState, e *entry, ready trace.Time) {
 	op := &e.in.Op
-	base := s.oracle.Compute(op.Class, op.FLOPs, op.Bytes)
+	var base trace.Dur
+	if s.counting != nil {
+		base = s.counting.ComputeN(op.Class, op.FLOPs, op.Bytes, int(s.weight[st.rank]))
+	} else {
+		base = s.oracle.Compute(op.Class, op.FLOPs, op.Bytes)
+	}
 	f := s.rngs[st.rank].LogNormal(s.cfg.ComputeJitterSigma) * s.rankSkew[st.rank]
 	f *= s.contentionFactor(st.rank, st.kind, false, ready)
 	dur := trace.Dur(float64(base) * f)
@@ -929,7 +1006,7 @@ func (s *sim) arriveCollective(streamIdx, entryIdx int, ready trace.Time) bool {
 	key := collKey{e.in.CommID, e.in.CommSeq}
 	c := s.colls[key]
 	if c == nil {
-		c = &collState{expected: len(e.in.CommRanks)}
+		c = &collState{expected: s.present(e.in.CommRanks)}
 		s.colls[key] = c
 	}
 	c.arrivals = append(c.arrivals, arrival{rank: st.rank, streamIdx: streamIdx, entryIdx: entryIdx, localReady: ready})
@@ -951,7 +1028,19 @@ func (s *sim) completeCollective(key collKey, c *collState) {
 		}
 	}
 	first := &s.streams[c.arrivals[0].streamIdx].entries[c.arrivals[0].entryIdx]
-	base := s.oracle.Comm(first.in.Op.Comm, first.in.Op.CommBytes, first.in.CommRanks)
+	var base trace.Dur
+	if s.counting != nil {
+		// The present members' class sizes sum to the rank count times
+		// the number of world collectives this one stands for: its class
+		// size when all members share a replica, 1 for a DP collective.
+		n := 0
+		for _, a := range c.arrivals {
+			n += int(s.weight[a.rank])
+		}
+		base = s.counting.CommN(first.in.Op.Comm, first.in.Op.CommBytes, first.in.CommRanks, n/len(first.in.CommRanks))
+	} else {
+		base = s.oracle.Comm(first.in.Op.Comm, first.in.Op.CommBytes, first.in.CommRanks)
+	}
 
 	jit := s.collRNG.Fork(uint64(key.id)<<20 ^ uint64(key.seq)).LogNormal(s.cfg.CommJitterSigma)
 	f := jit

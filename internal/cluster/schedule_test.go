@@ -53,7 +53,7 @@ func TestScheduleProgramsSimulate(t *testing.T) {
 			}
 			// Graph synthesis must agree with the trace path's timing
 			// (identical stochastic draw order) for the new schedules too.
-			g, err := Synthesize(cfg, DefaultSimConfig(cfg.Map.WorldSize(), 42))
+			g, err := Synthesize(cfg, DefaultSimConfig(cfg.Map.WorldSize(), 42), nil)
 			if err != nil {
 				t.Fatal(err)
 			}

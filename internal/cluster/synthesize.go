@@ -151,8 +151,23 @@ func (gb *graphBuilder) kernel(sIdx, rank int, kind model.StreamKind, e *entry) 
 
 	if op.IsComm() && e.in.CommID != 0 {
 		key := execgraph.GroupKey{CommID: e.in.CommID, CommSeq: e.in.CommSeq}
-		gb.g.Groups[key] = append(gb.g.Groups[key], id)
+		members := gb.g.Groups[key]
+		if members == nil && gb.g.Weight != nil && gb.partial(e.in.CommRanks) {
+			gb.g.GroupRanks[key] = e.in.CommRanks
+		}
+		gb.g.Groups[key] = append(members, id)
 	}
+}
+
+// partial reports whether a collective's rank list includes ranks the
+// graph does not simulate.
+func (gb *graphBuilder) partial(ranks []int) bool {
+	for _, r := range ranks {
+		if gb.g.Weight[r] == 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // finish materializes the buffered edges into per-task Out slices backed by

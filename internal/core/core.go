@@ -159,6 +159,10 @@ type Toolkit struct {
 	compiledPrograms atomic.Int64
 	compiledRuns     atomic.Int64
 	skippedRuns      atomic.Int64
+	// classSplits counts retimes whose target fabric split a synthesized
+	// price class, so the point was synthesized under the finer partition
+	// (see BaseState.predictOnFabric).
+	classSplits atomic.Int64
 
 	// cacheOnce lazily opens the disk cache configured by CacheDir; every
 	// campaign and prediction on this toolkit shares one handle.
@@ -286,9 +290,9 @@ func (tk *Toolkit) Close() error {
 }
 
 // RegisterMetrics exposes the toolkit's counters — profiling runs,
-// calibrations, replay-engine activity, planner bound violations, and
-// (when configured) the disk cache — through the registry as snapshot-time
-// collectors. The collectors read the exact same atomics
+// calibrations, replay-engine activity, planner bound violations,
+// synthesis price-class splits, and (when configured) the disk cache —
+// through the registry as snapshot-time collectors. The collectors read the exact same atomics
 // Counters/EngineStats/DiskCacheStats report, so a /metrics scrape and the
 // Go API can never disagree.
 func (tk *Toolkit) RegisterMetrics(r *obs.Registry) {
@@ -308,6 +312,7 @@ func (tk *Toolkit) RegisterMetrics(r *obs.Registry) {
 			{Name: "lumos_sweep_queue_depth", Kind: obs.KindGauge, Help: "Scenarios dispatched to the sweep worker pool but not yet picked up.", Value: float64(tk.queueDepth.Load())},
 			{Name: "lumos_planner_bound_violations_total", Kind: obs.KindCounter, Help: "Simulated plan points whose analytic bound exceeded their simulated iteration time.", Value: float64(tk.boundViolations.Load())},
 			{Name: "lumos_scenario_panics_total", Kind: obs.KindCounter, Help: "Scenarios whose evaluation panicked and came back as infeasible rows.", Value: float64(tk.scenarioPanics.Load())},
+			{Name: "lumos_synth_class_splits_total", Kind: obs.KindCounter, Help: "Retimes whose target fabric split a synthesized price class, so the point was synthesized under the finer partition.", Value: float64(tk.classSplits.Load())},
 		}
 		if st, ok := tk.DiskCacheStats(); ok {
 			samples = append(samples,

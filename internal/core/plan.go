@@ -14,6 +14,7 @@ import (
 	"sync"
 
 	"lumos/internal/analysis"
+	"lumos/internal/collective"
 	"lumos/internal/manip"
 	"lumos/internal/obs"
 	"lumos/internal/parallel"
@@ -81,9 +82,19 @@ const structCacheCap = 64
 // and degrade axes vary only durations, never the DAG). Past
 // structCacheCap the entry is private to the caller and not stored. sp,
 // when non-nil, parents a "synthesize" span attributed to whichever
-// scenario synthesizes first (structural-cache hits emit no span).
-func (b *BaseState) synthesizeStructural(req manip.Request, sp *obs.Span) (*structEntry, error) {
+// scenario synthesizes first (structural-cache hits emit no span); the
+// span records the world's ranks, the ranks simulated and the price-class
+// count.
+//
+// The synthesis simulates one DP replica per price class under the
+// campaign's predictor. A caller whose retime splits a class (see
+// predictOnFabric) passes the finer partition and the pricers that split
+// it, and gets the synthesis under that partition in its own entry.
+func (b *BaseState) synthesizeStructural(req manip.Request, sp *obs.Span, split parallel.Classes, refine ...collective.Pricer) (*structEntry, error) {
 	key := fmt.Sprintf("%+v", req.Target)
+	if split != nil {
+		key += "|classes=" + split.String()
+	}
 	v, ok := b.structs.Load(key)
 	if !ok {
 		if b.structCount.Load() >= structCacheCap {
@@ -101,7 +112,14 @@ func (b *BaseState) synthesizeStructural(req manip.Request, sp *obs.Span) (*stru
 		defer recordPanic(&e.err, "synthesis")
 		ssp := sp.Child("synthesize")
 		defer ssp.End()
-		e.out, e.err = manip.PredictGraphWith(req, b.Library, b.Fitted, b.Fabric)
+		e.out, e.err = manip.PredictGraphWith(req, b.Library, b.Fitted, b.Fabric, refine...)
+		if e.err == nil {
+			m := req.Target.Map
+			classes := e.out.Classes.Count(m.DP)
+			ssp.Annotate("world_ranks", m.WorldSize())
+			ssp.Annotate("simulated_ranks", classes*m.TP*m.PP)
+			ssp.Annotate("classes", classes)
+		}
 	})
 	return e, e.err
 }
@@ -130,7 +148,12 @@ type fabricPrediction struct {
 // synthesized duration is scaled by target/campaign analytic cost (see
 // manip.CommRetimePlan), the shared program is replayed at those
 // durations, and the answer is the synthesized iteration plus the replayed
-// change: retimed makespan minus the program's own makespan. A plan point
+// change: retimed makespan minus the program's own makespan. A retime
+// must move every replica a synthesized price class stands for alike, so
+// before it the class partition is re-checked under the campaign and
+// target pricers; if a class splits, the target is synthesized under the
+// finer partition in its own structural entry and the fallback is counted
+// (lumos_synth_class_splits_total). A plan point
 // whose retime changes no collective's duration skips the replay: its
 // change is zero by construction. The anchor
 // cancels the replay's offset from synthesis (a launch-bound kernel starts
@@ -140,7 +163,7 @@ type fabricPrediction struct {
 // synthesized iteration. breakdown requests the replayed execution
 // breakdown.
 func (b *BaseState) predictOnFabric(req manip.Request, f topology.Fabric, breakdown bool, sp *obs.Span) (fabricPrediction, error) {
-	e, err := b.synthesizeStructural(req, sp)
+	e, err := b.synthesizeStructural(req, sp, nil)
 	if err != nil {
 		return fabricPrediction{}, err
 	}
@@ -151,13 +174,21 @@ func (b *BaseState) predictOnFabric(req manip.Request, f topology.Fabric, breakd
 	if err != nil {
 		return fabricPrediction{}, err
 	}
-	p := fabricPrediction{out: e.out, iteration: e.out.Iteration}
 	if fabricFingerprint(f) == fabricFingerprint(campaign) {
+		p := fabricPrediction{out: e.out, iteration: e.out.Iteration}
 		if breakdown {
 			p.breakdown = analysis.GraphBreakdown(e.out.Graph)
 		}
 		return p, nil
 	}
+	basePricer, targetPricer := b.tk.pricerFor(campaign), b.tk.pricerFor(f)
+	if fine, split := e.out.Split(m, basePricer, targetPricer); split {
+		b.tk.classSplits.Add(1)
+		if e, err = b.synthesizeStructural(req, sp, fine, basePricer, targetPricer); err != nil {
+			return fabricPrediction{}, err
+		}
+	}
+	p := fabricPrediction{out: e.out, iteration: e.out.Iteration}
 	prog, plan, own, err := e.compiled(b, campaign, sp)
 	if err != nil {
 		return fabricPrediction{}, err
@@ -165,7 +196,7 @@ func (b *BaseState) predictOnFabric(req manip.Request, f topology.Fabric, breakd
 	buf := b.tk.acquireTimings(prog)
 	defer b.tk.releaseTimings(buf)
 	tsp := sp.Child("retime")
-	repriced, changed := plan.Retime(buf.Dur, buf.GroupDur, b.tk.pricerFor(f))
+	repriced, changed := plan.Retime(buf.Dur, buf.GroupDur, targetPricer)
 	tsp.Annotate("changed", changed)
 	tsp.End()
 	p.repriced, p.retimed = repriced, true

@@ -212,7 +212,7 @@ func synthesizeOn(t *testing.T, st *BaseState, target parallel.Config, f topolog
 	}
 	cfg.ComputeJitterSigma, cfg.CommJitterSigma, cfg.CPUJitterSigma, cfg.RankSkewSigma = 0, 0, 0, 0
 	cfg.OverlapComputeSlowdown, cfg.OverlapCommSlowdown = 1, 1
-	g, err := cluster.Synthesize(target, cfg)
+	g, err := cluster.Synthesize(target, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

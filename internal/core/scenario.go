@@ -285,7 +285,7 @@ func (s *deployScenario) Run(ctx context.Context, b *BaseState) (ScenarioResult,
 	// evaluations of one target on this campaign state share the
 	// synthesized DAG with each other and with planner points (synthesis
 	// is deterministic, so sharing is bit-identical to re-synthesizing).
-	e, err := b.synthesizeStructural(req, obs.SpanFrom(ctx))
+	e, err := b.synthesizeStructural(req, obs.SpanFrom(ctx), nil)
 	if err != nil {
 		res.Err = err.Error()
 		return res, nil

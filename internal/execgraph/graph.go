@@ -106,14 +106,31 @@ type GroupKey struct {
 }
 
 // Graph is the multi-rank execution graph.
+//
+// A graph synthesized under merged price classes (cluster.Synthesize)
+// holds tasks for representative ranks only: one DP replica per class.
+// Weight then gives each rank's class size, the number of world ranks its
+// timeline stands for, and 0 for a rank that was not simulated. Everything
+// that sums over ranks (breakdowns, library hit/miss counts, repriced
+// group counts) weights each simulated rank by it, so its answers equal a
+// full synthesis's. Graphs built from traces, and full syntheses, simulate
+// every rank and leave Weight nil.
 type Graph struct {
 	Tasks []Task
 	Procs []Proc
 	// Groups maps a collective instance to its member task IDs (one per
-	// participating rank).
+	// participating rank present in the graph).
 	Groups map[GroupKey][]int32
-	// NumRanks is the world size.
+	// GroupRanks holds the full rank list of each collective instance
+	// some of whose ranks the graph does not simulate, so it can be priced
+	// as the world runs it; nil when every member is present.
+	GroupRanks map[GroupKey][]int
+	// NumRanks is the world size, simulated or not.
 	NumRanks int
+	// Weight is each rank's class size under merged price classes (see
+	// Graph), indexed by rank; nil means every rank is simulated and
+	// weighs 1.
+	Weight []int32
 
 	// procOf maps (rank, isGPU, tid) to processor index during/after build.
 	procIndex map[procKey]int32
@@ -180,13 +197,25 @@ func (g *Graph) Grow(n int) {
 	g.Tasks = tasks
 }
 
+// RankWeight returns how many world ranks rank r's timeline stands for:
+// 1 unless the graph was synthesized under merged price classes (see
+// Weight).
+func (g *Graph) RankWeight(r int) int {
+	if g.Weight == nil {
+		return 1
+	}
+	return int(g.Weight[r])
+}
+
 // FinalizeGroups computes each collective group's intrinsic duration (the
 // minimum member duration — the last-arriving rank's kernel time, free of
-// waiting) and drops degenerate single-member groups. Builders must call it
-// once after all tasks are added.
+// waiting) and drops degenerate single-member groups. A group with one
+// member present but more ranks in GroupRanks is a representative of a
+// real collective and stays. Builders must call it once after all tasks
+// are added.
 func (g *Graph) FinalizeGroups() {
 	for key, members := range g.Groups {
-		if len(members) < 2 {
+		if len(members) < 2 && len(g.GroupRanks[key]) < 2 {
 			delete(g.Groups, key)
 			continue
 		}

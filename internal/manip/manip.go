@@ -20,6 +20,7 @@ import (
 	"sort"
 
 	"lumos/internal/cluster"
+	"lumos/internal/collective"
 	"lumos/internal/execgraph"
 	"lumos/internal/kernelmodel"
 	"lumos/internal/parallel"
@@ -154,22 +155,43 @@ type Predictor struct {
 
 // Compute implements kernelmodel.Predictor.
 func (p *Predictor) Compute(class trace.KernelClass, flops, bytes int64) trace.Dur {
-	if d, ok := p.Lib.compute[computeKey{class, flops, bytes}]; ok {
-		p.Hits++
-		return d
-	}
-	p.Misses++
-	return p.Fitted.Compute(class, flops, bytes)
+	return p.ComputeN(class, flops, bytes, 1)
 }
 
 // Comm implements kernelmodel.Predictor.
 func (p *Predictor) Comm(kind trace.CommKind, bytes int64, ranks []int) trace.Dur {
-	if d, ok := p.Lib.comm[commKey{kind, bytes, len(ranks), p.Lib.fabric.TierOf(ranks)}]; ok {
-		p.Hits++
+	return p.CommN(kind, bytes, ranks, 1)
+}
+
+// ComputeN prices a compute kernel that stands for n identical kernels
+// (a price-class representative's; see cluster.Synthesize), booking its
+// library lookup n times.
+func (p *Predictor) ComputeN(class trace.KernelClass, flops, bytes int64, n int) trace.Dur {
+	if d, ok := p.Lib.compute[computeKey{class, flops, bytes}]; ok {
+		p.Hits += n
 		return d
 	}
-	p.Misses++
+	p.Misses += n
+	return p.Fitted.Compute(class, flops, bytes)
+}
+
+// CommN prices a collective that stands for n identical collectives,
+// booking its library lookup n times; n = 0 prices without booking.
+func (p *Predictor) CommN(kind trace.CommKind, bytes int64, ranks []int, n int) trace.Dur {
+	if d, ok := p.Lib.comm[commKey{kind, bytes, len(ranks), p.Lib.fabric.TierOf(ranks)}]; ok {
+		p.Hits += n
+		return d
+	}
+	p.Misses += n
 	return p.Fitted.Comm(kind, bytes, ranks)
+}
+
+// quietPricer prices collectives as the predictor does without booking
+// a lookup: it is the oracle synthesis splits price classes under.
+type quietPricer struct{ p *Predictor }
+
+func (q quietPricer) Cost(kind trace.CommKind, bytes int64, ranks []int) trace.Dur {
+	return q.p.CommN(kind, bytes, ranks, 0)
 }
 
 // Request describes a manipulation of a profiled baseline.
@@ -203,13 +225,32 @@ func (r Request) Validate() error {
 // GraphResult carries a prediction for a manipulated configuration: the
 // synthesized execution graph for the target with predicted timestamps.
 type GraphResult struct {
-	// Graph is the generated execution graph, timestamps included.
+	// Graph is the generated execution graph, timestamps included. It
+	// simulates one DP replica per price class; Graph.Weight gives each
+	// simulated rank's class size.
 	Graph *execgraph.Graph
 	// Iteration is the predicted per-iteration time.
 	Iteration trace.Dur
-	// LibraryHits/LibraryMisses report how many kernels reused measured
-	// durations vs were priced by the fitted model.
+	// LibraryHits/LibraryMisses report how many kernels of the whole world
+	// reused measured durations vs were priced by the fitted model.
 	LibraryHits, LibraryMisses int
+	// Classes is the price-class partition the graph was synthesized
+	// under (nil at DP 1), and Comms the replica-local communication it
+	// was split by; Split re-checks the partition under other pricers.
+	Classes parallel.Classes
+	Comms   []parallel.ReplicaComm
+}
+
+// Split refines the result's price classes so that every pricer also
+// prices each class's replica-local communication alike, and reports
+// whether any class split. A graph retimed onto a fabric whose pricer
+// splits a class must be synthesized under the finer partition.
+func (r *GraphResult) Split(m topology.Mapping, pricers ...collective.Pricer) (parallel.Classes, bool) {
+	if !r.Classes.Merged() {
+		return r.Classes, false
+	}
+	fine := r.Classes.Split(m, r.Comms, pricers...)
+	return fine, !fine.Equal(r.Classes)
 }
 
 // PredictGraphWith generates the new execution graph for the target
@@ -222,24 +263,42 @@ type GraphResult struct {
 // from the profiled graph or assigned by the kernel performance model. The
 // generator emits the graph directly, with predicted timestamps; no trace
 // is materialized.
-func PredictGraphWith(req Request, lib *Library, fitted *kernelmodel.Fitted, c topology.Fabric) (*GraphResult, error) {
+//
+// Following the paper's DP manipulation, which keeps per-rank work and
+// re-prices only DP communication, the target's DP replicas are first
+// split into price classes: two replicas share a class when the predictor
+// prices every one of their TP-group collectives and pipeline transfers
+// alike (and so does each refine pricer). The generator simulates one
+// representative replica per class and weights its ranks by the class
+// size, which is exact under the deterministic generator: a class's
+// replicas run identical timelines. A refine pricer that tells every
+// replica apart gives the full synthesis.
+func PredictGraphWith(req Request, lib *Library, fitted *kernelmodel.Fitted, c topology.Fabric, refine ...collective.Pricer) (*GraphResult, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
 	pred := &Predictor{Lib: lib, Fitted: fitted}
+	res := &GraphResult{}
+	if m := req.Target.Map; m.DP > 1 {
+		comms, err := parallel.ReplicaComms(req.Target)
+		if err != nil {
+			return nil, err
+		}
+		pricers := append([]collective.Pricer{quietPricer{pred}}, refine...)
+		res.Classes = parallel.OneClass(m.DP).Split(m, comms, pricers...)
+		res.Comms = comms
+	}
 
 	world := req.Target.Map.WorldSize()
 	simCfg := deterministicSim(c, world, pred)
-	g, err := cluster.Synthesize(req.Target, simCfg)
+	g, err := cluster.Synthesize(req.Target, simCfg, res.Classes)
 	if err != nil {
 		return nil, fmt.Errorf("manip: synthesizing target execution graph: %w", err)
 	}
-	return &GraphResult{
-		Graph:         g,
-		Iteration:     g.Duration(),
-		LibraryHits:   pred.Hits,
-		LibraryMisses: pred.Misses,
-	}, nil
+	res.Graph = g
+	res.Iteration = g.Duration()
+	res.LibraryHits, res.LibraryMisses = pred.Hits, pred.Misses
+	return res, nil
 }
 
 // deterministicSim returns simulator settings with all stochastic and

@@ -33,11 +33,14 @@ type CommRetimePlan struct {
 
 type retimeGroup struct {
 	memberOff, memberN int32
-	rankOff            int32
-	kind               trace.CommKind
-	bytes              int64
-	synth              trace.Dur
-	base               trace.Dur
+	rankOff, rankN     int32
+	// weight is how many world collectives the group stands for: its
+	// price-class size, or 1 for a DP collective (see execgraph.Graph).
+	weight int32
+	kind   trace.CommKind
+	bytes  int64
+	synth  trace.Dur
+	base   trace.Dur
 	// intrinsic reports that synth is the recorded intrinsic duration
 	// (GroupDur) of every member, the one a coupled replay of the
 	// unretimed graph runs the group for.
@@ -45,13 +48,12 @@ type retimeGroup struct {
 }
 
 // NewCommRetimePlan lowers g's collective groups, pricing each on the
-// campaign fabric with basePricer.
+// campaign fabric with basePricer. A group with ranks the graph does not
+// simulate is priced on its full rank list (Graph.GroupRanks), however
+// few of its members are present.
 func NewCommRetimePlan(g *execgraph.Graph, basePricer collective.Pricer) *CommRetimePlan {
 	pl := &CommRetimePlan{}
-	for _, members := range g.Groups {
-		if len(members) < 2 {
-			continue
-		}
+	for key, members := range g.Groups {
 		t0 := &g.Tasks[members[0]]
 		gr := retimeGroup{
 			memberOff: int32(len(pl.members)),
@@ -66,11 +68,19 @@ func NewCommRetimePlan(g *execgraph.Graph, basePricer collective.Pricer) *CommRe
 			gr.synth = t0.Dur
 		}
 		pl.members = append(pl.members, members...)
+		weight := 0
 		for _, id := range members {
-			pl.ranks = append(pl.ranks, int(g.Tasks[id].Rank))
+			r := int(g.Tasks[id].Rank)
+			weight += g.RankWeight(r)
+			pl.ranks = append(pl.ranks, r)
 			gr.intrinsic = gr.intrinsic && g.Tasks[id].GroupDur == t0.GroupDur
 		}
+		if full := g.GroupRanks[key]; full != nil {
+			pl.ranks = append(pl.ranks[:gr.rankOff], full...)
+		}
 		ranks := pl.ranks[gr.rankOff:]
+		gr.rankN = int32(len(ranks))
+		gr.weight = int32(weight / len(ranks))
 		sort.Ints(ranks)
 		gr.base = basePricer.Cost(t0.Comm, t0.CommBytes, ranks)
 		pl.groups = append(pl.groups, gr)
@@ -82,26 +92,29 @@ func NewCommRetimePlan(g *execgraph.Graph, basePricer collective.Pricer) *CommRe
 // columns (len == task count): each group's synthesized duration scaled by
 // target/campaign cost. A group whose cost is not positive on either
 // fabric keeps its synthesized duration. It returns the repriced group
-// count and how many of those groups changed duration: a group that keeps
-// its recorded intrinsic duration counts as unchanged. When changed is
-// zero, a coupled-collective replay of the retimed columns is the replay
-// of the unretimed graph (a coupled group runs for its intrinsic
-// duration), so callers may reuse that replay's makespan.
+// count and how many of those groups changed duration, both counted over
+// the world's collectives (a price-class representative's group counts
+// once per replica it stands for): a group that keeps its recorded
+// intrinsic duration counts as unchanged. When changed is zero, a
+// coupled-collective replay of the retimed columns is the replay of the
+// unretimed graph (a coupled group runs for its intrinsic duration), so
+// callers may reuse that replay's makespan.
 func (pl *CommRetimePlan) Retime(dur, groupDur []trace.Dur, pricer collective.Pricer) (repriced, changed int) {
 	for gi := range pl.groups {
 		gr := &pl.groups[gi]
-		ranks := pl.ranks[gr.rankOff : gr.rankOff+gr.memberN]
+		ranks := pl.ranks[gr.rankOff : gr.rankOff+gr.rankN]
 		d := gr.synth
 		if target := pricer.Cost(gr.kind, gr.bytes, ranks); gr.base > 0 && target > 0 {
 			d = trace.Dur(float64(gr.synth) * (float64(target) / float64(gr.base)))
 		}
 		if d != gr.synth || !gr.intrinsic {
-			changed++
+			changed += int(gr.weight)
 		}
 		for _, id := range pl.members[gr.memberOff : gr.memberOff+gr.memberN] {
 			dur[id] = d
 			groupDur[id] = d
 		}
+		repriced += int(gr.weight)
 	}
-	return len(pl.groups), changed
+	return repriced, changed
 }

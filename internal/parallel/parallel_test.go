@@ -382,7 +382,7 @@ func TestBuildProgramsMatchesBuildProgram(t *testing.T) {
 							cfg.Schedule = sc.policy
 							cfg.VirtualStages = sc.virtual
 							cfg.SequenceParallel = sp
-							progs, err := BuildPrograms(cfg)
+							progs, err := BuildPrograms(cfg, nil)
 							if cfg.Validate() != nil {
 								if err == nil {
 									t.Fatalf("%+v: BuildPrograms accepted an invalid config", cfg.Map)

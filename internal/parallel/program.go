@@ -256,6 +256,9 @@ type builder struct {
 	// instructions into sizes (see buildProgram).
 	sizing bool
 	sizes  [2]int
+	// comms, when set on a sizing builder, collects the replica-local
+	// communication its launches would emit (see ReplicaComms).
+	comms *commSet
 
 	// per-communicator sequence counters; p2p channels use payload-keyed
 	// sequence numbers instead (see ppSeq).
@@ -317,6 +320,9 @@ func (b *builder) newSignal() int64 {
 func (b *builder) launch(thread int, op model.Op, mb int) {
 	if b.sizing {
 		b.sizes[thread]++
+		if b.comms != nil && op.IsComm() {
+			b.comms.add(b, op)
+		}
 		return
 	}
 	in := Instr{Kind: ILaunch, Op: op, Stream: op.Stream, Microbatch: mb, PeerRank: -1}
@@ -346,9 +352,32 @@ func (b *builder) launch(thread int, op model.Op, mb int) {
 // microbatch m use seq 2·(c·M+m), gradients the odd successor — for flat
 // schedules exactly the historical 2m / 2m+1 numbering.
 func (b *builder) fillP2P(in *Instr, op model.Op, mb int) {
+	boundary, src, dst := b.p2pEnds(op)
+	m := b.cfg.Map
+	up := src // forward payloads flow downstream
+	if op.Pass == trace.PassBackward {
+		up = dst
+	}
+	in.CommID = m.PPPairID(up)
+	seq := (int64(boundary/m.PP)*int64(b.cfg.Microbatches) + int64(mb)) * 2
+	if op.Pass == trace.PassBackward {
+		seq++
+	}
+	in.CommSeq = seq
+	in.CommRanks = []int{src, dst}
+	if op.Comm == trace.CommSend {
+		in.PeerRank = dst
+	} else {
+		in.PeerRank = src
+	}
+}
+
+// p2pEnds resolves a pipeline send/recv of the slot being emitted: the
+// upstream virtual stage of the boundary it crosses, and the payload's
+// source and destination ranks.
+func (b *builder) p2pEnds(op model.Op) (boundary, src, dst int) {
 	m := b.cfg.Map
 	myG := b.curChunk*m.PP + b.stage
-	var boundary int // upstream virtual stage of the crossed boundary
 	switch {
 	case op.Comm == trace.CommSend && op.Group == model.GroupPPNext: // fwd act out
 		boundary = myG
@@ -361,22 +390,10 @@ func (b *builder) fillP2P(in *Instr, op model.Op, mb int) {
 	}
 	up := m.Rank(b.dp, boundary%m.PP, b.tp)
 	down := m.Rank(b.dp, (boundary+1)%m.PP, b.tp)
-	in.CommID = m.PPPairID(up)
-	seq := (int64(boundary/m.PP)*int64(b.cfg.Microbatches) + int64(mb)) * 2
 	if op.Pass == trace.PassBackward {
-		seq++
+		return boundary, down, up
 	}
-	in.CommSeq = seq
-	src, dst := up, down // forward payloads flow downstream
-	if op.Pass == trace.PassBackward {
-		src, dst = down, up
-	}
-	in.CommRanks = []int{src, dst}
-	if op.Comm == trace.CommSend {
-		in.PeerRank = dst
-	} else {
-		in.PeerRank = src
-	}
+	return boundary, up, down
 }
 
 func (b *builder) nextSeq(commID int64) int64 {
@@ -422,19 +439,25 @@ func BuildProgram(cfg Config, rank int) (*Program, error) {
 	return buildProgram(cfg, rank)
 }
 
-// BuildPrograms constructs every rank's program, indexed by rank. It runs
-// BuildProgram once per pipeline stage and stamps the stage's other TP×DP
-// replicas from that template: a replica's instruction streams are the
-// template's with only the communicator fields re-resolved from its
-// (dp, tp) coordinates — the TP/DP group IDs and rank lists, and the p2p
-// src/dst ranks, pair IDs and peers. Ops, events, signals and sequence
-// numbers do not depend on those coordinates, so every stamped program
-// equals BuildProgram's for its rank.
-func BuildPrograms(cfg Config) ([]*Program, error) {
+// BuildPrograms constructs the programs of the ranks a price-class
+// partition simulates, indexed by rank: every rank of each class's
+// representative DP replica, and nil for the ranks of the other replicas.
+// A nil classes is one class per replica, so every rank gets its program.
+// It runs BuildProgram once per pipeline stage and stamps the stage's
+// other TP×DP replicas from that template: a replica's instruction
+// streams are the template's with only the communicator fields re-resolved
+// from its (dp, tp) coordinates — the TP/DP group IDs and rank lists, and
+// the p2p src/dst ranks, pair IDs and peers. Ops, events, signals and
+// sequence numbers do not depend on those coordinates, so every stamped
+// program equals BuildProgram's for its rank.
+func BuildPrograms(cfg Config, classes Classes) ([]*Program, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	m := cfg.Map
+	if err := classes.check(m.DP); err != nil {
+		return nil, err
+	}
 	progs := make([]*Program, m.WorldSize())
 	for stage := 0; stage < m.PP; stage++ {
 		tmpl, err := buildProgram(cfg, m.Rank(0, stage, 0))
@@ -442,6 +465,9 @@ func BuildPrograms(cfg Config) ([]*Program, error) {
 			return nil, err
 		}
 		for dp := 0; dp < m.DP; dp++ {
+			if classes.Size(dp) == 0 {
+				continue
+			}
 			for tp := 0; tp < m.TP; tp++ {
 				if dp == 0 && tp == 0 {
 					progs[tmpl.Rank] = tmpl

@@ -32,8 +32,13 @@ func TestBoundViolationsCounted(t *testing.T) {
 	base := baseCfg(t)
 	for _, s := range []Space{space(), bnbSpace()} {
 		for _, strat := range []Strategy{Exhaustive{}, BranchAndBound{}} {
-			if res := plan(t, base, s, admissibleSim(), WithStrategy(strat)); res.Stats.BoundViolations != 0 {
+			var ex Explain
+			res := plan(t, base, s, admissibleSim(), WithStrategy(strat), WithExplain(&ex))
+			if res.Stats.BoundViolations != 0 {
 				t.Fatalf("%s: admissible simulator tripped %d bound violations", strat.Name(), res.Stats.BoundViolations)
+			}
+			if !res.Exact || ex.Exact != nil {
+				t.Fatalf("%s: admissible search marked inexact (result %v, explain %v)", strat.Name(), res.Exact, ex.Exact)
 			}
 		}
 	}
@@ -55,7 +60,8 @@ func TestBoundViolationsCounted(t *testing.T) {
 			}
 			return c.Bound
 		}
-		res := plan(t, base, space(), sim, WithStrategy(strat))
+		var ex Explain
+		res := plan(t, base, space(), sim, WithStrategy(strat), WithExplain(&ex))
 		want := 0
 		for k := range under {
 			if sim.unique[k] > 0 {
@@ -65,6 +71,9 @@ func TestBoundViolationsCounted(t *testing.T) {
 		if want == 0 || res.Stats.BoundViolations != want {
 			t.Fatalf("%s: %d bound violations, want %d (of %d undershooting points)",
 				strat.Name(), res.Stats.BoundViolations, want, len(under))
+		}
+		if res.Exact || ex.Exact == nil || *ex.Exact {
+			t.Fatalf("%s: %d bound violations but result exact=%v, explain exact=%v", strat.Name(), want, res.Exact, ex.Exact)
 		}
 	}
 }

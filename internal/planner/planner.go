@@ -233,6 +233,10 @@ type Explain struct {
 	// Pruned holds one record per wholesale-discarded subtree, in prune
 	// order. Empty under Exhaustive.
 	Pruned []ExplainPrune `json:"pruned,omitempty"`
+	// Exact is false when the search counted a bound violation (see
+	// Result.Exact) and nil otherwise, so an exact search's report
+	// serializes without it.
+	Exact *bool `json:"exact,omitempty"`
 }
 
 // SimulatedCount is len(Simulated) — equal to Stats.Simulated.
@@ -335,6 +339,11 @@ type Result struct {
 	Infeasible []Candidate
 	// Stats reports search effort.
 	Stats Stats
+	// Exact is false when the search counted a bound violation
+	// (Stats.BoundViolations > 0): the analytic bound was not admissible
+	// on this profile, so the search's exactness guarantee does not hold
+	// and bound pruning may have discarded a point faster than Best.
+	Exact bool
 }
 
 // Best returns the frontier's fastest point.
@@ -440,8 +449,12 @@ func Plan(ctx context.Context, base parallel.Config, space Space,
 	}
 	frontier, dominated := paretoSplit(ok)
 
+	exact := stats.BoundViolations == 0
 	if o.Explain != nil {
 		o.Explain.Strategy = strat.Name()
+		if !exact {
+			o.Explain.Exact = &exact
+		}
 	}
 	return &Result{
 		Strategy:   strat.Name(),
@@ -449,6 +462,7 @@ func Plan(ctx context.Context, base parallel.Config, space Space,
 		Dominated:  dominated,
 		Infeasible: rej.kept,
 		Stats:      stats,
+		Exact:      exact,
 	}, nil
 }
 

@@ -100,7 +100,7 @@ func TestCompiledMatchesInterpreterSchedules(t *testing.T) {
 		t.Run(sc.name, func(t *testing.T) {
 			for _, seed := range []uint64{7, 71} {
 				cfg := schedConfig(t, sc.pol, 2, 2, 1, 4)
-				synth, err := cluster.Synthesize(cfg, cluster.DefaultSimConfig(cfg.Map.WorldSize(), seed))
+				synth, err := cluster.Synthesize(cfg, cluster.DefaultSimConfig(cfg.Map.WorldSize(), seed), nil)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -503,7 +503,10 @@ func (s *Simulator) finish(id int32, start, end trace.Time) {
 
 // ToTrace materializes the simulation as per-rank traces with replayed
 // timestamps, mirroring the structure of the originally collected trace so
-// downstream analyses run unchanged on real and simulated executions.
+// downstream analyses run unchanged on real and simulated executions. A
+// graph synthesized under merged price classes (see execgraph.Graph)
+// emits events for its simulated ranks only; the other ranks' traces stay
+// empty, so trace-level averages over it are not weighted by class size.
 func ToTrace(g *execgraph.Graph, res *Result) *trace.Multi {
 	m := trace.NewMulti(g.NumRanks)
 	for i := range g.Tasks {

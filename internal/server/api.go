@@ -331,8 +331,12 @@ type PlanStats struct {
 // sweeps, cache counters are deliberately absent so bodies are
 // byte-deterministic across worker counts and cache states.
 type PlanResponse struct {
-	Profile         string            `json:"profile"`
-	Strategy        string            `json:"strategy"`
+	Profile  string `json:"profile"`
+	Strategy string `json:"strategy"`
+	// Exact is false when the search counted a bound violation, so its
+	// exactness guarantee does not hold (see planner.Result.Exact), and
+	// omitted otherwise.
+	Exact           *bool             `json:"exact,omitempty"`
 	BaseIterationMs float64           `json:"base_iteration_ms"`
 	Frontier        []PlanPoint       `json:"frontier"`
 	Dominated       []PlanPoint       `json:"dominated,omitempty"`

@@ -43,8 +43,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("plan = %d: %s", rec.Code, rec.Body.String())
 	}
 	// The admissible bound holds on the fig7 profile, so the violation
-	// count is zero and stays out of the response body.
-	if strings.Contains(rec.Body.String(), "bound_violations") {
+	// count is zero and stays out of the response body, and so does the
+	// inexact mark a violation would set.
+	if strings.Contains(rec.Body.String(), "bound_violations") || strings.Contains(rec.Body.String(), `"exact"`) {
 		t.Errorf("plan response reports bound violations: %s", rec.Body.String())
 	}
 
@@ -62,6 +63,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"lumosd_plans_total 1",
 		"# TYPE lumos_engine_runs_total counter",
 		"lumos_planner_bound_violations_total 0",
+		"lumos_synth_class_splits_total 0",
 		`lumos_memo_hits_total{profile="fig7"}`,
 		"lumos_scache_puts_total",
 	} {

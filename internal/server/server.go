@@ -671,6 +671,9 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 			DominatedRetained: len(res.Dominated),
 		},
 	}
+	if !res.Exact {
+		resp.Exact = &res.Exact
+	}
 	for i, e := range res.Frontier {
 		resp.Frontier[i] = point(i+1, e)
 	}

@@ -130,7 +130,12 @@ type (
 	Trace = trace.Trace
 	// Multi is a set of per-rank traces.
 	Multi = trace.Multi
-	// Graph is the task-level execution graph.
+	// Graph is the task-level execution graph. A predicted graph
+	// simulates one data-parallel replica per price class: NumRanks stays
+	// the world size, only the representative ranks have tasks, and
+	// RankWeight(r) says how many world ranks rank r's timeline stands for
+	// (0 for a rank that was not simulated). Per-rank sums must weight by
+	// it.
 	Graph = execgraph.Graph
 	// Task is one node of the execution graph.
 	Task = execgraph.Task
@@ -143,7 +148,10 @@ type (
 	// architecture).
 	Request = manip.Request
 	// PredictResult is a manipulation prediction: the synthesized
-	// execution graph with predicted timestamps.
+	// execution graph with predicted timestamps. The graph holds the
+	// ranks of one representative DP replica per price class, weighted by
+	// class size (see Graph); Iteration, GraphBreakdown and the library
+	// hit/miss counts cover the whole world.
 	PredictResult = manip.GraphResult
 )
 
