@@ -292,9 +292,9 @@ func (tk *Toolkit) Close() error {
 // RegisterMetrics exposes the toolkit's counters — profiling runs,
 // calibrations, replay-engine activity, planner bound violations,
 // synthesis price-class splits, and (when configured) the disk cache —
-// through the registry as snapshot-time collectors. The collectors read the exact same atomics
-// Counters/EngineStats/DiskCacheStats report, so a /metrics scrape and the
-// Go API can never disagree.
+// through the registry as snapshot-time collectors. The collectors read
+// the exact same atomics Counters/EngineStats/DiskCacheStats report, so a
+// /metrics scrape and the Go API can never disagree.
 func (tk *Toolkit) RegisterMetrics(r *obs.Registry) {
 	if r == nil {
 		return

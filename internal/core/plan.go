@@ -93,7 +93,7 @@ const structCacheCap = 64
 func (b *BaseState) synthesizeStructural(req manip.Request, sp *obs.Span, split parallel.Classes, refine ...collective.Pricer) (*structEntry, error) {
 	key := fmt.Sprintf("%+v", req.Target)
 	if split != nil {
-		key += "|classes=" + split.String()
+		key += fmt.Sprintf("|classes=%v", split)
 	}
 	v, ok := b.structs.Load(key)
 	if !ok {

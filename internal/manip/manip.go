@@ -17,6 +17,7 @@ package manip
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"lumos/internal/cluster"
@@ -250,7 +251,7 @@ func (r *GraphResult) Split(m topology.Mapping, pricers ...collective.Pricer) (p
 		return r.Classes, false
 	}
 	fine := r.Classes.Split(m, r.Comms, pricers...)
-	return fine, !fine.Equal(r.Classes)
+	return fine, !slices.Equal(fine, r.Classes)
 }
 
 // PredictGraphWith generates the new execution graph for the target

@@ -2,8 +2,7 @@ package parallel
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
+	"slices"
 
 	"lumos/internal/collective"
 	"lumos/internal/model"
@@ -86,37 +85,6 @@ func (c Classes) Count(dp int) int {
 	return n
 }
 
-// Equal reports whether two partitions of the same replicas agree. A nil
-// Classes equals the partition that keeps every replica apart.
-func (c Classes) Equal(o Classes) bool {
-	n := max(len(c), len(o))
-	for d := 0; d < n; d++ {
-		if c.rep(d) != o.rep(d) {
-			return false
-		}
-	}
-	return true
-}
-
-func (c Classes) rep(d int) int {
-	if c == nil {
-		return d
-	}
-	return c[d]
-}
-
-// String renders the representative of each replica, e.g. "0,1,2,0".
-func (c Classes) String() string {
-	var sb strings.Builder
-	for d, rep := range c {
-		if d > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.Itoa(rep))
-	}
-	return sb.String()
-}
-
 // Split refines c by price: two replicas stay in one class only when they
 // share one in c and every pricer prices each of comms identically on
 // both, with comms' replica-0 ranks shifted into each replica's block.
@@ -147,7 +115,7 @@ func (c Classes) Split(m topology.Mapping, comms []ReplicaComm, pricers ...colle
 		out[d] = d
 		sig := sigs[d*width : (d+1)*width]
 		for _, r := range reps {
-			if c[r] == c[d] && equalDurs(sigs[r*width:(r+1)*width], sig) {
+			if c[r] == c[d] && slices.Equal(sigs[r*width:(r+1)*width], sig) {
 				out[d] = r
 				break
 			}
@@ -157,15 +125,6 @@ func (c Classes) Split(m topology.Mapping, comms []ReplicaComm, pricers ...colle
 		}
 	}
 	return out
-}
-
-func equalDurs(a, b []trace.Dur) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // ReplicaComm is one collective or point-to-point transfer that DP replica
