@@ -68,12 +68,17 @@ alloc-guard:
 	$(GO) test -run TestPlanSearchAllocBudget -count 1 ./internal/planner/
 	$(GO) test -run TestWhatIfAllocBudget -count 1 ./internal/core/
 
-# fuzz-smoke runs the fabric-pricing fuzz target for 10 s beyond its seed
-# corpus (testdata/fuzz/FuzzFabricPricing, which plain go test replays): no
-# fabric preset or degrade factor the resolvers accept may price a
+# fuzz-smoke runs each fuzz target for 10 s beyond its seed corpus
+# (testdata/fuzz/<target>, which plain go test replays). FuzzFabricPricing:
+# no fabric preset or degrade factor the resolvers accept may price a
 # collective below its launch overhead or wrap past trace.Dur's range.
+# FuzzRequestBuilders: no lumosd sweep or plan body may panic the campaign
+# builders the API and the CLI share, or get a campaign past the admission
+# limits. Its seeds include a 34 KB body, so interesting inputs are not
+# minimized: minimizing one would take most of the 10 s.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFabricPricing$$' -fuzztime 10s .
+	$(GO) test -run '^$$' -fuzz '^FuzzRequestBuilders$$' -fuzztime 10s -fuzzminimizetime 1x ./internal/server/
 
 # benchsmoke runs every benchmark once as a regression canary.
 benchsmoke:

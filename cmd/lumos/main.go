@@ -60,6 +60,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sort"
@@ -70,6 +71,7 @@ import (
 
 	"lumos"
 	"lumos/internal/analysis"
+	"lumos/internal/server"
 )
 
 func usage() {
@@ -100,9 +102,9 @@ func main() {
 	case "whatif":
 		err = cmdWhatIf(ctx, args)
 	case "sweep":
-		err = cmdSweep(ctx, args)
+		err = cmdSweep(ctx, os.Stdout, args)
 	case "plan":
-		err = cmdPlan(ctx, args)
+		err = cmdPlan(ctx, os.Stdout, args)
 	case "trace":
 		err = cmdTrace(args)
 	default:
@@ -112,10 +114,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "lumos %s: %v\n", cmd, err)
 		os.Exit(1)
 	}
-}
-
-func archByName(name string) (lumos.Arch, error) {
-	return lumos.ArchPreset(name)
 }
 
 // deployFlags registers the deployment flag set shared by tracegen/predict/sweep.
@@ -130,7 +128,7 @@ func deployFlags(fs *flag.FlagSet) (mdl *string, tp, pp, dp, mb *int, seed *uint
 }
 
 func buildConfig(mdl string, tp, pp, dp, mb int) (lumos.Config, error) {
-	arch, err := archByName(mdl)
+	arch, err := lumos.ArchPreset(mdl)
 	if err != nil {
 		return lumos.Config{}, err
 	}
@@ -260,7 +258,7 @@ func cmdPredict(ctx context.Context, args []string) error {
 		target.Map.DP = *newDP
 	}
 	if *newArch != "" {
-		arch, err := archByName(*newArch)
+		arch, err := lumos.ArchPreset(*newArch)
 		if err != nil {
 			return err
 		}
@@ -351,39 +349,24 @@ func kernelClassNames() []string {
 	return names
 }
 
-// fabricByName resolves a fabric preset for the given world size via the
-// shared lumos.FabricPreset resolver, so the CLI and the planning service
-// accept identical names and print identical menus.
-func fabricByName(name string, world int) (lumos.Fabric, error) {
-	return lumos.FabricPreset(name, world)
-}
-
-// parseScheduleList validates a comma-separated -schedule list, resolving
-// each spec so unknown names fail fast with the full menu of valid
-// schedules (parity with the -fabric and -strategy menus).
-func parseScheduleList(s string) ([]string, error) {
+// splitList splits a comma-separated list flag into trimmed elements; a
+// blank flag is an empty list.
+func splitList(s string) []string {
 	if strings.TrimSpace(s) == "" {
-		return nil, nil
+		return nil
 	}
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		spec, err := lumos.ParseSchedule(part)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, spec.Name())
+	parts := strings.Split(s, ",")
+	for i, p := range parts {
+		parts[i] = strings.TrimSpace(p)
 	}
-	return out, nil
+	return parts
 }
 
 // parseFloatList parses "1,0.75,0.5" into []float64.
 func parseFloatList(s string) ([]float64, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
 	var out []float64
-	for _, part := range strings.Split(s, ",") {
-		v, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
+	for _, part := range splitList(s) {
+		v, err := strconv.ParseFloat(part, 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad list element %q: %w", part, err)
 		}
@@ -394,12 +377,9 @@ func parseFloatList(s string) ([]float64, error) {
 
 // parseIntList parses "2,4,8" into []int.
 func parseIntList(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
 	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
+	for _, part := range splitList(s) {
+		n, err := strconv.Atoi(part)
 		if err != nil {
 			return nil, fmt.Errorf("bad list element %q: %w", part, err)
 		}
@@ -408,7 +388,9 @@ func parseIntList(s string) ([]int, error) {
 	return out, nil
 }
 
-func cmdSweep(ctx context.Context, args []string) error {
+// cmdSweep fills a lumosd SweepRequest from its flags, so the CLI and the
+// planning service build the same campaign from the same fields.
+func cmdSweep(ctx context.Context, w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	mdl, tp, pp, dp, mb, seed := deployFlags(fs)
 	in := fs.String("in", "", "profiled trace directory of the base config (empty = profile now)")
@@ -432,70 +414,28 @@ func cmdSweep(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	tps, err := parseIntList(*tpRange)
-	if err != nil {
+	req := server.SweepRequest{
+		Archs:     splitList(*archList),
+		Schedules: splitList(*schedList),
+		Fabrics:   splitList(*fabricList),
+		WhatIf:    *whatIf,
+		Top:       *top,
+	}
+	if req.TPRange, err = parseIntList(*tpRange); err != nil {
 		return err
 	}
-	if tps == nil {
-		tps = []int{base.Map.TP}
-	}
-	pps, err := parseIntList(*ppRange)
-	if err != nil {
+	if req.PPRange, err = parseIntList(*ppRange); err != nil {
 		return err
 	}
-	if pps == nil {
-		pps = []int{base.Map.PP}
-	}
-	dps, err := parseIntList(*dpRange)
-	if err != nil {
+	if req.DPRange, err = parseIntList(*dpRange); err != nil {
 		return err
 	}
-	if dps == nil {
-		dps = []int{base.Map.DP}
+	if req.Degrade, err = parseFloatList(*degradeList); err != nil {
+		return err
 	}
-
-	scenarios := []lumos.Scenario{lumos.BaselineScenario()}
-	scenarios = append(scenarios, lumos.GridSweep(base.Arch, tps, pps, dps)...)
-	if *archList != "" {
-		for _, name := range strings.Split(*archList, ",") {
-			arch, err := archByName(strings.TrimSpace(name))
-			if err != nil {
-				return err
-			}
-			scenarios = append(scenarios, lumos.ArchScenario(arch))
-		}
-	}
-	if *schedList != "" {
-		specs, err := parseScheduleList(*schedList)
-		if err != nil {
-			return err
-		}
-		scenarios = append(scenarios, lumos.ScheduleSweep(specs)...)
-	}
-	if *fabricList != "" || *degradeList != "" {
-		var fabrics []lumos.Fabric
-		if *fabricList != "" {
-			for _, name := range strings.Split(*fabricList, ",") {
-				f, err := fabricByName(name, base.Map.WorldSize())
-				if err != nil {
-					return err
-				}
-				fabrics = append(fabrics, f)
-			}
-		}
-		factors, err := parseFloatList(*degradeList)
-		if err != nil {
-			return err
-		}
-		scenarios = append(scenarios, lumos.FabricSweep(fabrics, factors)...)
-	}
-	if *whatIf {
-		scenarios = append(scenarios,
-			lumos.ClassScaleScenario(lumos.KCGEMM, 0.5),
-			lumos.ClassScaleScenario(lumos.KCAttention, 0.5),
-			lumos.ClassScaleScenario(lumos.KCComm, 0.5),
-			lumos.FusionScenario(),
-		)
+	scenarios, err := req.Scenarios(base)
+	if err != nil {
+		return err
 	}
 
 	tracer, tkOpts := traceOptions(*traceOut, toolkitOptions(*workers, *seed, *cacheDir))
@@ -507,14 +447,14 @@ func cmdSweep(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("base %s %dx%dx%d: %d profiled ranks loaded from %s\n", base.Arch.Name,
+		fmt.Fprintf(w, "base %s %dx%dx%d: %d profiled ranks loaded from %s\n", base.Arch.Name,
 			base.Map.TP, base.Map.PP, base.Map.DP, traces.NumRanks(), *in)
 		st, err = tk.PrepareTraces(ctx, base, traces)
 		if err != nil {
 			return sweepErr(err)
 		}
 	} else {
-		fmt.Printf("base %s %dx%dx%d: profiling %d GPUs (seed %d)...\n", base.Arch.Name,
+		fmt.Fprintf(w, "base %s %dx%dx%d: profiling %d GPUs (seed %d)...\n", base.Arch.Name,
 			base.Map.TP, base.Map.PP, base.Map.DP, base.Map.WorldSize(), *seed)
 		st, err = tk.Prepare(ctx, base, *seed)
 		if err != nil {
@@ -526,23 +466,15 @@ func cmdSweep(ctx context.Context, args []string) error {
 		return sweepErr(err)
 	}
 
-	fmt.Printf("base iteration %.1fms; %d scenarios evaluated in %v (profile-once, shared calibration)\n\n",
+	fmt.Fprintf(w, "base iteration %.1fms; %d scenarios evaluated in %v (profile-once, shared calibration)\n\n",
 		analysis.Millis(sweep.Base.Iteration), len(sweep.Results), time.Since(t0).Round(time.Millisecond))
 
-	results := sweep.Results
-	if *top > 0 {
-		ranked := sweep.Top(*top)
-		// Keep infeasible points visible below the cut so campaigns over
-		// mixed grids explain themselves.
-		infeasible := results[len(results)-countInfeasible(results):]
-		results = append(append([]lumos.ScenarioResult{}, ranked...), infeasible...)
-	}
-	fmt.Printf("%4s  %-24s %-13s %6s %12s %9s %9s  %s\n",
+	fmt.Fprintf(w, "%4s  %-24s %-13s %6s %12s %9s %9s  %s\n",
 		"rank", "scenario", "kind", "gpus", "pred/iter", "speedup", "Δcost", "notes")
 	rank := 1
-	for _, r := range results {
+	for _, r := range req.Listed(sweep) {
 		if !r.Feasible() {
-			fmt.Printf("%4s  %-24s %-13s %6s %12s %9s %9s  infeasible: %s\n",
+			fmt.Fprintf(w, "%4s  %-24s %-13s %6s %12s %9s %9s  infeasible: %s\n",
 				"-", clip(r.Name, 24), r.Kind, "-", "-", "-", "-", r.Err)
 			continue
 		}
@@ -550,23 +482,23 @@ func cmdSweep(ctx context.Context, args []string) error {
 		if notes == "" && r.LibraryHits+r.LibraryMisses > 0 {
 			notes = fmt.Sprintf("%d kernels measured, %d modeled", r.LibraryHits, r.LibraryMisses)
 		}
-		fmt.Printf("%4d  %-24s %-13s %6d %10.1fms %8.2fx %+8.1f%%  %s\n",
+		fmt.Fprintf(w, "%4d  %-24s %-13s %6d %10.1fms %8.2fx %+8.1f%%  %s\n",
 			rank, clip(r.Name, 24), r.Kind, r.World, analysis.Millis(r.Iteration),
 			r.Speedup, 100*r.CostDelta, notes)
 		rank++
 	}
 	if best, ok := sweep.Best(); ok {
-		fmt.Printf("\nbest: %s — %.1fms/iter (%.2fx vs base)\n",
+		fmt.Fprintf(w, "\nbest: %s — %.1fms/iter (%.2fx vs base)\n",
 			best.Name, analysis.Millis(best.Iteration), best.Speedup)
 	}
 	if *verbose {
-		printCounterSummary(st)
+		printCounterSummary(w, st)
 	}
-	printCacheStats(*cacheDir, st)
+	printCacheStats(w, *cacheDir, st)
 	if *showMetrics {
-		printMetricsTable(tk, st)
+		printMetricsTable(w, tk, st)
 	}
-	return writeTrace(tracer, *traceOut)
+	return writeTrace(w, tracer, *traceOut)
 }
 
 // traceOptions attaches a tracer to the toolkit options when -trace is set.
@@ -579,7 +511,7 @@ func traceOptions(path string, opts []lumos.Option) (*lumos.Tracer, []lumos.Opti
 }
 
 // writeTrace exports the recorded spans as Chrome trace-event JSON.
-func writeTrace(tr *lumos.Tracer, path string) error {
+func writeTrace(w io.Writer, tr *lumos.Tracer, path string) error {
 	if tr == nil || path == "" {
 		return nil
 	}
@@ -594,7 +526,7 @@ func writeTrace(tr *lumos.Tracer, path string) error {
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Printf("\ntrace: wrote %d events to %s (open in ui.perfetto.dev or chrome://tracing)\n",
+	fmt.Fprintf(w, "\ntrace: wrote %d events to %s (open in ui.perfetto.dev or chrome://tracing)\n",
 		len(tr.Events()), path)
 	return nil
 }
@@ -602,10 +534,10 @@ func writeTrace(tr *lumos.Tracer, path string) error {
 // printCounterSummary reports the replay-engine and two-level scenario
 // cache counters for a campaign state — the same numbers `lumos plan`
 // always prints, available on sweeps under -v.
-func printCounterSummary(st *lumos.BaseState) {
+func printCounterSummary(w io.Writer, st *lumos.BaseState) {
 	cs := st.CacheStats()
-	fmt.Printf("\nreplay engine: %d programs compiled, %d runs\n", cs.CompiledPrograms, cs.CompiledRuns)
-	fmt.Printf("scenario cache: %d memo hits (%d entries), %d disk hits, %d disk misses\n",
+	fmt.Fprintf(w, "\nreplay engine: %d programs compiled, %d runs\n", cs.CompiledPrograms, cs.CompiledRuns)
+	fmt.Fprintf(w, "scenario cache: %d memo hits (%d entries), %d disk hits, %d disk misses\n",
 		cs.MemoHits, cs.MemoEntries, cs.DiskHits, cs.DiskMisses)
 }
 
@@ -614,23 +546,23 @@ func printCounterSummary(st *lumos.BaseState) {
 // snapshot — the same series a lumosd /metrics scrape would expose for
 // this run. Runtime registration happens here, at snapshot assembly, so
 // CLI output includes the runtime gauges without a server running.
-func printMetricsTable(tk *lumos.Toolkit, st *lumos.BaseState) {
+func printMetricsTable(w io.Writer, tk *lumos.Toolkit, st *lumos.BaseState) {
 	reg := lumos.NewRegistry()
 	tk.RegisterMetrics(reg)
 	st.RegisterMetrics(reg)
 	lumos.RegisterRuntime(reg)
 	snap := reg.Snapshot()
-	fmt.Printf("\n%-44s %-9s %s\n", "metric", "kind", "value")
+	fmt.Fprintf(w, "\n%-44s %-9s %s\n", "metric", "kind", "value")
 	for _, s := range snap.Samples {
 		name := s.Name
 		if s.Labels != "" {
 			name += "{" + s.Labels + "}"
 		}
 		if s.Kind == lumos.MetricHistogram {
-			fmt.Printf("%-44s %-9s count=%d sum=%g\n", name, s.Kind, s.Count, s.Sum)
+			fmt.Fprintf(w, "%-44s %-9s count=%d sum=%g\n", name, s.Kind, s.Count, s.Sum)
 			continue
 		}
-		fmt.Printf("%-44s %-9s %g\n", name, s.Kind, s.Value)
+		fmt.Fprintf(w, "%-44s %-9s %g\n", name, s.Kind, s.Value)
 	}
 }
 
@@ -646,17 +578,19 @@ func toolkitOptions(workers int, seed uint64, cacheDir string) []lumos.Option {
 
 // printCacheStats reports two-level cache activity when a disk cache is
 // configured, so warm re-runs explain where their speed came from.
-func printCacheStats(cacheDir string, st *lumos.BaseState) {
+func printCacheStats(w io.Writer, cacheDir string, st *lumos.BaseState) {
 	if cacheDir == "" {
 		return
 	}
 	cs := st.CacheStats()
-	fmt.Printf("\ncache: %d memo hits, %d disk hits, %d disk misses (store: %d entries, %.1f MiB, %d puts, %d discards)\n",
+	fmt.Fprintf(w, "\ncache: %d memo hits, %d disk hits, %d disk misses (store: %d entries, %.1f MiB, %d puts, %d discards)\n",
 		cs.MemoHits, cs.DiskHits, cs.DiskMisses,
 		cs.Disk.Entries, float64(cs.Disk.Bytes)/(1<<20), cs.Disk.Puts, cs.Disk.Discards)
 }
 
-func cmdPlan(ctx context.Context, args []string) error {
+// cmdPlan fills a lumosd PlanRequest from its flags, so the CLI and the
+// planning service search the same space with the same options.
+func cmdPlan(ctx context.Context, w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("plan", flag.ExitOnError)
 	mdl, tp, pp, dp, mb, seed := deployFlags(fs)
 	in := fs.String("in", "", "profiled trace directory of the base config (empty = profile now)")
@@ -669,7 +603,7 @@ func cmdPlan(ctx context.Context, args []string) error {
 	degradeList := fs.String("degrade", "", "comma-separated network bandwidth factors beyond the NVLink domain (e.g. 1,0.75,0.5)")
 	strategy := fs.String("strategy", "auto", "search strategy: auto|exhaustive|bnb (auto: exhaustive up to 24 points, bnb beyond)")
 	budget := fs.Int("budget", 0, "max points promoted to full simulation (0 = no cap)")
-	gpuMem := fs.Float64("gpu-mem-gib", 80, "device memory capacity in GiB for the feasibility model")
+	gpuMem := fs.Float64("gpu-mem-gib", 80, "device memory capacity in GiB for the feasibility model (0 = 80)")
 	zero := fs.Int("zero", 0, "ZeRO sharding stage for the memory model: 0 (none), 1 (optimizer), 2 (+gradients)")
 	top := fs.Int("top", 10, "print only the K best dominated points (0 = all)")
 	workers := fs.Int("workers", 0, "sweep worker pool size (0 = auto)")
@@ -683,68 +617,38 @@ func cmdPlan(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	var space lumos.Space
-	if space.TP, err = parseIntList(*tpRange); err != nil {
+	req := server.PlanRequest{
+		Schedules: splitList(*schedList),
+		Fabrics:   splitList(*fabricList),
+		Strategy:  *strategy,
+		Budget:    *budget,
+		GPUMemGiB: *gpuMem,
+		ZeRO:      *zero,
+		Top:       *top,
+	}
+	if req.TPRange, err = parseIntList(*tpRange); err != nil {
 		return err
 	}
-	if space.PP, err = parseIntList(*ppRange); err != nil {
+	if req.PPRange, err = parseIntList(*ppRange); err != nil {
 		return err
 	}
-	if space.DP, err = parseIntList(*dpRange); err != nil {
+	if req.DPRange, err = parseIntList(*dpRange); err != nil {
 		return err
 	}
-	if space.Microbatch, err = parseIntList(*mbRange); err != nil {
+	if req.MBRange, err = parseIntList(*mbRange); err != nil {
 		return err
 	}
-	if space.Schedules, err = parseScheduleList(*schedList); err != nil {
+	if req.Degrade, err = parseFloatList(*degradeList); err != nil {
 		return err
 	}
-	if *fabricList != "" {
-		// Size presets for the largest world the space can reach.
-		maxWorld := base.Map.WorldSize()
-		space.ForEach(base, func(p lumos.PlanPoint) bool {
-			if w := p.World(); w > maxWorld {
-				maxWorld = w
-			}
-			return true
-		})
-		for _, name := range strings.Split(*fabricList, ",") {
-			f, err := fabricByName(name, maxWorld)
-			if err != nil {
-				return err
-			}
-			space.Fabrics = append(space.Fabrics, f)
-		}
-	}
-	if *degradeList != "" {
-		factors, err := parseFloatList(*degradeList)
-		if err != nil {
-			return err
-		}
-		for _, f := range factors {
-			space.Degrade = append(space.Degrade, lumos.NetworkDegradeFactors(f))
-		}
-	}
-
-	strat, err := lumos.PlanStrategyByName(*strategy)
+	space, err := req.Space(base)
 	if err != nil {
 		return err
 	}
-	opts := []lumos.PlanOption{lumos.WithPlanStrategy(strat)}
-	if *budget > 0 {
-		opts = append(opts, lumos.WithPlanBudget(*budget))
+	opts, err := req.Options()
+	if err != nil {
+		return err
 	}
-	if *zero < 0 || *zero > 2 {
-		return fmt.Errorf("bad -zero %d (want 0 none, 1 optimizer states, 2 +gradients)", *zero)
-	}
-	if !(*gpuMem > 0) {
-		return fmt.Errorf("bad -gpu-mem-gib %g (want a positive capacity)", *gpuMem)
-	}
-	mem := lumos.MemoryModel{
-		GPUMemBytes: int64(*gpuMem * (1 << 30)),
-		ZeRO:        lumos.ZeROStage(*zero),
-	}
-	opts = append(opts, lumos.WithMemoryModel(mem))
 	var explain *lumos.PlanExplain
 	if *explainOut != "" {
 		explain = &lumos.PlanExplain{}
@@ -765,7 +669,7 @@ func cmdPlan(ctx context.Context, args []string) error {
 			return sweepErr(err)
 		}
 	} else {
-		fmt.Printf("base %s %dx%dx%d: profiling %d GPUs (seed %d)...\n", base.Arch.Name,
+		fmt.Fprintf(w, "base %s %dx%dx%d: profiling %d GPUs (seed %d)...\n", base.Arch.Name,
 			base.Map.TP, base.Map.PP, base.Map.DP, base.Map.WorldSize(), *seed)
 		st, err = tk.Prepare(ctx, base, *seed)
 		if err != nil {
@@ -778,37 +682,29 @@ func cmdPlan(ctx context.Context, args []string) error {
 	}
 
 	s := res.Stats
-	fmt.Printf("base iteration %.1fms; strategy=%s space=%d feasible=%d mem-rejected=%d schedule-rejected=%d scope-rejected=%d\n",
+	fmt.Fprintf(w, "base iteration %.1fms; strategy=%s space=%d feasible=%d mem-rejected=%d schedule-rejected=%d scope-rejected=%d\n",
 		analysis.Millis(st.Iteration), res.Strategy, s.SpaceSize, s.Feasible, s.MemRejected, s.ScheduleRejected, s.ScopeRejected)
 	if s.BoundPruned > 0 || s.DominatedPruned > 0 {
-		fmt.Printf("pruned without simulating: %d by bound, %d dominated\n", s.BoundPruned, s.DominatedPruned)
+		fmt.Fprintf(w, "pruned without simulating: %d by bound, %d dominated\n", s.BoundPruned, s.DominatedPruned)
 	}
-	fmt.Printf("simulated %d points (%d re-timed a shared graph) in %d rounds in %v\n",
+	fmt.Fprintf(w, "simulated %d points (%d re-timed a shared graph) in %d rounds in %v\n",
 		s.Simulated, s.SharedStructure, s.Rounds, time.Since(t0).Round(time.Millisecond))
 	cs := st.CacheStats()
-	fmt.Printf("replay engine: %d programs compiled, %d runs\n\n", cs.CompiledPrograms, cs.CompiledRuns)
+	fmt.Fprintf(w, "replay engine: %d programs compiled, %d runs\n\n", cs.CompiledPrograms, cs.CompiledRuns)
 
 	printPlanPoint := func(rank int, e lumos.PlanEvaluated) {
-		speedup := 0.0
-		if e.Iteration > 0 {
-			speedup = float64(st.Iteration) / float64(e.Iteration)
-		}
-		fmt.Printf("%4d  %-28s %6d %10.1fms %8.2fx %7.1fGiB  %10.1fms\n",
+		fmt.Fprintf(w, "%4d  %-28s %6d %10.1fms %8.2fx %7.1fGiB  %10.1fms\n",
 			rank, clip(e.Point.Key(), 28), e.Point.World(), analysis.Millis(e.Iteration),
-			speedup, e.Mem.GiB(), analysis.Millis(e.Bound))
+			server.PlanSpeedup(st, e), e.Mem.GiB(), analysis.Millis(e.Bound))
 	}
-	fmt.Println("Pareto frontier (iteration time × GPU count × peak memory):")
-	printPlanHeader()
+	fmt.Fprintln(w, "Pareto frontier (iteration time × GPU count × peak memory):")
+	printPlanHeader(w)
 	for i, e := range res.Frontier {
 		printPlanPoint(i+1, e)
 	}
-	dominated := res.Dominated
-	if *top > 0 && len(dominated) > *top {
-		dominated = dominated[:*top]
-	}
-	if len(dominated) > 0 {
-		fmt.Printf("\ndominated (%d total, ranked):\n", len(res.Dominated))
-		printPlanHeader()
+	if dominated := req.ListedDominated(res); len(dominated) > 0 {
+		fmt.Fprintf(w, "\ndominated (%d total, ranked):\n", len(res.Dominated))
+		printPlanHeader(w)
 		for i, e := range dominated {
 			printPlanPoint(len(res.Frontier)+i+1, e)
 		}
@@ -816,30 +712,30 @@ func cmdPlan(ctx context.Context, args []string) error {
 	if len(res.Infeasible) > 0 {
 		// The retained list mixes analytic rejections with points that were
 		// promoted but failed in simulation; each entry carries its reason.
-		fmt.Printf("\ninfeasible (%d mem-rejected, %d schedule-rejected, %d scope-rejected; %d retained with reasons):\n",
+		fmt.Fprintf(w, "\ninfeasible (%d mem-rejected, %d schedule-rejected, %d scope-rejected; %d retained with reasons):\n",
 			s.MemRejected, s.ScheduleRejected, s.ScopeRejected, len(res.Infeasible))
 		for _, c := range res.Infeasible {
-			fmt.Printf("  %-28s %s\n", clip(c.Point.Key(), 28), c.Infeasible)
+			fmt.Fprintf(w, "  %-28s %s\n", clip(c.Point.Key(), 28), c.Infeasible)
 		}
 	}
 	if best, ok := res.Best(); ok {
-		fmt.Printf("\nbest: %s — %.1fms/iter on %d GPUs, %s\n",
+		fmt.Fprintf(w, "\nbest: %s — %.1fms/iter on %d GPUs, %s\n",
 			best.Point.Key(), analysis.Millis(best.Iteration), best.Point.World(), best.Mem)
 	}
-	printCacheStats(*cacheDir, st)
+	printCacheStats(w, *cacheDir, st)
 	if explain != nil {
-		if err := writeExplain(explain, *explainOut); err != nil {
+		if err := writeExplain(w, explain, *explainOut); err != nil {
 			return err
 		}
 	}
 	if *showMetrics {
-		printMetricsTable(tk, st)
+		printMetricsTable(w, tk, st)
 	}
-	return writeTrace(tracer, *traceOut)
+	return writeTrace(w, tracer, *traceOut)
 }
 
 // writeExplain dumps the planner explain report as indented JSON.
-func writeExplain(e *lumos.PlanExplain, path string) error {
+func writeExplain(w io.Writer, e *lumos.PlanExplain, path string) error {
 	data, err := json.MarshalIndent(e, "", "  ")
 	if err != nil {
 		return fmt.Errorf("encoding explain report: %w", err)
@@ -847,24 +743,14 @@ func writeExplain(e *lumos.PlanExplain, path string) error {
 	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 		return err
 	}
-	fmt.Printf("explain: wrote %d simulated + %d pruned-subtree records to %s\n",
+	fmt.Fprintf(w, "explain: wrote %d simulated + %d pruned-subtree records to %s\n",
 		e.SimulatedCount(), len(e.Pruned), path)
 	return nil
 }
 
-func printPlanHeader() {
-	fmt.Printf("%4s  %-28s %6s %12s %9s %10s  %12s\n",
+func printPlanHeader(w io.Writer) {
+	fmt.Fprintf(w, "%4s  %-28s %6s %12s %9s %10s  %12s\n",
 		"rank", "point", "gpus", "pred/iter", "speedup", "mem", "bound")
-}
-
-func countInfeasible(results []lumos.ScenarioResult) int {
-	n := 0
-	for _, r := range results {
-		if !r.Feasible() {
-			n++
-		}
-	}
-	return n
 }
 
 // cmdTrace dispatches the trace-analysis subcommands; "top" is the only

@@ -15,7 +15,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -254,9 +253,6 @@ func (tk *Toolkit) Counters() (profiles, libraryBuilds int64) {
 	return tk.profiles.Load(), tk.libraryBuilds.Load()
 }
 
-// tracer returns the configured tracer; nil means tracing is disabled.
-func (tk *Toolkit) tracer() *obs.Tracer { return tk.opts.Tracer }
-
 // tracerFor resolves the tracer for a call: a request-scoped tracer carried
 // by ctx (obs.ContextWithTracer) overrides the toolkit-bound one, so lumosd
 // can give every request an isolated trace over a shared toolkit. With
@@ -266,12 +262,6 @@ func (tk *Toolkit) tracerFor(ctx context.Context) *obs.Tracer {
 		return t
 	}
 	return tk.opts.Tracer
-}
-
-// WorkerGauges reports live sweep worker-pool occupancy: scenarios being
-// evaluated right now and scenarios dispatched but not yet picked up.
-func (tk *Toolkit) WorkerGauges() (busy, queued int64) {
-	return tk.workersBusy.Load(), tk.queueDepth.Load()
 }
 
 // Close releases process-held resources: the disk cache (when configured)
@@ -483,7 +473,7 @@ func (tk *Toolkit) Predict(ctx context.Context, req manip.Request, profiled *tra
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	lib, fitted, f, err := tk.calibrate(req, profiled)
+	lib, fitted, f, err := tk.calibrate(ctx, req, profiled)
 	if err != nil {
 		return nil, err
 	}
@@ -495,7 +485,7 @@ func (tk *Toolkit) Predict(ctx context.Context, req manip.Request, profiled *tra
 // bindings — the same artifacts a campaign's BaseState holds. With a disk
 // cache configured, a previously calibrated (trace set, fabric, pricer)
 // triple is reloaded instead of re-extracted and refit.
-func (tk *Toolkit) calibrate(req manip.Request, profiled *trace.Multi) (*manip.Library, *kernelmodel.Fitted, topology.Fabric, error) {
+func (tk *Toolkit) calibrate(ctx context.Context, req manip.Request, profiled *trace.Multi) (*manip.Library, *kernelmodel.Fitted, topology.Fabric, error) {
 	world := req.Target.Map.WorldSize()
 	if base := req.Base.Map.WorldSize(); base > world {
 		world = base
@@ -505,7 +495,7 @@ func (tk *Toolkit) calibrate(req manip.Request, profiled *trace.Multi) (*manip.L
 	if tk.opts.CacheDir != "" {
 		traceFP = trace.Fingerprint(profiled)
 	}
-	lib, fitted, err := tk.calibrationFor(tk.tracer(), profiled, f, traceFP)
+	lib, fitted, err := tk.calibrationFor(tk.tracerFor(ctx), profiled, f, traceFP)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -608,6 +598,3 @@ func LoadTraces(dir string) (*trace.Multi, error) {
 	}
 	return &trace.Multi{Ranks: ranks}, nil
 }
-
-// WriteTrace encodes one rank's trace as Kineto JSON to w.
-func WriteTrace(w io.Writer, t *trace.Trace) error { return trace.EncodeJSON(w, t) }

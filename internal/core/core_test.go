@@ -8,6 +8,7 @@ import (
 
 	"lumos/internal/manip"
 	"lumos/internal/model"
+	"lumos/internal/obs"
 	"lumos/internal/parallel"
 	"lumos/internal/topology"
 )
@@ -95,6 +96,28 @@ func TestPredictViaToolkit(t *testing.T) {
 	if res.Iteration <= 0 || res.Graph.NumRanks != 8 {
 		t.Fatalf("prediction: iter=%d ranks=%d", res.Iteration, res.Graph.NumRanks)
 	}
+}
+
+// TestPredictTracesToContextTracer: Predict records its calibrate span on
+// a tracer carried in the context, as every other toolkit entry point does,
+// so a request-scoped tracer sees the whole prediction.
+func TestPredictTracesToContextTracer(t *testing.T) {
+	tk := New()
+	cfg := testConfig(t)
+	traces, err := tk.Profile(context.Background(), cfg, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTracer()
+	if _, err := tk.Predict(obs.ContextWithTracer(context.Background(), tr), manip.ScaleDP(cfg, 2), traces); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range tr.Events() {
+		if e.Cat == "pipeline" && e.Name == "calibrate" {
+			return
+		}
+	}
+	t.Fatalf("context tracer recorded no pipeline/calibrate span in %d events", len(tr.Events()))
 }
 
 func TestContextCancellationShortCircuits(t *testing.T) {

@@ -646,9 +646,6 @@ func ScheduleSweep(specs []string) []Scenario {
 	return scenarios
 }
 
-// ScheduleNames lists the valid schedule spec names for CLI menus.
-func ScheduleNames() []string { return schedule.Names() }
-
 // baselineScenario reports the base point itself, so it appears in rankings.
 type baselineScenario struct{}
 

@@ -1,12 +1,13 @@
 // Package obs is lumos's own observability layer: a lock-cheap metrics
-// registry (atomic counters, gauges, fixed-bucket histograms) with a
+// registry (atomic counters, fixed-bucket histograms, and snapshot-time
+// collectors that report gauges read from storage owned elsewhere) with a
 // deterministic snapshot API and a hand-rolled Prometheus text writer,
 // plus lightweight spans exported as Chrome trace-event JSON (trace.go).
 //
 // The package depends only on the standard library so every other lumos
-// package can import it without cycles. All hot-path operations — Counter.Add,
-// Gauge.Set, Histogram.Observe — are single atomic ops; the registry mutex is
-// only taken on metric creation and snapshot.
+// package can import it without cycles. The hot-path operations —
+// Counter.Add and Histogram.Observe — are atomic ops; the registry mutex is
+// only taken on metric creation, collector registration and snapshot.
 package obs
 
 import (
@@ -46,13 +47,6 @@ type Counter struct{ v atomic.Int64 }
 func (c *Counter) Inc()         { c.v.Add(1) }
 func (c *Counter) Add(n int64)  { c.v.Add(n) }
 func (c *Counter) Value() int64 { return c.v.Load() }
-func (c *Counter) Set(n int64)  { c.v.Store(n) } // for rebasing onto external totals
-
-// Gauge is a value that can go up and down.
-type Gauge struct{ bits atomic.Uint64 }
-
-func (g *Gauge) Set(v float64)  { g.bits.Store(math.Float64bits(v)) }
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram counts observations into fixed upper-bound buckets. Bounds are
 // set at registration and never change, so Observe is a binary search plus
@@ -118,7 +112,6 @@ type Snapshot struct {
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	hists      map[string]*Histogram
 	help       map[string]string    // metric name -> help
 	bounds     map[string][]float64 // histogram name -> bounds
@@ -129,7 +122,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 		help:     map[string]string{},
 		bounds:   map[string][]float64{},
@@ -198,23 +190,6 @@ func (r *Registry) Counter(name, help string, labelPairs ...string) *Counter {
 	return c
 }
 
-// Gauge returns the gauge for name plus label pairs, creating it on first use.
-func (r *Registry) Gauge(name, help string, labelPairs ...string) *Gauge {
-	if r == nil {
-		return &Gauge{}
-	}
-	key := seriesKey(name, RenderLabels(labelPairs...))
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[key]; ok {
-		return g
-	}
-	g := &Gauge{}
-	r.gauges[key] = g
-	r.setHelpLocked(name, help)
-	return g
-}
-
 // Histogram returns the histogram for name plus label pairs, creating it with
 // the given bucket upper bounds on first use. Later calls ignore bounds.
 func (r *Registry) Histogram(name, help string, buckets []float64, labelPairs ...string) *Histogram {
@@ -280,14 +255,10 @@ func (r *Registry) Snapshot() Snapshot {
 		return Snapshot{}
 	}
 	r.mu.Lock()
-	samples := make([]Sample, 0, len(r.counters)+len(r.gauges)+2*len(r.hists))
+	samples := make([]Sample, 0, len(r.counters)+2*len(r.hists))
 	for key, c := range r.counters {
 		name, labels := splitSeriesKey(key)
 		samples = append(samples, Sample{Name: name, Labels: labels, Kind: KindCounter, Help: r.help[name], Value: float64(c.Value())})
-	}
-	for key, g := range r.gauges {
-		name, labels := splitSeriesKey(key)
-		samples = append(samples, Sample{Name: name, Labels: labels, Kind: KindGauge, Help: r.help[name], Value: g.Value()})
 	}
 	for key, h := range r.hists {
 		name, labels := splitSeriesKey(key)

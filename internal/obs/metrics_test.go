@@ -10,8 +10,8 @@ import (
 )
 
 // TestRegistryConcurrent hammers one registry from many goroutines — metric
-// creation, hot-path updates, and snapshots interleaved — and checks the
-// totals. Run under -race by `make race`.
+// creation, collector registration, hot-path updates, and snapshots
+// interleaved — and checks the totals. Run under -race by `make race`.
 func TestRegistryConcurrent(t *testing.T) {
 	r := NewRegistry()
 	const workers = 8
@@ -23,11 +23,12 @@ func TestRegistryConcurrent(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			c := r.Counter("lumos_test_ops_total", "ops", "worker", fmt.Sprint(w%2))
-			g := r.Gauge("lumos_test_depth", "depth")
+			r.Collect(func() []Sample {
+				return []Sample{{Name: "lumos_test_depth", Labels: RenderLabels("worker", fmt.Sprint(w)), Kind: KindGauge, Value: 1}}
+			})
 			h := r.Histogram("lumos_test_latency_seconds", "lat", DefBuckets)
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
-				g.Set(float64(i))
 				h.Observe(float64(i%100) / 1000)
 				if i%100 == 0 {
 					_ = r.Snapshot()
@@ -38,14 +39,20 @@ func TestRegistryConcurrent(t *testing.T) {
 	wg.Wait()
 
 	snap := r.Snapshot()
-	var total float64
+	var total, depth float64
 	for _, sm := range snap.Samples {
-		if sm.Name == "lumos_test_ops_total" {
+		switch sm.Name {
+		case "lumos_test_ops_total":
 			total += sm.Value
+		case "lumos_test_depth":
+			depth += sm.Value
 		}
 	}
 	if total != workers*perWorker {
 		t.Fatalf("counter total = %v, want %d", total, workers*perWorker)
+	}
+	if depth != workers {
+		t.Fatalf("collected %v depth samples, want %d", depth, workers)
 	}
 	for _, sm := range snap.Samples {
 		if sm.Name == "lumos_test_latency_seconds" {
@@ -92,7 +99,9 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("lumos_requests_total", "Requests served.", "endpoint", "/v1/plan").Add(3)
 	r.Counter("lumos_requests_total", "Requests served.", "endpoint", "/v1/sweep").Add(5)
-	r.Gauge("lumos_cache_bytes", "Cache size in bytes.").Set(1536.5)
+	r.Collect(func() []Sample {
+		return []Sample{{Name: "lumos_cache_bytes", Kind: KindGauge, Help: "Cache size in bytes.", Value: 1536.5}}
+	})
 	h := r.Histogram("lumos_latency_seconds", "Request latency.", []float64{0.01, 0.1, 1})
 	h.Observe(0.005)
 	h.Observe(0.05)
@@ -177,11 +186,15 @@ func TestSnapshotDeterministic(t *testing.T) {
 		r := NewRegistry()
 		for i := 0; i < 50; i++ {
 			r.Counter("lumos_c_total", "c", "k", fmt.Sprint(i%7)).Add(int64(i))
-			r.Gauge("lumos_g", "g", "k", fmt.Sprint(i%5)).Set(float64(i))
 			r.Histogram("lumos_h_seconds", "h", []float64{0.1, 1}, "k", fmt.Sprint(i%3)).Observe(float64(i) / 25)
 		}
 		r.Collect(func() []Sample {
-			return []Sample{{Name: "lumos_ext_total", Kind: KindCounter, Value: 42}}
+			// Gauges in reverse label order: the snapshot sorts them.
+			out := []Sample{{Name: "lumos_ext_total", Kind: KindCounter, Value: 42}}
+			for k := 4; k >= 0; k-- {
+				out = append(out, Sample{Name: "lumos_g", Labels: RenderLabels("k", fmt.Sprint(k)), Kind: KindGauge, Help: "g", Value: float64(45 + k)})
+			}
+			return out
 		})
 		return r
 	}
@@ -202,7 +215,6 @@ func TestSnapshotDeterministic(t *testing.T) {
 func TestNilRegistry(t *testing.T) {
 	var r *Registry
 	r.Counter("x", "").Inc()
-	r.Gauge("y", "").Set(1)
 	r.Histogram("z", "", nil).Observe(1)
 	r.Collect(func() []Sample { return nil })
 	if got := r.Snapshot(); len(got.Samples) != 0 {

@@ -132,14 +132,6 @@ func (c Config) Check(explain bool) error {
 // stage's model chunks under interleaved schedules).
 func (c Config) LayersPerStage() int { return c.Arch.Layers / c.Map.PP }
 
-// StageLayers returns the global layer index range [lo, hi) of a stage
-// under a flat (single-chunk) layout; interleaved stages host
-// VirtualChunks disjoint ranges instead (see ChunkLayers).
-func (c Config) StageLayers(stage int) (lo, hi int) {
-	lps := c.LayersPerStage()
-	return stage * lps, (stage + 1) * lps
-}
-
 // shape returns the ShapeConfig for op generation.
 func (c Config) shape() model.ShapeConfig {
 	return model.ShapeConfig{

@@ -2,6 +2,8 @@ package planner
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -99,6 +101,28 @@ func TestSpaceLazyExpansion(t *testing.T) {
 	s.ForEach(base, func(Point) bool { n++; return n < 3 })
 	if n != 3 {
 		t.Fatalf("yield=false did not stop the walk (saw %d)", n)
+	}
+}
+
+// TestSizeSaturates: 600 distinct values on each of the seven axes make
+// about 2.8·10¹⁹ points, past MaxInt64. Size saturates instead of wrapping
+// to a negative count that would pass any size limit.
+func TestSizeSaturates(t *testing.T) {
+	base := baseCfg(t)
+	var s Space
+	for i := 1; i <= 600; i++ {
+		s.TP, s.PP, s.DP = append(s.TP, i), append(s.PP, i), append(s.DP, i)
+		s.Microbatch = append(s.Microbatch, i)
+		s.Schedules = append(s.Schedules, fmt.Sprintf("interleaved%d", i+1))
+		s.Fabrics = append(s.Fabrics, topology.OversubscribedFabric(8, 1+float64(i)/1000))
+		s.Degrade = append(s.Degrade, []float64{1, float64(i) / 1000})
+	}
+	if got := s.Size(base); got != math.MaxInt {
+		t.Fatalf("Size = %d, want math.MaxInt", got)
+	}
+	s.Fabrics = nil
+	if got, want := s.Size(base), 600*600*600*600*600*600; got != want {
+		t.Fatalf("Size without fabrics = %d, want %d", got, want)
 	}
 }
 

@@ -9,6 +9,7 @@ package planner
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"strings"
 
 	"lumos/internal/parallel"
@@ -162,10 +163,18 @@ func distinct[T any, K comparable](vals []T, id func(T) K) []T {
 	return out
 }
 
-// Size returns the number of points the space expands to.
+// Size returns the number of points the space expands to, saturating at
+// math.MaxInt rather than wrapping.
 func (s Space) Size(base parallel.Config) int {
 	r := s.withBase(base)
-	return len(r.TP) * len(r.PP) * len(r.DP) * len(r.Microbatch) * len(r.Schedules) * len(r.Fabrics) * len(r.Degrade)
+	n := 1
+	for _, k := range []int{len(r.TP), len(r.PP), len(r.DP), len(r.Microbatch), len(r.Schedules), len(r.Fabrics), len(r.Degrade)} {
+		if n > math.MaxInt/k {
+			return math.MaxInt
+		}
+		n *= k
+	}
+	return n
 }
 
 // ForEach streams every point of the space in deterministic order without

@@ -228,9 +228,6 @@ func startOrder(tasks []execgraph.Task) []int32 {
 	return order
 }
 
-// NumTasks returns the compiled task count.
-func (p *Program) NumTasks() int { return p.nTasks }
-
 // BaseDur returns the recorded per-task duration column, indexed by graph
 // task ID. The slice is program-owned and must not be modified; copy it to
 // seed a Timings buffer.

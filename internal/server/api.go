@@ -1,20 +1,36 @@
-// Wire types and campaign builders for the lumosd HTTP API. The request
-// schemas mirror the `lumos sweep` / `lumos plan` CLI flags one-for-one
-// (same preset names, same defaulting, same menus in error messages), and
-// the builders reuse the exact façade constructors the CLI calls — so a
-// campaign posted to lumosd is byte-identical to the same campaign run
-// in-process.
+// Wire types and campaign builders for the lumosd HTTP API. SweepRequest
+// and PlanRequest are the one spec of a campaign: lumosd decodes them from
+// request bodies, and the `lumos sweep` / `lumos plan` CLI fills the same
+// structs from its flags and calls the same builders (Scenarios, Space,
+// Options) and result cuts (Listed, ListedDominated, PlanSpeedup). Both
+// front ends therefore share one set of defaults, preset menus, admission
+// limits and error messages, and a campaign posted to lumosd is the
+// campaign the CLI runs.
 package server
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"lumos"
 )
 
+// Admission limits. The builders reject a campaign over either limit
+// before anything walks or builds it, so a small body cannot ask for an
+// unbounded search. Both are fixed, not configurable.
+const (
+	// MaxPlanPoints caps a plan's search space: the million-point scale
+	// branch-and-bound is built for.
+	MaxPlanPoints = 1 << 20
+	// MaxSweepScenarios caps a sweep's scenario count, counted before any
+	// scenario is built.
+	MaxSweepScenarios = 4096
+)
+
 // Deployment names the base deployment a profile was (or will be)
-// collected under. Zero values default like the CLI: model "15b",
-// tp/pp/dp 1, microbatches 8.
+// collected under. Zero values default to model "15b", tp/pp/dp 1 and
+// microbatches 8.
 type Deployment struct {
 	Model        string `json:"model,omitempty"`
 	TP           int    `json:"tp,omitempty"`
@@ -104,10 +120,10 @@ type ProfileList struct {
 	Profiles []ProfileInfo `json:"profiles"`
 }
 
-// SweepRequest runs a scenario campaign against a registered profile. The
-// fields mirror `lumos sweep`: grid ranges default to the base degrees,
-// fabrics/schedules are preset names, Degrade holds network bandwidth
-// factors, WhatIf adds the kernel counterfactuals.
+// SweepRequest runs a scenario campaign against a registered profile;
+// `lumos sweep` fills it from its flags. Grid ranges default to the base
+// degrees, fabrics/schedules are preset names, Degrade holds network
+// bandwidth factors, WhatIf adds the kernel counterfactuals.
 type SweepRequest struct {
 	Profile   string    `json:"profile"`
 	TPRange   []int     `json:"tp_range,omitempty"`
@@ -118,8 +134,8 @@ type SweepRequest struct {
 	Fabrics   []string  `json:"fabrics,omitempty"`
 	Degrade   []float64 `json:"degrade,omitempty"`
 	WhatIf    bool      `json:"whatif,omitempty"`
-	// Top keeps only the K best-ranked feasible scenarios (infeasible
-	// points stay visible below the cut, as in the CLI). 0 = all.
+	// Top keeps only the K best-ranked feasible scenarios; infeasible
+	// points stay visible below the cut (see Listed). 0 = all.
 	Top int `json:"top,omitempty"`
 	// Trace forces the request's flight-recorder trace to be retained
 	// regardless of the server's slow-request threshold, and echoes the
@@ -127,17 +143,22 @@ type SweepRequest struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// scenarios assembles the campaign exactly like cmdSweep does.
-func (req *SweepRequest) scenarios(base lumos.Config) ([]lumos.Scenario, error) {
-	tps, pps, dps := req.TPRange, req.PPRange, req.DPRange
-	if len(tps) == 0 {
-		tps = []int{base.Map.TP}
+// Scenarios builds the campaign against base: the baseline, the TP×PP×DP
+// grid, the architecture variants, the schedules, the fabric × degrade
+// rows and, with WhatIf, the four kernel counterfactuals. A campaign over
+// MaxSweepScenarios is rejected before any scenario is built.
+func (req *SweepRequest) Scenarios(base lumos.Config) ([]lumos.Scenario, error) {
+	tps, pps, dps := orBase(req.TPRange, base.Map.TP), orBase(req.PPRange, base.Map.PP), orBase(req.DPRange, base.Map.DP)
+	// Counted in float64, so no product of list lengths can wrap.
+	n := 1 + float64(len(tps))*float64(len(pps))*float64(len(dps)) + float64(len(req.Archs)) + float64(len(req.Schedules))
+	if len(req.Fabrics) > 0 || len(req.Degrade) > 0 {
+		n += float64(max(len(req.Fabrics), 1)) * float64(max(len(req.Degrade), 1))
 	}
-	if len(pps) == 0 {
-		pps = []int{base.Map.PP}
+	if req.WhatIf {
+		n += 4 // the kernel counterfactuals appended below
 	}
-	if len(dps) == 0 {
-		dps = []int{base.Map.DP}
+	if n > MaxSweepScenarios {
+		return nil, fmt.Errorf("sweep has %.0f scenarios, over the limit of %d", n, MaxSweepScenarios)
 	}
 	scenarios := []lumos.Scenario{lumos.BaselineScenario()}
 	scenarios = append(scenarios, lumos.GridSweep(base.Arch, tps, pps, dps)...)
@@ -148,13 +169,11 @@ func (req *SweepRequest) scenarios(base lumos.Config) ([]lumos.Scenario, error) 
 		}
 		scenarios = append(scenarios, lumos.ArchScenario(arch))
 	}
-	if len(req.Schedules) > 0 {
-		specs, err := scheduleNames(req.Schedules)
-		if err != nil {
-			return nil, err
-		}
-		scenarios = append(scenarios, lumos.ScheduleSweep(specs)...)
+	specs, err := scheduleNames(req.Schedules)
+	if err != nil {
+		return nil, err
 	}
+	scenarios = append(scenarios, lumos.ScheduleSweep(specs)...)
 	if len(req.Fabrics) > 0 || len(req.Degrade) > 0 {
 		var fabrics []lumos.Fabric
 		for _, name := range req.Fabrics {
@@ -175,6 +194,31 @@ func (req *SweepRequest) scenarios(base lumos.Config) ([]lumos.Scenario, error) 
 		)
 	}
 	return scenarios, nil
+}
+
+// orBase is a grid range, or the base degree when the range is empty.
+func orBase(r []int, base int) []int {
+	if len(r) == 0 {
+		return []int{base}
+	}
+	return r
+}
+
+// Listed cuts a ranked campaign to the results a response lists: with
+// Top > 0, the Top best feasible results followed by every infeasible
+// one, so a campaign over a mixed grid explains itself; otherwise all of
+// them.
+func (req *SweepRequest) Listed(sweep *lumos.SweepResult) []lumos.ScenarioResult {
+	if req.Top <= 0 {
+		return sweep.Results
+	}
+	// Results rank feasible scenarios first, so the infeasible ones are
+	// the tail.
+	i := slices.IndexFunc(sweep.Results, func(r lumos.ScenarioResult) bool { return !r.Feasible() })
+	if i < 0 {
+		i = len(sweep.Results)
+	}
+	return append(slices.Clip(sweep.Top(req.Top)), sweep.Results[i:]...)
 }
 
 // ScenarioResult is one ranked sweep outcome.
@@ -205,8 +249,8 @@ type SweepResponse struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// PlanRequest runs the deployment planner against a registered profile,
-// mirroring `lumos plan`.
+// PlanRequest runs the deployment planner against a registered profile;
+// `lumos plan` fills it from its flags.
 type PlanRequest struct {
 	Profile   string    `json:"profile"`
 	TPRange   []int     `json:"tp_range,omitempty"`
@@ -230,9 +274,11 @@ type PlanRequest struct {
 	Trace bool `json:"trace,omitempty"`
 }
 
-// space assembles the search space exactly like cmdPlan does, sizing
-// fabric presets for the largest world the space can reach.
-func (req *PlanRequest) space(base lumos.Config) (lumos.Space, error) {
+// Space builds the search space against base: empty axes keep the base's
+// value, schedule names are checked against the menu, and fabric presets
+// are sized for the largest world the space reaches. A space over
+// MaxPlanPoints is rejected before it is walked.
+func (req *PlanRequest) Space(base lumos.Config) (lumos.Space, error) {
 	space := lumos.Space{
 		TP:         req.TPRange,
 		PP:         req.PPRange,
@@ -243,30 +289,48 @@ func (req *PlanRequest) space(base lumos.Config) (lumos.Space, error) {
 	if space.Schedules, err = scheduleNames(req.Schedules); err != nil {
 		return lumos.Space{}, err
 	}
-	if len(req.Fabrics) > 0 {
-		maxWorld := base.Map.WorldSize()
-		space.ForEach(base, func(p lumos.PlanPoint) bool {
-			if w := p.World(); w > maxWorld {
-				maxWorld = w
-			}
-			return true
-		})
-		for _, name := range req.Fabrics {
-			f, err := lumos.FabricPreset(name, maxWorld)
-			if err != nil {
-				return lumos.Space{}, err
-			}
-			space.Fabrics = append(space.Fabrics, f)
-		}
-	}
 	for _, f := range req.Degrade {
 		space.Degrade = append(space.Degrade, lumos.NetworkDegradeFactors(f))
+	}
+	// Fabrics only multiply the size, so it is checked before the walk
+	// that sizes them and again once they are resolved.
+	if err := checkPlanSize(space, base); err != nil {
+		return lumos.Space{}, err
+	}
+	if len(req.Fabrics) == 0 {
+		return space, nil
+	}
+	maxWorld := base.Map.WorldSize()
+	lumos.Space{TP: space.TP, PP: space.PP, DP: space.DP}.ForEach(base, func(p lumos.PlanPoint) bool {
+		maxWorld = max(maxWorld, p.World())
+		return true
+	})
+	for _, name := range req.Fabrics {
+		f, err := lumos.FabricPreset(name, maxWorld)
+		if err != nil {
+			return lumos.Space{}, err
+		}
+		space.Fabrics = append(space.Fabrics, f)
+	}
+	if err := checkPlanSize(space, base); err != nil {
+		return lumos.Space{}, err
 	}
 	return space, nil
 }
 
-// options assembles the planner options exactly like cmdPlan does.
-func (req *PlanRequest) options() ([]lumos.PlanOption, error) {
+// checkPlanSize rejects a space over MaxPlanPoints.
+func checkPlanSize(space lumos.Space, base lumos.Config) error {
+	if n := space.Size(base); n > MaxPlanPoints {
+		return fmt.Errorf("plan space has %d points, over the limit of %d", n, MaxPlanPoints)
+	}
+	return nil
+}
+
+// Options builds the planner options: the strategy by menu name, the
+// simulation budget, and the memory model. GPUMemGiB 0 is the 80 GiB
+// default; a negative, NaN or infinite capacity, or one whose byte count
+// does not fit in int64, is an error.
+func (req *PlanRequest) Options() ([]lumos.PlanOption, error) {
 	strat, err := lumos.PlanStrategyByName(req.Strategy)
 	if err != nil {
 		return nil, err
@@ -282,14 +346,35 @@ func (req *PlanRequest) options() ([]lumos.PlanOption, error) {
 	if gpuMem == 0 {
 		gpuMem = 80
 	}
-	if gpuMem < 0 {
-		return nil, fmt.Errorf("bad gpu_mem_gib %g (want a positive capacity)", gpuMem)
+	// NaN-rejecting. A capacity under one byte would truncate to 0, which
+	// the memory model reads as its default.
+	capacity := gpuMem * (1 << 30)
+	if !(capacity >= 1 && capacity < math.MaxInt64) {
+		return nil, fmt.Errorf("bad gpu_mem_gib %g (want a positive, finite capacity below 8 EiB; 0 = 80 GiB)", gpuMem)
 	}
 	opts = append(opts, lumos.WithMemoryModel(lumos.MemoryModel{
-		GPUMemBytes: int64(gpuMem * (1 << 30)),
+		GPUMemBytes: int64(capacity),
 		ZeRO:        lumos.ZeROStage(req.ZeRO),
 	}))
 	return opts, nil
+}
+
+// ListedDominated cuts a plan's ranked dominated points to the Top best,
+// or keeps them all when Top is 0.
+func (req *PlanRequest) ListedDominated(res *lumos.PlanResult) []lumos.PlanEvaluated {
+	if req.Top > 0 && len(res.Dominated) > req.Top {
+		return res.Dominated[:req.Top]
+	}
+	return res.Dominated
+}
+
+// PlanSpeedup is an evaluated point's speedup over the campaign's base
+// iteration, or 0 for a point without an iteration time.
+func PlanSpeedup(st *lumos.BaseState, e lumos.PlanEvaluated) float64 {
+	if e.Iteration <= 0 {
+		return 0
+	}
+	return float64(st.Iteration) / float64(e.Iteration)
 }
 
 // PlanPoint is one evaluated planner point.
@@ -453,8 +538,8 @@ type StatsResponse struct {
 	Disk          *DiskStats     `json:"disk,omitempty"`
 }
 
-// scheduleNames validates a schedule list, resolving each spec so unknown
-// names fail fast with the full menu (parity with the CLI).
+// scheduleNames resolves a schedule list to canonical spec names, so an
+// unknown name fails fast with the full menu.
 func scheduleNames(specs []string) ([]string, error) {
 	var out []string
 	for _, s := range specs {

@@ -315,13 +315,19 @@ func (s *Server) failRun(w http.ResponseWriter, r *http.Request, err error) {
 }
 
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v); err != nil {
 		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
 		return false
 	}
 	return true
+}
+
+// decodeStrict decodes one JSON request body into v, rejecting unknown
+// fields by name.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // registryFingerprint is a profile's content address: the trace digest
@@ -551,7 +557,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if p == nil {
 		return
 	}
-	scenarios, err := req.scenarios(p.cfg)
+	scenarios, err := req.Scenarios(p.cfg)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
@@ -566,19 +572,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	traceID := s.retain(tr, "sweep", p.name, http.StatusOK, t0, time.Since(t0), req.Trace, nil)
 	s.nSweeps.Inc()
 
-	results := sweep.Results
-	if req.Top > 0 {
-		ranked := sweep.Top(req.Top)
-		// Keep infeasible points visible below the cut, as the CLI does.
-		n := 0
-		for _, res := range results {
-			if !res.Feasible() {
-				n++
-			}
-		}
-		infeasible := results[len(results)-n:]
-		results = append(append([]lumos.ScenarioResult{}, ranked...), infeasible...)
-	}
+	results := req.Listed(sweep)
 	resp := SweepResponse{
 		Profile:   p.name,
 		Base:      scenarioJSON(sweep.Base, 0),
@@ -609,12 +603,12 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if p == nil {
 		return
 	}
-	space, err := req.space(p.cfg)
+	space, err := req.Space(p.cfg)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	opts, err := req.options()
+	opts, err := req.Options()
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, "%v", err)
 		return
@@ -635,18 +629,13 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	s.nDominatedPruned.Add(int64(res.Stats.DominatedPruned))
 	s.nSharedStructure.Add(int64(res.Stats.SharedStructure))
 
-	baseIter := p.state.Iteration
 	point := func(rank int, e lumos.PlanEvaluated) PlanPoint {
-		speedup := 0.0
-		if e.Iteration > 0 {
-			speedup = float64(baseIter) / float64(e.Iteration)
-		}
 		return PlanPoint{
 			Rank:        rank,
 			Point:       e.Point.Key(),
 			World:       e.Point.World(),
 			IterationMs: analysis.Millis(e.Iteration),
-			Speedup:     speedup,
+			Speedup:     PlanSpeedup(p.state, e),
 			MemGiB:      e.Mem.GiB(),
 			BoundMs:     analysis.Millis(e.Bound),
 		}
@@ -654,7 +643,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	resp := PlanResponse{
 		Profile:         p.name,
 		Strategy:        res.Strategy,
-		BaseIterationMs: analysis.Millis(baseIter),
+		BaseIterationMs: analysis.Millis(p.state.Iteration),
 		Frontier:        make([]PlanPoint, len(res.Frontier)),
 		Stats: PlanStats{
 			SpaceSize:         res.Stats.SpaceSize,
@@ -677,11 +666,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	for i, e := range res.Frontier {
 		resp.Frontier[i] = point(i+1, e)
 	}
-	dominated := res.Dominated
-	if req.Top > 0 && len(dominated) > req.Top {
-		dominated = dominated[:req.Top]
-	}
-	for i, e := range dominated {
+	for i, e := range req.ListedDominated(res) {
 		resp.Dominated = append(resp.Dominated, point(len(res.Frontier)+i+1, e))
 	}
 	for _, c := range res.Infeasible {

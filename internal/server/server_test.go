@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -288,9 +289,21 @@ func TestRequestValidation(t *testing.T) {
 		{"plan spine below the bandwidth floor", "/v1/plan", PlanRequest{Profile: "fig7", Fabrics: []string{"spine1e12"}}, http.StatusBadRequest},
 		{"plan removed batch field", "/v1/plan", map[string]any{"profile": "fig7", "strategy": "bnb", "batch": 2}, http.StatusBadRequest},
 		{"profile top-level tp", "/v1/profiles", map[string]any{"name": "flat", "deployment": testDeployment(), "tp": 2}, http.StatusBadRequest},
+		{"plan over the point limit", "/v1/plan", widePlanRequest(), http.StatusBadRequest},
+		{"plan over the point limit by its fabrics", "/v1/plan", fabricPlanRequest(), http.StatusBadRequest},
+		{"sweep over the scenario limit", "/v1/sweep", wideSweepRequest(), http.StatusBadRequest},
+		{"plan negative gpu memory", "/v1/plan", PlanRequest{Profile: "fig7", GPUMemGiB: -1}, http.StatusBadRequest},
+		{"plan gpu memory past int64", "/v1/plan", PlanRequest{Profile: "fig7", GPUMemGiB: 1e10}, http.StatusBadRequest},
 	}
-	// Unknown fields are rejected by name rather than silently ignored.
-	mentions := map[string]string{"plan removed batch field": `unknown field \"batch\"`, "profile top-level tp": `unknown field \"tp\"`}
+	// Unknown fields are rejected by name rather than silently ignored, and
+	// oversized campaigns by their size.
+	mentions := map[string]string{
+		"plan removed batch field":                 `unknown field \"batch\"`,
+		"profile top-level tp":                     `unknown field \"tp\"`,
+		"plan over the point limit":                "plan space has 46656000000000000 points, over the limit of 1048576",
+		"plan over the point limit by its fabrics": "plan space has 1179648 points, over the limit of 1048576",
+		"sweep over the scenario limit":            "sweep has 216000001 scenarios, over the limit of 4096",
+	}
 	for _, c := range cases {
 		rec := do(t, s, "POST", c.path, c.body)
 		if rec.Code != c.want {
@@ -314,6 +327,85 @@ func TestRequestValidation(t *testing.T) {
 	if rec := do(t, s, "GET", "/v1/healthz", nil); rec.Code != http.StatusOK {
 		t.Errorf("healthz: code %d, want 200", rec.Code)
 	}
+}
+
+// TestListedCuts pins the result cuts both front ends print: a sweep's
+// top-K keeps every infeasible result below the cut, and a plan's
+// dominated list is cut to Top.
+func TestListedCuts(t *testing.T) {
+	names := func(rs []lumos.ScenarioResult) string {
+		var out []string
+		for _, r := range rs {
+			out = append(out, r.Name)
+		}
+		return strings.Join(out, ",")
+	}
+	sweep := &lumos.SweepResult{Results: []lumos.ScenarioResult{
+		{Name: "a"}, {Name: "b"}, {Name: "c"}, {Name: "x", Err: "infeasible"}, {Name: "y", Err: "infeasible"},
+	}}
+	for top, want := range map[int]string{0: "a,b,c,x,y", 2: "a,b,x,y", 3: "a,b,c,x,y", 9: "a,b,c,x,y"} {
+		req := SweepRequest{Top: top}
+		if got := names(req.Listed(sweep)); got != want {
+			t.Errorf("sweep top %d lists %s, want %s", top, got, want)
+		}
+	}
+	if got := names(sweep.Results); got != "a,b,c,x,y" {
+		t.Fatalf("Listed changed the campaign's results: %s", got)
+	}
+
+	plan := &lumos.PlanResult{Dominated: make([]lumos.PlanEvaluated, 5)}
+	for top, want := range map[int]int{0: 5, 2: 2, 5: 5, 9: 5} {
+		req := PlanRequest{Top: top}
+		if got := len(req.ListedDominated(plan)); got != want {
+			t.Errorf("plan top %d lists %d dominated points, want %d", top, got, want)
+		}
+	}
+}
+
+// widePlanRequest is a plan body with 600 distinct values on each of the
+// seven axes, every one valid on its own: about 2.8·10¹⁹ points.
+func widePlanRequest() PlanRequest {
+	req := PlanRequest{Profile: "fig7"}
+	for i := 1; i <= 600; i++ {
+		req.TPRange, req.PPRange, req.DPRange = append(req.TPRange, i), append(req.PPRange, i), append(req.DPRange, i)
+		req.MBRange = append(req.MBRange, i)
+		req.Schedules = append(req.Schedules, fmt.Sprintf("interleaved%d", i+1))
+		req.Fabrics = append(req.Fabrics, fmt.Sprintf("spine%g", 1+float64(i)/1000))
+		req.Degrade = append(req.Degrade, float64(i)/1000)
+	}
+	return req
+}
+
+// fabricPlanRequest is a serve-plan-shaped body (131,072 points) over nine
+// fabrics: 1,179,648 points, over the limit only once its fabrics count.
+func fabricPlanRequest() PlanRequest {
+	req := PlanRequest{
+		Profile:   "fig7",
+		PPRange:   []int{1, 2, 4, 8},
+		DPRange:   []int{1, 2, 4, 8},
+		Schedules: []string{"1f1b", "gpipe", "interleaved2", "zb-h1"},
+		Fabrics:   []string{"flat", "nvl72"},
+	}
+	for i := 0; i < 128; i++ {
+		req.MBRange = append(req.MBRange, 4+i)
+	}
+	for i := 0; i < 16; i++ {
+		req.Degrade = append(req.Degrade, 1-float64(i)/32)
+	}
+	for i := 1; i <= 7; i++ {
+		req.Fabrics = append(req.Fabrics, fmt.Sprintf("spine%d", i))
+	}
+	return req
+}
+
+// wideSweepRequest is a sweep body with 600-value TP, PP and DP ranges:
+// a 2.16·10⁸-scenario grid.
+func wideSweepRequest() SweepRequest {
+	req := SweepRequest{Profile: "fig7"}
+	for i := 1; i <= 600; i++ {
+		req.TPRange, req.PPRange, req.DPRange = append(req.TPRange, i), append(req.PPRange, i), append(req.DPRange, i)
+	}
+	return req
 }
 
 // TestInlineTraceUpload exercises the third profile source: per-rank

@@ -1,8 +1,8 @@
 // Package timeline provides interval-set algebra over trace timestamps:
-// union, intersection, subtraction, and windowed occupancy. The breakdown
-// and SM-utilization analyses in the paper are defined in terms of these
-// operations (e.g. "overlapped = compute ∩ comm", "exposed comm =
-// comm \ compute").
+// union, intersection, and windowed occupancy. The breakdown and
+// SM-utilization analyses in the paper are defined in terms of these
+// operations (e.g. "overlapped = compute ∩ comm", and exposed comm as
+// |comm| − |comm ∩ compute|).
 package timeline
 
 import (
@@ -26,18 +26,6 @@ func (iv Interval) Len() int64 {
 // Set is a normalized (sorted, disjoint, non-empty intervals) interval set.
 type Set struct {
 	ivs []Interval
-}
-
-// FromIntervals builds a normalized set from arbitrary intervals.
-func FromIntervals(ivs []Interval) *Set {
-	s := &Set{}
-	for _, iv := range ivs {
-		if iv.Len() > 0 {
-			s.ivs = append(s.ivs, iv)
-		}
-	}
-	s.normalize()
-	return s
 }
 
 // Add inserts an interval, keeping the set normalized.
@@ -82,9 +70,6 @@ func (s *Set) normalize() {
 	s.ivs = out
 }
 
-// Intervals returns the normalized intervals (shared slice; do not mutate).
-func (s *Set) Intervals() []Interval { return s.ivs }
-
 // Total returns the summed length of the set.
 func (s *Set) Total() int64 {
 	var t int64
@@ -92,25 +77,6 @@ func (s *Set) Total() int64 {
 		t += iv.End - iv.Start
 	}
 	return t
-}
-
-// Empty reports whether the set covers no time.
-func (s *Set) Empty() bool { return len(s.ivs) == 0 }
-
-// Span returns the covering interval of the set, or a zero interval if
-// empty.
-func (s *Set) Span() Interval {
-	if len(s.ivs) == 0 {
-		return Interval{}
-	}
-	return Interval{s.ivs[0].Start, s.ivs[len(s.ivs)-1].End}
-}
-
-// Clone returns an independent copy.
-func (s *Set) Clone() *Set {
-	c := &Set{ivs: make([]Interval, len(s.ivs))}
-	copy(c.ivs, s.ivs)
-	return c
 }
 
 // Union returns a ∪ b.
@@ -136,35 +102,6 @@ func Intersect(a, b *Set) *Set {
 			i++
 		} else {
 			j++
-		}
-	}
-	return out
-}
-
-// Subtract returns a \ b.
-func Subtract(a, b *Set) *Set {
-	out := &Set{}
-	j := 0
-	for _, iv := range a.ivs {
-		cur := iv
-		for j < len(b.ivs) && b.ivs[j].End <= cur.Start {
-			j++
-		}
-		k := j
-		for k < len(b.ivs) && b.ivs[k].Start < cur.End {
-			cut := b.ivs[k]
-			if cut.Start > cur.Start {
-				out.ivs = append(out.ivs, Interval{cur.Start, cut.Start})
-			}
-			if cut.End >= cur.End {
-				cur = Interval{cur.End, cur.End} // fully consumed
-				break
-			}
-			cur.Start = cut.End
-			k++
-		}
-		if cur.Len() > 0 {
-			out.ivs = append(out.ivs, cur)
 		}
 	}
 	return out

@@ -6,8 +6,19 @@ import (
 	"testing/quick"
 )
 
-func set(ivs ...Interval) *Set { return FromIntervals(ivs) }
+// set builds a set from arbitrary intervals the way the analyses
+// bulk-load one: AddFast, then Normalize.
+func set(ivs ...Interval) *Set {
+	s := &Set{}
+	for _, iv := range ivs {
+		s.AddFast(iv.Start, iv.End)
+	}
+	s.Normalize()
+	return s
+}
 
+// TestFromIntervalsNormalizes: a set built from arbitrary intervals is
+// sorted, disjoint and free of empty intervals.
 func TestFromIntervalsNormalizes(t *testing.T) {
 	tests := []struct {
 		name string
@@ -25,7 +36,7 @@ func TestFromIntervalsNormalizes(t *testing.T) {
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
-			got := FromIntervals(tc.in).Intervals()
+			got := set(tc.in...).ivs
 			if len(got) != len(tc.want) {
 				t.Fatalf("got %v, want %v", got, tc.want)
 			}
@@ -69,35 +80,6 @@ func TestIntersect(t *testing.T) {
 	}
 }
 
-func TestSubtract(t *testing.T) {
-	tests := []struct {
-		name string
-		a, b *Set
-		want []Interval
-	}{
-		{"no overlap", set(Interval{0, 5}), set(Interval{10, 20}), []Interval{{0, 5}}},
-		{"left cut", set(Interval{0, 10}), set(Interval{0, 4}), []Interval{{4, 10}}},
-		{"right cut", set(Interval{0, 10}), set(Interval{6, 12}), []Interval{{0, 6}}},
-		{"split", set(Interval{0, 10}), set(Interval{4, 6}), []Interval{{0, 4}, {6, 10}}},
-		{"consume", set(Interval{3, 5}), set(Interval{0, 10}), nil},
-		{"multi cuts", set(Interval{0, 20}), set(Interval{2, 4}, Interval{8, 10}, Interval{15, 25}),
-			[]Interval{{0, 2}, {4, 8}, {10, 15}}},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			got := Subtract(tc.a, tc.b).Intervals()
-			if len(got) != len(tc.want) {
-				t.Fatalf("got %v, want %v", got, tc.want)
-			}
-			for i := range got {
-				if got[i] != tc.want[i] {
-					t.Fatalf("got %v, want %v", got, tc.want)
-				}
-			}
-		})
-	}
-}
-
 func TestOccupancy(t *testing.T) {
 	s := set(Interval{0, 500}, Interval{1000, 2000})
 	occ := s.Occupancy(0, 2000, 1000)
@@ -125,21 +107,11 @@ func randomSet(r *rand.Rand) *Set {
 		start := int64(r.Intn(1000))
 		ivs[i] = Interval{start, start + int64(r.Intn(200))}
 	}
-	return FromIntervals(ivs)
+	return set(ivs...)
 }
 
 func TestPropertyIntervalAlgebra(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 300}
-
-	// |A ∩ B| + |A \ B| = |A|
-	partition := func(seedA, seedB int64) bool {
-		a := randomSet(rand.New(rand.NewSource(seedA)))
-		b := randomSet(rand.New(rand.NewSource(seedB)))
-		return Intersect(a, b).Total()+Subtract(a, b).Total() == a.Total()
-	}
-	if err := quick.Check(partition, cfg); err != nil {
-		t.Errorf("partition law: %v", err)
-	}
 
 	// |A ∪ B| = |A| + |B| − |A ∩ B|
 	inclusionExclusion := func(seedA, seedB int64) bool {
@@ -164,7 +136,7 @@ func TestPropertyIntervalAlgebra(t *testing.T) {
 	// Normalization invariants: sorted, disjoint, non-empty.
 	normalized := func(seed int64) bool {
 		s := randomSet(rand.New(rand.NewSource(seed)))
-		ivs := s.Intervals()
+		ivs := s.ivs
 		for i, iv := range ivs {
 			if iv.Len() <= 0 {
 				return false
@@ -183,11 +155,10 @@ func TestPropertyIntervalAlgebra(t *testing.T) {
 	// within the span.
 	occBounds := func(seed int64) bool {
 		s := randomSet(rand.New(rand.NewSource(seed)))
-		if s.Empty() {
+		if len(s.ivs) == 0 {
 			return true
 		}
-		sp := s.Span()
-		occ := s.Occupancy(sp.Start, sp.End, 100)
+		occ := s.Occupancy(s.ivs[0].Start, s.ivs[len(s.ivs)-1].End, 100)
 		for _, o := range occ {
 			if o < 0 || o > 1 {
 				return false
@@ -205,30 +176,8 @@ func TestAddKeepsNormalized(t *testing.T) {
 	s.Add(10, 20)
 	s.Add(0, 5)
 	s.Add(4, 11)
-	got := s.Intervals()
+	got := s.ivs
 	if len(got) != 1 || got[0] != (Interval{0, 20}) {
 		t.Fatalf("got %v, want [{0 20}]", got)
-	}
-}
-
-func TestClone(t *testing.T) {
-	a := set(Interval{0, 10})
-	b := a.Clone()
-	b.Add(100, 200)
-	if a.Total() != 10 {
-		t.Fatal("clone mutated original")
-	}
-	if b.Total() != 110 {
-		t.Fatalf("clone total = %d", b.Total())
-	}
-}
-
-func TestSpan(t *testing.T) {
-	if (set().Span() != Interval{}) {
-		t.Fatal("empty span should be zero")
-	}
-	s := set(Interval{5, 10}, Interval{50, 60})
-	if s.Span() != (Interval{5, 60}) {
-		t.Fatalf("span = %v", s.Span())
 	}
 }

@@ -341,45 +341,6 @@ func (t *Trace) Duration() Dur {
 	return e - s
 }
 
-// FilterInPlace keeps only events for which keep returns true.
-func (t *Trace) FilterInPlace(keep func(*Event) bool) {
-	out := t.Events[:0]
-	for i := range t.Events {
-		if keep(&t.Events[i]) {
-			out = append(out, t.Events[i])
-		}
-	}
-	t.Events = out
-}
-
-// Kernels returns pointers to all GPU-side events, in current order.
-func (t *Trace) Kernels() []*Event {
-	var out []*Event
-	for i := range t.Events {
-		if t.Events[i].IsGPU() {
-			out = append(out, &t.Events[i])
-		}
-	}
-	return out
-}
-
-// Streams returns the sorted set of CUDA stream IDs with at least one
-// GPU event.
-func (t *Trace) Streams() []int {
-	set := map[int]bool{}
-	for i := range t.Events {
-		if t.Events[i].IsGPU() {
-			set[t.Events[i].TID] = true
-		}
-	}
-	out := make([]int, 0, len(set))
-	for s := range set {
-		out = append(out, s)
-	}
-	sort.Ints(out)
-	return out
-}
-
 // Threads returns the sorted set of CPU thread IDs with at least one
 // CPU event.
 func (t *Trace) Threads() []int {
