@@ -74,11 +74,14 @@ alloc-guard:
 # collective below its launch overhead or wrap past trace.Dur's range.
 # FuzzRequestBuilders: no lumosd sweep or plan body may panic the campaign
 # builders the API and the CLI share, or get a campaign past the admission
-# limits. Its seeds include a 34 KB body, so interesting inputs are not
-# minimized: minimizing one would take most of the 10 s.
+# limits. FuzzDecodeTrace: no rank lumosd accepts inline in a profile body
+# may panic trace decoding, graph construction or either replay engine.
+# Their seeds include a 34 KB body and a 16 KB trace rank, so interesting
+# inputs are not minimized: minimizing one would take most of the 10 s.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFabricPricing$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestBuilders$$' -fuzztime 10s -fuzzminimizetime 1x ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTrace$$' -fuzztime 10s -fuzzminimizetime 1x ./internal/server/
 
 # benchsmoke runs every benchmark once as a regression canary.
 benchsmoke:

@@ -187,7 +187,7 @@ func (h halfGEMM) Compute(class trace.KernelClass, flops, bytes int64) trace.Dur
 // and returns its iteration time.
 func halfGEMMTruth(cfg parallel.Config, seed uint64) trace.Dur {
 	sc := cluster.DefaultSimConfig(cfg.Map.WorldSize(), seed)
-	sc.Oracle = halfGEMM{kernelmodel.NewOracleFabric(sc.Fabric, nil)}
+	sc.Oracle = halfGEMM{kernelmodel.NewOracleFabric(sc.Fabric)}
 	m, err := cluster.Run(cfg, sc)
 	if err != nil {
 		panic(fmt.Sprintf("ground-truth simulation failed: %v", err))
@@ -589,7 +589,7 @@ func ablations() {
 	topo := topology.H100Cluster(world)
 	actualT := simulate(req.Target, *seed+3000)
 	actualTI := analysis.IterationTime(actualT)
-	oracle := kernelmodel.NewOracleFabric(topo, nil)
+	oracle := kernelmodel.NewOracleFabric(topo)
 	fitted, err := kernelmodel.Fit([]*trace.Multi{profiled}, topo, oracle)
 	if err != nil {
 		panic(err)

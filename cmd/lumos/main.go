@@ -63,6 +63,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -438,8 +439,8 @@ func cmdSweep(ctx context.Context, w io.Writer, args []string) error {
 		return err
 	}
 
-	tracer, tkOpts := traceOptions(*traceOut, toolkitOptions(*workers, *seed, *cacheDir))
-	tk := lumos.New(tkOpts...)
+	tracer, ctx := traceContext(ctx, *traceOut)
+	tk := lumos.New(toolkitOptions(*workers, *seed, *cacheDir)...)
 	t0 := time.Now()
 	var st *lumos.BaseState
 	if *in != "" {
@@ -501,13 +502,13 @@ func cmdSweep(ctx context.Context, w io.Writer, args []string) error {
 	return writeTrace(w, tracer, *traceOut)
 }
 
-// traceOptions attaches a tracer to the toolkit options when -trace is set.
-func traceOptions(path string, opts []lumos.Option) (*lumos.Tracer, []lumos.Option) {
+// traceContext carries a fresh tracer in ctx when -trace is set.
+func traceContext(ctx context.Context, path string) (*lumos.Tracer, context.Context) {
 	if path == "" {
-		return nil, opts
+		return nil, ctx
 	}
 	tr := lumos.NewTracer()
-	return tr, append(opts, lumos.WithTracer(tr))
+	return tr, lumos.ContextWithTracer(ctx, tr)
 }
 
 // writeTrace exports the recorded spans as Chrome trace-event JSON.
@@ -655,8 +656,8 @@ func cmdPlan(ctx context.Context, w io.Writer, args []string) error {
 		opts = append(opts, lumos.WithPlanExplain(explain))
 	}
 
-	tracer, tkOpts := traceOptions(*traceOut, toolkitOptions(*workers, *seed, *cacheDir))
-	tk := lumos.New(tkOpts...)
+	tracer, ctx := traceContext(ctx, *traceOut)
+	tk := lumos.New(toolkitOptions(*workers, *seed, *cacheDir)...)
 	t0 := time.Now()
 	var st *lumos.BaseState
 	if *in != "" {
@@ -692,19 +693,30 @@ func cmdPlan(ctx context.Context, w io.Writer, args []string) error {
 	cs := st.CacheStats()
 	fmt.Fprintf(w, "replay engine: %d programs compiled, %d runs\n\n", cs.CompiledPrograms, cs.CompiledRuns)
 
+	// Keys print whole (a degraded point differs from its undegraded twin
+	// only in its suffix), in a column at least 28 wide and as wide as the
+	// longest key.
+	dominated := req.ListedDominated(res)
+	width := 28
+	for _, e := range slices.Concat(res.Frontier, dominated) {
+		width = max(width, len(e.Point.Key()))
+	}
+	for _, c := range res.Infeasible {
+		width = max(width, len(c.Point.Key()))
+	}
 	printPlanPoint := func(rank int, e lumos.PlanEvaluated) {
-		fmt.Fprintf(w, "%4d  %-28s %6d %10.1fms %8.2fx %7.1fGiB  %10.1fms\n",
-			rank, clip(e.Point.Key(), 28), e.Point.World(), analysis.Millis(e.Iteration),
+		fmt.Fprintf(w, "%4d  %-*s %6d %10.1fms %8.2fx %7.1fGiB  %10.1fms\n",
+			rank, width, e.Point.Key(), e.Point.World(), analysis.Millis(e.Iteration),
 			server.PlanSpeedup(st, e), e.Mem.GiB(), analysis.Millis(e.Bound))
 	}
 	fmt.Fprintln(w, "Pareto frontier (iteration time × GPU count × peak memory):")
-	printPlanHeader(w)
+	printPlanHeader(w, width)
 	for i, e := range res.Frontier {
 		printPlanPoint(i+1, e)
 	}
-	if dominated := req.ListedDominated(res); len(dominated) > 0 {
+	if len(dominated) > 0 {
 		fmt.Fprintf(w, "\ndominated (%d total, ranked):\n", len(res.Dominated))
-		printPlanHeader(w)
+		printPlanHeader(w, width)
 		for i, e := range dominated {
 			printPlanPoint(len(res.Frontier)+i+1, e)
 		}
@@ -715,7 +727,7 @@ func cmdPlan(ctx context.Context, w io.Writer, args []string) error {
 		fmt.Fprintf(w, "\ninfeasible (%d mem-rejected, %d schedule-rejected, %d scope-rejected; %d retained with reasons):\n",
 			s.MemRejected, s.ScheduleRejected, s.ScopeRejected, len(res.Infeasible))
 		for _, c := range res.Infeasible {
-			fmt.Fprintf(w, "  %-28s %s\n", clip(c.Point.Key(), 28), c.Infeasible)
+			fmt.Fprintf(w, "  %-*s %s\n", width, c.Point.Key(), c.Infeasible)
 		}
 	}
 	if best, ok := res.Best(); ok {
@@ -748,9 +760,9 @@ func writeExplain(w io.Writer, e *lumos.PlanExplain, path string) error {
 	return nil
 }
 
-func printPlanHeader(w io.Writer) {
-	fmt.Fprintf(w, "%4s  %-28s %6s %12s %9s %10s  %12s\n",
-		"rank", "point", "gpus", "pred/iter", "speedup", "mem", "bound")
+func printPlanHeader(w io.Writer, width int) {
+	fmt.Fprintf(w, "%4s  %-*s %6s %12s %9s %10s  %12s\n",
+		"rank", width, "point", "gpus", "pred/iter", "speedup", "mem", "bound")
 }
 
 // cmdTrace dispatches the trace-analysis subcommands; "top" is the only

@@ -54,9 +54,7 @@ func post(t *testing.T, h http.Handler, path string, body, out any) {
 type row struct{ name, ms, speedup string }
 
 // tableRows parses the rows printed under every line that starts with
-// header. rowRE captures the name, time and speedup columns; it counts the
-// fixed-width name column in runes, since clip shortens a long name with
-// "…".
+// header. rowRE captures the name, time and speedup columns.
 func tableRows(t *testing.T, out, header string, rowRE *regexp.Regexp) []row {
 	t.Helper()
 	var rows []row
@@ -95,6 +93,8 @@ func TestSweepMatchesLumosd(t *testing.T) {
 		Schedules: []string{"1f1b", "interleaved2"}, Fabrics: []string{"nvl72"}, Degrade: []float64{1, 0.5}, WhatIf: true,
 	}, &resp)
 
+	// The sweep's name column is 24 runes wide, and clip shortens a longer
+	// name with "…".
 	rows := tableRows(t, out.String(), "rank  scenario",
 		regexp.MustCompile(`^ *(?:\d+|-)  (.{24}) \S+ +(?:\d+|-) +([\d.]+ms|-) +([\d.]+x|-) `))
 	if len(rows) != len(resp.Results) || len(rows) != resp.Scenarios {
@@ -119,32 +119,47 @@ func TestSweepMatchesLumosd(t *testing.T) {
 
 // TestPlanMatchesLumosd runs `lumos plan` in process and checks every
 // printed frontier and dominated row against lumosd's response to the same
-// request.
+// request. Its degrade axis gives points whose keys differ from their
+// undegraded twins' only in a suffix, so every key must print whole and
+// distinct.
 func TestPlanMatchesLumosd(t *testing.T) {
 	s := fig7Server(t)
 	var out bytes.Buffer
 	args := append(append([]string{}, fig7Args...), "-top", "3",
-		"-pp-range", "1,2", "-dp-range", "1,2", "-mb-range", "2,4", "-gpu-mem-gib", "192", "-zero", "1")
+		"-pp-range", "1,2", "-dp-range", "1,2", "-mb-range", "2,4", "-gpu-mem-gib", "192", "-zero", "1",
+		"-fabric", "nvl72", "-degrade", "1,0.5")
 	if err := cmdPlan(t.Context(), &out, args); err != nil {
 		t.Fatal(err)
 	}
 	var resp server.PlanResponse
 	post(t, s, "/v1/plan", server.PlanRequest{
 		Profile: "fig7", PPRange: []int{1, 2}, DPRange: []int{1, 2}, MBRange: []int{2, 4},
-		GPUMemGiB: 192, ZeRO: 1, Top: 3,
+		GPUMemGiB: 192, ZeRO: 1, Top: 3, Fabrics: []string{"nvl72"}, Degrade: []float64{1, 0.5},
 	}, &resp)
 
 	rows := tableRows(t, out.String(), "rank  point",
-		regexp.MustCompile(`^ *\d+  (.{28}) +\d+ +([\d.]+ms) +([\d.]+x) `))
+		regexp.MustCompile(`^ *\d+  (\S+) +\d+ +([\d.]+ms) +([\d.]+x) `))
 	points := append(append([]server.PlanPoint{}, resp.Frontier...), resp.Dominated...)
 	if len(rows) != len(points) || len(resp.Dominated) != 3 {
 		t.Fatalf("CLI printed %d rows; lumosd returned %d frontier and %d dominated points:\n%s",
 			len(rows), len(resp.Frontier), len(resp.Dominated), out.String())
 	}
+	printed := map[string]bool{}
+	degraded := 0
 	for i, p := range points {
-		want := row{clip(p.Point, 28), fmt.Sprintf("%.1fms", p.IterationMs), fmt.Sprintf("%.2fx", p.Speedup)}
+		want := row{p.Point, fmt.Sprintf("%.1fms", p.IterationMs), fmt.Sprintf("%.2fx", p.Speedup)}
 		if got := rows[i]; got != want {
 			t.Errorf("row %d: CLI %+v, lumosd %+v", i+1, got, want)
 		}
+		if printed[rows[i].name] {
+			t.Errorf("row %d: key %s printed twice", i+1, rows[i].name)
+		}
+		printed[rows[i].name] = true
+		if strings.Contains(p.Point, "~bw*") {
+			degraded++
+		}
+	}
+	if degraded == 0 {
+		t.Fatalf("no degraded point among the printed rows:\n%s", out.String())
 	}
 }

@@ -1,7 +1,7 @@
 // Observe: the self-tracing and metrics layer end-to-end — and the `make
 // obs-smoke` CI gate. Two halves:
 //
-// In-process, it attaches a Tracer to a toolkit, runs a branch-and-bound
+// In-process, it carries a Tracer in the context of a branch-and-bound
 // plan over the Figure 7 space, exports the Chrome trace-event JSON, and
 // re-parses it, exiting non-zero unless every campaign pipeline stage
 // (prepare, profile, calibrate, sweep, plan), the per-scenario spans
@@ -68,7 +68,7 @@ func traceHalf() error {
 	cfg.Microbatches = 4
 
 	tracer := lumos.NewTracer()
-	tk := lumos.New(lumos.WithSeed(42), lumos.WithTracer(tracer))
+	tk := lumos.New(lumos.WithSeed(42))
 	// The degrade axis matters: degraded points re-time the structurally
 	// shared graph, which is the path that emits compile/retime/replay
 	// spans (campaign-fabric points stop at synthesize). The factor scales
@@ -78,7 +78,7 @@ func traceHalf() error {
 		PP: []int{1, 2}, DP: []int{1, 2}, Microbatch: []int{4, 8},
 		Degrade: [][]float64{nil, {0.5}},
 	}
-	res, err := tk.Plan(context.Background(), cfg, space,
+	res, err := tk.Plan(lumos.ContextWithTracer(context.Background(), tracer), cfg, space,
 		lumos.WithPlanStrategy(lumos.BranchAndBoundStrategy()))
 	if err != nil {
 		return err

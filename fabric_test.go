@@ -144,42 +144,6 @@ func TestFabricSweepDeterministicRanked(t *testing.T) {
 	}
 }
 
-// TestWithPricerSwapsBackend verifies the pricer is a genuinely swappable
-// axis: binding the phased hierarchical backend changes node-spanning
-// collective prices (and thus the profile), while remaining deterministic.
-func TestWithPricerSwapsBackend(t *testing.T) {
-	ctx := context.Background()
-	base, err := DeploymentConfig(GPT3_15B(), 2, 2, 4) // DP groups span nodes
-	if err != nil {
-		t.Fatal(err)
-	}
-	base.Microbatches = 4
-	fabric := OversubscribedFabric(base.Map.WorldSize(), 4)
-
-	profile := func(pricer func(Fabric) Pricer) *Multi {
-		t.Helper()
-		opts := []Option{WithSeed(7), WithFabric(fabric)}
-		if pricer != nil {
-			opts = append(opts, WithPricer(pricer))
-		}
-		tk := New(opts...)
-		m, err := tk.Profile(ctx, base, 7)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	bottleneck := profile(nil)
-	phased := profile(NewPhasedPricer)
-	phased2 := profile(NewPhasedPricer)
-	if bottleneck.Duration() == phased.Duration() {
-		t.Fatal("phased pricer did not change node-spanning collective prices")
-	}
-	if phased.Duration() != phased2.Duration() {
-		t.Fatal("phased profiling is not deterministic")
-	}
-}
-
 // TestIdentityFabricMatchesIdentityDeploy pins the fabric-transfer
 // semantics: a fabric what-if targeting the very fabric the profile was
 // collected on (spelled as the preset, or as a 1.0 degradation) transfers

@@ -411,7 +411,7 @@ func newSim(cfg parallel.Config, simCfg SimConfig, synthesize bool, classes para
 	}
 	oracle := simCfg.Oracle
 	if oracle == nil {
-		oracle = kernelmodel.NewOracleFabric(simCfg.Fabric, nil)
+		oracle = kernelmodel.NewOracleFabric(simCfg.Fabric)
 	}
 	progs, err := parallel.BuildPrograms(cfg, classes)
 	if err != nil {

@@ -4,15 +4,12 @@
 // the paper cites as alternative backends: given a primitive, payload size,
 // and participant set, they return a duration.
 //
-// Pricing sits behind the Pricer interface so backends are swappable. The
-// one production backend is HierPricer, an alpha-beta model over any
+// The one backend is HierPricer (NewPricer), an alpha-beta model over any
 // fabric hierarchy (the paper's two-tier H100 testbed, NVLink domains,
-// leaf/spine): by default it prices a ring all-reduce of S bytes over n
-// ranks as 2(n-1)/n·S through the bottleneck tier the group spans plus
-// (n-1) hop latencies per phase, and its phased variant composes per-tier
-// phases the way NCCL's hierarchical algorithms do. What-ifs on degraded
-// networks scale per-tier bandwidth on the fabric (topology.Degrade), not
-// in the pricer.
+// leaf/spine): it prices a ring all-reduce of S bytes over n ranks as
+// 2(n-1)/n·S through the bottleneck tier the group spans plus (n-1) hop
+// latencies per phase. What-ifs on degraded networks scale per-tier
+// bandwidth on the fabric (topology.Degrade), not in the pricer.
 package collective
 
 import (
@@ -22,9 +19,9 @@ import (
 )
 
 // Pricer prices NCCL-style communication primitives: given a primitive,
-// payload size, and participant set, it returns a duration. Backends are
-// swappable — the bottleneck and phased HierPricer both implement it — and
-// must be safe for concurrent use.
+// payload size, and participant set, it returns a duration. HierPricer is
+// the production implementation; implementations must be safe for
+// concurrent use.
 type Pricer interface {
 	Cost(kind trace.CommKind, bytes int64, ranks []int) trace.Dur
 }

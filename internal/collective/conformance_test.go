@@ -129,21 +129,20 @@ func (m *Model) Cost(kind trace.CommKind, bytes int64, ranks []int) trace.Dur {
 }
 
 // degradeWith returns a backend's degrade constructor: topology.Degrade on
-// the fabric, then the given pricer over the degraded fabric.
-func degradeWith(f topology.Fabric, pricer func(topology.Fabric) *HierPricer) func(...float64) (Pricer, error) {
+// the fabric, then NewPricer over the degraded fabric.
+func degradeWith(f topology.Fabric) func(...float64) (Pricer, error) {
 	return func(factors ...float64) (Pricer, error) {
 		d, err := topology.Degrade(f, factors...)
 		if err != nil {
 			return nil, err
 		}
-		return pricer(d), nil
+		return NewPricer(d), nil
 	}
 }
 
-// backends enumerates the production pricers — the flat preset and nvl72
-// under the bottleneck pricer, nvl72 under the phased one — plus the
-// reference Model; the conformance suite runs each property against all of
-// them.
+// backends enumerates the production pricer on the flat preset and on
+// nvl72, plus the reference Model; the conformance suite runs each property
+// against all of them.
 func backends() []pricerBackend {
 	oracle := NewModel()
 	flat := topology.H100Cluster(512)
@@ -157,17 +156,12 @@ func backends() []pricerBackend {
 		{
 			name: "hier-bottleneck/2tier", p: NewPricer(flat),
 			intra: strided(1), inter: strided(8),
-			degrade: degradeWith(flat, NewPricer),
+			degrade: degradeWith(flat),
 		},
 		{
 			name: "hier-bottleneck/nvl72", p: NewPricer(nvl),
 			intra: strided(1), inter: strided(72),
-			degrade: degradeWith(nvl, NewPricer),
-		},
-		{
-			name: "hier-phased/nvl72", p: NewPhasedPricer(nvl),
-			intra: strided(1), inter: strided(72),
-			degrade: degradeWith(nvl, NewPhasedPricer),
+			degrade: degradeWith(nvl),
 		},
 	}
 }

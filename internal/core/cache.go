@@ -5,9 +5,9 @@
 // internal/scache store:
 //
 //   - Calibration (kernel library + fitted model), keyed by the trace-set
-//     fingerprint and the fabric/pricer binding. BuildLibrary and Fit are
-//     pure functions of those inputs, so identical trace dirs stop paying
-//     for re-calibration on every sweep/plan invocation.
+//     fingerprint and the fabric. BuildLibrary and Fit are pure functions
+//     of those inputs, so identical trace dirs stop paying for
+//     re-calibration on every sweep/plan invocation.
 //
 //   - Scenario results, keyed by hash(profile fingerprint ‖ scenario
 //     fingerprint ‖ cache-schema version) and layered *under* the
@@ -16,10 +16,12 @@
 //
 // Every key embeds CacheSchemaVersion, so a prediction-semantics change
 // invalidates old entries by construction — stale cross-process hits are
-// impossible, not merely unlikely.
+// impossible, not merely unlikely. Cache reads and writes put their
+// instant events on the tracer of the calling context.
 package core
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -49,7 +51,9 @@ import (
 // so its fabric and pricer fingerprints changed; no answer did.
 // v5: the graph and replay options left the toolkit, so the profile
 // fingerprint no longer digests them; no answer changed.
-const CacheSchemaVersion = "lumos-cache-v5"
+// v6: every fabric is priced by collective.NewPricer, so calibration and
+// profile keys no longer digest a pricer; no answer changed.
+const CacheSchemaVersion = "lumos-cache-v6"
 
 // WithDiskCache enables the disk-backed scenario and calibration cache
 // rooted at dir (created on first use). Campaigns and predictions
@@ -74,9 +78,6 @@ func (tk *Toolkit) diskCache() (*scache.Cache, error) {
 	}
 	tk.cacheOnce.Do(func() {
 		tk.cache, tk.cacheErr = scache.Open(tk.opts.CacheDir, tk.opts.CacheCap)
-		if tk.cache != nil {
-			tk.cache.Trace(tk.opts.Tracer)
-		}
 	})
 	return tk.cache, tk.cacheErr
 }
@@ -98,33 +99,23 @@ func fabricFingerprint(f topology.Fabric) string {
 	return fmt.Sprintf("%T|%+v", f, f)
 }
 
-// pricerFingerprint renders the collective pricing backend bound to a
-// fabric. The built-in backends are flat structs of constants, so the
-// rendered value pins every pricing parameter.
-func (tk *Toolkit) pricerFingerprint(f topology.Fabric) string {
-	p := tk.pricerFor(f)
-	return fmt.Sprintf("%T|%+v", p, p)
-}
-
 // calibrationKey addresses a calibration snapshot. Deliberately narrower
 // than the profile fingerprint: BuildLibrary and Fit depend only on the
-// traces and the fabric/pricer binding, not on the deployment config, so
-// one calibration serves every campaign over the same profile.
-func (tk *Toolkit) calibrationKey(traceFP string, f topology.Fabric) string {
-	return fmt.Sprintf("calib|%s|%s|%s|%s",
-		CacheSchemaVersion, traceFP, fabricFingerprint(f), tk.pricerFingerprint(f))
+// traces and the fabric, not on the deployment config, so one calibration
+// serves every campaign over the same profile.
+func calibrationKey(traceFP string, f topology.Fabric) string {
+	return fmt.Sprintf("calib|%s|%s|%s", CacheSchemaVersion, traceFP, fabricFingerprint(f))
 }
 
 // profileFingerprint digests everything a scenario result depends on
 // besides the scenario itself: the profiled traces, the deployment they
-// were collected under, and the fabric and pricer binding. It is the
-// profile half of every scenario disk key.
-func (tk *Toolkit) profileFingerprint(cfg parallel.Config, traceFP string, f topology.Fabric) string {
+// were collected under, and the fabric. It is the profile half of every
+// scenario disk key.
+func profileFingerprint(cfg parallel.Config, traceFP string, f topology.Fabric) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "schema=%s\n", CacheSchemaVersion)
 	fmt.Fprintf(h, "traces=%s\n", traceFP)
 	fmt.Fprintf(h, "fabric=%s\n", fabricFingerprint(f))
-	fmt.Fprintf(h, "pricer=%s\n", tk.pricerFingerprint(f))
 	fmt.Fprintf(h, "config=%+v\n", cfg)
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -139,13 +130,13 @@ type calibrationSnapshot struct {
 // a profile on a fabric. On a disk hit the expensive extraction and
 // least-squares fit are skipped entirely — and libraryBuilds is not
 // incremented, so Counters() lets callers verify reuse. traceFP may be
-// empty when no disk cache is configured. tr is the call's resolved tracer
-// (a request-scoped tracer when the caller carries one in context).
-func (tk *Toolkit) calibrationFor(tr *obs.Tracer, m *trace.Multi, f topology.Fabric, traceFP string) (*manip.Library, *kernelmodel.Fitted, error) {
-	sp := tr.Start("pipeline", "calibrate")
+// empty when no disk cache is configured. The calibrate span and the disk
+// cache's events go to ctx's tracer.
+func (tk *Toolkit) calibrationFor(ctx context.Context, m *trace.Multi, f topology.Fabric, traceFP string) (*manip.Library, *kernelmodel.Fitted, error) {
+	sp := obs.TracerFrom(ctx).Start("pipeline", "calibrate")
 	defer sp.End()
 	fallback := func() kernelmodel.Predictor {
-		return kernelmodel.NewOracleFabric(f, tk.pricerFor(f))
+		return kernelmodel.NewOracleFabric(f)
 	}
 	var disk *scache.Cache
 	var key string
@@ -154,12 +145,12 @@ func (tk *Toolkit) calibrationFor(tr *obs.Tracer, m *trace.Multi, f topology.Fab
 			return nil, nil, err
 		} else if c != nil {
 			disk = c
-			key = tk.calibrationKey(traceFP, f)
+			key = calibrationKey(traceFP, f)
 			// GetInto discards payloads that validate at the envelope level
 			// but do not decode (a foreign writer at our key); we then fall
 			// through and overwrite with a fresh calibration.
 			var snap calibrationSnapshot
-			if disk.GetInto(key, &snap) {
+			if disk.GetInto(ctx, key, &snap) {
 				sp.Annotate("disk", "hit")
 				lib := manip.LibraryFromSnapshot(snap.Library, f)
 				fitted := kernelmodel.FittedFromSnapshot(snap.Fitted, f, fallback())
@@ -181,7 +172,7 @@ func (tk *Toolkit) calibrationFor(tr *obs.Tracer, m *trace.Multi, f topology.Fab
 		if payload, err := json.Marshal(snap); err == nil {
 			// Cache write failures (full disk, permissions) cost only the
 			// warm start, never the campaign.
-			_ = disk.Put(key, payload)
+			_ = disk.Put(ctx, key, payload)
 		}
 	}
 	return lib, fitted, nil
@@ -196,9 +187,9 @@ func scenarioDiskKey(profileFP, scenarioFP string) string {
 // decode failure, or infeasible payload (only feasible results are cached).
 // GetInto decodes the payload in place on a pooled read buffer, so a warm
 // sweep pays one struct decode per served scenario and no payload copies.
-func diskLoad(disk *scache.Cache, key string) (ScenarioResult, bool) {
+func diskLoad(ctx context.Context, disk *scache.Cache, key string) (ScenarioResult, bool) {
 	var res ScenarioResult
-	if !disk.GetInto(key, &res) || !res.Feasible() {
+	if !disk.GetInto(ctx, key, &res) || !res.Feasible() {
 		return ScenarioResult{}, false
 	}
 	return res, true
@@ -206,8 +197,8 @@ func diskLoad(disk *scache.Cache, key string) (ScenarioResult, bool) {
 
 // diskStore encodes and persists a feasible scenario result; failures are
 // deliberately silent (the memo already holds the result).
-func diskStore(disk *scache.Cache, key string, res ScenarioResult) {
+func diskStore(ctx context.Context, disk *scache.Cache, key string, res ScenarioResult) {
 	if payload, err := json.Marshal(res); err == nil {
-		_ = disk.Put(key, payload)
+		_ = disk.Put(ctx, key, payload)
 	}
 }

@@ -10,6 +10,10 @@
 //	g, _ := tk.BuildGraph(ctx, traces)
 //	rep, _ := tk.Replay(ctx, g)                   // replayed execution
 //	sweep, _ := tk.Evaluate(ctx, cfg, scenarios...) // profile-once campaign
+//
+// A call is traced by the tracer its context carries
+// (obs.ContextWithTracer): pipeline and scenario spans, planner search
+// instants and disk-cache instants all land there.
 package core
 
 import (
@@ -26,7 +30,6 @@ import (
 
 	"lumos/internal/analysis"
 	"lumos/internal/cluster"
-	"lumos/internal/collective"
 	"lumos/internal/dpro"
 	"lumos/internal/execgraph"
 	"lumos/internal/kernelmodel"
@@ -46,9 +49,6 @@ type Options struct {
 	// Nil selects the paper's H100 testbed (topology.H100Cluster) sized on
 	// demand.
 	Fabric topology.Fabric
-	// Pricer builds the collective pricing backend for a fabric. Nil
-	// selects collective.NewPricer.
-	Pricer func(topology.Fabric) collective.Pricer
 	// Concurrency bounds the sweep worker pool. Zero selects
 	// min(GOMAXPROCS, 8).
 	Concurrency int
@@ -65,11 +65,6 @@ type Options struct {
 	// CacheCap is the disk cache eviction size cap in bytes; <= 0 selects
 	// the scache default.
 	CacheCap int64
-	// Tracer, when non-nil, records pipeline spans (prepare, calibrate,
-	// sweep, per-scenario synthesize/compile/retime/replay) and cache
-	// events for Chrome-trace export (see WithTracer). Nil — the default —
-	// disables tracing with zero overhead.
-	Tracer *obs.Tracer
 }
 
 // Option configures a Toolkit.
@@ -82,15 +77,6 @@ func WithFabric(f topology.Fabric) Option {
 	return func(o *Options) { o.Fabric = f }
 }
 
-// WithPricer swaps the collective pricing backend: the factory is invoked
-// with the bound (capacity-sized) fabric wherever the toolkit needs to
-// price communication — ground-truth profiling, calibration fallbacks, and
-// fabric what-if scenarios. E.g. WithPricer(func(f topology.Fabric)
-// collective.Pricer { return collective.NewPhasedPricer(f) }).
-func WithPricer(p func(topology.Fabric) collective.Pricer) Option {
-	return func(o *Options) { o.Pricer = p }
-}
-
 // WithConcurrency bounds the number of scenarios evaluated in parallel
 // during a sweep. n <= 0 restores the default.
 func WithConcurrency(n int) Option {
@@ -100,16 +86,6 @@ func WithConcurrency(n int) Option {
 // WithSeed sets the profiling seed Evaluate uses for the base profile.
 func WithSeed(seed uint64) Option {
 	return func(o *Options) { o.Seed = seed }
-}
-
-// WithTracer attaches an observability tracer: campaign pipeline stages,
-// sweep workers, planner search rounds and disk-cache events are recorded
-// as spans and instants, exportable as Chrome trace-event JSON
-// (obs.Tracer.Export) and loadable in Perfetto. The default nil tracer is a
-// strict no-op: instrumented hot paths pay one pointer check and keep their
-// allocation budget.
-func WithTracer(t *obs.Tracer) Option {
-	return func(o *Options) { o.Tracer = t }
 }
 
 // WithScenarioCache enables or disables sweep-level memoization. When
@@ -253,17 +229,6 @@ func (tk *Toolkit) Counters() (profiles, libraryBuilds int64) {
 	return tk.profiles.Load(), tk.libraryBuilds.Load()
 }
 
-// tracerFor resolves the tracer for a call: a request-scoped tracer carried
-// by ctx (obs.ContextWithTracer) overrides the toolkit-bound one, so lumosd
-// can give every request an isolated trace over a shared toolkit. With
-// neither set this is one context lookup and stays allocation-free.
-func (tk *Toolkit) tracerFor(ctx context.Context) *obs.Tracer {
-	if t := obs.TracerFrom(ctx); t != nil {
-		return t
-	}
-	return tk.opts.Tracer
-}
-
 // Close releases process-held resources: the disk cache (when configured)
 // stops serving and accepting entries, giving shutdown a defined point
 // after which the cache directory no longer changes. Safe to call on a
@@ -347,21 +312,13 @@ func (tk *Toolkit) fabricFor(world int) topology.Fabric {
 	return f
 }
 
-// pricerFor builds the collective pricing backend for a fabric.
-func (tk *Toolkit) pricerFor(f topology.Fabric) collective.Pricer {
-	if tk.opts.Pricer != nil {
-		return tk.opts.Pricer(f)
-	}
-	return collective.NewPricer(f)
-}
-
-// simConfigFor binds the toolkit's fabric (and its pricing backend) into a
-// ground-truth simulator configuration.
+// simConfigFor binds the toolkit's fabric into a ground-truth simulator
+// configuration.
 func (tk *Toolkit) simConfigFor(world int, seed uint64) cluster.SimConfig {
 	simCfg := cluster.DefaultSimConfig(world, seed)
 	f := tk.fabricFor(world)
 	simCfg.Fabric = f
-	simCfg.Oracle = kernelmodel.NewOracleFabric(f, tk.pricerFor(f))
+	simCfg.Oracle = kernelmodel.NewOracleFabric(f)
 	return simCfg
 }
 
@@ -374,7 +331,7 @@ func (tk *Toolkit) Profile(ctx context.Context, cfg parallel.Config, seed uint64
 	}
 	tk.profiles.Add(1)
 	world := cfg.Map.WorldSize()
-	sp := tk.tracerFor(ctx).Start("pipeline", "profile")
+	sp := obs.TracerFrom(ctx).Start("pipeline", "profile")
 	sp.Annotate("world", world)
 	defer sp.End()
 	simCfg := tk.simConfigFor(world, seed)
@@ -390,7 +347,7 @@ func (tk *Toolkit) ProfileN(ctx context.Context, cfg parallel.Config, seed uint6
 	}
 	tk.profiles.Add(1)
 	world := cfg.Map.WorldSize()
-	sp := tk.tracerFor(ctx).Start("pipeline", "profile")
+	sp := obs.TracerFrom(ctx).Start("pipeline", "profile")
 	sp.Annotate("world", world)
 	sp.Annotate("iterations", n)
 	defer sp.End()
@@ -481,10 +438,10 @@ func (tk *Toolkit) Predict(ctx context.Context, req manip.Request, profiled *tra
 }
 
 // calibrate builds one-shot calibration state (kernel library and fitted
-// model) for a prediction request, honoring the toolkit's fabric and pricer
-// bindings — the same artifacts a campaign's BaseState holds. With a disk
-// cache configured, a previously calibrated (trace set, fabric, pricer)
-// triple is reloaded instead of re-extracted and refit.
+// model) for a prediction request on the toolkit's fabric — the same
+// artifacts a campaign's BaseState holds. With a disk cache configured, a
+// previously calibrated (trace set, fabric) pair is reloaded instead of
+// re-extracted and refit.
 func (tk *Toolkit) calibrate(ctx context.Context, req manip.Request, profiled *trace.Multi) (*manip.Library, *kernelmodel.Fitted, topology.Fabric, error) {
 	world := req.Target.Map.WorldSize()
 	if base := req.Base.Map.WorldSize(); base > world {
@@ -495,7 +452,7 @@ func (tk *Toolkit) calibrate(ctx context.Context, req manip.Request, profiled *t
 	if tk.opts.CacheDir != "" {
 		traceFP = trace.Fingerprint(profiled)
 	}
-	lib, fitted, err := tk.calibrationFor(tk.tracerFor(ctx), profiled, f, traceFP)
+	lib, fitted, err := tk.calibrationFor(ctx, profiled, f, traceFP)
 	if err != nil {
 		return nil, nil, nil, err
 	}

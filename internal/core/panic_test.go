@@ -4,14 +4,13 @@ import (
 	"context"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 
-	"lumos/internal/collective"
+	"lumos/internal/execgraph"
+	"lumos/internal/manip"
 	"lumos/internal/obs"
 	"lumos/internal/parallel"
 	"lumos/internal/planner"
-	"lumos/internal/topology"
 	"lumos/internal/trace"
 )
 
@@ -44,15 +43,16 @@ func TestScenarioPanicIsolated(t *testing.T) {
 	}
 
 	tr := obs.NewTracer()
-	tk := New(WithSeed(42), WithTracer(tr), WithDiskCache(t.TempDir()))
-	st, err := tk.Prepare(ctx, cfg, 42)
+	traced := obs.ContextWithTracer(ctx, tr)
+	tk := New(WithSeed(42), WithDiskCache(t.TempDir()))
+	st, err := tk.Prepare(traced, cfg, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	badTransform := DeployScenario("panics-in-fingerprint", func(parallel.Config) parallel.Config {
 		panic("transform bug")
 	})
-	sweep, err := tk.EvaluateState(ctx, st, healthy, panicScenario{}, badTransform)
+	sweep, err := tk.EvaluateState(traced, st, healthy, panicScenario{}, badTransform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,20 +101,6 @@ func TestScenarioPanicIsolated(t *testing.T) {
 	}
 }
 
-// tripPricer panics once armed: the first collective a comm retime plan
-// prices while its program is lowered.
-type tripPricer struct {
-	collective.Pricer
-	armed *atomic.Bool
-}
-
-func (p tripPricer) Cost(kind trace.CommKind, bytes int64, ranks []int) trace.Dur {
-	if p.armed.CompareAndSwap(true, false) {
-		panic("pricer bug")
-	}
-	return p.Pricer.Cost(kind, bytes, ranks)
-}
-
 // TestSharedBuildPanicLeavesError panics once inside each sync.Once that
 // builds state sibling scenarios share — a structural synthesis, the
 // lowering of its program, and the base program — and evaluates two
@@ -130,35 +116,35 @@ func TestSharedBuildPanicLeavesError(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name     string
-		pricer   bool
-		arm      func(st *BaseState, armed *atomic.Bool)
+		arm      func(t *testing.T, st *BaseState)
 		siblings []Scenario
 		stage    string
 	}{
-		{"synthesis", false, func(st *BaseState, _ *atomic.Bool) {
+		{"synthesis", func(_ *testing.T, st *BaseState) {
 			st.Library = nil
 		}, []Scenario{plan(0.5), plan(0.7)}, "synthesis"},
-		{"compile", true, func(_ *BaseState, armed *atomic.Bool) {
-			armed.Store(true)
+		{"compile", func(t *testing.T, st *BaseState) {
+			// Synthesize the siblings' shared structural entry up front and
+			// give its graph an empty collective group, which lowering the
+			// entry's program and comm retime plan cannot index.
+			target := planner.Point{TP: 2, PP: 2, DP: 1, Microbatches: 8}.Config(st.Config)
+			e, err := st.synthesizeStructural(manip.Request{Base: st.Config, Target: target}, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e.out.Graph.Groups[execgraph.GroupKey{}] = nil
 		}, []Scenario{plan(0.5), plan(0.7)}, "compile"},
-		{"base compile", false, func(st *BaseState, _ *atomic.Bool) {
+		{"base compile", func(_ *testing.T, st *BaseState) {
 			st.Graph = nil
 		}, []Scenario{ClassScaleScenario(trace.KCGEMM, 0.5), ClassScaleScenario(trace.KCGEMM, 0.7)}, "base compile"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			armed := &atomic.Bool{}
-			opts := []Option{WithSeed(42), WithConcurrency(1)}
-			if tc.pricer {
-				opts = append(opts, WithPricer(func(f topology.Fabric) collective.Pricer {
-					return tripPricer{Pricer: collective.NewPricer(f), armed: armed}
-				}))
-			}
-			tk := New(opts...)
+			tk := New(WithSeed(42), WithConcurrency(1))
 			st, err := tk.Prepare(ctx, testConfig(t), 42)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc.arm(st, armed)
+			tc.arm(t, st)
 			sweep, err := tk.EvaluateState(ctx, st, tc.siblings...)
 			if err != nil {
 				t.Fatal(err)

@@ -52,7 +52,7 @@ func (e *structEntry) compiled(b *BaseState, campaign topology.Fabric, sp *obs.S
 		csp := sp.Child("compile")
 		defer csp.End()
 		e.prog = b.tk.compile(e.out.Graph, replay.DefaultOptions())
-		e.plan = manip.NewCommRetimePlan(e.out.Graph, b.tk.pricerFor(campaign))
+		e.plan = manip.NewCommRetimePlan(e.out.Graph, collective.NewPricer(campaign))
 		e.own, e.progErr = b.tk.replayProgram(e.prog, nil)
 	})
 	return e.prog, e.plan, e.own, e.progErr
@@ -181,7 +181,7 @@ func (b *BaseState) predictOnFabric(req manip.Request, f topology.Fabric, breakd
 		}
 		return p, nil
 	}
-	basePricer, targetPricer := b.tk.pricerFor(campaign), b.tk.pricerFor(f)
+	basePricer, targetPricer := collective.NewPricer(campaign), collective.NewPricer(f)
 	if fine, split := e.out.Split(m, basePricer, targetPricer); split {
 		b.tk.classSplits.Add(1)
 		if e, err = b.synthesizeStructural(req, sp, fine, basePricer, targetPricer); err != nil {
@@ -293,8 +293,7 @@ func (tk *Toolkit) Plan(ctx context.Context, base parallel.Config, space planner
 // with Evaluate campaigns and across multiple Plan calls — the scenario
 // cache then spans all of them.
 func (tk *Toolkit) PlanState(ctx context.Context, st *BaseState, space planner.Space, opts ...planner.Option) (*planner.Result, error) {
-	tr := tk.tracerFor(ctx)
-	sp := tr.Start("pipeline", "plan")
+	sp := obs.TracerFrom(ctx).Start("pipeline", "plan")
 	defer sp.End()
 	sim := func(ctx context.Context, cands []planner.Candidate) ([]planner.Outcome, error) {
 		scenarios := make([]Scenario, len(cands))
@@ -320,10 +319,7 @@ func (tk *Toolkit) PlanState(ctx context.Context, st *BaseState, space planner.S
 		}
 		return outs, nil
 	}
-	if tr != nil {
-		opts = append([]planner.Option{planner.WithTracer(tr)}, opts...)
-	}
-	res, err := planner.Plan(ctx, st.Config, space, st.Fabric, tk.opts.Pricer, sim, opts...)
+	res, err := planner.Plan(ctx, st.Config, space, st.Fabric, sim, opts...)
 	if err != nil {
 		return nil, err
 	}

@@ -313,9 +313,9 @@ func TestPlanProfilesOnce(t *testing.T) {
 // span, a skipped-run count, and a retime span annotated with zero changed
 // groups — while a point that crosses the network still replays.
 func TestPlanSkipsUnchangedReplay(t *testing.T) {
-	ctx := context.Background()
 	tr := obs.NewTracer()
-	tk := New(WithConcurrency(2), WithTracer(tr))
+	ctx := obs.ContextWithTracer(context.Background(), tr)
+	tk := New(WithConcurrency(2))
 	st, err := tk.Prepare(ctx, testConfig(t), 42)
 	if err != nil {
 		t.Fatal(err)

@@ -712,12 +712,11 @@ func (tk *Toolkit) Prepare(ctx context.Context, cfg parallel.Config, seed uint64
 // PrepareTraces builds the shared campaign state from an existing profile
 // (e.g. loaded Kineto JSON) of the base deployment. With a disk cache
 // configured (WithDiskCache), the kernel calibration is reloaded from disk
-// when an earlier process already calibrated the same (trace set, fabric,
-// pricer) triple, and the returned state serves fingerprintable scenarios
-// through the disk layer as well as the in-memory memo.
+// when an earlier process already calibrated the same (trace set, fabric)
+// pair, and the returned state serves fingerprintable scenarios through
+// the disk layer as well as the in-memory memo.
 func (tk *Toolkit) PrepareTraces(ctx context.Context, cfg parallel.Config, m *trace.Multi) (*BaseState, error) {
-	tr := tk.tracerFor(ctx)
-	sp := tr.Start("pipeline", "prepare")
+	sp := obs.TracerFrom(ctx).Start("pipeline", "prepare")
 	sp.Annotate("ranks", len(m.Ranks))
 	defer sp.End()
 	bg := sp.Child("build-graph")
@@ -748,9 +747,9 @@ func (tk *Toolkit) PrepareTraces(ctx context.Context, cfg parallel.Config, m *tr
 			return nil, fmt.Errorf("core: opening disk cache: %w", err)
 		}
 		traceFP = trace.Fingerprint(m)
-		profileFP = tk.profileFingerprint(cfg, traceFP, f)
+		profileFP = profileFingerprint(cfg, traceFP, f)
 	}
-	lib, fitted, err := tk.calibrationFor(tr, m, f, traceFP)
+	lib, fitted, err := tk.calibrationFor(ctx, m, f, traceFP)
 	if err != nil {
 		return nil, err
 	}
@@ -796,7 +795,7 @@ func (tk *Toolkit) EvaluateState(ctx context.Context, base *BaseState, scenarios
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	sp := tk.tracerFor(ctx).Start("pipeline", "sweep")
+	sp := obs.TracerFrom(ctx).Start("pipeline", "sweep")
 	sp.Annotate("scenarios", len(scenarios))
 	defer sp.End()
 	results := make([]ScenarioResult, len(scenarios))
@@ -887,7 +886,7 @@ func runScenario(ctx context.Context, sc Scenario, base *BaseState, useCache boo
 		return ScenarioResult{Name: sc.Name(), Err: err.Error()}
 	}
 
-	sp := base.tk.tracerFor(ctx).Start("scenario", sc.Name())
+	sp := obs.TracerFrom(ctx).Start("scenario", sc.Name())
 	if sp != nil {
 		ctx = obs.ContextWithSpan(ctx, sp)
 	}
@@ -918,7 +917,7 @@ func runScenario(ctx context.Context, sc Scenario, base *BaseState, useCache boo
 				}
 				if base.disk != nil && base.fingerprint != "" {
 					diskKey = scenarioDiskKey(base.fingerprint, key)
-					if res, ok := diskLoad(base.disk, diskKey); ok {
+					if res, ok := diskLoad(ctx, base.disk, diskKey); ok {
 						base.diskHits.Add(1)
 						sp.Annotate("cache", "disk")
 						if _, loaded := base.memo.LoadOrStore(key, res); !loaded {
@@ -952,7 +951,7 @@ func runScenario(ctx context.Context, sc Scenario, base *BaseState, useCache boo
 			base.memoSize.Add(1)
 		}
 		if diskKey != "" {
-			diskStore(base.disk, diskKey, res)
+			diskStore(ctx, base.disk, diskKey, res)
 		}
 	}
 	return res

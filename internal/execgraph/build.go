@@ -24,27 +24,25 @@ const (
 	InterStreamNone
 )
 
-// BuildOptions tunes graph construction.
+// gapThreshold is the minimum intra-thread execution gap that triggers
+// the inter-thread dependency heuristic (paper Section 3.3.2).
+const gapThreshold = 2 * trace.Microsecond
+
+// BuildOptions tunes graph construction. Collective kernels are always
+// coupled across ranks into groups (Graph.Groups).
 type BuildOptions struct {
-	// GapThreshold is the minimum intra-thread execution gap that triggers
-	// the inter-thread dependency heuristic (paper Section 3.3.2).
-	GapThreshold trace.Dur
 	// InterStream selects which event-based inter-stream dependencies are
 	// reconstructed.
 	InterStream InterStreamMode
 	// InterThreadDeps enables the CPU gap heuristic.
 	InterThreadDeps bool
-	// CrossRank couples collective kernels across ranks.
-	CrossRank bool
 }
 
 // DefaultOptions returns Lumos's construction settings.
 func DefaultOptions() BuildOptions {
 	return BuildOptions{
-		GapThreshold:    2 * trace.Microsecond,
 		InterStream:     InterStreamAll,
 		InterThreadDeps: true,
-		CrossRank:       true,
 	}
 }
 
@@ -79,11 +77,7 @@ func Build(m *trace.Multi, opts BuildOptions) (*Graph, error) {
 			return nil, err
 		}
 	}
-	if opts.CrossRank {
-		g.FinalizeGroups()
-	} else {
-		g.Groups = map[GroupKey][]int32{}
-	}
+	g.FinalizeGroups()
 	return g, nil
 }
 
@@ -250,7 +244,7 @@ func buildRank(g *Graph, tr *trace.Trace, opts BuildOptions) error {
 		buildInterStream(g, cpuByThread, kernsByStream, opts.InterStream)
 	}
 	if opts.InterThreadDeps && len(cpuByThread) > 1 {
-		buildInterThread(g, cpuByThread, opts.GapThreshold)
+		buildInterThread(g, cpuByThread)
 	}
 	return nil
 }
@@ -335,10 +329,10 @@ func buildInterStream(g *Graph, cpuByThread [][]cpuTaskRef, kernsByStream map[in
 }
 
 // buildInterThread applies the paper's gap heuristic: a task that starts
-// after a significant idle gap on its thread is assumed to have been
-// unblocked by whichever CPU task on another thread of the same rank
-// finished most recently before it.
-func buildInterThread(g *Graph, cpuByThread [][]cpuTaskRef, threshold trace.Dur) {
+// after an idle gap of at least gapThreshold on its thread is assumed to
+// have been unblocked by whichever CPU task on another thread of the same
+// rank finished most recently before it.
+func buildInterThread(g *Graph, cpuByThread [][]cpuTaskRef) {
 	// endsByThread[i] = tasks of thread i sorted by end time.
 	endsByThread := make([][]cpuTaskRef, len(cpuByThread))
 	for i, tasks := range cpuByThread {
@@ -364,7 +358,7 @@ func buildInterThread(g *Graph, cpuByThread [][]cpuTaskRef, threshold trace.Dur)
 		for i, t := range tasks {
 			gap := t.ev.Ts - prevEnd
 			prevEnd = t.ev.End()
-			if i > 0 && gap < threshold {
+			if i > 0 && gap < gapThreshold {
 				continue
 			}
 			if i == 0 && t.ev.Ts == 0 {

@@ -149,6 +149,9 @@ func TestInterStreamModes(t *testing.T) {
 func TestCrossRankGroups(t *testing.T) {
 	m := simTraces(t, 2, 2, 2, 4)
 	g := build(t, m, execgraph.DefaultOptions())
+	if len(g.Groups) == 0 {
+		t.Fatal("no collective groups")
+	}
 	for key, members := range g.Groups {
 		if len(members) < 2 {
 			t.Fatalf("group %v with %d members survived finalize", key, len(members))
@@ -169,12 +172,6 @@ func TestCrossRankGroups(t *testing.T) {
 				t.Fatalf("group %v member has GroupDur %d, want %d", key, g.Tasks[id].GroupDur, minDur)
 			}
 		}
-	}
-	offOpts := execgraph.DefaultOptions()
-	offOpts.CrossRank = false
-	off := build(t, m, offOpts)
-	if len(off.Groups) != 0 {
-		t.Fatal("CrossRank=false must drop groups")
 	}
 }
 

@@ -46,19 +46,15 @@ type Oracle struct {
 	// KernelOverhead is the fixed device-side cost per kernel in ns.
 	KernelOverhead float64
 
-	// Collectives prices communication kernels; any collective.Pricer
-	// backend (bottleneck or phased, on any fabric) plugs in here.
+	// Collectives prices communication kernels.
 	Collectives collective.Pricer
 }
 
-// NewOracleFabric returns an H100-class oracle over a fabric. pricer
-// overrides the collective backend; nil selects collective.NewPricer.
-func NewOracleFabric(f topology.Fabric, pricer collective.Pricer) *Oracle {
-	if pricer == nil {
-		pricer = collective.NewPricer(f)
-	}
+// NewOracleFabric returns an H100-class oracle over a fabric, pricing
+// communication with collective.NewPricer.
+func NewOracleFabric(f topology.Fabric) *Oracle {
 	o := NewDeviceOracle()
-	o.Collectives = pricer
+	o.Collectives = collective.NewPricer(f)
 	return o
 }
 

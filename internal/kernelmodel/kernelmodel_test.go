@@ -8,7 +8,7 @@ import (
 	"lumos/internal/trace"
 )
 
-func oracle() *Oracle { return NewOracleFabric(topology.H100Cluster(64), nil) }
+func oracle() *Oracle { return NewOracleFabric(topology.H100Cluster(64)) }
 
 func TestOracleGEMMThroughput(t *testing.T) {
 	o := oracle()
@@ -98,7 +98,7 @@ func synthTraces(o *Oracle, c topology.Fabric) *trace.Multi {
 
 func TestFitRecoversGenerator(t *testing.T) {
 	c := topology.H100Cluster(8)
-	o := NewOracleFabric(c, nil)
+	o := NewOracleFabric(c)
 	m := synthTraces(o, c)
 	fit, err := Fit([]*trace.Multi{m}, c, o)
 	if err != nil {
@@ -135,7 +135,7 @@ func TestFitExtrapolatesGroupSize(t *testing.T) {
 	// The alpha-beta structure lets the fit predict an 8-rank collective
 	// from 4-rank samples; the ring coefficient does the extrapolation.
 	c := topology.H100Cluster(8)
-	o := NewOracleFabric(c, nil)
+	o := NewOracleFabric(c)
 	m := synthTraces(o, c)
 	fit, err := Fit([]*trace.Multi{m}, c, o)
 	if err != nil {
@@ -152,7 +152,7 @@ func TestFitExtrapolatesGroupSize(t *testing.T) {
 
 func TestFitFallsBackForUnseenFamilies(t *testing.T) {
 	c := topology.H100Cluster(8)
-	o := NewOracleFabric(c, nil)
+	o := NewOracleFabric(c)
 	m := synthTraces(o, c)
 	fit, err := Fit([]*trace.Multi{m}, c, o)
 	if err != nil {
@@ -171,7 +171,7 @@ func TestFitFallsBackForUnseenFamilies(t *testing.T) {
 
 func TestFitWithNoFallback(t *testing.T) {
 	c := topology.H100Cluster(8)
-	m := synthTraces(NewOracleFabric(c, nil), c)
+	m := synthTraces(NewOracleFabric(c), c)
 	fit, err := Fit([]*trace.Multi{m}, c, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -35,7 +35,7 @@ type CommFitEntry struct {
 
 // FittedSnapshot is the serializable form of a Fitted model, minus the
 // fabric and fallback predictor (the loader re-binds both; the cache key
-// already pins the fabric and pricer).
+// already pins the fabric).
 type FittedSnapshot struct {
 	Compute []ComputeFitEntry `json:"compute"`
 	Comm    []CommFitEntry    `json:"comm"`

@@ -198,7 +198,7 @@ func predict(t *testing.T, req Request, profiled *trace.Multi, c topology.Fabric
 
 func mustFit(t *testing.T, m *trace.Multi, c topology.Fabric) *kernelmodel.Fitted {
 	t.Helper()
-	f, err := kernelmodel.Fit([]*trace.Multi{m}, c, kernelmodel.NewOracleFabric(c, nil))
+	f, err := kernelmodel.Fit([]*trace.Multi{m}, c, kernelmodel.NewOracleFabric(c))
 	if err != nil {
 		t.Fatal(err)
 	}

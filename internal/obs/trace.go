@@ -240,10 +240,10 @@ func SpanFrom(ctx context.Context) *Span {
 // tracerKey carries a request-scoped *Tracer through context.
 type tracerKey struct{}
 
-// ContextWithTracer returns ctx carrying t. A context tracer overrides any
-// toolkit-bound tracer for the duration of the request, giving each lumosd
-// request an isolated trace. When t is nil, ctx is returned unchanged so the
-// disabled path allocates nothing.
+// ContextWithTracer returns ctx carrying t: the one way a tracer reaches
+// instrumented code, so each lumosd request gets an isolated trace. When t
+// is nil, ctx is returned unchanged so the disabled path allocates
+// nothing.
 func ContextWithTracer(ctx context.Context, t *Tracer) context.Context {
 	if t == nil {
 		return ctx

@@ -52,9 +52,6 @@ type Bounder struct {
 	// Fabric is the campaign's bound interconnect, used by points that do
 	// not override it.
 	Fabric topology.Fabric
-	// Pricer builds the collective backend for a fabric; nil selects
-	// collective.NewPricer.
-	Pricer func(topology.Fabric) collective.Pricer
 	// Mem is the memory-feasibility model.
 	Mem memcost.Model
 
@@ -62,11 +59,10 @@ type Bounder struct {
 }
 
 // NewBounder returns a bounder over the campaign context.
-func NewBounder(base parallel.Config, fabric topology.Fabric, pricer func(topology.Fabric) collective.Pricer, mem memcost.Model) *Bounder {
+func NewBounder(base parallel.Config, fabric topology.Fabric, mem memcost.Model) *Bounder {
 	return &Bounder{
 		Base:   base,
 		Fabric: fabric,
-		Pricer: pricer,
 		Mem:    mem,
 		oracle: kernelmodel.NewDeviceOracle(),
 	}
@@ -113,7 +109,7 @@ func (b *Bounder) screen(p Point, reason bool) (c Candidate, ok bool) {
 		}
 		return c, false
 	}
-	_, pricer, err := b.resolveFabric(p)
+	f, err := ResolveFabric(p, b.Fabric)
 	if err != nil {
 		c.Infeasible = err.Error()
 		return c, false
@@ -131,7 +127,7 @@ func (b *Bounder) screen(p Point, reason bool) (c Candidate, ok bool) {
 		}
 		return c, false
 	}
-	c.Bound = b.bound(c.Target, pricer)
+	c.Bound = b.bound(c.Target, collective.NewPricer(f))
 	return c, true
 }
 
@@ -163,22 +159,6 @@ func ResolveFabric(p Point, campaign topology.Fabric) (topology.Fabric, error) {
 		return nil, err
 	}
 	return f, nil
-}
-
-// resolveFabric produces the candidate's capacity-sized (and possibly
-// degraded) fabric and its pricer.
-func (b *Bounder) resolveFabric(p Point) (topology.Fabric, collective.Pricer, error) {
-	f, err := ResolveFabric(p, b.Fabric)
-	if err != nil {
-		return nil, nil, err
-	}
-	var pricer collective.Pricer
-	if b.Pricer != nil {
-		pricer = b.Pricer(f)
-	} else {
-		pricer = collective.NewPricer(f)
-	}
-	return f, pricer, nil
 }
 
 // opsTime sums an op sequence analytically: compute kernels through the

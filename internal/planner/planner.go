@@ -24,7 +24,6 @@ import (
 	"context"
 	"sort"
 
-	"lumos/internal/collective"
 	"lumos/internal/memcost"
 	"lumos/internal/obs"
 	"lumos/internal/parallel"
@@ -173,10 +172,6 @@ type Options struct {
 	// Mem is the memory-feasibility model (zero value: 80 GiB H100, plain
 	// DDP).
 	Mem memcost.Model
-	// Tracer, when non-nil, receives per-round search events (pop, prune,
-	// simulate, with the running incumbent) on the "search" category. Nil
-	// disables tracing with zero overhead.
-	Tracer *obs.Tracer
 	// Explain, when non-nil, is filled with the structured search report:
 	// one record per simulated point (bound vs actual) and per pruned
 	// subtree (head, bound, incumbent at prune). Nil disables capture.
@@ -263,11 +258,6 @@ func WithBudget(n int) Option { return func(o *Options) { o.Budget = n } }
 
 // WithMemModel overrides the memory-feasibility model.
 func WithMemModel(m memcost.Model) Option { return func(o *Options) { o.Mem = m } }
-
-// WithTracer attaches an observability tracer: the search emits per-round
-// pop/prune/simulate instant events carrying the incumbent value. A nil
-// tracer (the default) is a no-op.
-func WithTracer(t *obs.Tracer) Option { return func(o *Options) { o.Tracer = t } }
 
 // WithExplain captures the structured search report into e: per simulated
 // point the bound vs the actual, per pruned subtree the head, bound and
@@ -357,16 +347,18 @@ func (r *Result) Best() (Evaluated, bool) {
 // Plan runs the search: expand the space lazily, pre-filter with the
 // memory model and analytic bounds, let the strategy promote survivors to
 // the Simulate callback, and assemble the Pareto frontier of what was
-// simulated.
+// simulated. A tracer carried by ctx (obs.ContextWithTracer) receives
+// per-round search events (pop, prune, simulate, with the running
+// incumbent) on the "search" category.
 func Plan(ctx context.Context, base parallel.Config, space Space,
-	fabric topology.Fabric, pricer func(topology.Fabric) collective.Pricer,
-	sim Simulate, opts ...Option) (*Result, error) {
+	fabric topology.Fabric, sim Simulate, opts ...Option) (*Result, error) {
 
 	var o Options
 	for _, opt := range opts {
 		opt(&o)
 	}
-	bounder := NewBounder(base, fabric, pricer, o.Mem)
+	tracer := obs.TracerFrom(ctx)
+	bounder := NewBounder(base, fabric, o.Mem)
 	stats := Stats{}
 	rej := &rejections{stats: &stats}
 
@@ -411,8 +403,8 @@ func Plan(ctx context.Context, base parallel.Config, space Space,
 				o.Explain.Simulated = append(o.Explain.Simulated, rec)
 			}
 		}
-		if o.Tracer != nil {
-			o.Tracer.Instant("search", "simulate", map[string]any{
+		if tracer != nil {
+			tracer.Instant("search", "simulate", map[string]any{
 				"round": stats.Rounds, "batch": len(cands),
 				"best_ms": float64(best) / 1e6,
 			})
@@ -431,7 +423,7 @@ func Plan(ctx context.Context, base parallel.Config, space Space,
 	evaluated, err := strat.search(ctx, &spaceSearch{
 		base: base, space: space, bounder: bounder,
 		budget: o.Budget, sim: metered, stats: &stats, rej: rej,
-		tracer: o.Tracer, explain: o.Explain,
+		tracer: tracer, explain: o.Explain,
 	})
 	if err != nil {
 		return nil, err

@@ -128,7 +128,7 @@ func TestSizeSaturates(t *testing.T) {
 
 func TestCandidateRejections(t *testing.T) {
 	base := baseCfg(t)
-	b := NewBounder(base, topology.H100Cluster(64), nil, memcost.Model{})
+	b := NewBounder(base, topology.H100Cluster(64), memcost.Model{})
 
 	if c := b.Candidate(Point{TP: 4, PP: 2, DP: 2, Microbatches: 8}); c.Infeasible == "" || c.OOM {
 		t.Fatalf("TP change must be a scope rejection, got %+v", c)
@@ -137,7 +137,7 @@ func TestCandidateRejections(t *testing.T) {
 		t.Fatal("invalid layer partition must be rejected")
 	}
 	// A 1-byte device OOMs everything.
-	tiny := NewBounder(base, topology.H100Cluster(64), nil, memcost.Model{GPUMemBytes: 2 << 30, ReserveBytes: 1 << 30})
+	tiny := NewBounder(base, topology.H100Cluster(64), memcost.Model{GPUMemBytes: 2 << 30, ReserveBytes: 1 << 30})
 	if c := tiny.Candidate(Point{TP: 2, PP: 2, DP: 2, Microbatches: 8}); !c.OOM {
 		t.Fatalf("expected OOM rejection, got %+v", c)
 	}
@@ -153,7 +153,7 @@ func TestCandidateRejections(t *testing.T) {
 
 func TestBoundOrdersObviousCases(t *testing.T) {
 	base := baseCfg(t)
-	b := NewBounder(base, topology.H100Cluster(64), nil, memcost.Model{})
+	b := NewBounder(base, topology.H100Cluster(64), memcost.Model{})
 	fast := b.Candidate(Point{TP: 2, PP: 2, DP: 2, Microbatches: 8})
 	slowNet := b.Candidate(Point{TP: 2, PP: 2, DP: 2, Microbatches: 8, Degrade: []float64{0.25}})
 	if !(fast.Bound < slowNet.Bound) {
@@ -173,7 +173,7 @@ func TestBoundOrdersObviousCases(t *testing.T) {
 
 func plan(t *testing.T, base parallel.Config, s Space, sim *fakeSim, opts ...Option) *Result {
 	t.Helper()
-	res, err := Plan(context.Background(), base, s, topology.H100Cluster(64), nil, sim.fn, opts...)
+	res, err := Plan(context.Background(), base, s, topology.H100Cluster(64), sim.fn, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestScheduleAxisExpansion(t *testing.T) {
 
 func TestScheduleCandidateClassification(t *testing.T) {
 	base := baseCfg(t)
-	b := NewBounder(base, nil, nil, memcost.Model{})
+	b := NewBounder(base, nil, memcost.Model{})
 
 	// Unknown spec names are rejected with the full schedule menu.
 	c := b.Candidate(Point{TP: 2, PP: 2, DP: 2, Microbatches: 8, Schedule: "zb-v"})
@@ -346,7 +346,7 @@ func TestScheduleCandidateClassification(t *testing.T) {
 	sim := newFakeSim()
 	res, err := Plan(context.Background(), base,
 		Space{Schedules: []string{"", "zb-v", "interleaved2", "zb-h1"}},
-		nil, nil, sim.fn)
+		nil, sim.fn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestScheduleCandidateClassification(t *testing.T) {
 
 func TestScheduleBoundEconomics(t *testing.T) {
 	base := baseCfg(t)
-	b := NewBounder(base, nil, nil, memcost.Model{})
+	b := NewBounder(base, nil, memcost.Model{})
 	bound := func(sched string) trace.Dur {
 		c := b.Candidate(Point{TP: 2, PP: 2, DP: 2, Microbatches: 8, Schedule: sched})
 		if c.Infeasible != "" {

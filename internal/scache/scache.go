@@ -13,10 +13,13 @@
 // foreign files, stale schema — as a miss that discards the entry instead
 // of an error that sinks the campaign. A size cap evicts the
 // least-recently-used entries on insert. All counters (hits, misses, puts,
-// evictions, discards) are exposed via Stats for service-level reporting.
+// evictions, discards) are exposed via Stats for service-level reporting,
+// and each outcome is an instant event on the tracer the caller's context
+// carries (obs.ContextWithTracer).
 package scache
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -89,10 +92,6 @@ type Cache struct {
 	dir string
 	cap int64
 
-	// trace, when non-nil, receives one instant event per cache outcome
-	// (hit/miss/put/evict/corrupt). Set via Trace before concurrent use.
-	trace *obs.Tracer
-
 	mu      sync.Mutex
 	closed  bool
 	index   map[string]entryInfo // addr → info
@@ -129,28 +128,20 @@ func Open(dir string, capBytes int64) (*Cache, error) {
 // Dir returns the cache root directory.
 func (c *Cache) Dir() string { return c.dir }
 
-// Trace attaches a tracer that receives one instant event per cache outcome
-// — hit, miss, put, evict, corrupt — on the "scache" category. Call it
-// before the cache is used concurrently; a nil tracer (the default)
-// disables events with zero overhead.
-func (c *Cache) Trace(t *obs.Tracer) {
-	c.mu.Lock()
-	c.trace = t
-	c.mu.Unlock()
-}
-
-// event emits one instant event when tracing is attached. addr8 is the
-// entry's truncated content address (full keys are long and embed
-// fingerprints; eight hex digits identify the entry in a trace).
-func (c *Cache) event(name, a string, bytes int64) {
-	if c.trace == nil {
+// event emits one instant event — hit, miss, put, evict or corrupt — on
+// tr's "scache" category; a nil tr (an untraced caller) costs one pointer
+// check. The entry is named by its truncated content address (full keys
+// are long and embed fingerprints; eight hex digits identify the entry in
+// a trace).
+func event(tr *obs.Tracer, name, a string, bytes int64) {
+	if tr == nil {
 		return
 	}
 	args := map[string]any{"addr": shortAddr(a)}
 	if bytes > 0 {
 		args["bytes"] = bytes
 	}
-	c.trace.Instant("scache", name, args)
+	tr.Instant("scache", name, args)
 }
 
 func shortAddr(a string) string {
@@ -285,7 +276,7 @@ func readEntry(p string) (bp *[]byte, buf []byte, err error) {
 // ok=false the entry has been discarded or missed and counted, and no
 // buffer is returned. File IO, decoding and checksumming all run outside
 // the cache mutex, so concurrent warm readers do not serialize.
-func (c *Cache) loadEntry(key string) (bp *[]byte, env envelopeRef, size int64, ok bool) {
+func (c *Cache) loadEntry(tr *obs.Tracer, key string) (bp *[]byte, env envelopeRef, size int64, ok bool) {
 	a := addr(key)
 	c.mu.Lock()
 	if c.closed {
@@ -300,7 +291,7 @@ func (c *Cache) loadEntry(key string) (bp *[]byte, env envelopeRef, size int64, 
 		c.mu.Lock()
 		c.misses++
 		c.mu.Unlock()
-		c.event("miss", a, 0)
+		event(tr, "miss", a, 0)
 		return nil, envelopeRef{}, 0, false
 	}
 	invalid := json.Unmarshal(buf, &env) != nil ||
@@ -312,7 +303,7 @@ func (c *Cache) loadEntry(key string) (bp *[]byte, env envelopeRef, size int64, 
 	if invalid {
 		bufPool.Put(bp)
 		c.mu.Lock()
-		c.discardLocked(a, p)
+		c.discardLocked(tr, a, p)
 		c.misses++
 		c.mu.Unlock()
 		return nil, envelopeRef{}, 0, false
@@ -322,7 +313,7 @@ func (c *Cache) loadEntry(key string) (bp *[]byte, env envelopeRef, size int64, 
 
 // touch books a hit: bumps the LRU sequence and repairs the index if
 // another process wrote the entry.
-func (c *Cache) touch(key string, size int64) {
+func (c *Cache) touch(tr *obs.Tracer, key string, size int64) {
 	a := addr(key)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -335,22 +326,24 @@ func (c *Cache) touch(key string, size int64) {
 	info.seq = c.seq
 	c.index[a] = info
 	c.hits++
-	c.event("hit", a, size)
+	event(tr, "hit", a, size)
 }
 
 // Get returns the payload stored under key. Any invalid entry — unreadable,
 // truncated, foreign format, stale envelope version, key or checksum
 // mismatch — is discarded and reported as a miss. The returned slice is the
 // caller's to keep; hot paths that immediately decode it should prefer
-// GetInto, which skips this copy.
-func (c *Cache) Get(key string) ([]byte, bool) {
-	bp, env, size, ok := c.loadEntry(key)
+// GetInto, which skips this copy. The outcome is an instant event on ctx's
+// tracer.
+func (c *Cache) Get(ctx context.Context, key string) ([]byte, bool) {
+	tr := obs.TracerFrom(ctx)
+	bp, env, size, ok := c.loadEntry(tr, key)
 	if !ok {
 		return nil, false
 	}
 	payload := append([]byte(nil), env.Payload...)
 	bufPool.Put(bp)
-	c.touch(key, size)
+	c.touch(tr, key, size)
 	return payload, true
 }
 
@@ -358,9 +351,11 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 // pooled read buffer and decoding in place — the warm path performs no
 // payload copy. Entries that validate at the envelope level but fail to
 // decode into v are foreign writers at our key: they are discarded and
-// reported as a miss, exactly like a checksum mismatch.
-func (c *Cache) GetInto(key string, v any) bool {
-	bp, env, size, ok := c.loadEntry(key)
+// reported as a miss, exactly like a checksum mismatch. The outcome is an
+// instant event on ctx's tracer.
+func (c *Cache) GetInto(ctx context.Context, key string, v any) bool {
+	tr := obs.TracerFrom(ctx)
+	bp, env, size, ok := c.loadEntry(tr, key)
 	if !ok {
 		return false
 	}
@@ -368,30 +363,31 @@ func (c *Cache) GetInto(key string, v any) bool {
 	bufPool.Put(bp)
 	if err != nil {
 		c.mu.Lock()
-		c.discardLocked(addr(key), c.path(addr(key)))
+		c.discardLocked(tr, addr(key), c.path(addr(key)))
 		c.misses++
 		c.mu.Unlock()
 		return false
 	}
-	c.touch(key, size)
+	c.touch(tr, key, size)
 	return true
 }
 
 // discardLocked removes a corrupt or stale entry file and its index record.
-func (c *Cache) discardLocked(a, p string) {
+func (c *Cache) discardLocked(tr *obs.Tracer, a, p string) {
 	if info, ok := c.index[a]; ok {
 		c.bytes -= info.size
 		delete(c.index, a)
 	}
 	os.Remove(p)
 	c.discard++
-	c.event("corrupt", a, 0)
+	event(tr, "corrupt", a, 0)
 }
 
 // Put stores payload under key, atomically (temp file + rename) so readers
 // never observe a partial entry, then evicts least-recently-used entries
 // until the size cap holds. Storing under an existing key overwrites it.
-func (c *Cache) Put(key string, payload []byte) error {
+// The put and any evictions are instant events on ctx's tracer.
+func (c *Cache) Put(ctx context.Context, key string, payload []byte) error {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -444,15 +440,16 @@ func (c *Cache) Put(key string, payload []byte) error {
 	c.index[a] = entryInfo{size: int64(len(data)), seq: c.seq}
 	c.bytes += int64(len(data))
 	c.puts++
-	c.event("put", a, int64(len(data)))
-	c.evictLocked(a)
+	tr := obs.TracerFrom(ctx)
+	event(tr, "put", a, int64(len(data)))
+	c.evictLocked(tr, a)
 	return nil
 }
 
 // evictLocked removes least-recently-used entries until bytes <= cap. The
 // just-written entry (keep) survives even if it alone exceeds the cap, so
 // a single oversized result still round-trips within its process.
-func (c *Cache) evictLocked(keep string) {
+func (c *Cache) evictLocked(tr *obs.Tracer, keep string) {
 	for c.bytes > c.cap && len(c.index) > 1 {
 		victim, oldest := "", int64(0)
 		for a, info := range c.index {
@@ -471,7 +468,7 @@ func (c *Cache) evictLocked(keep string) {
 		c.bytes -= info.size
 		os.Remove(c.path(victim))
 		c.evicts++
-		c.event("evict", victim, info.size)
+		event(tr, "evict", victim, info.size)
 	}
 }
 

@@ -1,13 +1,19 @@
 package scache
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"lumos/internal/obs"
 )
+
+// ctx is the untraced caller context most tests read and write under.
+var ctx = context.Background()
 
 func TestRoundTrip(t *testing.T) {
 	c, err := Open(t.TempDir(), 0)
@@ -15,17 +21,17 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := []byte(`{"iteration":1234,"name":"baseline"}`)
-	if err := c.Put("profile|scenario|v1", payload); err != nil {
+	if err := c.Put(ctx, "profile|scenario|v1", payload); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c.Get("profile|scenario|v1")
+	got, ok := c.Get(ctx, "profile|scenario|v1")
 	if !ok {
 		t.Fatal("expected hit after Put")
 	}
 	if string(got) != string(payload) {
 		t.Fatalf("payload mismatch: got %s want %s", got, payload)
 	}
-	if _, ok := c.Get("profile|other|v1"); ok {
+	if _, ok := c.Get(ctx, "profile|other|v1"); ok {
 		t.Fatal("unexpected hit for absent key")
 	}
 	s := c.Stats()
@@ -43,14 +49,14 @@ func TestReopenPersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put("k", []byte(`"v"`)); err != nil {
+	if err := c.Put(ctx, "k", []byte(`"v"`)); err != nil {
 		t.Fatal(err)
 	}
 	c2, err := Open(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c2.Get("k")
+	got, ok := c2.Get(ctx, "k")
 	if !ok || string(got) != `"v"` {
 		t.Fatalf("reopened cache: ok=%v payload=%s", ok, got)
 	}
@@ -107,14 +113,14 @@ func TestCorruptEntryDiscarded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := c.Put("key", []byte(`777`)); err != nil {
+			if err := c.Put(ctx, "key", []byte(`777`)); err != nil {
 				t.Fatal(err)
 			}
 			p := entryFile(t, c, "key")
 			if err := tc.corrupt(p); err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := c.Get("key"); ok {
+			if _, ok := c.Get(ctx, "key"); ok {
 				t.Fatal("corrupt entry served as a hit")
 			}
 			if _, err := os.Stat(p); !os.IsNotExist(err) {
@@ -125,10 +131,10 @@ func TestCorruptEntryDiscarded(t *testing.T) {
 				t.Fatalf("expected 1 discard + 1 miss, got %+v", s)
 			}
 			// The cache keeps working after a discard.
-			if err := c.Put("key", []byte(`777`)); err != nil {
+			if err := c.Put(ctx, "key", []byte(`777`)); err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := c.Get("key"); !ok {
+			if _, ok := c.Get(ctx, "key"); !ok {
 				t.Fatal("re-put after discard should hit")
 			}
 		})
@@ -140,7 +146,7 @@ func TestVersionMismatchRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put("key", []byte(`1`)); err != nil {
+	if err := c.Put(ctx, "key", []byte(`1`)); err != nil {
 		t.Fatal(err)
 	}
 	p := entryFile(t, c, "key")
@@ -163,7 +169,7 @@ func TestVersionMismatchRejected(t *testing.T) {
 	if err := os.WriteFile(p, out, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get("key"); ok {
+	if _, ok := c.Get(ctx, "key"); ok {
 		t.Fatal("future-version entry served as a hit")
 	}
 	if s := c.Stats(); s.Discards != 1 {
@@ -171,7 +177,7 @@ func TestVersionMismatchRejected(t *testing.T) {
 	}
 
 	// Foreign format tag likewise.
-	if err := c.Put("key2", []byte(`2`)); err != nil {
+	if err := c.Put(ctx, "key2", []byte(`2`)); err != nil {
 		t.Fatal(err)
 	}
 	p2 := entryFile(t, c, "key2")
@@ -190,7 +196,7 @@ func TestVersionMismatchRejected(t *testing.T) {
 	if err := os.WriteFile(p2, out, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get("key2"); ok {
+	if _, ok := c.Get(ctx, "key2"); ok {
 		t.Fatal("foreign-format entry served as a hit")
 	}
 }
@@ -202,7 +208,7 @@ func TestEvictionUnderCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if err := c.Put(fmt.Sprintf("key-%d", i), []byte(`"0123456789abcdef"`)); err != nil {
+		if err := c.Put(ctx, fmt.Sprintf("key-%d", i), []byte(`"0123456789abcdef"`)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -214,11 +220,11 @@ func TestEvictionUnderCap(t *testing.T) {
 		t.Fatalf("occupancy %d exceeds cap: %+v", s.Bytes, s)
 	}
 	// The most recent entry survives.
-	if _, ok := c.Get("key-9"); !ok {
+	if _, ok := c.Get(ctx, "key-9"); !ok {
 		t.Fatal("most recent entry was evicted")
 	}
 	// The oldest is gone.
-	if _, ok := c.Get("key-0"); ok {
+	if _, ok := c.Get(ctx, "key-0"); ok {
 		t.Fatal("oldest entry survived eviction")
 	}
 }
@@ -229,20 +235,20 @@ func TestEvictionIsLRU(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := c.Put(fmt.Sprintf("key-%d", i), []byte(`"payload"`)); err != nil {
+		if err := c.Put(ctx, fmt.Sprintf("key-%d", i), []byte(`"payload"`)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Touch key-0 so key-1 becomes the LRU victim.
-	if _, ok := c.Get("key-0"); !ok {
+	if _, ok := c.Get(ctx, "key-0"); !ok {
 		t.Fatal("key-0 should be present")
 	}
 	for i := 3; i < 6; i++ {
-		if err := c.Put(fmt.Sprintf("key-%d", i), []byte(`"payload"`)); err != nil {
+		if err := c.Put(ctx, fmt.Sprintf("key-%d", i), []byte(`"payload"`)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := c.Get("key-1"); ok {
+	if _, ok := c.Get(ctx, "key-1"); ok {
 		t.Fatal("LRU entry key-1 should have been evicted before touched key-0")
 	}
 }
@@ -253,10 +259,10 @@ func TestOversizedEntrySurvivesOwnPut(t *testing.T) {
 		t.Fatal(err)
 	}
 	big := []byte(`"` + string(make([]byte, 0, 0)) + fmt.Sprintf("%0512d", 1) + `"`)
-	if err := c.Put("big", big); err != nil {
+	if err := c.Put(ctx, "big", big); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get("big"); !ok {
+	if _, ok := c.Get(ctx, "big"); !ok {
 		t.Fatal("oversized entry should survive its own Put")
 	}
 }
@@ -274,11 +280,11 @@ func TestConcurrentAccess(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				key := fmt.Sprintf("key-%d", i%10)
 				payload := []byte(fmt.Sprintf(`{"v":%d}`, i%10))
-				if err := c.Put(key, payload); err != nil {
+				if err := c.Put(ctx, key, payload); err != nil {
 					t.Error(err)
 					return
 				}
-				if got, ok := c.Get(key); ok {
+				if got, ok := c.Get(ctx, key); ok {
 					if string(got) != string(payload) {
 						t.Errorf("payload mismatch under concurrency: %s vs %s", got, payload)
 						return
@@ -303,7 +309,7 @@ func TestStrayTempFilesIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put("k", []byte(`1`)); err != nil {
+	if err := c.Put(ctx, "k", []byte(`1`)); err != nil {
 		t.Fatal(err)
 	}
 	// A crashed writer leaves a temp file behind; reopening must not index it.
@@ -336,17 +342,17 @@ func TestGetIntoRoundTrip(t *testing.T) {
 		Iteration int64  `json:"iteration"`
 	}
 	payload, _ := json.Marshal(rec{Name: "baseline", Iteration: 1234})
-	if err := c.Put("k", payload); err != nil {
+	if err := c.Put(ctx, "k", payload); err != nil {
 		t.Fatal(err)
 	}
 	var got rec
-	if !c.GetInto("k", &got) {
+	if !c.GetInto(ctx, "k", &got) {
 		t.Fatal("expected hit after Put")
 	}
 	if got.Name != "baseline" || got.Iteration != 1234 {
 		t.Fatalf("decoded mismatch: %+v", got)
 	}
-	if c.GetInto("absent", &got) {
+	if c.GetInto(ctx, "absent", &got) {
 		t.Fatal("unexpected hit for absent key")
 	}
 	s := c.Stats()
@@ -361,10 +367,10 @@ func TestGetIntoMatchesGet(t *testing.T) {
 		t.Fatal(err)
 	}
 	payload := []byte(`{"a":[1,2,3],"b":"x"}`)
-	if err := c.Put("k", payload); err != nil {
+	if err := c.Put(ctx, "k", payload); err != nil {
 		t.Fatal(err)
 	}
-	raw, ok := c.Get("k")
+	raw, ok := c.Get(ctx, "k")
 	if !ok {
 		t.Fatal("Get miss")
 	}
@@ -372,7 +378,7 @@ func TestGetIntoMatchesGet(t *testing.T) {
 	if err := json.Unmarshal(raw, &viaGet); err != nil {
 		t.Fatal(err)
 	}
-	if !c.GetInto("k", &viaInto) {
+	if !c.GetInto(ctx, "k", &viaInto) {
 		t.Fatal("GetInto miss")
 	}
 	if fmt.Sprint(viaGet) != fmt.Sprint(viaInto) {
@@ -387,11 +393,11 @@ func TestGetIntoUndecodablePayloadDiscarded(t *testing.T) {
 	}
 	// A payload that is valid JSON (so Put and the envelope checksum accept
 	// it) but does not decode into the caller's type.
-	if err := c.Put("k", []byte(`"not-an-object"`)); err != nil {
+	if err := c.Put(ctx, "k", []byte(`"not-an-object"`)); err != nil {
 		t.Fatal(err)
 	}
 	var v struct{ A int }
-	if c.GetInto("k", &v) {
+	if c.GetInto(ctx, "k", &v) {
 		t.Fatal("expected type-mismatched payload to miss")
 	}
 	s := c.Stats()
@@ -400,5 +406,45 @@ func TestGetIntoUndecodablePayloadDiscarded(t *testing.T) {
 	}
 	if _, err := os.Stat(c.path(addr("k"))); err == nil {
 		t.Fatal("entry file should have been removed")
+	}
+}
+
+// TestEventsOnContextTracer checks that every cache outcome is an instant
+// event on the tracer of the call's context, and only there: an untraced
+// call records nothing on a tracer another caller passed earlier.
+func TestEventsOnContextTracer(t *testing.T) {
+	c, err := Open(t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTracer()
+	traced := obs.ContextWithTracer(context.Background(), tr)
+	if err := c.Put(traced, "a", []byte(`1`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(traced, "a"); !ok {
+		t.Fatal("expected hit")
+	}
+	var v int
+	if c.GetInto(traced, "absent", &v) {
+		t.Fatal("unexpected hit")
+	}
+	// Over the 1-byte cap, the second put evicts the first entry.
+	if err := c.Put(traced, "b", []byte(`2`)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(ctx, "b"); !ok {
+		t.Fatal("expected hit")
+	}
+	var names []string
+	for _, ev := range tr.Events() {
+		if ev.Cat != "scache" {
+			t.Fatalf("event %q on category %q, want scache", ev.Name, ev.Cat)
+		}
+		names = append(names, ev.Name)
+	}
+	want := []string{"put", "hit", "miss", "put", "evict"}
+	if fmt.Sprint(names) != fmt.Sprint(want) {
+		t.Fatalf("events %v, want %v", names, want)
 	}
 }

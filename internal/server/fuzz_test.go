@@ -3,6 +3,9 @@ package server
 import (
 	"bytes"
 	"testing"
+
+	"lumos/internal/execgraph"
+	"lumos/internal/replay"
 )
 
 // FuzzRequestBuilders decodes arbitrary bytes strictly, as lumosd decodes
@@ -36,5 +39,36 @@ func FuzzRequestBuilders(f *testing.F) {
 				t.Fatalf("accepted %d scenarios, over the limit of %d", len(scenarios), MaxSweepScenarios)
 			}
 		}
+	})
+}
+
+// FuzzDecodeTrace feeds arbitrary bytes down lumosd's inline Kineto path:
+// the bytes are one rank of a POST /v1/profiles "traces" list, decoded by
+// the handler's own loader, built into an execution graph, and replayed on
+// the compiled engine lumosd runs and on the reference simulator. No input
+// may panic any of them; a malformed trace is an error.
+//
+// The seed corpus in testdata/fuzz/FuzzDecodeTrace holds a trimmed
+// `lumos tracegen` rank (GPT-3 15B, TP2, one microbatch: the opening
+// forward events, a backward stretch on the autograd thread and the
+// closing events), so plain go test replays it; make fuzz-smoke explores
+// beyond it.
+func FuzzDecodeTrace(f *testing.F) {
+	s := New(Config{})
+	base, err := testDeployment().config()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := s.loadProfileTraces(t.Context(), &ProfileRequest{Traces: []rawTrace{data}}, base)
+		if err != nil {
+			return
+		}
+		g, err := execgraph.Build(m, execgraph.DefaultOptions())
+		if err != nil {
+			return
+		}
+		replay.Compile(g, replay.DefaultOptions()).Run(replay.Timings{}, replay.NewScratch())
+		replay.Run(g, replay.DefaultOptions())
 	})
 }

@@ -240,6 +240,41 @@ func TestFlightRecorderConcurrentTraces(t *testing.T) {
 	}
 }
 
+// TestFlightRecorderShowsDiskCache: a lumosd with a disk cache answers a
+// traced plan, and the request's flight-recorder trace holds the disk
+// cache's instants: one miss and one put per fresh point on a cold cache
+// directory, then one hit per point on a second server over the same
+// directory.
+func TestFlightRecorderShowsDiskCache(t *testing.T) {
+	dir := t.TempDir()
+	req := PlanRequest{Profile: "fig7", PPRange: []int{1, 2}, MBRange: []int{4, 8}, Trace: true}
+	for _, want := range []map[string]int{{"miss": 1, "put": 1}, {"hit": 1}} {
+		s := New(Config{Seed: 42, CacheDir: dir})
+		createProfile(t, s, "fig7", http.StatusCreated)
+		resp := decodeBody[PlanResponse](t, do(t, s, "POST", "/v1/plan", req))
+		if resp.Stats.Simulated == 0 {
+			t.Fatalf("plan simulated no point: %+v", resp.Stats)
+		}
+		rec := do(t, s, "GET", "/v1/traces/"+resp.TraceID, nil)
+		events, err := obs.ParseTrace(rec.Body.Bytes())
+		if err != nil {
+			t.Fatalf("trace %s does not parse: %v", resp.TraceID, err)
+		}
+		got := map[string]int{}
+		for _, e := range events {
+			if e.Cat == "scache" {
+				got[e.Name]++
+			}
+		}
+		for name, perPoint := range want {
+			want[name] = perPoint * resp.Stats.Simulated
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("trace %s holds scache instants %v, want %v", resp.TraceID, got, want)
+		}
+	}
+}
+
 // TestFlightRecorderRetentionPolicy checks the capture policy: with a slow
 // threshold configured, fast un-opted requests are dropped, opted-in
 // requests are always retained, and unknown ids 404.

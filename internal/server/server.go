@@ -61,8 +61,14 @@ import (
 	"lumos/internal/trace"
 )
 
-// maxBodyBytes bounds request bodies; inline trace uploads dominate.
+// maxBodyBytes bounds profile bodies, where inline trace uploads dominate.
 const maxBodyBytes = 1 << 30
+
+// maxCampaignBodyBytes bounds sweep and plan bodies. The campaign builders'
+// work grows with the raw list lengths even where duplicates collapse the
+// space, so these bodies get a cap sized for requests, not for trace
+// uploads (a serve-plan body is about 1.5 KB).
+const maxCampaignBodyBytes = 1 << 20
 
 // Config configures a Server.
 type Config struct {
@@ -314,12 +320,20 @@ func (s *Server) failRun(w http.ResponseWriter, r *http.Request, err error) {
 	s.fail(w, http.StatusInternalServerError, "%v", err)
 }
 
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxBodyBytes), v); err != nil {
+// decode reads a strict JSON body of at most limit bytes into v. An
+// over-cap body is a 413 naming the cap; any other decode error a 400.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
+	err := decodeStrict(http.MaxBytesReader(w, r.Body, limit), v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		s.fail(w, http.StatusRequestEntityTooLarge, "request body over the %d MiB cap of %s", limit>>20, r.URL.Path)
+	default:
 		s.fail(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
 	}
-	return true
+	return false
 }
 
 // decodeStrict decodes one JSON request body into v, rejecting unknown
@@ -395,7 +409,7 @@ func (s *Server) loadProfileTraces(ctx context.Context, req *ProfileRequest, cfg
 
 func (s *Server) handleCreateProfile(w http.ResponseWriter, r *http.Request) {
 	var req ProfileRequest
-	if !s.decode(w, r, &req) {
+	if !s.decode(w, r, maxBodyBytes, &req) {
 		return
 	}
 	if err := validProfileName(req.Name); err != nil {
@@ -498,9 +512,9 @@ func (s *Server) lookup(w http.ResponseWriter, name string) *profile {
 }
 
 // startTrace gives a request its own flight-recorder tracer with a fresh
-// process-unique id and returns a context carrying it: toolkit entry points
-// prefer the context tracer, so concurrent requests on the shared worker
-// pool record fully disjoint span sets.
+// process-unique id and returns a context carrying it: the toolkit traces
+// only through the context, so concurrent requests on the shared worker
+// pool record fully disjoint span sets, disk-cache instants included.
 func (s *Server) startTrace(r *http.Request) (*obs.Tracer, context.Context) {
 	tr := obs.NewTracer()
 	tr.SetID(s.recorder.NextID())
@@ -550,7 +564,7 @@ func scenarioJSON(r lumos.ScenarioResult, rank int) ScenarioResult {
 
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	if !s.decode(w, r, &req) {
+	if !s.decode(w, r, maxCampaignBodyBytes, &req) {
 		return
 	}
 	p := s.lookup(w, req.Profile)
@@ -596,7 +610,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	var req PlanRequest
-	if !s.decode(w, r, &req) {
+	if !s.decode(w, r, maxCampaignBodyBytes, &req) {
 		return
 	}
 	p := s.lookup(w, req.Profile)

@@ -267,6 +267,7 @@ func TestRequestValidation(t *testing.T) {
 	s := New(Config{Seed: 42})
 	createProfile(t, s, "fig7", http.StatusCreated)
 
+	overCap := repeatedDegradeBody()
 	cases := []struct {
 		name string
 		path string
@@ -294,6 +295,8 @@ func TestRequestValidation(t *testing.T) {
 		{"sweep over the scenario limit", "/v1/sweep", wideSweepRequest(), http.StatusBadRequest},
 		{"plan negative gpu memory", "/v1/plan", PlanRequest{Profile: "fig7", GPUMemGiB: -1}, http.StatusBadRequest},
 		{"plan gpu memory past int64", "/v1/plan", PlanRequest{Profile: "fig7", GPUMemGiB: 1e10}, http.StatusBadRequest},
+		{"plan body over the cap", "/v1/plan", overCap, http.StatusRequestEntityTooLarge},
+		{"sweep body over the cap", "/v1/sweep", overCap, http.StatusRequestEntityTooLarge},
 	}
 	// Unknown fields are rejected by name rather than silently ignored, and
 	// oversized campaigns by their size.
@@ -303,6 +306,8 @@ func TestRequestValidation(t *testing.T) {
 		"plan over the point limit":                "plan space has 46656000000000000 points, over the limit of 1048576",
 		"plan over the point limit by its fabrics": "plan space has 1179648 points, over the limit of 1048576",
 		"sweep over the scenario limit":            "sweep has 216000001 scenarios, over the limit of 4096",
+		"plan body over the cap":                   "request body over the 1 MiB cap of /v1/plan",
+		"sweep body over the cap":                  "request body over the 1 MiB cap of /v1/sweep",
 	}
 	for _, c := range cases {
 		rec := do(t, s, "POST", c.path, c.body)
@@ -374,6 +379,15 @@ func widePlanRequest() PlanRequest {
 		req.Degrade = append(req.Degrade, float64(i)/1000)
 	}
 	return req
+}
+
+// repeatedDegradeBody is a 16 MiB sweep or plan body holding 4,194,304
+// copies of degrade factor 0.5: a 1-point plan space whose list would
+// cost seconds to decode and build.
+func repeatedDegradeBody() json.RawMessage {
+	body := []byte(`{"profile":"fig7","degrade":[`)
+	body = append(body, bytes.Repeat([]byte("0.5,"), 1<<22-1)...)
+	return append(body, "0.5]}"...)
 }
 
 // fabricPlanRequest is a serve-plan-shaped body (131,072 points) over nine

@@ -39,7 +39,6 @@ import (
 	"fmt"
 
 	"lumos/internal/analysis"
-	"lumos/internal/collective"
 	"lumos/internal/core"
 	"lumos/internal/execgraph"
 	"lumos/internal/manip"
@@ -68,11 +67,6 @@ func New(opts ...Option) *Toolkit { return core.New(opts...) }
 // NVLDomainFabric(512) or OversubscribedFabric(512, 4), optionally wrapped
 // by DegradeFabric.
 func WithFabric(f Fabric) Option { return core.WithFabric(f) }
-
-// WithPricer swaps the collective pricing backend used wherever the toolkit
-// prices communication: ground-truth profiling, calibration fallbacks, and
-// fabric what-if scenarios.
-func WithPricer(p func(Fabric) collective.Pricer) Option { return core.WithPricer(p) }
 
 // WithConcurrency bounds the number of scenarios evaluated in parallel
 // during a sweep.
@@ -123,9 +117,6 @@ type (
 	HierFabric = topology.HierFabric
 	// Link is one fabric tier's per-GPU bandwidth/latency pair.
 	Link = topology.Link
-	// Pricer prices NCCL-style communication primitives; backends are
-	// swappable (NewHierPricer, the default, or NewPhasedPricer).
-	Pricer = collective.Pricer
 	// Trace is one rank's profiling trace; Multi a distributed run's set.
 	Trace = trace.Trace
 	// Multi is a set of per-rank traces.
@@ -245,15 +236,6 @@ func DegradeFabric(f Fabric, factors ...float64) (Fabric, error) {
 	return topology.Degrade(f, factors...)
 }
 
-// NewHierPricer returns the bottleneck-composed pricer over any fabric: the
-// default backend every toolkit prices communication with.
-func NewHierPricer(f Fabric) Pricer { return collective.NewPricer(f) }
-
-// NewPhasedPricer returns the hierarchical pricer with per-tier phase
-// composition (NCCL's hierarchical algorithms: intra-domain reduce-scatter
-// and all-gather around a cross-domain ring).
-func NewPhasedPricer(f Fabric) Pricer { return collective.NewPhasedPricer(f) }
-
 // FusionReport summarizes an operator-fusion what-if.
 type FusionReport = analysis.FusionReport
 
@@ -309,11 +291,13 @@ func NewRegistry() *Registry { return obs.NewRegistry() }
 // Tracer.Export (round-trip check for exported traces).
 func ParseTraceEvents(data []byte) ([]TraceEvent, error) { return obs.ParseTrace(data) }
 
-// ContextWithTracer returns a context carrying t. Toolkit pipeline entry
-// points (Evaluate, Plan, Prepare and their *State forms) prefer a context
-// tracer over the toolkit's WithTracer option, so a server can give each
-// request its own tracer on a shared toolkit. A nil t returns ctx
-// unchanged, keeping the untraced path allocation-free.
+// ContextWithTracer returns a context carrying t, the one way to trace a
+// toolkit call: pipeline stages (profile, calibrate, prepare, sweep),
+// per-scenario synthesis, graph compilation and replay, planner search
+// rounds, and disk-cache activity all emit spans or instant events onto
+// the tracer of the context they run under, so a server gives each request
+// its own tracer on a shared toolkit. A nil t returns ctx unchanged, and
+// an untraced call pays one pointer check per instrumented site.
 func ContextWithTracer(ctx context.Context, t *Tracer) context.Context {
 	return obs.ContextWithTracer(ctx, t)
 }
@@ -327,10 +311,3 @@ func TracerFrom(ctx context.Context) *Tracer { return obs.TracerFrom(ctx) }
 // are sampled at snapshot time; registration is explicit because the
 // values are inherently nondeterministic.
 func RegisterRuntime(r *Registry) { obs.RegisterRuntime(r) }
-
-// WithTracer attaches a tracer to the toolkit: campaign pipeline stages
-// (profile, calibrate, prepare, sweep), per-scenario synthesis, graph
-// compilation and replay, planner search rounds, and disk-cache activity
-// all emit spans or instant events onto it. A nil tracer (the default)
-// disables tracing with no allocation or locking on the hot path.
-func WithTracer(t *Tracer) Option { return core.WithTracer(t) }

@@ -16,9 +16,9 @@ import (
 // into a snapshot, this test catches it before a dashboard does.
 func TestMetricsSnapshotDeterminism(t *testing.T) {
 	run := func() (string, map[string]int) {
-		ctx := context.Background()
 		tracer := NewTracer()
-		tk := New(WithSeed(42), WithConcurrency(4), WithTracer(tracer))
+		ctx := ContextWithTracer(context.Background(), tracer)
+		tk := New(WithSeed(42), WithConcurrency(4))
 		base := sweepBase(t)
 		st, err := tk.Prepare(ctx, base, 42)
 		if err != nil {
