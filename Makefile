@@ -112,7 +112,8 @@ bench-diff:
 # experiments-smoke runs the paper-evaluation harness (cmd/experiments) on its
 # quick ablations (~2 s), so the harness keeps building and running: every
 # ablation row replays, predicts or simulates through the same packages the
-# toolkit uses.
+# toolkit uses. It fails when the gap-heuristic or the coupling on/off pair
+# prints one iteration, since such a pair shows nothing about its option.
 experiments-smoke:
 	$(GO) run ./cmd/experiments -quick ablations
 

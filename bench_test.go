@@ -45,6 +45,32 @@ func benchSim(b *testing.B, cfg parallel.Config, seed uint64) *trace.Multi {
 	return out
 }
 
+// benchProfile profiles cfg once on tk, seed 42, for benchmarks that build
+// campaign states over one profile.
+func benchProfile(b *testing.B, tk *Toolkit, cfg Config) *Multi {
+	b.Helper()
+	traces, err := tk.Profile(context.Background(), cfg, 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return traces
+}
+
+// freshCampaign prepares a new campaign state over traces with the timer
+// stopped. Campaign states memoize scenario results and share synthesized
+// graphs, so a benchmark that must pay for every prediction on every
+// iteration evaluates on a fresh one.
+func freshCampaign(b *testing.B, tk *Toolkit, cfg Config, traces *Multi) *BaseState {
+	b.Helper()
+	b.StopTimer()
+	defer b.StartTimer()
+	st, err := tk.PrepareTraces(context.Background(), cfg, traces)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return st
+}
+
 // BenchmarkTable1_ModelPresets prices every Table 1 preset's per-layer op
 // generation (the workload-model hot path).
 func BenchmarkTable1_ModelPresets(b *testing.B) {
@@ -159,16 +185,22 @@ func BenchmarkFig6_SMUtilization(b *testing.B) {
 	b.ReportMetric(diff, "mean-abs-util-err")
 }
 
-// predictBench runs a Figure 7/8-style manipulation prediction and reports
-// its error vs a ground-truth run of the target.
+// predictBench runs a Figure 7/8-style manipulation prediction, a
+// one-scenario campaign over a fresh profile, and reports its error vs a
+// ground-truth run of the target.
 func predictBench(b *testing.B, req manip.Request, seed uint64) {
 	tk := New()
+	target := DeployScenario("target", func(Config) Config { return req.Target })
 	var predErr float64
 	for i := 0; i < b.N; i++ {
 		profiled := benchSim(b, req.Base, 21)
-		pred, err := tk.Predict(context.Background(), req, profiled)
+		sweep, err := tk.EvaluateTraces(context.Background(), req.Base, profiled, target)
 		if err != nil {
 			b.Fatal(err)
+		}
+		pred := sweep.Results[0]
+		if !pred.Feasible() {
+			b.Fatal(pred.Err)
 		}
 		actual := benchSim(b, req.Target, seed+uint64(i))
 		predErr = metrics.RelErr(pred.Iteration, actual.Duration())
@@ -204,7 +236,7 @@ func BenchmarkFig8_ArchVariants(b *testing.B) {
 		b.Run(v.Name, func(b *testing.B) {
 			target := base
 			target.Arch = v
-			predictBench(b, manip.ChangeArch(base, target), 3400)
+			predictBench(b, manip.Request{Base: base, Target: target}, 3400)
 		})
 	}
 }
@@ -506,23 +538,22 @@ func BenchmarkSweep_SharedCalibration(b *testing.B) {
 	b.ReportMetric(float64(feasible), "feasible-scenarios")
 }
 
-// BenchmarkSweepThroughput measures the raw per-scenario prediction cost
-// with memoization disabled: every iteration re-predicts each scenario
-// against the prepared base state, exercising direct graph synthesis (no
-// trace round trip), retiming into pooled duration columns, and pooled
-// replay scratches.
+// BenchmarkSweepThroughput measures the raw per-scenario prediction cost:
+// every iteration evaluates the campaign on a fresh campaign state,
+// prepared outside the timer, so each deploy scenario pays direct graph
+// synthesis (no trace round trip) and the kernel what-ifs pay one lowering
+// of the base program, retiming into pooled duration columns and pooled
+// replay scratches; nothing is served by an earlier iteration's memo or
+// structural cache.
 func BenchmarkSweepThroughput(b *testing.B) {
 	ctx := context.Background()
-	tk := New(WithConcurrency(4), WithScenarioCache(false))
+	tk := New(WithConcurrency(4))
 	cfg, err := DeploymentConfig(GPT3_15B(), 2, 2, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	cfg.Microbatches = 4
-	base, err := tk.Prepare(ctx, cfg, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
+	traces := benchProfile(b, tk, cfg)
 	scenarios := append(GridSweep(GPT3_15B(), []int{2}, []int{1, 2}, []int{1, 2}),
 		BaselineScenario(),
 		ArchScenario(GPT3_V1()),
@@ -532,7 +563,7 @@ func BenchmarkSweepThroughput(b *testing.B) {
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sweep, err := tk.EvaluateState(ctx, base, scenarios...)
+		sweep, err := tk.EvaluateState(ctx, freshCampaign(b, tk, cfg, traces), scenarios...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -544,8 +575,11 @@ func BenchmarkSweepThroughput(b *testing.B) {
 }
 
 // BenchmarkReplayEngine measures the retimed what-if hot path: a campaign
-// of kernel-class retimings and fusion what-ifs, each a full replay of the
-// shared base program under pooled duration columns on a pooled scratch.
+// of ten kernel-class retimings, each a full replay of the shared base
+// program under pooled duration columns on a pooled scratch. The
+// retimings are KernelScaleScenarios over predicates, which have no
+// fingerprint, so the memo serves none of them and every iteration replays
+// all ten; the base program is lowered once, on the first iteration.
 func BenchmarkReplayEngine(b *testing.B) {
 	ctx := context.Background()
 	cfg, err := DeploymentConfig(GPT3_15B(), 2, 2, 1)
@@ -553,14 +587,15 @@ func BenchmarkReplayEngine(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg.Microbatches = 4
-	scenarios := []Scenario{BaselineScenario(), FusionScenario()}
+	scenarios := []Scenario{BaselineScenario()}
 	for _, class := range []KernelClass{KCGEMM, KCAttention, KCElementwise, KCNorm, KCComm} {
+		match := func(t *Task) bool { return t.Class == class }
 		scenarios = append(scenarios,
-			ClassScaleScenario(class, 0.5),
-			ClassScaleScenario(class, 0.9),
+			KernelScaleScenario(fmt.Sprintf("%s x0.50", class), match, 0.5),
+			KernelScaleScenario(fmt.Sprintf("%s x0.90", class), match, 0.9),
 		)
 	}
-	tk := New(WithConcurrency(4), WithScenarioCache(false), WithSeed(42))
+	tk := New(WithConcurrency(4), WithSeed(42))
 	base, err := tk.Prepare(ctx, cfg, 42)
 	if err != nil {
 		b.Fatal(err)
@@ -579,11 +614,12 @@ func BenchmarkReplayEngine(b *testing.B) {
 }
 
 // BenchmarkSweep_FabricCampaign measures the fabric-binding hot path per
-// topology: a campaign of fabric × degradation what-ifs evaluated against
-// prepared base state, with memoization disabled so every iteration pays
-// the full re-pricing cost. Sub-benchmarks carry a fabric=<preset> label
-// that cmd/benchjson records in BENCH_sweep.json, making entries comparable
-// across topologies.
+// topology: a campaign of fabric × degradation what-ifs, evaluated on a
+// fresh campaign state per iteration (prepared outside the timer), so
+// every iteration pays the base deployment's synthesis and the full
+// re-pricing and replay of each what-if. Sub-benchmarks carry a
+// fabric=<preset> label that cmd/benchjson records in BENCH_sweep.json,
+// making entries comparable across topologies.
 func BenchmarkSweep_FabricCampaign(b *testing.B) {
 	ctx := context.Background()
 	cfg, err := DeploymentConfig(GPT3_15B(), 2, 2, 1)
@@ -599,17 +635,14 @@ func BenchmarkSweep_FabricCampaign(b *testing.B) {
 	} {
 		fb := fb
 		b.Run("fabric="+fb.FabricName(), func(b *testing.B) {
-			tk := New(WithConcurrency(4), WithScenarioCache(false))
-			base, err := tk.Prepare(ctx, cfg, 42)
-			if err != nil {
-				b.Fatal(err)
-			}
+			tk := New(WithConcurrency(4))
+			traces := benchProfile(b, tk, cfg)
 			scenarios := append([]Scenario{BaselineScenario()},
 				FabricSweep([]Fabric{fb}, []float64{1, 0.5})...)
 			b.ResetTimer()
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				sweep, err := tk.EvaluateState(ctx, base, scenarios...)
+				sweep, err := tk.EvaluateState(ctx, freshCampaign(b, tk, cfg, traces), scenarios...)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -697,13 +730,14 @@ func BenchmarkSweep_DiskCacheWarmStart(b *testing.B) {
 }
 
 // BenchmarkSweep_ScheduleCampaign measures the schedule what-if hot path
-// per pipeline schedule: one shared profile/calibration, each sub-benchmark
-// re-predicting the base deployment under one schedule (regenerated slot
-// structure — interleaved chunk P2P, zero-bubble split backward — against
-// the shared kernel library). Sub-benchmarks carry a schedule=<name> label
-// that cmd/benchjson records in BENCH_sweep.json; the pred-ms metric tracks
-// each schedule's predicted iteration time so regressions in the schedule
-// economics fail loudly.
+// per pipeline schedule: one shared profile, each sub-benchmark iteration
+// re-predicting the base deployment under one schedule on a fresh campaign
+// state prepared outside the timer (regenerated slot structure —
+// interleaved chunk P2P, zero-bubble split backward — synthesized against
+// the campaign's kernel library). Sub-benchmarks carry a schedule=<name>
+// label that cmd/benchjson records in BENCH_sweep.json; the pred-ms metric
+// tracks each schedule's predicted iteration time so regressions in the
+// schedule economics fail loudly.
 func BenchmarkSweep_ScheduleCampaign(b *testing.B) {
 	ctx := context.Background()
 	cfg, err := DeploymentConfig(GPT3_15B(), 2, 2, 1)
@@ -711,11 +745,8 @@ func BenchmarkSweep_ScheduleCampaign(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg.Microbatches = 4
-	tk := New(WithConcurrency(4), WithScenarioCache(false))
-	base, err := tk.Prepare(ctx, cfg, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
+	tk := New(WithConcurrency(4))
+	traces := benchProfile(b, tk, cfg)
 	for _, spec := range []string{"1f1b", "gpipe", "interleaved2", "zb-h1"} {
 		spec := spec
 		b.Run("schedule="+spec, func(b *testing.B) {
@@ -724,7 +755,7 @@ func BenchmarkSweep_ScheduleCampaign(b *testing.B) {
 			b.ReportAllocs()
 			var last ScenarioResult
 			for i := 0; i < b.N; i++ {
-				sweep, err := tk.EvaluateState(ctx, base, scenarios...)
+				sweep, err := tk.EvaluateState(ctx, freshCampaign(b, tk, cfg, traces), scenarios...)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -746,12 +777,12 @@ func BenchmarkSweep_ScheduleCampaign(b *testing.B) {
 }
 
 // BenchmarkPlan_Strategies measures the deployment planner per search
-// strategy over one fig7-style space, with the scenario cache disabled so
-// every promoted point pays its full simulation cost. Sub-benchmarks carry
-// a strategy=<name> label that cmd/benchjson records in BENCH_sweep.json;
-// the simulated-points metric shows branch-and-bound promoting fewer
-// points than exhaustive while the best-ms metric shows the same best
-// point.
+// strategy over one fig7-style space, planning on a fresh campaign state
+// per iteration (prepared outside the timer) so every promoted point pays
+// its full simulation cost. Sub-benchmarks carry a strategy=<name> label
+// that cmd/benchjson records in BENCH_sweep.json; the simulated-points
+// metric shows branch-and-bound promoting fewer points than exhaustive
+// while the best-ms metric shows the same best point.
 func BenchmarkPlan_Strategies(b *testing.B) {
 	ctx := context.Background()
 	cfg, err := DeploymentConfig(GPT3_15B(), 2, 2, 1)
@@ -768,16 +799,13 @@ func BenchmarkPlan_Strategies(b *testing.B) {
 	for _, strat := range []PlanStrategy{ExhaustiveStrategy(), BranchAndBoundStrategy()} {
 		strat := strat
 		b.Run("strategy="+strat.Name(), func(b *testing.B) {
-			tk := New(WithConcurrency(4), WithScenarioCache(false))
-			base, err := tk.Prepare(ctx, cfg, 42)
-			if err != nil {
-				b.Fatal(err)
-			}
+			tk := New(WithConcurrency(4))
+			traces := benchProfile(b, tk, cfg)
 			b.ResetTimer()
 			b.ReportAllocs()
 			var simulated, bestMS float64
 			for i := 0; i < b.N; i++ {
-				res, err := tk.PlanState(ctx, base, space,
+				res, err := tk.PlanState(ctx, freshCampaign(b, tk, cfg, traces), space,
 					WithPlanStrategy(strat), WithMemoryModel(mem))
 				if err != nil {
 					b.Fatal(err)
@@ -799,8 +827,10 @@ func BenchmarkPlan_Strategies(b *testing.B) {
 // fig7-style profile and a ~1.3×10⁵-point space over pipeline/data
 // degrees, microbatch count, pipeline schedule, and network degrade
 // factors, with branch-and-bound required to return the provably optimal
-// point. The sub-benchmark carries strategy=/space= labels that
-// cmd/benchjson records in BENCH_sweep.json; the simulated-points and
+// point. Each iteration plans on a fresh campaign state, prepared outside
+// the timer, so no simulated point is served by an earlier iteration. The
+// sub-benchmark carries strategy=/space= labels that cmd/benchjson
+// records in BENCH_sweep.json; the simulated-points and
 // bound-pruned metrics show how little of the space pays for full
 // simulation, and best-ms pins the answer so quality regressions fail
 // loudly alongside throughput ones.
@@ -827,18 +857,15 @@ func BenchmarkPlan_BranchAndBound(b *testing.B) {
 		Degrade:    degrade,
 	}
 	mem := MemoryModel{GPUMemBytes: 192 << 30, ZeRO: ZeROOptimizer}
-	tk := New(WithConcurrency(4), WithScenarioCache(false))
-	base, err := tk.Prepare(ctx, cfg, 42)
-	if err != nil {
-		b.Fatal(err)
-	}
+	tk := New(WithConcurrency(4))
+	traces := benchProfile(b, tk, cfg)
 	b.Run(fmt.Sprintf("strategy=bnb/space=%d", space.Size(cfg)), func(b *testing.B) {
 		b.ResetTimer()
 		b.ReportAllocs()
 		var stats PlanStats
 		var bestMS float64
 		for i := 0; i < b.N; i++ {
-			res, err := tk.PlanState(ctx, base, space,
+			res, err := tk.PlanState(ctx, freshCampaign(b, tk, cfg, traces), space,
 				WithPlanStrategy(BranchAndBoundStrategy()), WithMemoryModel(mem))
 			if err != nil {
 				b.Fatal(err)
@@ -854,20 +881,4 @@ func BenchmarkPlan_BranchAndBound(b *testing.B) {
 		b.ReportMetric(float64(stats.BoundPruned), "bound-pruned")
 		b.ReportMetric(bestMS, "best-ms")
 	})
-}
-
-// BenchmarkMultiIterationProfile measures the multi-step profiling window
-// and iteration splitting path.
-func BenchmarkMultiIterationProfile(b *testing.B) {
-	cfg := benchConfig(b, model.GPT3_15B(), 2, 1, 1, 4)
-	b.ReportAllocs()
-	var iters int
-	for i := 0; i < b.N; i++ {
-		out, err := cluster.RunN(cfg, cluster.DefaultSimConfig(cfg.Map.WorldSize(), 65), 3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		iters = len(trace.SplitIterationsMulti(out))
-	}
-	b.ReportMetric(float64(iters), "iterations")
 }

@@ -54,6 +54,7 @@ func main() {
 		cmd = flag.Arg(0)
 	}
 	start := time.Now()
+	ok := true
 	switch cmd {
 	case "table1":
 		table1()
@@ -74,7 +75,7 @@ func main() {
 	case "fig8":
 		fig8()
 	case "ablations":
-		ablations()
+		ok = ablations()
 	case "all":
 		table1()
 		table2()
@@ -85,12 +86,15 @@ func main() {
 		fig7b()
 		fig7c()
 		fig8()
-		ablations()
+		ok = ablations()
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", cmd)
 		os.Exit(2)
 	}
 	fmt.Printf("\n[%s done in %v]\n", cmd, time.Since(start).Round(time.Millisecond))
+	if !ok {
+		os.Exit(1)
+	}
 }
 
 func logf(format string, args ...any) {
@@ -183,11 +187,11 @@ func (h halfGEMM) Compute(class trace.KernelClass, flops, bytes int64) trace.Dur
 	return d
 }
 
-// halfGEMMTruth runs the ground-truth simulator with half-duration GEMMs
-// and returns its iteration time.
-func halfGEMMTruth(cfg parallel.Config, seed uint64) trace.Dur {
+// truth runs the ground-truth simulator under a configuration that adjust
+// rewrites and returns its iteration time.
+func truth(cfg parallel.Config, seed uint64, adjust func(*cluster.SimConfig)) trace.Dur {
 	sc := cluster.DefaultSimConfig(cfg.Map.WorldSize(), seed)
-	sc.Oracle = halfGEMM{kernelmodel.NewOracleFabric(sc.Fabric)}
+	adjust(&sc)
 	m, err := cluster.Run(cfg, sc)
 	if err != nil {
 		panic(fmt.Sprintf("ground-truth simulation failed: %v", err))
@@ -195,15 +199,15 @@ func halfGEMMTruth(cfg parallel.Config, seed uint64) trace.Dur {
 	return analysis.IterationTime(m)
 }
 
-// halfGEMMWhatIf builds a graph from the profile, halves every GEMM's
-// duration in its replay columns and replays them.
-func halfGEMMWhatIf(profiled *trace.Multi, gOpts execgraph.BuildOptions, rOpts replay.Options) trace.Dur {
+// whatIf builds a graph from the profile, rewrites its replay columns
+// with retime and replays them.
+func whatIf(profiled *trace.Multi, gOpts execgraph.BuildOptions, rOpts replay.Options, retime func(*execgraph.Graph, replay.Timings)) trace.Dur {
 	g, err := execgraph.Build(profiled, gOpts)
 	if err != nil {
 		panic(err)
 	}
 	t := replay.NewTimings(g)
-	analysis.ScaleDurations(g, t, func(tk *execgraph.Task) bool { return tk.Class == trace.KCGEMM }, 0.5)
+	retime(g, t)
 	res, err := replay.Compile(g, rOpts).Run(t, replay.NewScratch())
 	if err != nil {
 		panic(err)
@@ -525,9 +529,10 @@ func fig8() {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations: the design choices DESIGN.md calls out.
+// Ablations: the design choices DESIGN.md calls out. ablations reports
+// whether every on/off pair printed two different iterations.
 
-func ablations() {
+func ablations() bool {
 	fmt.Println("=== Ablations ===")
 	cfg := config(model.GPT3_15B(), 4, 2, 2, 8)
 	if *quick {
@@ -556,28 +561,53 @@ func ablations() {
 			analysis.Millis(out.bd.Overlapped))
 	}
 
-	// (2) and (3) replay a what-if where the options matter: every GEMM at
-	// half its recorded duration, against a ground truth whose kernel
-	// oracle runs GEMMs at half duration. Replaying the unchanged profile
-	// would reproduce its recorded timeline under either setting.
-	truth := halfGEMMTruth(cfg, *seed+1000)
-	fmt.Printf("-- GEMM x0.5 what-if vs ground truth with half-duration GEMMs (%.1fms) --\n", analysis.Millis(truth))
-	fmt.Println("-- inter-thread CPU dependency ablation (does not bind on this substrate) --")
-	for _, on := range []bool{true, false} {
+	// (2) and (3) replay what-ifs where the options matter (the unchanged
+	// profile replays its recorded timeline under either setting) against
+	// ground truth with the same change made in the substrate. An on/off
+	// pair that prints one iteration shows nothing and fails the run. The
+	// CPU gap heuristic binds where CPU-side ordering is on the critical
+	// path: every CPU task at twice its duration on a launch-bound model
+	// (GPT-3 15B cut to 8 layers of hidden 512), against the mean of three
+	// substrate runs with doubled CPU costs.
+	gapCfg := config(model.GPT3_15B().WithLayers(8).WithHidden(512, 2048), 2, 2, 2, 8)
+	gapProfile := simulate(gapCfg, 7)
+	var gapTruth trace.Dur
+	for s := uint64(100); s <= 102; s++ {
+		gapTruth += truth(gapCfg, s, func(sc *cluster.SimConfig) {
+			for _, d := range []*trace.Dur{&sc.OpDispatch, &sc.LaunchDur, &sc.OpEpilogue, &sc.RecordDur, &sc.WaitEventDur, &sc.SyncMinDur} {
+				*d *= 2
+			}
+		}) / 3
+	}
+	fmt.Printf("-- inter-thread CPU dependency ablation: CPU x2 what-if on a launch-bound model vs ground truth with doubled CPU costs (%.1fms) --\n", analysis.Millis(gapTruth))
+	var gapRows, coupleRows [2]string
+	for i, on := range []bool{true, false} {
 		opts := execgraph.DefaultOptions()
 		opts.InterThreadDeps = on
-		iter := halfGEMMWhatIf(profiled, opts, replay.DefaultOptions())
-		fmt.Printf("gap-heuristic=%-5v iter %7.1fms err %5.1f%%\n",
-			on, analysis.Millis(iter), metrics.RelErr(iter, truth))
+		iter := whatIf(gapProfile, opts, replay.DefaultOptions(), func(g *execgraph.Graph, t replay.Timings) {
+			for i := range g.Tasks {
+				if g.Tasks[i].Kind == execgraph.TaskCPU {
+					t.Dur[i] *= 2
+				}
+			}
+		})
+		gapRows[i] = fmt.Sprintf("%7.1fms", analysis.Millis(iter))
+		fmt.Printf("gap-heuristic=%-5v iter %s err %5.1f%%\n", on, gapRows[i], metrics.RelErr(iter, gapTruth))
 	}
-	fmt.Println("-- cross-rank collective coupling ablation --")
-	for _, on := range []bool{true, false} {
+	gemmTruth := truth(cfg, *seed+1000, func(sc *cluster.SimConfig) {
+		sc.Oracle = halfGEMM{kernelmodel.NewOracleFabric(sc.Fabric)}
+	})
+	fmt.Printf("-- cross-rank collective coupling ablation: GEMM x0.5 what-if vs ground truth with half-duration GEMMs (%.1fms) --\n", analysis.Millis(gemmTruth))
+	for i, on := range []bool{true, false} {
 		r := replay.DefaultOptions()
 		r.CoupleCollectives = on
-		iter := halfGEMMWhatIf(profiled, execgraph.DefaultOptions(), r)
-		fmt.Printf("coupling=%-5v iter %7.1fms err %5.1f%%\n",
-			on, analysis.Millis(iter), metrics.RelErr(iter, truth))
+		iter := whatIf(profiled, execgraph.DefaultOptions(), r, func(g *execgraph.Graph, t replay.Timings) {
+			analysis.ScaleDurations(g, t, func(tk *execgraph.Task) bool { return tk.Class == trace.KCGEMM }, 0.5)
+		})
+		coupleRows[i] = fmt.Sprintf("%7.1fms", analysis.Millis(iter))
+		fmt.Printf("coupling=%-5v iter %s err %5.1f%%\n", on, coupleRows[i], metrics.RelErr(iter, gemmTruth))
 	}
+	ok := gapRows[0] != gapRows[1] && coupleRows[0] != coupleRows[1]
 
 	// (4) Kernel pricing for manipulation: the fitted model alone (an empty
 	// library, so the fit prices every kernel) vs the measured library
@@ -616,4 +646,8 @@ func ablations() {
 		fmt.Printf("%-6s iter %7.1fms\n", pol, analysis.Millis(tr.Duration()))
 	}
 	fmt.Println()
+	if !ok {
+		fmt.Println("FAIL: an on/off ablation pair printed the same iteration")
+	}
+	return ok
 }

@@ -247,7 +247,7 @@ func cmdPredict(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	traces, err := lumos.LoadTraces(*in)
+	traces, err := loadProfile(*in, base)
 	if err != nil {
 		return err
 	}
@@ -265,19 +265,36 @@ func cmdPredict(ctx context.Context, args []string) error {
 		}
 		target.Arch = arch
 	}
-	tk := lumos.New()
-	pred, err := tk.Predict(ctx, lumos.Request{Base: base, Target: target}, traces)
+	sweep, err := lumos.New().EvaluateTraces(ctx, base, traces,
+		lumos.DeployScenario("target", func(lumos.Config) lumos.Config { return target }))
 	if err != nil {
 		return err
+	}
+	pred := sweep.Results[0]
+	if !pred.Feasible() {
+		return errors.New(pred.Err)
 	}
 	fmt.Printf("base:      %s %dx%dx%d — recorded %.1fms\n", base.Arch.Name,
 		base.Map.TP, base.Map.PP, base.Map.DP, analysis.Millis(lumos.IterationTime(traces)))
 	fmt.Printf("target:    %s %dx%dx%d — predicted %.1fms\n", target.Arch.Name,
 		target.Map.TP, target.Map.PP, target.Map.DP, analysis.Millis(pred.Iteration))
-	fmt.Printf("breakdown: %v\n", lumos.GraphBreakdown(pred.Graph))
+	fmt.Printf("breakdown: %v\n", pred.Breakdown)
 	fmt.Printf("kernels:   %d from measurements, %d from the fitted model\n",
 		pred.LibraryHits, pred.LibraryMisses)
 	return nil
+}
+
+// loadProfile reads the -in traces of a base deployment and checks that
+// they profile it: one trace per rank of its world.
+func loadProfile(dir string, base lumos.Config) (*lumos.Multi, error) {
+	traces, err := lumos.LoadTraces(dir)
+	if err != nil {
+		return nil, err
+	}
+	if err := lumos.CheckProfile(base, traces); err != nil {
+		return nil, fmt.Errorf("%s: %w", dir, err)
+	}
+	return traces, nil
 }
 
 func cmdWhatIf(ctx context.Context, args []string) error {
@@ -444,7 +461,7 @@ func cmdSweep(ctx context.Context, w io.Writer, args []string) error {
 	t0 := time.Now()
 	var st *lumos.BaseState
 	if *in != "" {
-		traces, err := lumos.LoadTraces(*in)
+		traces, err := loadProfile(*in, base)
 		if err != nil {
 			return err
 		}
@@ -661,7 +678,7 @@ func cmdPlan(ctx context.Context, w io.Writer, args []string) error {
 	t0 := time.Now()
 	var st *lumos.BaseState
 	if *in != "" {
-		traces, err := lumos.LoadTraces(*in)
+		traces, err := loadProfile(*in, base)
 		if err != nil {
 			return err
 		}

@@ -253,7 +253,7 @@ func TestPlanDeterminismAcrossWorkers(t *testing.T) {
 
 	run := func(workers int) *PlanResult {
 		t.Helper()
-		tk := New(WithSeed(42), WithConcurrency(workers), WithScenarioCache(false))
+		tk := New(WithSeed(42), WithConcurrency(workers))
 		res, err := tk.Plan(ctx, base, planSpace(),
 			WithPlanStrategy(BranchAndBoundStrategy()), WithMemoryModel(mem))
 		if err != nil {

@@ -25,28 +25,12 @@ import (
 	"lumos/internal/analysis"
 )
 
-// bubbleTime returns the average per-rank GPU idle time of the predicted
-// execution: iteration span minus the rank's non-communication kernel
-// time. Fill/drain bubbles dominate it, so schedules are compared on it.
-// The graph simulates one DP replica per price class, so each simulated
-// rank counts once per world rank it stands for (RankWeight), and ranks
-// that were not simulated count not at all.
-func bubbleTime(g *lumos.Graph) float64 {
-	iter := float64(g.Duration())
-	busy := make([]float64, g.NumRanks)
-	for i := range g.Tasks {
-		t := &g.Tasks[i]
-		if t.Kind == lumos.TaskGPU && t.Class != lumos.KCComm {
-			busy[t.Rank] += float64(t.Dur)
-		}
-	}
-	var bubble, ranks float64
-	for r, b := range busy {
-		w := float64(g.RankWeight(r))
-		bubble += w * (iter - b)
-		ranks += w
-	}
-	return bubble / ranks
+// bubbleTime returns the average per-rank GPU idle time of a predicted
+// schedule: the iteration minus the rank's compute time, exposed or
+// overlapped with communication. Fill/drain bubbles dominate it, so
+// schedules are compared on it.
+func bubbleTime(r lumos.ScenarioResult) float64 {
+	return float64(r.Iteration - (r.Breakdown.ExposedCompute + r.Breakdown.Overlapped))
 }
 
 func main() {
@@ -77,6 +61,18 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		st, err := tk.PrepareTraces(ctx, base, traces)
+		if err != nil {
+			log.Fatal(err)
+		}
+		sweep, err := tk.EvaluateState(ctx, st, lumos.ScheduleSweep(schedules)...)
+		if err != nil {
+			log.Fatal(err)
+		}
+		preds := map[string]lumos.ScenarioResult{}
+		for _, r := range sweep.Results {
+			preds[r.Name] = r
+		}
 
 		iters := map[string]float64{}
 		bubbles := map[string]float64{}
@@ -87,16 +83,16 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			pred, err := tk.Predict(ctx, lumos.Request{Base: base, Target: target}, traces)
-			if err != nil {
-				log.Fatalf("%s: %v", spec, err)
+			pred, ok := preds["schedule="+spec]
+			if !ok || !pred.Feasible() {
+				log.Fatalf("%s: no prediction: %+v", spec, pred)
 			}
 			est, err := mem.Estimate(target)
 			if err != nil {
 				log.Fatalf("%s: %v", spec, err)
 			}
 			iter := float64(pred.Iteration)
-			bubble := bubbleTime(pred.Graph)
+			bubble := bubbleTime(pred)
 			iters[spec] = iter
 			bubbles[spec] = bubble
 			mems[spec] = float64(est.Total())

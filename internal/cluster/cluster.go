@@ -30,16 +30,6 @@ import (
 // traces (the numbering mimics what NCCL/PyTorch produce in practice).
 var StreamIDs = [model.NumStreamKinds]int{7, 20, 24, 28, 32}
 
-// StreamKindForID inverts StreamIDs; ok is false for unknown stream IDs.
-func StreamKindForID(id int) (model.StreamKind, bool) {
-	for k, v := range StreamIDs {
-		if v == id {
-			return model.StreamKind(k), true
-		}
-	}
-	return 0, false
-}
-
 // SimConfig tunes the ground-truth simulator.
 type SimConfig struct {
 	// Fabric is the interconnect model: the two-tier H100 testbed

@@ -272,18 +272,6 @@ func TestWorldSizeCheck(t *testing.T) {
 	}
 }
 
-func TestStreamKindForID(t *testing.T) {
-	for k := 0; k < model.NumStreamKinds; k++ {
-		got, ok := StreamKindForID(StreamIDs[k])
-		if !ok || got != model.StreamKind(k) {
-			t.Fatalf("round trip stream id %d", StreamIDs[k])
-		}
-	}
-	if _, ok := StreamKindForID(999); ok {
-		t.Fatal("unknown stream id must not resolve")
-	}
-}
-
 func TestPropertyMakespanDominatesRanks(t *testing.T) {
 	// Global duration is the max across ranks, and every rank's span is
 	// positive — for arbitrary small deployments.
@@ -338,5 +326,69 @@ func TestInvalidFabricRejected(t *testing.T) {
 	sc.Fabric = topology.HierFabric{Name: "bad", NumGPUs: 8, Levels: []topology.Level{{GPUs: 8, BW: -1}}}
 	if _, err := Run(cfg, sc); err == nil {
 		t.Fatal("negative-bandwidth fabric must be rejected")
+	}
+}
+
+func TestSequenceParallelGroundTruth(t *testing.T) {
+	// Sequence parallelism swaps each TP all-reduce for an all-gather +
+	// reduce-scatter pair: the same bus traffic (so roughly equal comm
+	// time) split across twice as many kernels, while the norm/dropout
+	// kernels shrink by 1/TP. The end-to-end iteration must not regress.
+	m, err := topology.NewMapping(4, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := parallel.DefaultConfig(model.GPT3_15B(), m)
+	cfg.Microbatches = 4
+
+	tpStats := func(mult *trace.Multi) (busy trace.Dur, count int) {
+		for i := range mult.Ranks[0].Events {
+			e := &mult.Ranks[0].Events[i]
+			if e.IsComm() && e.TID == StreamIDs[model.StreamTPComm] {
+				busy += e.Dur
+				count++
+			}
+		}
+		return
+	}
+	normBytes := func(mult *trace.Multi) int64 {
+		var b int64
+		for i := range mult.Ranks[0].Events {
+			e := &mult.Ranks[0].Events[i]
+			if e.Cat == trace.CatKernel && e.Class == trace.KCNorm {
+				b += e.Bytes
+			}
+		}
+		return b
+	}
+
+	plain, err := Run(cfg, DefaultSimConfig(m.WorldSize(), 23))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spCfg := cfg
+	spCfg.SequenceParallel = true
+	sp, err := Run(spCfg, DefaultSimConfig(m.WorldSize(), 23))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	pBusy, pCount := tpStats(plain)
+	sBusy, sCount := tpStats(sp)
+	// Per-layer collectives double (AG+RS per former AR); the embedding and
+	// loss all-reduces are unchanged, so the ratio sits just under 2.
+	cr := float64(sCount) / float64(pCount)
+	if cr < 1.8 || cr > 2.05 {
+		t.Fatalf("SP TP kernel count %d vs %d (ratio %.2f), want ~2x", sCount, pCount, cr)
+	}
+	ratio := float64(sBusy) / float64(pBusy)
+	if ratio < 0.8 || ratio > 1.3 {
+		t.Fatalf("SP TP busy should be within ~25%% of the AR variant, ratio %.2f", ratio)
+	}
+	if normBytes(sp) >= normBytes(plain) {
+		t.Fatalf("SP must shrink norm traffic: %d vs %d", normBytes(sp), normBytes(plain))
+	}
+	if float64(sp.Duration()) > 1.1*float64(plain.Duration()) {
+		t.Fatalf("SP regressed the iteration: %d vs %d", sp.Duration(), plain.Duration())
 	}
 }

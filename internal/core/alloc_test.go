@@ -51,7 +51,7 @@ func TestWhatIfAllocBudget(t *testing.T) {
 	for i := range scenarios {
 		scenarios[i] = ClassScaleScenario(trace.KCGEMM, 0.6+0.02*float64(i))
 	}
-	hits, _ := st.MemoStats()
+	hits := st.CacheStats().MemoHits
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	sweep, err := tk.EvaluateState(ctx, st, scenarios...)
@@ -64,7 +64,7 @@ func TestWhatIfAllocBudget(t *testing.T) {
 			t.Fatalf("%s: %s", r.Name, r.Err)
 		}
 	}
-	if h, _ := st.MemoStats(); h != hits {
+	if h := st.CacheStats().MemoHits; h != hits {
 		t.Fatalf("%d what-ifs were served by the memo; every one must replay", h-hits)
 	}
 	per := (after.TotalAlloc - before.TotalAlloc) / n

@@ -56,9 +56,9 @@ import (
 const CacheSchemaVersion = "lumos-cache-v6"
 
 // WithDiskCache enables the disk-backed scenario and calibration cache
-// rooted at dir (created on first use). Campaigns and predictions
-// warm-start from entries written by earlier processes at the same dir;
-// results served from disk are bit-identical to uncached runs.
+// rooted at dir (created on first use). Campaigns warm-start from
+// entries written by earlier processes at the same dir; results served
+// from disk are bit-identical to uncached runs.
 func WithDiskCache(dir string) Option {
 	return func(o *Options) { o.CacheDir = dir }
 }

@@ -33,7 +33,6 @@ import (
 	"lumos/internal/dpro"
 	"lumos/internal/execgraph"
 	"lumos/internal/kernelmodel"
-	"lumos/internal/manip"
 	"lumos/internal/obs"
 	"lumos/internal/parallel"
 	"lumos/internal/replay"
@@ -55,10 +54,6 @@ type Options struct {
 	// Seed is the profiling seed Evaluate uses when it collects the base
 	// profile itself.
 	Seed uint64
-	// NoScenarioCache disables sweep-level memoization of fingerprintable
-	// scenario results (see WithScenarioCache). The zero value caches.
-	// Disabling memoization also disables the disk cache layer.
-	NoScenarioCache bool
 	// CacheDir roots the disk-backed scenario and calibration cache (see
 	// WithDiskCache). Empty disables disk caching.
 	CacheDir string
@@ -86,15 +81,6 @@ func WithConcurrency(n int) Option {
 // WithSeed sets the profiling seed Evaluate uses for the base profile.
 func WithSeed(seed uint64) Option {
 	return func(o *Options) { o.Seed = seed }
-}
-
-// WithScenarioCache enables or disables sweep-level memoization. When
-// enabled (the default), scenarios with a stable fingerprint — the built-in
-// deploy, architecture, class-scale and fusion scenarios — are cached per
-// campaign state, so duplicate grid points across Evaluate calls on the
-// same BaseState return the cached ScenarioResult instead of re-predicting.
-func WithScenarioCache(enabled bool) Option {
-	return func(o *Options) { o.NoScenarioCache = !enabled }
 }
 
 // Toolkit is a configured Lumos instance. It is safe for concurrent use.
@@ -140,7 +126,7 @@ type Toolkit struct {
 	classSplits atomic.Int64
 
 	// cacheOnce lazily opens the disk cache configured by CacheDir; every
-	// campaign and prediction on this toolkit shares one handle.
+	// campaign on this toolkit shares one handle.
 	cacheOnce sync.Once
 	cache     *scache.Cache
 	cacheErr  error
@@ -338,23 +324,6 @@ func (tk *Toolkit) Profile(ctx context.Context, cfg parallel.Config, seed uint64
 	return cluster.Run(cfg, simCfg)
 }
 
-// ProfileN runs n consecutive iterations (the paper's "a single
-// iteration — or just a few" profiling window) and returns merged traces
-// with per-iteration ProfilerStep annotations.
-func (tk *Toolkit) ProfileN(ctx context.Context, cfg parallel.Config, seed uint64, n int) (*trace.Multi, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	tk.profiles.Add(1)
-	world := cfg.Map.WorldSize()
-	sp := obs.TracerFrom(ctx).Start("pipeline", "profile")
-	sp.Annotate("world", world)
-	sp.Annotate("iterations", n)
-	defer sp.End()
-	simCfg := tk.simConfigFor(world, seed)
-	return cluster.RunN(cfg, simCfg, n)
-}
-
 // BuildGraph constructs the execution graph from traces (Section 3.3).
 func (tk *Toolkit) BuildGraph(ctx context.Context, m *trace.Multi) (*execgraph.Graph, error) {
 	if err := ctx.Err(); err != nil {
@@ -418,45 +387,6 @@ func (tk *Toolkit) replayBase(g *execgraph.Graph, opts replay.Options) (*ReplayR
 		return nil, err
 	}
 	return &ReplayResult{Iteration: res.Makespan, Breakdown: analysis.ReplayBreakdown(g, res.Start, res.End)}, nil
-}
-
-// Predict manipulates the profiled execution into the requested target
-// configuration and simulates it (Section 3.4): the target's execution
-// graph is synthesized directly, with predicted timestamps, exactly as a
-// campaign predicts a deploy scenario. One-shot calibration: for repeated
-// predictions from the same profile, use Evaluate, which builds the kernel
-// library once and shares it across scenarios.
-func (tk *Toolkit) Predict(ctx context.Context, req manip.Request, profiled *trace.Multi) (*manip.GraphResult, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	lib, fitted, f, err := tk.calibrate(ctx, req, profiled)
-	if err != nil {
-		return nil, err
-	}
-	return manip.PredictGraphWith(req, lib, fitted, f)
-}
-
-// calibrate builds one-shot calibration state (kernel library and fitted
-// model) for a prediction request on the toolkit's fabric — the same
-// artifacts a campaign's BaseState holds. With a disk cache configured, a
-// previously calibrated (trace set, fabric) pair is reloaded instead of
-// re-extracted and refit.
-func (tk *Toolkit) calibrate(ctx context.Context, req manip.Request, profiled *trace.Multi) (*manip.Library, *kernelmodel.Fitted, topology.Fabric, error) {
-	world := req.Target.Map.WorldSize()
-	if base := req.Base.Map.WorldSize(); base > world {
-		world = base
-	}
-	f := tk.fabricFor(world)
-	var traceFP string
-	if tk.opts.CacheDir != "" {
-		traceFP = trace.Fingerprint(profiled)
-	}
-	lib, fitted, err := tk.calibrationFor(ctx, profiled, f, traceFP)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return lib, fitted, f, nil
 }
 
 // WhatIfScale estimates the makespan if kernels matched by the predicate

@@ -6,11 +6,11 @@ import (
 	"path/filepath"
 	"testing"
 
-	"lumos/internal/manip"
 	"lumos/internal/model"
 	"lumos/internal/obs"
 	"lumos/internal/parallel"
 	"lumos/internal/topology"
+	"lumos/internal/trace"
 )
 
 func testConfig(t *testing.T) parallel.Config {
@@ -89,18 +89,19 @@ func TestPredictViaToolkit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := tk.Predict(ctx, manip.ScaleDP(cfg, 2), traces)
+	sweep, err := tk.EvaluateTraces(ctx, cfg, traces, ScaleDPScenario(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Iteration <= 0 || res.Graph.NumRanks != 8 {
-		t.Fatalf("prediction: iter=%d ranks=%d", res.Iteration, res.Graph.NumRanks)
+	if res := sweep.Results[0]; !res.Feasible() || res.Iteration <= 0 || res.World != 8 {
+		t.Fatalf("prediction: %+v", res)
 	}
 }
 
-// TestPredictTracesToContextTracer: Predict records its calibrate span on
-// a tracer carried in the context, as every other toolkit entry point does,
-// so a request-scoped tracer sees the whole prediction.
+// TestPredictTracesToContextTracer: a prediction records its calibrate and
+// synthesize spans on a tracer carried in the context, as every other
+// toolkit entry point does, so a request-scoped tracer sees the whole
+// prediction.
 func TestPredictTracesToContextTracer(t *testing.T) {
 	tk := New()
 	cfg := testConfig(t)
@@ -109,15 +110,16 @@ func TestPredictTracesToContextTracer(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := obs.NewTracer()
-	if _, err := tk.Predict(obs.ContextWithTracer(context.Background(), tr), manip.ScaleDP(cfg, 2), traces); err != nil {
+	if _, err := tk.EvaluateTraces(obs.ContextWithTracer(context.Background(), tr), cfg, traces, ScaleDPScenario(2)); err != nil {
 		t.Fatal(err)
 	}
+	seen := map[string]bool{}
 	for _, e := range tr.Events() {
-		if e.Cat == "pipeline" && e.Name == "calibrate" {
-			return
-		}
+		seen[e.Name] = true
 	}
-	t.Fatalf("context tracer recorded no pipeline/calibrate span in %d events", len(tr.Events()))
+	if !seen["calibrate"] || !seen["synthesize"] {
+		t.Fatalf("context tracer recorded no calibrate or synthesize span in %d events", len(tr.Events()))
+	}
 }
 
 func TestContextCancellationShortCircuits(t *testing.T) {
@@ -131,17 +133,8 @@ func TestContextCancellationShortCircuits(t *testing.T) {
 	if _, err := tk.BuildGraph(ctx, nil); err != context.Canceled {
 		t.Fatalf("BuildGraph: err = %v, want context.Canceled", err)
 	}
-	if _, err := tk.Predict(ctx, manip.ScaleDP(cfg, 2), nil); err != context.Canceled {
-		t.Fatalf("Predict: err = %v, want context.Canceled", err)
-	}
-}
-
-func TestWithScenarioCacheOption(t *testing.T) {
-	if tk := New(); tk.opts.NoScenarioCache {
-		t.Fatal("scenario cache must default on")
-	}
-	if tk := New(WithScenarioCache(false)); !tk.opts.NoScenarioCache {
-		t.Fatal("WithScenarioCache(false) must disable the cache")
+	if _, err := tk.EvaluateTraces(ctx, cfg, &trace.Multi{}, ScaleDPScenario(2)); err != context.Canceled {
+		t.Fatalf("EvaluateTraces: err = %v, want context.Canceled", err)
 	}
 }
 

@@ -82,7 +82,7 @@ func TestScenarioPanicIsolated(t *testing.T) {
 	if _, ok := st.memo.Load("panic|run"); ok {
 		t.Fatal("the memo stored a panicked row")
 	}
-	if _, entries := st.MemoStats(); entries != 1 {
+	if entries := st.CacheStats().MemoEntries; entries != 1 {
 		t.Fatalf("memo holds %d entries, want only the healthy row", entries)
 	}
 	if ds, ok := tk.DiskCacheStats(); !ok || ds.Puts != 2 {

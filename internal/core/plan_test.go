@@ -98,10 +98,10 @@ func TestPlanRepeatServedByMemo(t *testing.T) {
 		return res
 	}
 	first := ask()
-	hits0, _ := st.MemoStats()
+	hits0 := st.CacheStats().MemoHits
 	_, runs0, _ := tk.EngineStats()
 	second := ask()
-	hits1, _ := st.MemoStats()
+	hits1 := st.CacheStats().MemoHits
 	_, runs1, _ := tk.EngineStats()
 
 	if !reflect.DeepEqual(first, second) {

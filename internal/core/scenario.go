@@ -35,16 +35,15 @@ import (
 )
 
 // BaseState is the shared, read-only state of a sweep: the base deployment,
-// its profiled traces, the execution graph and replayed baseline, and the
-// calibration artifacts every scenario prices kernels against. Only
+// the execution graph built from its profile, the replayed baseline, and
+// the calibration artifacts every scenario prices kernels against. The
+// profile itself is not retained. Only
 // Toolkit.Prepare and PrepareTraces build one, once per campaign; it may
 // be reused across multiple Evaluate calls, and scenarios must treat it
 // as immutable.
 type BaseState struct {
 	// Config is the deployment the traces were collected under.
 	Config parallel.Config
-	// Traces is the base profile.
-	Traces *trace.Multi
 	// Graph is the execution graph built from the profile.
 	Graph *execgraph.Graph
 	// Iteration is the replayed base iteration time; scenario speedups are
@@ -100,12 +99,6 @@ type BaseState struct {
 	diskMiss atomic.Int64
 }
 
-// MemoStats reports sweep-level memoization activity against this campaign
-// state: cache hits served and entries stored.
-func (b *BaseState) MemoStats() (hits, entries int64) {
-	return b.memoHits.Load(), b.memoSize.Load()
-}
-
 // Fingerprint identifies the profile and bindings this campaign state was
 // built from; empty when no disk cache is configured.
 func (b *BaseState) Fingerprint() string { return b.fingerprint }
@@ -113,7 +106,8 @@ func (b *BaseState) Fingerprint() string { return b.fingerprint }
 // CacheStats is the two-level cache activity of one campaign state plus the
 // process-wide disk store it shares.
 type CacheStats struct {
-	// MemoHits and MemoEntries are the in-memory layer (see MemoStats).
+	// MemoHits and MemoEntries are the in-memory layer: scenario results
+	// served by the memo and results stored in it.
 	MemoHits, MemoEntries int64
 	// DiskHits and DiskMisses count this campaign state's scenario lookups
 	// served by / absent from the disk layer.
@@ -155,10 +149,9 @@ func (b *BaseState) RegisterMetrics(r *obs.Registry, labelPairs ...string) {
 	}
 	labels := obs.RenderLabels(labelPairs...)
 	r.Collect(func() []obs.Sample {
-		hits, entries := b.MemoStats()
 		return []obs.Sample{
-			{Name: "lumos_memo_hits_total", Labels: labels, Kind: obs.KindCounter, Help: "Scenario results served by the in-memory memo.", Value: float64(hits)},
-			{Name: "lumos_memo_entries", Labels: labels, Kind: obs.KindGauge, Help: "Scenario results memoized in memory.", Value: float64(entries)},
+			{Name: "lumos_memo_hits_total", Labels: labels, Kind: obs.KindCounter, Help: "Scenario results served by the in-memory memo.", Value: float64(b.memoHits.Load())},
+			{Name: "lumos_memo_entries", Labels: labels, Kind: obs.KindGauge, Help: "Scenario results memoized in memory.", Value: float64(b.memoSize.Load())},
 			{Name: "lumos_scenario_disk_hits_total", Labels: labels, Kind: obs.KindCounter, Help: "Scenario lookups served by the disk cache.", Value: float64(b.diskHits.Load())},
 			{Name: "lumos_scenario_disk_misses_total", Labels: labels, Kind: obs.KindCounter, Help: "Scenario lookups missing the disk cache.", Value: float64(b.diskMiss.Load())},
 			{Name: "lumos_struct_shared_graphs", Labels: labels, Kind: obs.KindGauge, Help: "Synthesized graphs held for structural sharing.", Value: float64(b.structCount.Load())},
@@ -755,7 +748,6 @@ func (tk *Toolkit) PrepareTraces(ctx context.Context, cfg parallel.Config, m *tr
 	}
 	return &BaseState{
 		Config:      cfg,
-		Traces:      m,
 		Graph:       g,
 		Iteration:   rep.Iteration,
 		Breakdown:   rep.Breakdown,
@@ -807,7 +799,6 @@ func (tk *Toolkit) EvaluateState(ctx context.Context, base *BaseState, scenarios
 		workers = 1
 	}
 
-	useCache := !tk.opts.NoScenarioCache
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	tk.queueDepth.Add(int64(len(scenarios)))
@@ -818,7 +809,7 @@ func (tk *Toolkit) EvaluateState(ctx context.Context, base *BaseState, scenarios
 			for i := range idx {
 				tk.queueDepth.Add(-1)
 				tk.workersBusy.Add(1)
-				results[i] = runScenario(ctx, scenarios[i], base, useCache)
+				results[i] = runScenario(ctx, scenarios[i], base)
 				tk.workersBusy.Add(-1)
 			}
 		}()
@@ -881,7 +872,7 @@ dispatch:
 // (duplicate points across processes, users and restarts). A disk hit
 // seeds the memo so subsequent repeats stay in memory; fresh feasible
 // results are written through to both levels.
-func runScenario(ctx context.Context, sc Scenario, base *BaseState, useCache bool) (res ScenarioResult) {
+func runScenario(ctx context.Context, sc Scenario, base *BaseState) (res ScenarioResult) {
 	if err := ctx.Err(); err != nil {
 		return ScenarioResult{Name: sc.Name(), Err: err.Error()}
 	}
@@ -901,33 +892,31 @@ func runScenario(ctx context.Context, sc Scenario, base *BaseState, useCache boo
 	}()
 
 	var key, diskKey string
-	if useCache {
-		if fp, ok := sc.(Fingerprinter); ok {
-			if k, ok := fp.Fingerprint(base); ok {
-				key = k
-				if cached, ok := base.memo.Load(key); ok {
-					base.memoHits.Add(1)
-					sp.Annotate("cache", "memo")
-					res := cached.(ScenarioResult)
-					// The cached prediction may have been produced under a
-					// different display name (e.g. two grid spellings of the
-					// same target); keep this scenario's.
+	if fp, ok := sc.(Fingerprinter); ok {
+		if k, ok := fp.Fingerprint(base); ok {
+			key = k
+			if cached, ok := base.memo.Load(key); ok {
+				base.memoHits.Add(1)
+				sp.Annotate("cache", "memo")
+				res := cached.(ScenarioResult)
+				// The cached prediction may have been produced under a
+				// different display name (e.g. two grid spellings of the
+				// same target); keep this scenario's.
+				res.Name = sc.Name()
+				return res
+			}
+			if base.disk != nil && base.fingerprint != "" {
+				diskKey = scenarioDiskKey(base.fingerprint, key)
+				if res, ok := diskLoad(ctx, base.disk, diskKey); ok {
+					base.diskHits.Add(1)
+					sp.Annotate("cache", "disk")
+					if _, loaded := base.memo.LoadOrStore(key, res); !loaded {
+						base.memoSize.Add(1)
+					}
 					res.Name = sc.Name()
 					return res
 				}
-				if base.disk != nil && base.fingerprint != "" {
-					diskKey = scenarioDiskKey(base.fingerprint, key)
-					if res, ok := diskLoad(ctx, base.disk, diskKey); ok {
-						base.diskHits.Add(1)
-						sp.Annotate("cache", "disk")
-						if _, loaded := base.memo.LoadOrStore(key, res); !loaded {
-							base.memoSize.Add(1)
-						}
-						res.Name = sc.Name()
-						return res
-					}
-					base.diskMiss.Add(1)
-				}
+				base.diskMiss.Add(1)
 			}
 		}
 	}

@@ -1,12 +1,14 @@
 package execgraph_test
 
 import (
+	"slices"
 	"testing"
 
 	"lumos/internal/cluster"
 	"lumos/internal/execgraph"
 	"lumos/internal/model"
 	"lumos/internal/parallel"
+	"lumos/internal/replay"
 	"lumos/internal/topology"
 	"lumos/internal/trace"
 )
@@ -184,7 +186,7 @@ func TestInterThreadDepsRecoverHandoffs(t *testing.T) {
 	// Find each rank's autograd-thread first task and check it has an
 	// in-edge from a task on another thread.
 	for rank := 0; rank < m.NumRanks(); rank++ {
-		agProc := g.ProcOf(rank, false, 2) // autograd thread TID = 2
+		agProc := int32(slices.Index(g.Procs, execgraph.Proc{Rank: rank, TID: 2})) // autograd thread
 		if agProc < 0 {
 			t.Fatalf("rank %d has no autograd thread", rank)
 		}
@@ -214,6 +216,46 @@ func TestInterThreadDepsRecoverHandoffs(t *testing.T) {
 		if !hasCross {
 			t.Fatalf("rank %d: no inter-thread dependency into the first backward task", rank)
 		}
+	}
+}
+
+// TestInterThreadDepsBindUnderCPUWhatIf pins a case in which the CPU gap
+// heuristic changes an answer. On a launch-bound model (GPT-3 15B cut to 8
+// layers of hidden 512, TP2×PP2×DP2, 8 microbatches), a what-if that
+// doubles every CPU task's duration reads 17.774 ms with the heuristic's
+// inter-thread edges and 15.675 ms without them; the substrate, run with
+// doubled CPU costs, reads about 17.17 ms.
+func TestInterThreadDepsBindUnderCPUWhatIf(t *testing.T) {
+	m, err := topology.NewMapping(2, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := parallel.DefaultConfig(model.GPT3_15B().WithLayers(8).WithHidden(512, 2048), m)
+	cfg.Microbatches = 8
+	profiled, err := cluster.Run(cfg, cluster.DefaultSimConfig(m.WorldSize(), 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpuTwice := func(interThread bool) trace.Dur {
+		opts := execgraph.DefaultOptions()
+		opts.InterThreadDeps = interThread
+		g := build(t, profiled, opts)
+		dur := replay.NewTimings(g)
+		for i := range g.Tasks {
+			if g.Tasks[i].Kind == execgraph.TaskCPU {
+				dur.Dur[i] *= 2
+			}
+		}
+		res, err := replay.Compile(g, replay.DefaultOptions()).Run(dur, replay.NewScratch())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Makespan
+	}
+	on, off := cpuTwice(true), cpuTwice(false)
+	t.Logf("CPU x2 what-if: %d ns with the gap heuristic, %d ns without", on, off)
+	if float64(on) < 1.05*float64(off) {
+		t.Fatalf("gap heuristic moved the CPU x2 replay from %d to %d ns; want it at least 5%% later", off, on)
 	}
 }
 

@@ -163,14 +163,6 @@ func (g *Graph) proc(rank int, gpu bool, tid int) int32 {
 	return idx
 }
 
-// ProcOf returns the processor index for (rank, gpu, tid), or -1.
-func (g *Graph) ProcOf(rank int, gpu bool, tid int) int32 {
-	if idx, ok := g.procIndex[procKey{rank, gpu, tid}]; ok {
-		return idx
-	}
-	return -1
-}
-
 // addTask appends a task and returns its ID.
 func (g *Graph) addTask(t Task) int32 {
 	t.ID = int32(len(g.Tasks))

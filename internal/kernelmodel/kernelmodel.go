@@ -459,9 +459,3 @@ func (f *Fitted) Comm(kind trace.CommKind, bytes int64, ranks []int) trace.Dur {
 	}
 	return 20_000
 }
-
-// Families returns the number of calibrated compute families and comm
-// (kind, tier) cells, for reporting.
-func (f *Fitted) Families() (computeFamilies, commCells int) {
-	return len(f.compute), len(f.comm)
-}

@@ -104,8 +104,7 @@ func TestFitRecoversGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nc, nm := fit.Families()
-	if nc < 2 || nm < 1 {
+	if nc, nm := len(fit.compute), len(fit.comm); nc < 2 || nm < 1 {
 		t.Fatalf("families: compute=%d comm=%d", nc, nm)
 	}
 	// In-sample prediction should be close for interpolation points.

@@ -138,9 +138,6 @@ func BuildLibrary(m *trace.Multi, c topology.Fabric) *Library {
 	return lib
 }
 
-// Sizes reports the number of distinct calibrated keys.
-func (l *Library) Sizes() (compute, comm int) { return len(l.compute), len(l.comm) }
-
 // Predictor prices kernels for a manipulated configuration: measured
 // durations for unchanged kernels, fitted-model estimates for new ones.
 // It implements kernelmodel.Predictor, so the program-driven graph
@@ -344,24 +341,4 @@ func Scale3D(base parallel.Config, newPP, newDP int) Request {
 	target.Map.PP = newPP
 	target.Map.DP = newDP
 	return Request{Base: base, Target: target}
-}
-
-// ChangeArch returns a Request replacing the architecture (layer count,
-// hidden size, FFN size) while keeping the deployment fixed.
-func ChangeArch(base parallel.Config, arch parallel.Config) Request {
-	return Request{Base: base, Target: arch}
-}
-
-// WithArch builds a target config from the base with a new architecture.
-func WithArch(base parallel.Config, layers, hidden, ffn int) parallel.Config {
-	t := base
-	a := t.Arch
-	if layers > 0 {
-		a = a.WithLayers(layers)
-	}
-	if hidden > 0 && ffn > 0 {
-		a = a.WithHidden(hidden, ffn)
-	}
-	t.Arch = a
-	return t
 }

@@ -55,8 +55,7 @@ func TestRequestValidation(t *testing.T) {
 func TestBuildLibrary(t *testing.T) {
 	cfg, profiled := base(t)
 	lib := BuildLibrary(profiled, topology.H100Cluster(cfg.Map.WorldSize()))
-	nc, nm := lib.Sizes()
-	if nc == 0 || nm == 0 {
+	if nc, nm := len(lib.compute), len(lib.comm); nc == 0 || nm == 0 {
 		t.Fatalf("library sizes: compute=%d comm=%d", nc, nm)
 	}
 }
@@ -133,7 +132,7 @@ func TestChangeArchAccuracy(t *testing.T) {
 	target := cfg
 	target.Arch = model.GPT3_V1() // more layers, same widths
 	topo := topology.H100Cluster(cfg.Map.WorldSize())
-	res := predict(t, ChangeArch(cfg, target), profiled, topo)
+	res := predict(t, Request{Base: cfg, Target: target}, profiled, topo)
 	actual, err := cluster.Run(target, cluster.DefaultSimConfig(target.Map.WorldSize(), 557))
 	if err != nil {
 		t.Fatal(err)
@@ -146,18 +145,6 @@ func TestChangeArchAccuracy(t *testing.T) {
 	// V1 is deeper → prediction must be slower than the base.
 	if res.Iteration <= profiled.Duration() {
 		t.Fatal("a 64-layer variant cannot be faster than the 48-layer base")
-	}
-}
-
-func TestWithArchHelper(t *testing.T) {
-	cfg, _ := base(t)
-	tgt := WithArch(cfg, 96, 0, 0)
-	if tgt.Arch.Layers != 96 || tgt.Arch.Hidden != cfg.Arch.Hidden {
-		t.Fatalf("WithArch layers: %+v", tgt.Arch)
-	}
-	tgt = WithArch(cfg, 0, 9216, 18432)
-	if tgt.Arch.Hidden != 9216 || tgt.Arch.Layers != cfg.Arch.Layers {
-		t.Fatalf("WithArch hidden: %+v", tgt.Arch)
 	}
 }
 

@@ -56,8 +56,8 @@ func TestDirectSynthesisMatchesTraceRoundTrip(t *testing.T) {
 		{"fig7a-scale-dp", ScaleDP(cfg, 4)},
 		{"fig7b-scale-pp", ScalePP(cfg, 4)},
 		{"fig7c-scale-dp-pp", Scale3D(cfg, 4, 4)},
-		{"fig8-arch-v1", ChangeArch(cfg, v1)},
-		{"fig8-arch-v3", ChangeArch(cfg, v3)},
+		{"fig8-arch-v1", Request{Base: cfg, Target: v1}},
+		{"fig8-arch-v3", Request{Base: cfg, Target: v3}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

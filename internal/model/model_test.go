@@ -168,8 +168,10 @@ func gemmFLOPs(ops []Op) int64 {
 
 func TestActivationBytes(t *testing.T) {
 	a := GPT3_15B()
+	// A pipeline send carries one microbatch's boundary activation:
 	// B=1, S=2048, H=6144, bf16: 2048*6144*2 = 24 MiB.
-	if got := a.ActivationBytes(2, 1); got != 2048*6144*2 {
+	send := a.PPSend(ShapeConfig{TP: 2, MicrobatchSize: 1}, trace.PassForward)
+	if got := send.CommBytes; got != 2048*6144*2 {
 		t.Fatalf("activation bytes = %d", got)
 	}
 }

@@ -109,12 +109,6 @@ func (a Arch) activationBytes(c ShapeConfig) int64 {
 	return a.tokens(c) * int64(a.Hidden) * int64(a.DTypeBytes)
 }
 
-// ActivationBytes exposes the boundary activation payload for schedule and
-// manipulation code.
-func (a Arch) ActivationBytes(tp, microbatchSize int) int64 {
-	return a.activationBytes(ShapeConfig{TP: tp, MicrobatchSize: microbatchSize})
-}
-
 // gemm constructs a GEMM op computing an (m×k)·(k×n) product.
 func gemm(name string, m, k, n int64, dtype int, layer int, pass trace.PassKind) Op {
 	return Op{

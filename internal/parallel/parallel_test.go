@@ -175,7 +175,7 @@ func TestBuildProgramStructure(t *testing.T) {
 	if len(prog.Threads) != 2 {
 		t.Fatalf("want 2 CPU threads, got %d", len(prog.Threads))
 	}
-	if prog.NumInstrs() == 0 {
+	if len(prog.Threads[0])+len(prog.Threads[1]) == 0 {
 		t.Fatal("empty program")
 	}
 	// Main thread must end with device sync then iteration end.
@@ -332,8 +332,8 @@ func TestCollectiveSPMDConsistency(t *testing.T) {
 
 func TestBucketPlan(t *testing.T) {
 	cfg := baseConfig(t, 2, 2, 2)
-	n0 := cfg.NumBuckets(0)
-	n1 := cfg.NumBuckets(1)
+	n0 := len(cfg.bucketPlan(0))
+	n1 := len(cfg.bucketPlan(1))
 	if n0 == 0 || n1 == 0 {
 		t.Fatal("DP>1 must produce buckets")
 	}
@@ -342,7 +342,7 @@ func TestBucketPlan(t *testing.T) {
 	}
 	noDp := cfg
 	noDp.Map.DP = 1
-	if noDp.NumBuckets(0) != 0 {
+	if len(noDp.bucketPlan(0)) != 0 {
 		t.Fatal("DP=1 must have no gradient buckets")
 	}
 }

@@ -217,15 +217,6 @@ type Program struct {
 	Threads [][]Instr
 }
 
-// NumInstrs returns the total instruction count.
-func (p *Program) NumInstrs() int {
-	n := 0
-	for _, t := range p.Threads {
-		n += len(t)
-	}
-	return n
-}
-
 const (
 	threadMain     = 0
 	threadAutograd = 1
@@ -830,6 +821,3 @@ func (c Config) bucketPlan(stage int) []bucket {
 	}
 	return out
 }
-
-// NumBuckets exposes the gradient bucket count for a stage (reporting).
-func (c Config) NumBuckets(stage int) int { return len(c.bucketPlan(stage)) }

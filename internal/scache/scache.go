@@ -9,7 +9,7 @@
 // The cache is built to survive hostile disk states rather than trust
 // them: writes are atomic (temp file + rename in the same directory),
 // every entry carries a format tag, schema version, its full key and a
-// payload checksum, and Get treats any mismatch — truncation, bit rot,
+// payload checksum, and GetInto treats any mismatch — truncation, bit rot,
 // foreign files, stale schema — as a miss that discards the entry instead
 // of an error that sinks the campaign. A size cap evicts the
 // least-recently-used entries on insert. All counters (hits, misses, puts,
@@ -50,7 +50,7 @@ const DefaultCap = 512 << 20
 
 // Stats is a point-in-time snapshot of cache activity and occupancy.
 type Stats struct {
-	// Hits and Misses count Get outcomes; a discarded (corrupt, foreign or
+	// Hits and Misses count GetInto outcomes; a discarded (corrupt, foreign or
 	// stale-schema) entry counts as both a miss and a discard.
 	Hits, Misses int64
 	// Puts counts successful inserts.
@@ -329,30 +329,13 @@ func (c *Cache) touch(tr *obs.Tracer, key string, size int64) {
 	event(tr, "hit", a, size)
 }
 
-// Get returns the payload stored under key. Any invalid entry — unreadable,
-// truncated, foreign format, stale envelope version, key or checksum
-// mismatch — is discarded and reported as a miss. The returned slice is the
-// caller's to keep; hot paths that immediately decode it should prefer
-// GetInto, which skips this copy. The outcome is an instant event on ctx's
-// tracer.
-func (c *Cache) Get(ctx context.Context, key string) ([]byte, bool) {
-	tr := obs.TracerFrom(ctx)
-	bp, env, size, ok := c.loadEntry(tr, key)
-	if !ok {
-		return nil, false
-	}
-	payload := append([]byte(nil), env.Payload...)
-	bufPool.Put(bp)
-	c.touch(tr, key, size)
-	return payload, true
-}
-
 // GetInto decodes the payload stored under key directly into v, reusing a
 // pooled read buffer and decoding in place — the warm path performs no
-// payload copy. Entries that validate at the envelope level but fail to
-// decode into v are foreign writers at our key: they are discarded and
-// reported as a miss, exactly like a checksum mismatch. The outcome is an
-// instant event on ctx's tracer.
+// payload copy. Any invalid entry — unreadable, truncated, foreign format,
+// stale envelope version, key or checksum mismatch — is discarded and
+// reported as a miss. Entries that validate at the envelope level but fail
+// to decode into v are foreign writers at our key: they are discarded and
+// reported as a miss too. The outcome is an instant event on ctx's tracer.
 func (c *Cache) GetInto(ctx context.Context, key string, v any) bool {
 	tr := obs.TracerFrom(ctx)
 	bp, env, size, ok := c.loadEntry(tr, key)

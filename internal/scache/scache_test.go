@@ -15,6 +15,13 @@ import (
 // ctx is the untraced caller context most tests read and write under.
 var ctx = context.Background()
 
+// get reads the raw payload stored under key through GetInto.
+func get(ctx context.Context, c *Cache, key string) ([]byte, bool) {
+	var raw json.RawMessage
+	ok := c.GetInto(ctx, key, &raw)
+	return raw, ok
+}
+
 func TestRoundTrip(t *testing.T) {
 	c, err := Open(t.TempDir(), 0)
 	if err != nil {
@@ -24,14 +31,14 @@ func TestRoundTrip(t *testing.T) {
 	if err := c.Put(ctx, "profile|scenario|v1", payload); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c.Get(ctx, "profile|scenario|v1")
+	got, ok := get(ctx, c, "profile|scenario|v1")
 	if !ok {
 		t.Fatal("expected hit after Put")
 	}
 	if string(got) != string(payload) {
 		t.Fatalf("payload mismatch: got %s want %s", got, payload)
 	}
-	if _, ok := c.Get(ctx, "profile|other|v1"); ok {
+	if _, ok := get(ctx, c, "profile|other|v1"); ok {
 		t.Fatal("unexpected hit for absent key")
 	}
 	s := c.Stats()
@@ -56,7 +63,7 @@ func TestReopenPersists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c2.Get(ctx, "k")
+	got, ok := get(ctx, c2, "k")
 	if !ok || string(got) != `"v"` {
 		t.Fatalf("reopened cache: ok=%v payload=%s", ok, got)
 	}
@@ -120,7 +127,7 @@ func TestCorruptEntryDiscarded(t *testing.T) {
 			if err := tc.corrupt(p); err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := c.Get(ctx, "key"); ok {
+			if _, ok := get(ctx, c, "key"); ok {
 				t.Fatal("corrupt entry served as a hit")
 			}
 			if _, err := os.Stat(p); !os.IsNotExist(err) {
@@ -134,7 +141,7 @@ func TestCorruptEntryDiscarded(t *testing.T) {
 			if err := c.Put(ctx, "key", []byte(`777`)); err != nil {
 				t.Fatal(err)
 			}
-			if _, ok := c.Get(ctx, "key"); !ok {
+			if _, ok := get(ctx, c, "key"); !ok {
 				t.Fatal("re-put after discard should hit")
 			}
 		})
@@ -169,7 +176,7 @@ func TestVersionMismatchRejected(t *testing.T) {
 	if err := os.WriteFile(p, out, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get(ctx, "key"); ok {
+	if _, ok := get(ctx, c, "key"); ok {
 		t.Fatal("future-version entry served as a hit")
 	}
 	if s := c.Stats(); s.Discards != 1 {
@@ -196,7 +203,7 @@ func TestVersionMismatchRejected(t *testing.T) {
 	if err := os.WriteFile(p2, out, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get(ctx, "key2"); ok {
+	if _, ok := get(ctx, c, "key2"); ok {
 		t.Fatal("foreign-format entry served as a hit")
 	}
 }
@@ -220,11 +227,11 @@ func TestEvictionUnderCap(t *testing.T) {
 		t.Fatalf("occupancy %d exceeds cap: %+v", s.Bytes, s)
 	}
 	// The most recent entry survives.
-	if _, ok := c.Get(ctx, "key-9"); !ok {
+	if _, ok := get(ctx, c, "key-9"); !ok {
 		t.Fatal("most recent entry was evicted")
 	}
 	// The oldest is gone.
-	if _, ok := c.Get(ctx, "key-0"); ok {
+	if _, ok := get(ctx, c, "key-0"); ok {
 		t.Fatal("oldest entry survived eviction")
 	}
 }
@@ -240,7 +247,7 @@ func TestEvictionIsLRU(t *testing.T) {
 		}
 	}
 	// Touch key-0 so key-1 becomes the LRU victim.
-	if _, ok := c.Get(ctx, "key-0"); !ok {
+	if _, ok := get(ctx, c, "key-0"); !ok {
 		t.Fatal("key-0 should be present")
 	}
 	for i := 3; i < 6; i++ {
@@ -248,7 +255,7 @@ func TestEvictionIsLRU(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := c.Get(ctx, "key-1"); ok {
+	if _, ok := get(ctx, c, "key-1"); ok {
 		t.Fatal("LRU entry key-1 should have been evicted before touched key-0")
 	}
 }
@@ -262,7 +269,7 @@ func TestOversizedEntrySurvivesOwnPut(t *testing.T) {
 	if err := c.Put(ctx, "big", big); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get(ctx, "big"); !ok {
+	if _, ok := get(ctx, c, "big"); !ok {
 		t.Fatal("oversized entry should survive its own Put")
 	}
 }
@@ -284,7 +291,7 @@ func TestConcurrentAccess(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if got, ok := c.Get(ctx, key); ok {
+				if got, ok := get(ctx, c, key); ok {
 					if string(got) != string(payload) {
 						t.Errorf("payload mismatch under concurrency: %s vs %s", got, payload)
 						return
@@ -370,19 +377,15 @@ func TestGetIntoMatchesGet(t *testing.T) {
 	if err := c.Put(ctx, "k", payload); err != nil {
 		t.Fatal(err)
 	}
-	raw, ok := c.Get(ctx, "k")
-	if !ok {
-		t.Fatal("Get miss")
-	}
-	var viaGet, viaInto map[string]any
-	if err := json.Unmarshal(raw, &viaGet); err != nil {
+	var put, viaInto map[string]any
+	if err := json.Unmarshal(payload, &put); err != nil {
 		t.Fatal(err)
 	}
 	if !c.GetInto(ctx, "k", &viaInto) {
 		t.Fatal("GetInto miss")
 	}
-	if fmt.Sprint(viaGet) != fmt.Sprint(viaInto) {
-		t.Fatalf("Get and GetInto disagree: %v vs %v", viaGet, viaInto)
+	if fmt.Sprint(put) != fmt.Sprint(viaInto) {
+		t.Fatalf("GetInto decoded %v, Put stored %v", viaInto, put)
 	}
 }
 
@@ -422,7 +425,7 @@ func TestEventsOnContextTracer(t *testing.T) {
 	if err := c.Put(traced, "a", []byte(`1`)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get(traced, "a"); !ok {
+	if _, ok := get(traced, c, "a"); !ok {
 		t.Fatal("expected hit")
 	}
 	var v int
@@ -433,7 +436,7 @@ func TestEventsOnContextTracer(t *testing.T) {
 	if err := c.Put(traced, "b", []byte(`2`)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := c.Get(ctx, "b"); !ok {
+	if _, ok := get(ctx, c, "b"); !ok {
 		t.Fatal("expected hit")
 	}
 	var names []string

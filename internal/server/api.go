@@ -276,20 +276,22 @@ type PlanRequest struct {
 
 // Space builds the search space against base: empty axes keep the base's
 // value, schedule names are checked against the menu, and fabric presets
-// are sized for the largest world the space reaches. A space over
-// MaxPlanPoints is rejected before it is walked.
+// are sized for the largest world the space reaches. Each raw list keeps
+// only the first occurrence of each value before anything is built from
+// it, so repeats cost a map lookup each. A space over MaxPlanPoints is
+// rejected before it is walked.
 func (req *PlanRequest) Space(base lumos.Config) (lumos.Space, error) {
 	space := lumos.Space{
-		TP:         req.TPRange,
-		PP:         req.PPRange,
-		DP:         req.DPRange,
-		Microbatch: req.MBRange,
+		TP:         distinct(req.TPRange, same[int]),
+		PP:         distinct(req.PPRange, same[int]),
+		DP:         distinct(req.DPRange, same[int]),
+		Microbatch: distinct(req.MBRange, same[int]),
 	}
 	var err error
-	if space.Schedules, err = scheduleNames(req.Schedules); err != nil {
+	if space.Schedules, err = scheduleNames(distinct(req.Schedules, same[string])); err != nil {
 		return lumos.Space{}, err
 	}
-	for _, f := range req.Degrade {
+	for _, f := range distinct(req.Degrade, math.Float64bits) {
 		space.Degrade = append(space.Degrade, lumos.NetworkDegradeFactors(f))
 	}
 	// Fabrics only multiply the size, so it is checked before the walk
@@ -305,7 +307,7 @@ func (req *PlanRequest) Space(base lumos.Config) (lumos.Space, error) {
 		maxWorld = max(maxWorld, p.World())
 		return true
 	})
-	for _, name := range req.Fabrics {
+	for _, name := range distinct(req.Fabrics, same[string]) {
 		f, err := lumos.FabricPreset(name, maxWorld)
 		if err != nil {
 			return lumos.Space{}, err
@@ -317,6 +319,22 @@ func (req *PlanRequest) Space(base lumos.Config) (lumos.Space, error) {
 	}
 	return space, nil
 }
+
+// distinct keeps the first of the values that share an id, in order.
+// Degrade factors compare by bit pattern: the planner tells -0 from 0.
+func distinct[T any, K comparable](vals []T, id func(T) K) (out []T) {
+	seen := map[K]bool{}
+	for _, v := range vals {
+		if k := id(v); !seen[k] {
+			seen[k] = true
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// same is the identity, the id of values that compare as themselves.
+func same[T comparable](v T) T { return v }
 
 // checkPlanSize rejects a space over MaxPlanPoints.
 func checkPlanSize(space lumos.Space, base lumos.Config) error {

@@ -100,6 +100,7 @@ type profile struct {
 	fingerprint string
 	cfg         lumos.Config
 	state       *lumos.BaseState
+	ranks       int
 	events      int
 }
 
@@ -108,7 +109,7 @@ func (p *profile) info(created bool) ProfileInfo {
 		Name:        p.name,
 		Fingerprint: p.fingerprint,
 		World:       p.cfg.Map.WorldSize(),
-		Ranks:       p.state.Traces.NumRanks(),
+		Ranks:       p.ranks,
 		Events:      p.events,
 		IterationMs: analysis.Millis(p.state.Iteration),
 		Created:     created,
@@ -426,6 +427,10 @@ func (s *Server) handleCreateProfile(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, "loading traces: %v", err)
 		return
 	}
+	if err := lumos.CheckProfile(cfg, m); err != nil {
+		s.fail(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	fp := registryFingerprint(cfg, m)
 
 	// Fast path: an identical profile already exists (idempotent
@@ -455,6 +460,7 @@ func (s *Server) handleCreateProfile(w http.ResponseWriter, r *http.Request) {
 		fingerprint: fp,
 		cfg:         cfg,
 		state:       st,
+		ranks:       m.NumRanks(),
 		events:      m.Events(),
 	}
 

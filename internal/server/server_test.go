@@ -268,6 +268,21 @@ func TestRequestValidation(t *testing.T) {
 	createProfile(t, s, "fig7", http.StatusCreated)
 
 	overCap := repeatedDegradeBody()
+	// Traces of testDeployment's four ranks, registered under deployments
+	// of eight ranks and of two.
+	m, err := lumos.New().Profile(t.Context(), mustConfig(t, testDeployment()), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traceDir := t.TempDir()
+	if err := lumos.SaveTraces(m, traceDir); err != nil {
+		t.Fatal(err)
+	}
+	mismatched := func(tp int) ProfileRequest {
+		dep := testDeployment()
+		dep.TP = tp
+		return ProfileRequest{Name: fmt.Sprintf("tp%d", tp), Deployment: dep, TraceDir: traceDir}
+	}
 	cases := []struct {
 		name string
 		path string
@@ -297,6 +312,8 @@ func TestRequestValidation(t *testing.T) {
 		{"plan gpu memory past int64", "/v1/plan", PlanRequest{Profile: "fig7", GPUMemGiB: 1e10}, http.StatusBadRequest},
 		{"plan body over the cap", "/v1/plan", overCap, http.StatusRequestEntityTooLarge},
 		{"sweep body over the cap", "/v1/sweep", overCap, http.StatusRequestEntityTooLarge},
+		{"profile with fewer traces than ranks", "/v1/profiles", mismatched(4), http.StatusBadRequest},
+		{"profile with more traces than ranks", "/v1/profiles", mismatched(1), http.StatusBadRequest},
 	}
 	// Unknown fields are rejected by name rather than silently ignored, and
 	// oversized campaigns by their size.
@@ -308,6 +325,8 @@ func TestRequestValidation(t *testing.T) {
 		"sweep over the scenario limit":            "sweep has 216000001 scenarios, over the limit of 4096",
 		"plan body over the cap":                   "request body over the 1 MiB cap of /v1/plan",
 		"sweep body over the cap":                  "request body over the 1 MiB cap of /v1/sweep",
+		"profile with fewer traces than ranks":     "profile has 4 rank traces, deployment 4x2x1 has 8 ranks",
+		"profile with more traces than ranks":      "profile has 4 rank traces, deployment 1x2x1 has 2 ranks",
 	}
 	for _, c := range cases {
 		rec := do(t, s, "POST", c.path, c.body)
@@ -332,6 +351,46 @@ func TestRequestValidation(t *testing.T) {
 	if rec := do(t, s, "GET", "/v1/healthz", nil); rec.Code != http.StatusOK {
 		t.Errorf("healthz: code %d, want 200", rec.Code)
 	}
+
+	// A mismatched profile is refused before calibration and registers
+	// nothing.
+	if list := decodeBody[ProfileList](t, do(t, s, "GET", "/v1/profiles", nil)); len(list.Profiles) != 1 {
+		t.Errorf("profiles after the rejected uploads: %+v, want only fig7", list.Profiles)
+	}
+	if _, calibrations := s.tk.Counters(); calibrations != 1 {
+		t.Errorf("%d calibrations, want only fig7's", calibrations)
+	}
+}
+
+// TestPlanSpaceDedupsRawLists: a plan body's raw lists are deduplicated
+// before anything is built from them, so many copies of one degrade factor
+// and one fabric name build one degrade vector and one fabric.
+func TestPlanSpaceDedupsRawLists(t *testing.T) {
+	req := PlanRequest{Degrade: make([]float64, 1<<16), Fabrics: make([]string, 1<<10)}
+	for i := range req.Degrade {
+		req.Degrade[i] = 0.5
+	}
+	for i := range req.Fabrics {
+		req.Fabrics[i] = "nvl72"
+	}
+	base := mustConfig(t, testDeployment())
+	space, err := req.Space(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(space.Degrade) != 1 || len(space.Fabrics) != 1 || space.Size(base) != 1 {
+		t.Fatalf("space of one repeated factor and fabric has %d degrade vectors, %d fabrics, %d points; want 1 each",
+			len(space.Degrade), len(space.Fabrics), space.Size(base))
+	}
+}
+
+func mustConfig(t *testing.T, d Deployment) lumos.Config {
+	t.Helper()
+	cfg, err := d.config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cfg
 }
 
 // TestListedCuts pins the result cuts both front ends print: a sweep's

@@ -60,27 +60,6 @@ func (m Mapping) DPGroup(rank int) []int {
 	return out
 }
 
-// PPGroup returns the pipeline group containing rank, in stage order.
-func (m Mapping) PPGroup(rank int) []int {
-	dp, _, tp := m.Coords(rank)
-	out := make([]int, m.PP)
-	for p := 0; p < m.PP; p++ {
-		out[p] = m.Rank(dp, p, tp)
-	}
-	return out
-}
-
-// PPNeighbor returns the global rank of the pipeline stage adjacent to rank
-// in direction dir (+1 downstream, -1 upstream), or -1 at the pipeline edge.
-func (m Mapping) PPNeighbor(rank, dir int) int {
-	dp, pp, tp := m.Coords(rank)
-	np := pp + dir
-	if np < 0 || np >= m.PP {
-		return -1
-	}
-	return m.Rank(dp, np, tp)
-}
-
 // GroupID assigns a stable communicator ID to each distinct group kind and
 // group instance, so collective kernels can be matched across ranks.
 // Kind: 0=TP, 1=DP, 2=PP(p2p pair), 3=embedding tie. IDs are always

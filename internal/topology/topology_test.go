@@ -72,25 +72,6 @@ func TestGroups(t *testing.T) {
 	if g := m.DPGroup(3); len(g) != 2 || g[0] != 3 || g[1] != 7 {
 		t.Fatalf("DPGroup(3) = %v", g)
 	}
-	if g := m.PPGroup(4); len(g) != 2 || g[0] != 4 || g[1] != 6 {
-		t.Fatalf("PPGroup(4) = %v", g)
-	}
-}
-
-func TestPPNeighbor(t *testing.T) {
-	m := Mapping{TP: 2, PP: 4, DP: 1}
-	if m.PPNeighbor(0, +1) != 2 {
-		t.Fatalf("downstream of rank 0 = %d", m.PPNeighbor(0, +1))
-	}
-	if m.PPNeighbor(0, -1) != -1 {
-		t.Fatal("first stage has no upstream")
-	}
-	if m.PPNeighbor(6, +1) != -1 {
-		t.Fatal("last stage has no downstream")
-	}
-	if m.PPNeighbor(6, -1) != 4 {
-		t.Fatalf("upstream of rank 6 = %d", m.PPNeighbor(6, -1))
-	}
 }
 
 func TestPropertyGroupsPartitionWorld(t *testing.T) {

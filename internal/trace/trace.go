@@ -95,28 +95,6 @@ func (k RuntimeKind) String() string {
 	return fmt.Sprintf("runtime(%d)", uint8(k))
 }
 
-// ParseRuntimeKind maps a CUDA runtime API name to its kind. Unknown names
-// map to RuntimeNone without error, mirroring how Lumos treats unrecognized
-// runtime calls as plain CPU work.
-func ParseRuntimeKind(s string) RuntimeKind {
-	for i := 1; i < len(runtimeNames); i++ {
-		if runtimeNames[i] == s {
-			return RuntimeKind(i)
-		}
-	}
-	return RuntimeNone
-}
-
-// IsSync reports whether the runtime call blocks the CPU on GPU progress,
-// creating a GPU→CPU dependency.
-func (k RuntimeKind) IsSync() bool {
-	switch k {
-	case RuntimeEventSynchronize, RuntimeStreamSynchronize, RuntimeDeviceSynchronize:
-		return true
-	}
-	return false
-}
-
 // KernelClass partitions GPU kernels into the families the analysis and
 // kernel-model layers care about.
 type KernelClass uint8
@@ -174,16 +152,6 @@ func (c CommKind) String() string {
 		return commNames[c]
 	}
 	return fmt.Sprintf("comm(%d)", uint8(c))
-}
-
-// ParseCommKind maps an NCCL-style kernel name prefix back to a CommKind.
-func ParseCommKind(s string) CommKind {
-	for i := 1; i < len(commNames); i++ {
-		if commNames[i] == s {
-			return CommKind(i)
-		}
-	}
-	return CommNone
 }
 
 // IsPointToPoint reports whether the primitive is a p2p send/recv rather

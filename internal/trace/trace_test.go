@@ -21,36 +21,38 @@ func TestCategoryRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRuntimeKindRoundTrip(t *testing.T) {
-	for k := RuntimeLaunchKernel; k <= RuntimeDeviceSynchronize; k++ {
-		if got := ParseRuntimeKind(k.String()); got != k {
-			t.Fatalf("round trip %v != %v", got, k)
-		}
+// decodeOne encodes e as a one-event Kineto trace and decodes it back.
+func decodeOne(t *testing.T, e Event) Event {
+	t.Helper()
+	tr := New(0)
+	tr.Add(e)
+	var buf bytes.Buffer
+	if err := EncodeJSON(&buf, tr); err != nil {
+		t.Fatal(err)
 	}
-	if ParseRuntimeKind("cudaWhatever") != RuntimeNone {
-		t.Fatal("unknown runtime name must map to RuntimeNone")
+	got, err := DecodeJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if len(got.Events) != 1 {
+		t.Fatalf("decoded %d events, want 1", len(got.Events))
+	}
+	return got.Events[0]
 }
 
-func TestRuntimeIsSync(t *testing.T) {
-	syncs := map[RuntimeKind]bool{
-		RuntimeStreamSynchronize: true,
-		RuntimeDeviceSynchronize: true,
-		RuntimeEventSynchronize:  true,
-		RuntimeLaunchKernel:      false,
-		RuntimeEventRecord:       false,
-		RuntimeStreamWaitEvent:   false,
-	}
-	for k, want := range syncs {
-		if k.IsSync() != want {
-			t.Errorf("%v.IsSync() = %v, want %v", k, k.IsSync(), want)
+func TestRuntimeKindRoundTrip(t *testing.T) {
+	for k := RuntimeLaunchKernel; k <= RuntimeDeviceSynchronize; k++ {
+		e := Event{Name: k.String(), Cat: CatCUDARuntime, Dur: 1, Runtime: k, Stream: -1, PeerRank: -1, Layer: -1, Microbatch: -1}
+		if got := decodeOne(t, e).Runtime; got != k {
+			t.Fatalf("round trip %v != %v", got, k)
 		}
 	}
 }
 
 func TestCommKindRoundTrip(t *testing.T) {
 	for c := CommAllReduce; c <= CommAllToAll; c++ {
-		if got := ParseCommKind(c.String()); got != c {
+		e := Event{Name: c.String(), Cat: CatKernel, Dur: 1, Class: KCComm, Comm: c, Stream: 20, PeerRank: -1, Layer: -1, Microbatch: -1}
+		if got := decodeOne(t, e).Comm; got != c {
 			t.Fatalf("round trip %v != %v", got, c)
 		}
 	}

@@ -28,8 +28,9 @@
 // and Toolkit.Plan goes one step further: an exact search over a declared
 // parallelism × microbatch × fabric Space with an analytic memory
 // pre-filter and Pareto-frontier output (see plan.go). Single-shot entry
-// points (Profile, BuildGraph, Replay, Predict) remain for step-by-step
-// use and all accept a context for cancellation.
+// points (Profile, BuildGraph, Replay, WhatIfScale) remain for
+// step-by-step use and all accept a context for cancellation; a
+// prediction of another deployment is a campaign of one DeployScenario.
 //
 // Subsystem packages live under internal/.
 package lumos
@@ -41,7 +42,6 @@ import (
 	"lumos/internal/analysis"
 	"lumos/internal/core"
 	"lumos/internal/execgraph"
-	"lumos/internal/manip"
 	"lumos/internal/model"
 	"lumos/internal/obs"
 	"lumos/internal/parallel"
@@ -74,12 +74,6 @@ func WithConcurrency(n int) Option { return core.WithConcurrency(n) }
 
 // WithSeed sets the profiling seed Evaluate uses for the base profile.
 func WithSeed(seed uint64) Option { return core.WithSeed(seed) }
-
-// WithScenarioCache enables or disables sweep-level memoization of
-// fingerprintable scenario results (default on): duplicate grid points
-// across Evaluate calls on one campaign state return cached results.
-// Disabling memoization also disables the disk cache layer.
-func WithScenarioCache(enabled bool) Option { return core.WithScenarioCache(enabled) }
 
 // WithDiskCache enables the disk-backed, content-addressed scenario and
 // calibration cache rooted at dir (created on first use). Sweeps and plans
@@ -121,12 +115,7 @@ type (
 	Trace = trace.Trace
 	// Multi is a set of per-rank traces.
 	Multi = trace.Multi
-	// Graph is the task-level execution graph. A predicted graph
-	// simulates one data-parallel replica per price class: NumRanks stays
-	// the world size, only the representative ranks have tasks, and
-	// RankWeight(r) says how many world ranks rank r's timeline stands for
-	// (0 for a rank that was not simulated). Per-rank sums must weight by
-	// it.
+	// Graph is the task-level execution graph.
 	Graph = execgraph.Graph
 	// Task is one node of the execution graph.
 	Task = execgraph.Task
@@ -135,15 +124,6 @@ type (
 	// Breakdown is the exposed-compute/overlapped/exposed-comm/other
 	// decomposition.
 	Breakdown = analysis.Breakdown
-	// Request describes a graph manipulation (new parallelism or
-	// architecture).
-	Request = manip.Request
-	// PredictResult is a manipulation prediction: the synthesized
-	// execution graph with predicted timestamps. The graph holds the
-	// ranks of one representative DP replica per price class, weighted by
-	// class size (see Graph); Iteration, GraphBreakdown and the library
-	// hit/miss counts cover the whole world.
-	PredictResult = manip.GraphResult
 )
 
 // Task kinds, re-exported for graph analyses.
@@ -199,13 +179,27 @@ func RankBreakdown(t *Trace) Breakdown { return analysis.RankBreakdown(t) }
 // MultiBreakdown averages per-rank breakdowns.
 func MultiBreakdown(m *Multi) Breakdown { return analysis.MultiBreakdown(m) }
 
-// GraphBreakdown is MultiBreakdown computed directly from an execution
-// graph's timestamps (e.g. a synthesized prediction), with no trace.
-func GraphBreakdown(g *Graph) Breakdown { return analysis.GraphBreakdown(g) }
-
 // SMUtilization returns per-window GPU busy fractions (Figure 6).
 func SMUtilization(t *Trace, windowNs int64) []float64 {
 	return analysis.SMUtilization(t, windowNs)
+}
+
+// CheckProfile reports whether m is a profile of cfg: one trace per rank
+// 0..world-1, in rank order. Traces of another deployment would calibrate
+// every answer against the wrong ranks, so the CLI's -in paths and
+// lumosd's profile registration check this before preparing a campaign.
+func CheckProfile(cfg Config, m *Multi) error {
+	world := cfg.Map.WorldSize()
+	shape := fmt.Sprintf("%dx%dx%d", cfg.Map.TP, cfg.Map.PP, cfg.Map.DP)
+	if n := len(m.Ranks); n != world {
+		return fmt.Errorf("lumos: profile has %d rank traces, deployment %s has %d ranks", n, shape, world)
+	}
+	for i, t := range m.Ranks {
+		if t.Rank != i {
+			return fmt.Errorf("lumos: profile has %d rank traces but none for rank %d, deployment %s has ranks 0..%d", len(m.Ranks), i, shape, world-1)
+		}
+	}
+	return nil
 }
 
 // SaveTraces / LoadTraces persist per-rank Kineto-style JSON.

@@ -2,7 +2,6 @@ package lumos
 
 import (
 	"context"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -64,15 +63,13 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Fatal("dPRO replay should be optimistic (shorter)")
 	}
 
-	// Single-shot manipulation.
-	scaled := cfg
-	scaled.Map.DP = 4
-	pred, err := tk.Predict(ctx, Request{Base: cfg, Target: scaled}, traces)
+	// Manipulation: a one-scenario campaign over the profile.
+	sweep, err := tk.EvaluateTraces(ctx, cfg, traces, ScaleDPScenario(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pred.Graph.NumRanks != 16 {
-		t.Fatalf("scaled world = %d", pred.Graph.NumRanks)
+	if pred := sweep.Results[0]; !pred.Feasible() || pred.World != 16 || pred.Iteration <= 0 {
+		t.Fatalf("scaled prediction = %+v", pred)
 	}
 
 	// Graph-level what-if through the toolkit.
@@ -89,89 +86,19 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 }
 
-// TestPredictMatchesSweep pins the single-shot prediction to the campaign
-// path: for fig7/fig8-style targets, Toolkit.Predict must report exactly
-// the iteration, breakdown and library hit/miss counts of the
-// EvaluateTraces row for the same target, although it calibrates on its
-// own.
-func TestPredictMatchesSweep(t *testing.T) {
-	ctx := context.Background()
-	cfg, err := DeploymentConfig(GPT3_15B(), 2, 2, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Microbatches = 8
-	tk := New()
-	traces, err := tk.Profile(ctx, cfg, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	with := func(pp, dp int, arch Arch) Config {
-		c := cfg
-		c.Map.PP, c.Map.DP, c.Arch = pp, dp, arch
-		return c
-	}
-	cases := []struct {
-		scenario Scenario
-		target   Config
-	}{
-		{ScaleDPScenario(4), with(2, 4, cfg.Arch)},
-		{ScalePPScenario(4), with(4, 2, cfg.Arch)},
-		{Scale3DScenario(4, 4), with(4, 4, cfg.Arch)},
-		{ScalePPScenario(1), with(1, 2, cfg.Arch)},
-		{ArchScenario(GPT3_V3()), with(2, 2, GPT3_V3())},
-	}
-	scenarios := make([]Scenario, len(cases))
-	for i, tc := range cases {
-		scenarios[i] = tc.scenario
-	}
-	sweep, err := tk.EvaluateTraces(ctx, cfg, traces, scenarios...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := map[string]ScenarioResult{}
-	for _, r := range sweep.Results {
-		rows[r.Name] = r
-	}
-	for _, tc := range cases {
-		r, ok := rows[tc.scenario.Name()]
-		if !ok || !r.Feasible() {
-			t.Fatalf("%s: no feasible sweep row (%+v)", tc.scenario.Name(), r)
-		}
-		if !reflect.DeepEqual(r.Target, tc.target) {
-			t.Fatalf("%s: sweep target %+v, want %+v", r.Name, r.Target.Map, tc.target.Map)
-		}
-		pred, err := tk.Predict(ctx, Request{Base: cfg, Target: tc.target}, traces)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bd := GraphBreakdown(pred.Graph); pred.Iteration != r.Iteration || bd != r.Breakdown ||
-			pred.LibraryHits != r.LibraryHits || pred.LibraryMisses != r.LibraryMisses {
-			t.Errorf("%s: Predict %d %+v hits %d/%d, sweep row %d %+v hits %d/%d", r.Name,
-				pred.Iteration, bd, pred.LibraryHits, pred.LibraryMisses,
-				r.Iteration, r.Breakdown, r.LibraryHits, r.LibraryMisses)
-		}
-	}
-}
-
 // TestManipulationScopeMatchesPaper verifies TP-change rejection through
-// the public API, both the single-shot path (hard error) and the campaign
-// path (infeasible result, campaign survives).
+// the public API: a TP change is an infeasible result, and the campaign
+// survives it.
 func TestManipulationScopeMatchesPaper(t *testing.T) {
 	ctx := context.Background()
 	cfg, err := DeploymentConfig(GPT3_15B(), 2, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := cfg
-	target.Map.TP = 4
 	tk := New()
 	traces, err := tk.Profile(ctx, cfg, 5)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := tk.Predict(ctx, Request{Base: cfg, Target: target}, traces); err == nil {
-		t.Fatal("tensor-parallel manipulation must be rejected (paper scope)")
 	}
 
 	sweep, err := tk.EvaluateTraces(ctx, cfg, traces,
@@ -182,8 +109,8 @@ func TestManipulationScopeMatchesPaper(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := sweep.Results[len(sweep.Results)-1]
-	if last.Feasible() {
-		t.Fatal("TP-change scenario must rank last as infeasible")
+	if last.Feasible() || !strings.Contains(last.Err, "tensor") {
+		t.Fatalf("TP-change scenario must rank last as infeasible (paper scope), got %+v", last)
 	}
 	if got := len(sweep.Top(10)); got != 1 {
 		t.Fatalf("Top must exclude infeasible results, got %d", got)

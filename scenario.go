@@ -16,7 +16,7 @@ type (
 	// SweepResult is a completed campaign, ranked fastest-first.
 	SweepResult = core.SweepResult
 	// BaseState is the shared profile-once state scenarios evaluate
-	// against (traces, graph, kernel library, fitted model).
+	// against (graph, replayed baseline, kernel library, fitted model).
 	BaseState = core.BaseState
 )
 

@@ -28,7 +28,7 @@ func TestSchedule1F1BPredictionEquivalence(t *testing.T) {
 	ctx := context.Background()
 	for _, arch := range []Arch{GPT3_15B(), GPT3_V3()} {
 		base := scheduleBase(t, arch)
-		tk := New(WithSeed(42), WithScenarioCache(false))
+		tk := New(WithSeed(42))
 		sweep, err := tk.Evaluate(ctx, base,
 			ScheduleScenario("1f1b"),
 			DeploymentScenario(arch, 2, 2, 2),

@@ -3,6 +3,7 @@ package lumos
 import (
 	"context"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -180,8 +181,8 @@ func TestPooledSimulatorDeterminism(t *testing.T) {
 
 // TestScenarioMemoization verifies sweep-level fingerprinting: duplicate
 // grid points — within one EvaluateState call and across calls on the same
-// campaign state — are served from the cache, with results identical to an
-// uncached sweep, and without any further profiling or calibration.
+// campaign state — are served from the cache, with results identical to
+// freshly computed ones, and without any further profiling or calibration.
 func TestScenarioMemoization(t *testing.T) {
 	ctx := context.Background()
 	base := sweepBase(t)
@@ -206,7 +207,7 @@ func TestScenarioMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, entries := st.MemoStats()
+	entries := st.CacheStats().MemoEntries
 	if entries == 0 {
 		t.Fatal("no scenario results were memoized")
 	}
@@ -215,8 +216,7 @@ func TestScenarioMemoization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hits, _ := st.MemoStats()
-	if hits < int64(entries) {
+	if hits := st.CacheStats().MemoHits; hits < entries {
 		t.Fatalf("second sweep hit the cache %d times, want >= %d", hits, entries)
 	}
 	if !reflect.DeepEqual(first.Results, second.Results) {
@@ -235,32 +235,18 @@ func TestScenarioMemoization(t *testing.T) {
 		t.Fatalf("memoized re-sweep re-calibrated: %d profiles, %d library builds", profiles, libs)
 	}
 
-	// An uncached toolkit sharing nothing must agree on every prediction.
-	plain := New(WithSeed(42), WithScenarioCache(false))
-	uncached, err := plain.Evaluate(ctx, base, scenarios...)
+	// A fresh campaign sharing nothing, evaluating the scenarios in reverse
+	// order on one worker, computes the other spelling of each duplicate
+	// and serves the first from its memo; it must agree on every row.
+	reversed := slices.Clone(scenarios)
+	slices.Reverse(reversed)
+	fresh, err := New(WithSeed(42), WithConcurrency(1)).Evaluate(ctx, base, reversed...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(first.Results, uncached.Results) {
-		t.Fatal("cached and uncached sweeps disagree")
+	if !reflect.DeepEqual(first.Results, fresh.Results) {
+		t.Fatal("memoized and freshly computed predictions disagree")
 	}
-	if h, e := uncachedMemoStats(plain, ctx, base); h != 0 || e != 0 {
-		t.Fatalf("cache-disabled sweep still memoized: hits=%d entries=%d", h, e)
-	}
-}
-
-// uncachedMemoStats runs a tiny cache-disabled sweep and reports its memo
-// activity.
-func uncachedMemoStats(tk *Toolkit, ctx context.Context, base Config) (int64, int64) {
-	st, err := tk.Prepare(ctx, base, 42)
-	if err != nil {
-		return -1, -1
-	}
-	if _, err := tk.EvaluateState(ctx, st, BaselineScenario(), BaselineScenario()); err != nil {
-		return -1, -1
-	}
-	hits, entries := st.MemoStats()
-	return hits, entries
 }
 
 // cancelScenario cancels its sweep's context from inside Run.
