@@ -76,12 +76,16 @@ alloc-guard:
 # builders the API and the CLI share, or get a campaign past the admission
 # limits. FuzzDecodeTrace: no rank lumosd accepts inline in a profile body
 # may panic trace decoding, graph construction or either replay engine.
+# FuzzScacheEntry: no entry file may panic the disk cache's read, be served
+# unless it is a well-formed envelope of its key with a matching checksum
+# and a decodable payload, or stay on disk once rejected.
 # Their seeds include a 34 KB body and a 16 KB trace rank, so interesting
 # inputs are not minimized: minimizing one would take most of the 10 s.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFabricPricing$$' -fuzztime 10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestBuilders$$' -fuzztime 10s -fuzzminimizetime 1x ./internal/server/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTrace$$' -fuzztime 10s -fuzzminimizetime 1x ./internal/server/
+	$(GO) test -run '^$$' -fuzz '^FuzzScacheEntry$$' -fuzztime 10s -fuzzminimizetime 1x ./internal/scache/
 
 # benchsmoke runs every benchmark once as a regression canary.
 benchsmoke:

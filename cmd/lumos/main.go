@@ -97,7 +97,7 @@ func main() {
 	case "breakdown":
 		err = cmdBreakdown(args)
 	case "smutil":
-		err = cmdSMUtil(args)
+		err = cmdSMUtil(os.Stdout, args)
 	case "predict":
 		err = cmdPredict(ctx, args)
 	case "whatif":
@@ -213,7 +213,10 @@ func cmdBreakdown(args []string) error {
 	return nil
 }
 
-func cmdSMUtil(args []string) error {
+// cmdSMUtil prints one rank's SM utilization per window. The rank is
+// picked by its number, not its position: a trace directory may hold any
+// subset of ranks.
+func cmdSMUtil(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("smutil", flag.ExitOnError)
 	in := fs.String("in", "traces", "trace directory")
 	rank := fs.Int("rank", 0, "rank to analyze")
@@ -224,12 +227,19 @@ func cmdSMUtil(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *rank < 0 || *rank >= traces.NumRanks() {
-		return fmt.Errorf("rank %d out of range [0,%d)", *rank, traces.NumRanks())
+	var picked *lumos.Trace
+	present := make([]string, len(traces.Ranks))
+	for i, t := range traces.Ranks {
+		if t.Rank == *rank {
+			picked = t
+		}
+		present[i] = strconv.Itoa(t.Rank)
 	}
-	u := lumos.SMUtilization(traces.Ranks[*rank], window.Nanoseconds())
-	for i, v := range u {
-		fmt.Printf("%d %.4f\n", i, v)
+	if picked == nil {
+		return fmt.Errorf("no trace of rank %d in %s (ranks present: %s)", *rank, *in, strings.Join(present, ","))
+	}
+	for i, v := range lumos.SMUtilization(picked, window.Nanoseconds()) {
+		fmt.Fprintf(w, "%d %.4f\n", i, v)
 	}
 	return nil
 }

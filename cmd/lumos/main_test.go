@@ -9,7 +9,9 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
+	"lumos"
 	"lumos/internal/server"
 )
 
@@ -161,5 +163,54 @@ func TestPlanMatchesLumosd(t *testing.T) {
 	}
 	if degraded == 0 {
 		t.Fatalf("no degraded point among the printed rows:\n%s", out.String())
+	}
+}
+
+// TestSMUtilPicksRankByNumber profiles the fig7 base and keeps only ranks
+// 0 and 2 in the trace directory. `lumos smutil -rank 2` must print rank
+// 2's utilization, not rank 0's, and `-rank 1`, which the directory does
+// not hold, must fail naming the ranks it does hold.
+func TestSMUtilPicksRankByNumber(t *testing.T) {
+	cfg, err := buildConfig("15b", 2, 2, 1, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traces, err := lumos.New().Profile(t.Context(), cfg, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := lumos.SaveTraces(&lumos.Multi{Ranks: []*lumos.Trace{traces.Ranks[0], traces.Ranks[2]}}, dir); err != nil {
+		t.Fatal(err)
+	}
+	smutil := func(rank string) (string, error) {
+		var out bytes.Buffer
+		err := cmdSMUtil(&out, []string{"-in", dir, "-rank", rank})
+		return out.String(), err
+	}
+	rank0, err := smutil("0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rank2, err := smutil("2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := lumos.LoadTraces(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want strings.Builder
+	for i, v := range lumos.SMUtilization(loaded.Ranks[1], time.Millisecond.Nanoseconds()) {
+		fmt.Fprintf(&want, "%d %.4f\n", i, v)
+	}
+	if loaded.Ranks[1].Rank != 2 || rank2 != want.String() {
+		t.Fatalf("-rank 2 printed:\n%s\nwant rank 2's utilization:\n%s", rank2, want.String())
+	}
+	if rank2 == rank0 {
+		t.Fatal("ranks 0 and 2 print the same utilization; the test cannot tell them apart")
+	}
+	if out, err := smutil("1"); err == nil || !strings.Contains(err.Error(), "ranks present: 0,2") {
+		t.Fatalf("-rank 1 printed %q with error %v; want an error naming ranks 0,2", out, err)
 	}
 }

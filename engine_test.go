@@ -2,7 +2,6 @@ package lumos
 
 import (
 	"context"
-	"fmt"
 	"reflect"
 	"sort"
 	"testing"
@@ -12,6 +11,7 @@ import (
 	"lumos/internal/manip"
 	"lumos/internal/planner"
 	"lumos/internal/replay"
+	"lumos/internal/topology"
 	"lumos/internal/trace"
 )
 
@@ -78,7 +78,7 @@ func oracleOnFabric(t *testing.T, st *BaseState, target Config, f Fabric) (trace
 	if world := target.Map.WorldSize(); campaign.Capacity() < world {
 		campaign = campaign.WithCapacity(world)
 	}
-	if fmt.Sprintf("%T|%+v", f, f) == fmt.Sprintf("%T|%+v", campaign, campaign) {
+	if topology.FabricID(f) == topology.FabricID(campaign) {
 		return out.Iteration, analysis.GraphBreakdown(g)
 	}
 	tp, cp := collective.NewPricer(f), collective.NewPricer(campaign)

@@ -92,19 +92,12 @@ func (tk *Toolkit) DiskCacheStats() (scache.Stats, bool) {
 	return c.Stats(), true
 }
 
-// fabricFingerprint renders a fabric's full value deterministically. All
-// fabric implementations are value types (HierFabric and degraded wrappers
-// over it), so %+v has no pointer dependence.
-func fabricFingerprint(f topology.Fabric) string {
-	return fmt.Sprintf("%T|%+v", f, f)
-}
-
 // calibrationKey addresses a calibration snapshot. Deliberately narrower
 // than the profile fingerprint: BuildLibrary and Fit depend only on the
 // traces and the fabric, not on the deployment config, so one calibration
 // serves every campaign over the same profile.
 func calibrationKey(traceFP string, f topology.Fabric) string {
-	return fmt.Sprintf("calib|%s|%s|%s", CacheSchemaVersion, traceFP, fabricFingerprint(f))
+	return fmt.Sprintf("calib|%s|%s|%s", CacheSchemaVersion, traceFP, topology.FabricID(f))
 }
 
 // profileFingerprint digests everything a scenario result depends on
@@ -115,7 +108,7 @@ func profileFingerprint(cfg parallel.Config, traceFP string, f topology.Fabric) 
 	h := sha256.New()
 	fmt.Fprintf(h, "schema=%s\n", CacheSchemaVersion)
 	fmt.Fprintf(h, "traces=%s\n", traceFP)
-	fmt.Fprintf(h, "fabric=%s\n", fabricFingerprint(f))
+	fmt.Fprintf(h, "fabric=%s\n", topology.FabricID(f))
 	fmt.Fprintf(h, "config=%+v\n", cfg)
 	return hex.EncodeToString(h.Sum(nil))
 }
@@ -178,9 +171,12 @@ func (tk *Toolkit) calibrationFor(ctx context.Context, m *trace.Multi, f topolog
 	return lib, fitted, nil
 }
 
-// scenarioDiskKey addresses one scenario result under one profile.
+// scenarioDiskKey addresses one scenario result under one profile. The
+// scenario fingerprint is hex-encoded: a deployment's is a raw digest, and
+// the entry stores its key as a JSON string, which would replace the
+// digest's invalid UTF-8 and never match on read.
 func scenarioDiskKey(profileFP, scenarioFP string) string {
-	return fmt.Sprintf("scenario|%s|%s|%s", CacheSchemaVersion, profileFP, scenarioFP)
+	return fmt.Sprintf("scenario|%s|%s|%x", CacheSchemaVersion, profileFP, scenarioFP)
 }
 
 // diskLoad fetches and decodes a scenario result; ok is false on any miss,

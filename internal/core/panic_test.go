@@ -111,8 +111,7 @@ func TestScenarioPanicIsolated(t *testing.T) {
 func TestSharedBuildPanicLeavesError(t *testing.T) {
 	ctx := context.Background()
 	plan := func(factor float64) Scenario {
-		return &planScenario{cand: planner.Candidate{Point: planner.Point{
-			TP: 2, PP: 2, DP: 1, Microbatches: 8, Degrade: NetworkDegradeFactors(factor)}}}
+		return pointScenario(planner.Point{TP: 2, PP: 2, DP: 1, Microbatches: 8, Degrade: NetworkDegradeFactors(factor)})
 	}
 	for _, tc := range []struct {
 		name     string

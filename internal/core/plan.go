@@ -174,7 +174,7 @@ func (b *BaseState) predictOnFabric(req manip.Request, f topology.Fabric, breakd
 	if err != nil {
 		return fabricPrediction{}, err
 	}
-	if fabricFingerprint(f) == fabricFingerprint(campaign) {
+	if topology.FabricID(f) == topology.FabricID(campaign) {
 		p := fabricPrediction{out: e.out, iteration: e.out.Iteration}
 		if breakdown {
 			p.breakdown = analysis.GraphBreakdown(e.out.Graph)
@@ -223,55 +223,12 @@ func (b *BaseState) predictOnFabric(req manip.Request, f topology.Fabric, breakd
 	return p, nil
 }
 
-// planScenario evaluates one planner candidate: the target deployment
-// priced on the point's own (possibly degraded) fabric, which defaults to
-// the campaign's.
-type planScenario struct {
-	cand planner.Candidate
-}
-
-func (s *planScenario) Name() string { return s.cand.Point.Key() }
-
-// Fingerprint keys the scenario by the point's canonical identity, so a
-// point that an earlier plan (or another strategy) on the same campaign
-// state already simulated is served from the scenario cache.
-func (s *planScenario) Fingerprint(*BaseState) (string, bool) {
-	return "plan|" + s.cand.Point.Key(), true
-}
-
-func (s *planScenario) Run(ctx context.Context, b *BaseState) (ScenarioResult, error) {
-	p := s.cand.Point
-	target := p.Config(b.Config)
-	res := ScenarioResult{
-		Name:   s.Name(),
-		Kind:   "plan",
-		Target: target,
-		World:  target.Map.WorldSize(),
-	}
-	req := manip.Request{Base: b.Config, Target: target}
-	if err := req.Validate(); err != nil {
-		res.Err = err.Error()
-		return res, nil
-	}
-	// The same resolution chain the planner's analytic bound used.
-	f, err := planner.ResolveFabric(p, b.Fabric)
-	if err != nil {
-		res.Err = err.Error()
-		return res, nil
-	}
-	pred, err := b.predictOnFabric(req, f, false, obs.SpanFrom(ctx))
-	if err != nil {
-		res.Err = err.Error()
-		return res, nil
-	}
-	res.Iteration = pred.iteration
-	res.LibraryHits = pred.out.LibraryHits
-	res.LibraryMisses = pred.out.LibraryMisses
-	if pred.retimed {
-		res.SharedStructure = true
-		res.Detail = fmt.Sprintf("shared structure, %d comm groups repriced", pred.repriced)
-	}
-	return res, nil
+// pointScenario evaluates one planner point: the point's deployment
+// priced on its own (possibly degraded) fabric, which defaults to the
+// campaign's, resolved by the same chain the planner's analytic bound
+// used.
+func pointScenario(p planner.Point) Scenario {
+	return &deploymentScenario{name: p.Key(), kind: "plan", target: p.Config, fabric: p.Fabric, degrade: p.Degrade}
 }
 
 // Plan profiles the base deployment once and runs the exact deployment
@@ -297,24 +254,15 @@ func (tk *Toolkit) PlanState(ctx context.Context, st *BaseState, space planner.S
 	defer sp.End()
 	sim := func(ctx context.Context, cands []planner.Candidate) ([]planner.Outcome, error) {
 		scenarios := make([]Scenario, len(cands))
-		for i := range cands {
-			scenarios[i] = &planScenario{cand: cands[i]}
+		for i, c := range cands {
+			scenarios[i] = pointScenario(c.Point)
 		}
-		sweep, err := tk.EvaluateState(ctx, st, scenarios...)
+		results, err := tk.evaluate(ctx, st, scenarios)
 		if err != nil {
 			return nil, err
 		}
-		byName := make(map[string]ScenarioResult, len(sweep.Results))
-		for _, r := range sweep.Results {
-			byName[r.Name] = r
-		}
-		outs := make([]planner.Outcome, len(cands))
-		for i, c := range cands {
-			r, ok := byName[c.Point.Key()]
-			if !ok {
-				outs[i] = planner.Outcome{Err: "internal: scenario result missing"}
-				continue
-			}
+		outs := make([]planner.Outcome, len(results))
+		for i, r := range results {
 			outs[i] = planner.Outcome{Iteration: r.Iteration, SharedStructure: r.SharedStructure, Err: r.Err}
 		}
 		return outs, nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
 	"reflect"
 	"testing"
 
@@ -113,6 +114,51 @@ func TestPlanRepeatServedByMemo(t *testing.T) {
 	if runs0 == 0 || runs1 != runs0 {
 		t.Fatalf("compiled replays: %d after the first plan, %d after the repeat; want some, then none more", runs0, runs1)
 	}
+}
+
+// TestPlanPointSpellingsShareOneMemoEntry evaluates one deployment spelled
+// two ways: a plan point that keeps the base's schedule by leaving it
+// empty, and one that names it ("1f1b", testConfig's schedule). Both
+// resolve to one target on one fabric, so one memo entry must serve both,
+// under a key that is a fixed-size digest however large the deployment.
+func TestPlanPointSpellingsShareOneMemoEntry(t *testing.T) {
+	ctx := context.Background()
+	tk := New(WithConcurrency(1))
+	st, err := tk.Prepare(ctx, testConfig(t), 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	implicit := planner.Point{TP: 2, PP: 2, DP: 1, Microbatches: 8}
+	named := implicit
+	named.Schedule = "1f1b"
+	sweep, err := tk.EvaluateState(ctx, st, pointScenario(implicit), pointScenario(named))
+	if err != nil {
+		t.Fatal(err)
+	}
+	byName := map[string]ScenarioResult{}
+	for _, r := range sweep.Results {
+		if !r.Feasible() {
+			t.Fatalf("%s: %s", r.Name, r.Err)
+		}
+		byName[r.Name] = r
+	}
+	a, b := byName[implicit.Key()], byName[named.Key()]
+	if a.Name == b.Name {
+		t.Fatalf("the two spellings share the name %q", a.Name)
+	}
+	b.Name = a.Name
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("spellings of one deployment disagree:\n%+v\nvs\n%+v", a, b)
+	}
+	if cs := st.CacheStats(); cs.MemoEntries != 1 || cs.MemoHits != 1 {
+		t.Fatalf("memo holds %d entries after %d hits, want 1 and 1", cs.MemoEntries, cs.MemoHits)
+	}
+	st.memo.Range(func(k, _ any) bool {
+		if key := k.(string); len(key) != sha256.Size {
+			t.Errorf("memo key %x is not a %d-byte digest", key, sha256.Size)
+		}
+		return true
+	})
 }
 
 // TestPlanDeterministicAcrossWorkers asserts bit-identical plan results at

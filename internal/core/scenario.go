@@ -12,6 +12,7 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
 	"fmt"
 	"runtime/debug"
 	"sort"
@@ -239,28 +240,66 @@ type Scenario interface {
 }
 
 // --- Scenario implementations ---------------------------------------------
+//
+// Two scenario types answer every question a campaign asks of its profile
+// (baselines and construction errors only report). A deploymentScenario
+// answers "how does this deployment run?" by generating the target's
+// execution graph (Section 3.4) and pricing it on its fabric through
+// BaseState.predictOnFabric. A retimeScenario answers "how does the
+// profiled run change under this what-if?" by rewriting the base graph's
+// duration columns and replaying them through BaseState.whatIf.
 
-// deployScenario predicts a manipulated deployment via the shared library.
-type deployScenario struct {
-	name      string
-	kind      string
-	transform func(parallel.Config) parallel.Config
+// deploymentScenario predicts one deployment on one fabric: every deploy,
+// arch, schedule, fabric and degrade row and every plan point.
+type deploymentScenario struct {
+	name string
+	kind string
+	// target derives the deployment from the campaign base; nil keeps the
+	// base deployment.
+	target func(parallel.Config) parallel.Config
+	// fabric is the target interconnect; nil re-uses the campaign's.
+	fabric topology.Fabric
+	// degrade scales per-tier bandwidth on the resolved fabric (see
+	// topology.Degrade); empty means no degradation.
+	degrade []float64
+	// breakdown requests the predicted execution breakdown.
+	breakdown bool
 }
 
-func (s *deployScenario) Name() string { return s.name }
+func (s *deploymentScenario) Name() string { return s.name }
 
-// Fingerprint keys a deploy scenario by its kind and derived target
-// deployment: two grid points that resolve to the same target are the same
-// prediction. The kind is part of the key so scenarios of different kinds
-// that share a target (e.g. an arch variant spelled as a full deployment)
-// never serve each other's results — cached hits must be indistinguishable
-// from fresh ones under any worker count.
-func (s *deployScenario) Fingerprint(b *BaseState) (string, bool) {
-	return fmt.Sprintf("%s|%+v", s.kind, s.transform(b.Config)), true
+// resolve derives the target deployment and resolves its fabric exactly
+// as the planner's analytic bound resolves a point's (sized, degraded and
+// validated; see planner.ResolveFabric).
+func (s *deploymentScenario) resolve(b *BaseState) (parallel.Config, topology.Fabric, error) {
+	target := b.Config
+	if s.target != nil {
+		target = s.target(b.Config)
+	}
+	m := target.Map
+	f, err := planner.ResolveFabric(planner.Point{TP: m.TP, PP: m.PP, DP: m.DP, Fabric: s.fabric, Degrade: s.degrade}, b.Fabric)
+	return target, f, err
 }
 
-func (s *deployScenario) Run(ctx context.Context, b *BaseState) (ScenarioResult, error) {
-	target := s.transform(b.Config)
+// Fingerprint keys the scenario by one fixed-size digest of its kind, its
+// target deployment and its resolved fabric, so every spelling of one
+// deployment on one fabric (a grid point and an explicit mapping, a plan
+// point's empty schedule and the base's schedule name) shares one
+// prediction. The kind is part of the key, so rows of different kinds
+// that share a target never serve each other's results.
+func (s *deploymentScenario) Fingerprint(b *BaseState) (string, bool) {
+	target, f, err := s.resolve(b)
+	if err != nil {
+		return "", false
+	}
+	sum := sha256.Sum256(fmt.Appendf(nil, "%s|%+v|%s", s.kind, target, topology.FabricID(f)))
+	return string(sum[:]), true
+}
+
+// Run validates the target against the base (a rejected target reports
+// its validation error first), then answers through predictOnFabric.
+func (s *deploymentScenario) Run(ctx context.Context, b *BaseState) (ScenarioResult, error) {
+	target, f, err := s.resolve(b)
 	res := ScenarioResult{
 		Name:   s.name,
 		Kind:   s.kind,
@@ -268,242 +307,13 @@ func (s *deployScenario) Run(ctx context.Context, b *BaseState) (ScenarioResult,
 		World:  target.Map.WorldSize(),
 	}
 	req := manip.Request{Base: b.Config, Target: target}
-	if err := req.Validate(); err != nil {
-		res.Err = err.Error()
-		return res, nil
+	if verr := req.Validate(); verr != nil {
+		err = verr
 	}
-	// Direct graph synthesis: the target's execution graph is generated
-	// straight from the deployment, with no trace materialized or re-parsed
-	// — served from (and seeding) the structural graph cache, so repeat
-	// evaluations of one target on this campaign state share the
-	// synthesized DAG with each other and with planner points (synthesis
-	// is deterministic, so sharing is bit-identical to re-synthesizing).
-	e, err := b.synthesizeStructural(req, obs.SpanFrom(ctx), nil)
-	if err != nil {
-		res.Err = err.Error()
-		return res, nil
+	var pred fabricPrediction
+	if err == nil {
+		pred, err = b.predictOnFabric(req, f, s.breakdown, obs.SpanFrom(ctx))
 	}
-	out := e.out
-	res.Iteration = out.Iteration
-	res.Breakdown = analysis.GraphBreakdown(out.Graph)
-	res.LibraryHits = out.LibraryHits
-	res.LibraryMisses = out.LibraryMisses
-	return res, nil
-}
-
-// DeployScenario wraps a config transform as a scenario: the target
-// deployment is derived from the sweep's base at evaluation time, so one
-// scenario value can be evaluated against different bases.
-func DeployScenario(name string, transform func(parallel.Config) parallel.Config) Scenario {
-	return &deployScenario{name: name, kind: "deploy", transform: transform}
-}
-
-// ScaleDPScenario scales data parallelism to dp (Section 3.4).
-func ScaleDPScenario(dp int) Scenario {
-	return &deployScenario{
-		name: fmt.Sprintf("dp=%d", dp),
-		kind: "deploy",
-		transform: func(base parallel.Config) parallel.Config {
-			return manip.ScaleDP(base, dp).Target
-		},
-	}
-}
-
-// ScalePPScenario re-stages the pipeline to pp stages (Section 3.4).
-func ScalePPScenario(pp int) Scenario {
-	return &deployScenario{
-		name: fmt.Sprintf("pp=%d", pp),
-		kind: "deploy",
-		transform: func(base parallel.Config) parallel.Config {
-			return manip.ScalePP(base, pp).Target
-		},
-	}
-}
-
-// Scale3DScenario changes PP and DP simultaneously (Section 3.4).
-func Scale3DScenario(pp, dp int) Scenario {
-	return &deployScenario{
-		name: fmt.Sprintf("pp=%d,dp=%d", pp, dp),
-		kind: "deploy",
-		transform: func(base parallel.Config) parallel.Config {
-			return manip.Scale3D(base, pp, dp).Target
-		},
-	}
-}
-
-// DeploymentScenario targets an explicit TP×PP×DP mapping (and optionally a
-// different architecture) while keeping the base's other knobs. TP changes
-// are detected at evaluation time and reported as infeasible, matching the
-// paper's manipulation scope.
-func DeploymentScenario(arch model.Arch, tp, pp, dp int) Scenario {
-	return &deployScenario{
-		name: fmt.Sprintf("%s %dx%dx%d", arch.Name, tp, pp, dp),
-		kind: "deploy",
-		transform: func(base parallel.Config) parallel.Config {
-			target := base
-			target.Arch = arch
-			target.Map = topology.Mapping{TP: tp, PP: pp, DP: dp}
-			return target
-		},
-	}
-}
-
-// ArchScenario replaces the architecture while keeping the deployment.
-func ArchScenario(arch model.Arch) Scenario {
-	return &deployScenario{
-		name: fmt.Sprintf("arch=%s", arch.Name),
-		kind: "arch",
-		transform: func(base parallel.Config) parallel.Config {
-			target := base
-			target.Arch = arch
-			return target
-		},
-	}
-}
-
-// kernelScaleScenario re-times matched kernels on the base graph.
-type kernelScaleScenario struct {
-	name   string
-	match  func(*execgraph.Task) bool
-	factor float64
-	// fp is the memoization key; empty for arbitrary predicates, which are
-	// not fingerprintable.
-	fp string
-}
-
-func (s *kernelScaleScenario) Name() string { return s.name }
-
-func (s *kernelScaleScenario) Fingerprint(*BaseState) (string, bool) {
-	return s.fp, s.fp != ""
-}
-
-func (s *kernelScaleScenario) Run(ctx context.Context, b *BaseState) (ScenarioResult, error) {
-	res := ScenarioResult{
-		Name:   s.name,
-		Kind:   "whatif-scale",
-		Target: b.Config,
-		World:  b.Config.Map.WorldSize(),
-	}
-	rsp := obs.SpanFrom(ctx).Child("replay")
-	iter, err := b.whatIf(func(t replay.Timings) {
-		analysis.ScaleDurations(b.Graph, t, s.match, s.factor)
-	})
-	rsp.End()
-	if err != nil {
-		res.Err = err.Error()
-		return res, nil
-	}
-	res.Iteration = iter
-	res.Detail = fmt.Sprintf("matched kernels scaled x%.2f", s.factor)
-	return res, nil
-}
-
-// KernelScaleScenario estimates the makespan if kernels matched by the
-// predicate ran at the given duration factor (Section 5's what-if analysis).
-func KernelScaleScenario(name string, match func(*execgraph.Task) bool, factor float64) Scenario {
-	return &kernelScaleScenario{name: name, match: match, factor: factor}
-}
-
-// ClassScaleScenario is KernelScaleScenario for one kernel class.
-func ClassScaleScenario(class trace.KernelClass, factor float64) Scenario {
-	return &kernelScaleScenario{
-		name:   fmt.Sprintf("%s x%.2f", class, factor),
-		match:  func(t *execgraph.Task) bool { return t.Class == class },
-		factor: factor,
-		fp:     fmt.Sprintf("classscale|%d|%g", class, factor),
-	}
-}
-
-// fusionScenario estimates the operator-fusion counterfactual.
-type fusionScenario struct {
-	name string
-	opts analysis.FusionOpts
-}
-
-func (s *fusionScenario) Name() string { return s.name }
-
-func (s *fusionScenario) Fingerprint(*BaseState) (string, bool) {
-	return fmt.Sprintf("fusion|%+v", s.opts), true
-}
-
-func (s *fusionScenario) Run(ctx context.Context, b *BaseState) (ScenarioResult, error) {
-	res := ScenarioResult{
-		Name:   s.name,
-		Kind:   "whatif-fusion",
-		Target: b.Config,
-		World:  b.Config.Map.WorldSize(),
-	}
-	// The unfused baseline is the campaign's replayed base point; only the
-	// fused counterfactual needs a simulation here.
-	rsp := obs.SpanFrom(ctx).Child("replay")
-	var groups, removed int
-	iter, err := b.whatIf(func(t replay.Timings) {
-		groups, removed = analysis.ApplyFusion(b.Graph, t, s.opts)
-	})
-	rsp.End()
-	if err != nil {
-		res.Err = err.Error()
-		return res, nil
-	}
-	res.Iteration = iter
-	res.Detail = fmt.Sprintf("%d kernel runs merged, %d kernels removed", groups, removed)
-	return res, nil
-}
-
-// FusionScenario estimates the benefit of fusing consecutive elementwise/
-// norm/softmax kernels (the "new operator fusion pattern" scenario from
-// Section 3.4) without implementing the fused kernels.
-func FusionScenario() Scenario {
-	return &fusionScenario{name: "fuse elementwise/norm", opts: analysis.DefaultFusionOpts()}
-}
-
-// fabricScenario re-predicts the base deployment on a different (or
-// degraded) fabric through BaseState.predictOnFabric, the path plan points
-// take too: compute kernels keep their durations, every collective is
-// re-priced by its target/campaign cost ratio, and a replay of the shared
-// graph propagates the new costs.
-type fabricScenario struct {
-	name string
-	// fabric is the target interconnect; nil re-uses the campaign's bound
-	// fabric (degrade-only what-ifs).
-	fabric topology.Fabric
-	// degrade scales per-tier bandwidth (see topology.Degrade); empty means
-	// no degradation.
-	degrade []float64
-}
-
-func (s *fabricScenario) Name() string { return s.name }
-
-// Fingerprint keys the scenario by its resolved (sized and degraded)
-// fabric, so two spellings of the same fabric share one prediction.
-func (s *fabricScenario) Fingerprint(b *BaseState) (string, bool) {
-	f, err := planner.ResolveFabric(s.point(b), b.Fabric)
-	if err != nil {
-		return "", false
-	}
-	return "fabric|" + fabricFingerprint(f), true
-}
-
-// point places the base deployment on the scenario's fabric as a planner
-// point, so the fabric resolves exactly as a plan point's does.
-func (s *fabricScenario) point(b *BaseState) planner.Point {
-	m := b.Config.Map
-	return planner.Point{TP: m.TP, PP: m.PP, DP: m.DP, Fabric: s.fabric, Degrade: s.degrade}
-}
-
-func (s *fabricScenario) Run(ctx context.Context, b *BaseState) (ScenarioResult, error) {
-	res := ScenarioResult{
-		Name:   s.name,
-		Kind:   "fabric",
-		Target: b.Config,
-		World:  b.Config.Map.WorldSize(),
-	}
-	f, err := planner.ResolveFabric(s.point(b), b.Fabric)
-	if err != nil {
-		res.Err = err.Error()
-		return res, nil
-	}
-	pred, err := b.predictOnFabric(manip.Request{Base: b.Config, Target: b.Config}, f, true, obs.SpanFrom(ctx))
 	if err != nil {
 		res.Err = err.Error()
 		return res, nil
@@ -513,8 +323,153 @@ func (s *fabricScenario) Run(ctx context.Context, b *BaseState) (ScenarioResult,
 	res.LibraryHits = pred.out.LibraryHits
 	res.LibraryMisses = pred.out.LibraryMisses
 	res.SharedStructure = pred.retimed
-	res.Detail = fmt.Sprintf("fabric %s, %d comm groups repriced", f.FabricName(), pred.repriced)
+	switch {
+	case s.kind == "fabric":
+		res.Detail = fmt.Sprintf("fabric %s, %d comm groups repriced", f.FabricName(), pred.repriced)
+	case pred.retimed:
+		res.Detail = fmt.Sprintf("shared structure, %d comm groups repriced", pred.repriced)
+	}
 	return res, nil
+}
+
+// deploy is a deployment scenario on the campaign fabric whose target is
+// derived from the sweep's base at evaluation time, so one scenario value
+// can be evaluated against different bases.
+func deploy(name, kind string, target func(parallel.Config) parallel.Config) Scenario {
+	return &deploymentScenario{name: name, kind: kind, target: target, breakdown: true}
+}
+
+// DeployScenario wraps a config transform as a scenario: the target
+// deployment is derived from the sweep's base at evaluation time, so one
+// scenario value can be evaluated against different bases.
+func DeployScenario(name string, transform func(parallel.Config) parallel.Config) Scenario {
+	return deploy(name, "deploy", transform)
+}
+
+// ScaleDPScenario scales data parallelism to dp (Section 3.4).
+func ScaleDPScenario(dp int) Scenario {
+	return deploy(fmt.Sprintf("dp=%d", dp), "deploy", func(base parallel.Config) parallel.Config {
+		return manip.ScaleDP(base, dp).Target
+	})
+}
+
+// ScalePPScenario re-stages the pipeline to pp stages (Section 3.4).
+func ScalePPScenario(pp int) Scenario {
+	return deploy(fmt.Sprintf("pp=%d", pp), "deploy", func(base parallel.Config) parallel.Config {
+		return manip.ScalePP(base, pp).Target
+	})
+}
+
+// Scale3DScenario changes PP and DP simultaneously (Section 3.4).
+func Scale3DScenario(pp, dp int) Scenario {
+	return deploy(fmt.Sprintf("pp=%d,dp=%d", pp, dp), "deploy", func(base parallel.Config) parallel.Config {
+		return manip.Scale3D(base, pp, dp).Target
+	})
+}
+
+// DeploymentScenario targets an explicit TP×PP×DP mapping (and optionally a
+// different architecture) while keeping the base's other knobs. TP changes
+// are detected at evaluation time and reported as infeasible, matching the
+// paper's manipulation scope.
+func DeploymentScenario(arch model.Arch, tp, pp, dp int) Scenario {
+	return deploy(fmt.Sprintf("%s %dx%dx%d", arch.Name, tp, pp, dp), "deploy", func(base parallel.Config) parallel.Config {
+		target := base
+		target.Arch = arch
+		target.Map = topology.Mapping{TP: tp, PP: pp, DP: dp}
+		return target
+	})
+}
+
+// ArchScenario replaces the architecture while keeping the deployment.
+func ArchScenario(arch model.Arch) Scenario {
+	return deploy(fmt.Sprintf("arch=%s", arch.Name), "arch", func(base parallel.Config) parallel.Config {
+		target := base
+		target.Arch = arch
+		return target
+	})
+}
+
+// retimeScenario re-times the profiled run: retime rewrites the base
+// program's duration columns and returns the row's Detail, and the
+// rewritten columns replay through BaseState.whatIf.
+type retimeScenario struct {
+	name string
+	kind string
+	// fp is the memoization key; empty for arbitrary predicates, which are
+	// not fingerprintable.
+	fp     string
+	retime func(g *execgraph.Graph, t replay.Timings) (detail string)
+}
+
+func (s *retimeScenario) Name() string { return s.name }
+
+func (s *retimeScenario) Fingerprint(*BaseState) (string, bool) {
+	return s.fp, s.fp != ""
+}
+
+func (s *retimeScenario) Run(ctx context.Context, b *BaseState) (ScenarioResult, error) {
+	res := ScenarioResult{
+		Name:   s.name,
+		Kind:   s.kind,
+		Target: b.Config,
+		World:  b.Config.Map.WorldSize(),
+	}
+	rsp := obs.SpanFrom(ctx).Child("replay")
+	var detail string
+	iter, err := b.whatIf(func(t replay.Timings) { detail = s.retime(b.Graph, t) })
+	rsp.End()
+	if err != nil {
+		res.Err = err.Error()
+		return res, nil
+	}
+	res.Iteration = iter
+	res.Detail = detail
+	return res, nil
+}
+
+// kernelScale is a retime scenario that scales the durations of kernels
+// matched by the predicate.
+func kernelScale(name, fp string, match func(*execgraph.Task) bool, factor float64) Scenario {
+	return &retimeScenario{name: name, kind: "whatif-scale", fp: fp,
+		retime: func(g *execgraph.Graph, t replay.Timings) string {
+			analysis.ScaleDurations(g, t, match, factor)
+			return fmt.Sprintf("matched kernels scaled x%.2f", factor)
+		}}
+}
+
+// KernelScaleScenario estimates the makespan if kernels matched by the
+// predicate ran at the given duration factor (Section 5's what-if analysis).
+func KernelScaleScenario(name string, match func(*execgraph.Task) bool, factor float64) Scenario {
+	return kernelScale(name, "", match, factor)
+}
+
+// ClassScaleScenario is KernelScaleScenario for one kernel class.
+func ClassScaleScenario(class trace.KernelClass, factor float64) Scenario {
+	return kernelScale(fmt.Sprintf("%s x%.2f", class, factor), fmt.Sprintf("classscale|%d|%g", class, factor),
+		func(t *execgraph.Task) bool { return t.Class == class }, factor)
+}
+
+// FusionScenario estimates the benefit of fusing consecutive elementwise/
+// norm/softmax kernels (the "new operator fusion pattern" scenario from
+// Section 3.4) without implementing the fused kernels. The unfused
+// baseline is the campaign's replayed base point; only the fused
+// counterfactual needs a simulation.
+func FusionScenario() Scenario {
+	opts := analysis.DefaultFusionOpts()
+	return &retimeScenario{name: "fuse elementwise/norm", kind: "whatif-fusion", fp: fmt.Sprintf("fusion|%+v", opts),
+		retime: func(g *execgraph.Graph, t replay.Timings) string {
+			groups, removed := analysis.ApplyFusion(g, t, opts)
+			return fmt.Sprintf("%d kernel runs merged, %d kernels removed", groups, removed)
+		}}
+}
+
+// onFabric is a fabric row: the base deployment re-predicted on fabric f
+// (nil = the campaign's) with per-tier degrade factors. Compute kernels
+// keep their durations, every collective is re-priced by its
+// target/campaign cost ratio, and a replay of the shared graph propagates
+// the new costs.
+func onFabric(name string, f topology.Fabric, degrade []float64) Scenario {
+	return &deploymentScenario{name: name, kind: "fabric", fabric: f, degrade: degrade, breakdown: true}
 }
 
 // FabricScenario predicts the base deployment's iteration time on a
@@ -525,7 +480,7 @@ func FabricScenario(name string, f topology.Fabric) Scenario {
 	if name == "" && f != nil {
 		name = "fabric=" + f.FabricName()
 	}
-	return &fabricScenario{name: name, fabric: f}
+	return onFabric(name, f, nil)
 }
 
 // DegradeLinksScenario predicts the base deployment under degraded links:
@@ -533,10 +488,7 @@ func FabricScenario(name string, f topology.Fabric) Scenario {
 // fabric (see topology.Degrade). DegradeLinksScenario(1, 0.5) halves every
 // tier beyond the innermost.
 func DegradeLinksScenario(factors ...float64) Scenario {
-	return &fabricScenario{
-		name:    fmt.Sprintf("degrade=%v", factors),
-		degrade: factors,
-	}
+	return onFabric(fmt.Sprintf("degrade=%v", factors), nil, factors)
 }
 
 // NetworkDegradeFactors spells the sweep/plan convention for a single
@@ -571,11 +523,11 @@ func FabricSweep(fabrics []topology.Fabric, degrade []float64) []Scenario {
 			base = f.FabricName()
 		}
 		for _, d := range degrade {
-			sc := &fabricScenario{name: base, fabric: f, degrade: NetworkDegradeFactors(d)}
+			name := base
 			if d != 1 {
-				sc.name = fmt.Sprintf("%s bw*%g", base, d)
+				name = fmt.Sprintf("%s bw*%g", base, d)
 			}
-			scenarios = append(scenarios, sc)
+			scenarios = append(scenarios, onFabric(name, f, NetworkDegradeFactors(d)))
 		}
 	}
 	return scenarios
@@ -611,21 +563,17 @@ func InfeasibleScenario(name, kind, errMsg string) Scenario {
 // campaign. spec is a schedule spec name: "1f1b", "gpipe", "interleaved[V]"
 // or "zb-h1"; unknown names evaluate as infeasible with the full menu.
 func ScheduleScenario(spec string) Scenario {
-	name := "schedule=" + strings.ToLower(strings.TrimSpace(spec))
 	s, err := schedule.Parse(spec)
 	if err != nil {
+		name := "schedule=" + strings.ToLower(strings.TrimSpace(spec))
 		return infeasibleScenario{name: name, kind: "schedule", err: err.Error()}
 	}
-	return &deployScenario{
-		name: "schedule=" + s.Name(),
-		kind: "schedule",
-		transform: func(base parallel.Config) parallel.Config {
-			target := base
-			target.Schedule = s.Policy
-			target.VirtualStages = s.Virtual
-			return target
-		},
-	}
+	return deploy("schedule="+s.Name(), "schedule", func(base parallel.Config) parallel.Config {
+		target := base
+		target.Schedule = s.Policy
+		target.VirtualStages = s.Virtual
+		return target
+	})
 }
 
 // ScheduleSweep enumerates schedule scenarios, the pipeline-schedule
@@ -784,6 +732,40 @@ func (tk *Toolkit) EvaluateTraces(ctx context.Context, base parallel.Config, m *
 // EvaluateState fans scenarios out over the worker pool against prepared
 // base state. The state may be reused across calls.
 func (tk *Toolkit) EvaluateState(ctx context.Context, base *BaseState, scenarios ...Scenario) (*SweepResult, error) {
+	results, err := tk.evaluate(ctx, base, scenarios)
+	if err != nil {
+		return nil, err
+	}
+	baseCost := float64(base.Config.Map.WorldSize()) * float64(base.Iteration)
+	for i := range results {
+		r := &results[i]
+		if !r.Feasible() || r.Iteration <= 0 {
+			continue
+		}
+		r.Speedup = float64(base.Iteration) / float64(r.Iteration)
+		if baseCost > 0 {
+			r.CostDelta = float64(r.World)*float64(r.Iteration)/baseCost - 1
+		}
+	}
+	rank(results)
+	return &SweepResult{
+		Base: ScenarioResult{
+			Name:      "base",
+			Kind:      "baseline",
+			Target:    base.Config,
+			World:     base.Config.Map.WorldSize(),
+			Iteration: base.Iteration,
+			Breakdown: base.Breakdown,
+			Speedup:   1,
+		},
+		Results: results,
+	}, nil
+}
+
+// evaluate is the sweep engine's worker loop: it runs every scenario over
+// the bounded pool under one pipeline/sweep span and returns the results
+// in scenario order. Sweeps rank them; plan rounds read them by position.
+func (tk *Toolkit) evaluate(ctx context.Context, base *BaseState, scenarios []Scenario) ([]ScenarioResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -832,31 +814,7 @@ dispatch:
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-
-	baseCost := float64(base.Config.Map.WorldSize()) * float64(base.Iteration)
-	for i := range results {
-		r := &results[i]
-		if !r.Feasible() || r.Iteration <= 0 {
-			continue
-		}
-		r.Speedup = float64(base.Iteration) / float64(r.Iteration)
-		if baseCost > 0 {
-			r.CostDelta = float64(r.World)*float64(r.Iteration)/baseCost - 1
-		}
-	}
-	rank(results)
-	return &SweepResult{
-		Base: ScenarioResult{
-			Name:      "base",
-			Kind:      "baseline",
-			Target:    base.Config,
-			World:     base.Config.Map.WorldSize(),
-			Iteration: base.Iteration,
-			Breakdown: base.Breakdown,
-			Speedup:   1,
-		},
-		Results: results,
-	}, nil
+	return results, nil
 }
 
 // runScenario evaluates one scenario, converting hard errors and panics

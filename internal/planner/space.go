@@ -53,7 +53,7 @@ func (p Point) Key() string {
 	}
 	if p.Fabric != nil {
 		h := fnv.New32a()
-		h.Write([]byte(fabricID(p.Fabric)))
+		h.Write([]byte(topology.FabricID(p.Fabric)))
 		fmt.Fprintf(&sb, "@%s#%06x", p.Fabric.FabricName(), h.Sum32()&0xffffff)
 	}
 	if len(p.Degrade) > 0 {
@@ -68,10 +68,6 @@ func (p Point) Key() string {
 
 // scheduleID is the schedule name as Point.Key spells it.
 func scheduleID(name string) string { return strings.ToLower(strings.TrimSpace(name)) }
-
-// fabricID is the full value of a fabric that Point.Key digests: its
-// concrete type and every link parameter.
-func fabricID(f topology.Fabric) string { return fmt.Sprintf("%T|%+v", f, f) }
 
 // Config derives the point's deployment from the campaign base: the base's
 // architecture and execution knobs with the point's mapping, microbatch
@@ -144,7 +140,7 @@ func (s Space) withBase(base parallel.Config) Space {
 	s.TP, s.PP, s.DP = distinct(s.TP, same), distinct(s.PP, same), distinct(s.DP, same)
 	s.Microbatch = distinct(s.Microbatch, same)
 	s.Schedules = distinct(s.Schedules, scheduleID)
-	s.Fabrics = distinct(s.Fabrics, fabricID)
+	s.Fabrics = distinct(s.Fabrics, topology.FabricID)
 	s.Degrade = distinct(s.Degrade, func(v []float64) string { return fmt.Sprint(v) })
 	return s
 }

@@ -483,7 +483,7 @@ func (s *Scratch) executeSync(id int32) {
 	if pt := s.procTime[p.proc[id]]; pt > start {
 		start = pt
 	}
-	end := start + p.opts.SyncMinDur
+	end := start + SyncMinDur
 	if m := s.syncMaxEnd[id]; m > end {
 		end = m
 	}

@@ -168,7 +168,7 @@ func scaleTasks(g *execgraph.Graph, tm Timings, match func(*execgraph.Task) bool
 // configuration, where no rendezvous groups are compiled.
 func TestCompiledUncoupledMatchesInterpreter(t *testing.T) {
 	g := schedGraph(t, parallel.OneFOneB, 2, 2, 1, 4, 13)
-	opts := Options{SyncMinDur: 1500, CoupleCollectives: false}
+	opts := Options{CoupleCollectives: false}
 	want, err := NewSimulator(opts).Run(g, Timings{})
 	if err != nil {
 		t.Fatal(err)

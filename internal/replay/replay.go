@@ -24,10 +24,11 @@ import (
 	"lumos/internal/trace"
 )
 
+// SyncMinDur is the minimum duration of a blocking synchronization call.
+const SyncMinDur trace.Dur = 1500
+
 // Options tunes the simulator.
 type Options struct {
-	// SyncMinDur is the minimum duration of a blocking synchronization call.
-	SyncMinDur trace.Dur
 	// CoupleCollectives enables cross-rank rendezvous semantics: all members
 	// of a collective group finish together at max(ready)+GroupDur. When
 	// false each comm kernel simply replays its recorded duration.
@@ -36,7 +37,7 @@ type Options struct {
 
 // DefaultOptions returns the settings used throughout the evaluation.
 func DefaultOptions() Options {
-	return Options{SyncMinDur: 1500, CoupleCollectives: true}
+	return Options{CoupleCollectives: true}
 }
 
 // Timings carries flat duration overrides for one run of either engine,
@@ -414,7 +415,7 @@ func (s *Simulator) finishSync(id int32, t *execgraph.Task) {
 	if p := s.procTime[t.Proc]; p > start {
 		start = p
 	}
-	end := start + s.opts.SyncMinDur
+	end := start + SyncMinDur
 	if m, ok := s.syncMaxEnd[id]; ok && m > end {
 		end = m
 	}

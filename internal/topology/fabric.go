@@ -61,6 +61,12 @@ type Fabric interface {
 	Validate() error
 }
 
+// FabricID is a fabric's full identity: its concrete type and every link
+// parameter, rendered deterministically. Every Fabric implementation is a
+// value type, so the rendering has no pointer dependence; two fabrics with
+// equal IDs price every collective alike.
+func FabricID(f Fabric) string { return fmt.Sprintf("%T|%+v", f, f) }
+
 // --- HierFabric -------------------------------------------------------------
 
 // Level is one tier of a HierFabric.
